@@ -26,6 +26,7 @@ __all__ = [
     "E2",
     "E3",
     "BASIS",
+    "INVOLUTION_SIGNS",
     "qmul",
     "vec_square",
     "is_zero_divisor",
@@ -55,12 +56,7 @@ def qmul(p, q):
 
 # sign pattern of the involutions: row k gives the signs that q^(k) applies
 # to the vector components (q1, q2, q3)
-_INVOLUTION_SIGNS = {
-    0: (1, 1, 1),
-    1: (1, -1, -1),
-    2: (-1, 1, -1),
-    3: (-1, -1, 1),
-}
+INVOLUTION_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 
 class Biquaternion:
@@ -178,9 +174,9 @@ class Biquaternion:
     def involution(self, k: int) -> "Biquaternion":
         """The involution e_k q conj(e_k); flips the two vector components
         orthogonal to e_k.  k = 0 is the identity."""
-        if k not in _INVOLUTION_SIGNS:
+        if k not in (0, 1, 2, 3):
             raise ValueError(f"involution index must be one of 0..3, got {k}")
-        s1, s2, s3 = _INVOLUTION_SIGNS[k]
+        s1, s2, s3 = INVOLUTION_SIGNS[k]
         c = self._c
         return Biquaternion(c[0], s1 * c[1], s2 * c[2], s3 * c[3])
 

@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Biquaternion
 from .grid import BQField, Grid3, divergence, curl, partial_deriv, sample
 
 __all__ = [
@@ -37,10 +36,6 @@ __all__ = [
     "general_alpha",
     "reciprocal_alpha",
 ]
-
-# involution sign pattern on the three vector components, rows k = 0..3
-_INV_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-
 
 def _check_finite(arrays, what="alpha"):
     for a in arrays:
@@ -90,21 +85,8 @@ class SeparableAlpha(AlphaSpec):
         self.derivs = tuple(derivs) if derivs is not None else (None, None, None)
         self.antiderivs = tuple(antiderivs) if antiderivs is not None else (None, None, None)
 
-    def _eval_axis(self, grid, k, fn):
-        x = grid.axis(k)
-        if callable(fn):
-            # poles are reported by the finiteness check, not by numpy noise
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.asarray(fn(x), dtype=complex)
-        else:
-            vals = np.full(x.shape, complex(fn), dtype=complex)
-        vals = np.broadcast_to(vals, x.shape)
-        shape = [1, 1, 1]
-        shape[k] = grid.shape[k]
-        return np.broadcast_to(vals.reshape(shape), grid.shape).astype(complex)
-
     def components(self, grid: Grid3):
-        out = tuple(self._eval_axis(grid, k, self.funcs[k]) for k in range(3))
+        out = tuple(grid.sample_axis(k, fn) for k, fn in enumerate(self.funcs))
         _check_finite(out)
         return out
 
@@ -115,7 +97,7 @@ class SeparableAlpha(AlphaSpec):
         """The three arrays a_k'(x_k), from exact derivative callables."""
         if not self.has_exact_derivatives():
             raise ValueError("separable alpha has no derivative callables")
-        out = tuple(self._eval_axis(grid, k, self.derivs[k]) for k in range(3))
+        out = tuple(grid.sample_axis(k, fn) for k, fn in enumerate(self.derivs))
         _check_finite(out, "alpha derivative")
         return out
 
@@ -125,19 +107,13 @@ class SeparableAlpha(AlphaSpec):
         d1, d2, d3 = self.deriv_components(grid)
         return BQField.from_scalar(grid, -(d1 + d2 + d3))
 
-    def d_alpha_involution(self, grid: Grid3, k: int) -> np.ndarray:
-        """Scalar field D(alpha^(k)); separable alpha makes every one scalar."""
-        d1, d2, d3 = self.deriv_components(grid)
-        s = _INV_SIGNS[k]
-        return -(s[0] * d1 + s[1] * d2 + s[2] * d3)
-
     def has_antiderivatives(self) -> bool:
         return all(a is not None for a in self.antiderivs)
 
     def antideriv_components(self, grid: Grid3):
         if not self.has_antiderivatives():
             raise ValueError("missing antiderivative for separable alpha")
-        out = tuple(self._eval_axis(grid, k, self.antiderivs[k]) for k in range(3))
+        out = tuple(grid.sample_axis(k, fn) for k, fn in enumerate(self.antiderivs))
         _check_finite(out, "alpha antiderivative")
         return out
 
@@ -297,12 +273,3 @@ def reciprocal_alpha(b=(0.0, 0.0, 0.0)) -> SeparableAlpha:
         derivs.append((lambda c: (lambda x: -1.0 / (x - c) ** 2))(bk))
         antis.append((lambda c: (lambda x: np.log((x - c).astype(complex))))(bk))
     return SeparableAlpha(tuple(funcs), tuple(derivs), tuple(antis))
-
-
-def as_alpha_field(alpha, grid: Grid3) -> BQField:
-    """Normalize AlphaSpec | BQField | Biquaternion to a field on the grid."""
-    if isinstance(alpha, BQField):
-        return alpha
-    if isinstance(alpha, Biquaternion):
-        return BQField.constant(grid, alpha)
-    return alpha.vector_field(grid)

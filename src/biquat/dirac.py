@@ -24,8 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Biquaternion, qmul, split_projectors
-from .grid import BQField, Grid3, nabla, partial_deriv, sample
+from .algebra import Biquaternion, qmul, right_projector, split_projectors
+from .grid import (BQField, Field4, Grid3, nabla, partial_deriv, reflect_x3,
+                   sample)
 
 __all__ = [
     "SpinorField",
@@ -61,59 +62,11 @@ _INV = np.array([
 ], dtype=complex)
 
 
-class SpinorField:
+class SpinorField(Field4):
     """C^4-valued function on a Grid3; data shape (4, n1, n2, n3)."""
-
-    __array_ufunc__ = None
-
-    def __init__(self, grid: Grid3, data: np.ndarray):
-        data = np.asarray(data, dtype=complex)
-        if data.shape != (4, *grid.shape):
-            raise ValueError(f"data shape {data.shape} does not match grid {grid.shape}")
-        self.grid = grid
-        self.data = data
-
-    @classmethod
-    def from_components(cls, grid: Grid3, c0=0.0, c1=0.0, c2=0.0, c3=0.0) -> "SpinorField":
-        return cls(grid, np.stack([sample(grid, c) for c in (c0, c1, c2, c3)]))
-
-    @classmethod
-    def zeros(cls, grid: Grid3) -> "SpinorField":
-        return cls(grid, np.zeros((4, *grid.shape), dtype=complex))
 
     def apply_matrix(self, m: np.ndarray) -> "SpinorField":
         return SpinorField(self.grid, np.einsum("ab,b...->a...", m, self.data))
-
-    def reflect_x3(self) -> "SpinorField":
-        if not self.grid.x3_symmetric:
-            raise ValueError("reflection not node-exact: grid is not symmetric about x3 = 0")
-        return SpinorField(self.grid, self.data[..., ::-1].copy())
-
-    def __add__(self, other):
-        if isinstance(other, SpinorField):
-            return SpinorField(self.grid, self.data + other.data)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, SpinorField):
-            return SpinorField(self.grid, self.data - other.data)
-        return NotImplemented
-
-    def __mul__(self, c):
-        if isinstance(c, (int, float, complex)):
-            return SpinorField(self.grid, self.data * c)
-        if isinstance(c, np.ndarray):
-            return SpinorField(self.grid, self.data * c[np.newaxis])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return SpinorField(self.grid, -self.data)
-
-    def linf(self) -> float:
-        m = np.abs(self.data)
-        return float(np.nanmax(m))
 
 
 @dataclass(frozen=True)
@@ -185,16 +138,12 @@ class DiracParams:
 def spinor_to_bq(phi: SpinorField) -> BQField:
     """Forward transform: F = (1/2) * M * Phi~ with the constant matrix M
     and the x3-reflected spinor samples."""
-    refl = phi.reflect_x3()
-    return BQField(phi.grid, np.einsum("ab,b...->a...", _FWD, refl.data))
+    return BQField(phi.grid, np.einsum("ab,b...->a...", _FWD, reflect_x3(phi).data))
 
 
 def bq_to_spinor(f: BQField) -> SpinorField:
     """Inverse transform: Phi = M_inv * F~; inverse of ``spinor_to_bq``."""
-    if not f.grid.x3_symmetric:
-        raise ValueError("reflection not node-exact: grid is not symmetric about x3 = 0")
-    refl = f.data[..., ::-1]
-    return SpinorField(f.grid, np.einsum("ab,b...->a...", _INV, refl))
+    return SpinorField(f.grid, np.einsum("ab,b...->a...", _INV, reflect_x3(f).data))
 
 
 def apply_dirac(phi: SpinorField, p: DiracParams, g: GammaSet) -> SpinorField:
@@ -272,6 +221,12 @@ def intertwining_residual(phi: SpinorField, p: DiracParams, g: GammaSet):
 # pseudoscalar four-way splitting
 # --------------------------------------------------------------------------
 
+def _ie1_field(grid: Grid3, c: np.ndarray) -> BQField:
+    """The field c * i e1 for a complex scalar array c of shape grid.shape."""
+    ie1 = np.array([0, 1j, 0, 0], dtype=complex).reshape(4, 1, 1, 1)
+    return BQField(grid, c[np.newaxis] * ie1)
+
+
 @dataclass
 class PseudoscalarSplit:
     """The four projections f * s_b * p_a (the beta splitting applied
@@ -304,11 +259,8 @@ class PseudoscalarSplit:
     def part_residual(self, p_sign: int, s_sign: int) -> BQField:
         """(D + p_sign * M^{(nu + s_sign*lam) i e1}) applied to the part."""
         part = self.parts[(p_sign, s_sign)]
-        grid = part.grid
-        mult = (self.nu + s_sign * self.lam)[np.newaxis] * np.array(
-            [0, 1j, 0, 0], dtype=complex).reshape(4, 1, 1, 1)
-        mult_field = BQField(grid, np.broadcast_to(mult, (4, *grid.shape)).copy())
-        return nabla(part) + float(p_sign) * (part * mult_field)
+        mult = _ie1_field(part.grid, self.nu + s_sign * self.lam)
+        return nabla(part) + float(p_sign) * (part * mult)
 
 
 def pseudoscalar_split(f: BQField, nu, beta: Biquaternion, tol: float = 1e-12) -> PseudoscalarSplit:
@@ -320,8 +272,7 @@ def pseudoscalar_split(f: BQField, nu, beta: Biquaternion, tol: float = 1e-12) -
     pair = split_projectors(beta, tol)
     grid = f.grid
     nu_arr = sample(grid, nu)
-    p_plus = Biquaternion(0.5, 0.5j, 0, 0)
-    p_minus = Biquaternion(0.5, -0.5j, 0, 0)
+    p_plus, p_minus = right_projector(1, 1), right_projector(1, -1)
     f_p = f * pair.plus
     f_m = f * pair.minus
     return PseudoscalarSplit(
@@ -342,12 +293,11 @@ def pseudoscalar_identity_residual(f: BQField, nu, beta: Biquaternion, tol: floa
     grid = f.grid
     nu_arr = sample(grid, nu)
     lhs = nabla(f) + nu_arr * f + f * beta
-    ie1 = np.array([0, 1j, 0, 0], dtype=complex).reshape(4, 1, 1, 1)
     rhs = BQField.zeros(grid)
-    for a, p_mult in ((1, Biquaternion(0.5, 0.5j, 0, 0)), (-1, Biquaternion(0.5, -0.5j, 0, 0))):
+    for a in (1, -1):
+        p_mult = right_projector(1, a)
         for b, s_mult in ((1, pair.plus), (-1, pair.minus)):
-            c = (nu_arr + b * pair.lam)[np.newaxis] * ie1
-            c_field = BQField(grid, np.broadcast_to(c, (4, *grid.shape)).copy())
+            c_field = _ie1_field(grid, nu_arr + b * pair.lam)
             term = nabla(f) + float(a) * (f * c_field)
             rhs = rhs + (term * p_mult) * s_mult
     res = lhs - rhs
@@ -366,15 +316,15 @@ def manufactured_split_solution(grid: Grid3, nu: complex, beta: Biquaternion,
     """
     pair = split_projectors(beta)
     x1, _, _ = grid.mesh()
-    p_plus = np.array([0.5, 0.5j, 0, 0], dtype=complex)
-    p_minus = np.array([0.5, -0.5j, 0, 0], dtype=complex)
+    p_plus = right_projector(1, 1).components.reshape(4, 1, 1, 1)
+    p_minus = right_projector(1, -1).components.reshape(4, 1, 1, 1)
     a, b, c, d = (complex(v) for v in coeffs)
     out = np.zeros((4, *grid.shape), dtype=complex)
     for s_mult, cc, (w_p, w_m) in (
             (pair.plus, nu + pair.lam, (a, b)),
             (pair.minus, nu - pair.lam, (c, d))):
-        branch = (w_p * np.exp(-1j * cc * x1)[np.newaxis] * p_plus.reshape(4, 1, 1, 1)
-                  + w_m * np.exp(1j * cc * x1)[np.newaxis] * p_minus.reshape(4, 1, 1, 1))
+        branch = (w_p * np.exp(-1j * cc * x1)[np.newaxis] * p_plus
+                  + w_m * np.exp(1j * cc * x1)[np.newaxis] * p_minus)
         out = out + qmul(branch, s_mult.components.reshape(4, 1, 1, 1))
     return BQField(grid, out)
 

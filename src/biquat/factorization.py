@@ -18,17 +18,18 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sla
 
-from .algebra import Biquaternion, qmul
-from .alpha import (AlphaSpec, AxialAlpha, SeparableAlpha, as_alpha_field,
-                    gradient_alpha)
-from .grid import (BQField, Grid3, laplacian, laplacian_wide, linf, nabla,
-                   nabla_alpha, sample)
+from .algebra import INVOLUTION_SIGNS, qmul
+from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, gradient_alpha
+from .grid import (BQField, Grid3, as_alpha_field, laplacian, laplacian_wide,
+                   linf, nabla, nabla_alpha, partial_deriv, sample)
 
 __all__ = [
     "riccati_residual",
     "gradient_alpha",
+    "factored_product",
     "factorization_residual",
     "PotentialSet",
+    "d_alpha_involution",
     "potentials",
     "build_solution",
     "ClosedFormFamily",
@@ -41,9 +42,6 @@ __all__ = [
     "ReductionReport",
     "zero_divisor_reduction",
 ]
-
-_INV_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-
 
 def riccati_residual(alpha: AlphaSpec, v, grid: Grid3,
                      derivatives: str = "auto") -> BQField:
@@ -68,6 +66,13 @@ def riccati_residual(alpha: AlphaSpec, v, grid: Grid3,
     return dal + BQField.from_scalar(grid, balance)
 
 
+def factored_product(u: BQField, alpha) -> BQField:
+    """(D + M^alpha)(D - M^alpha) u with the discrete first-order operator;
+    alpha is anything ``as_alpha_field`` accepts."""
+    avec = as_alpha_field(alpha, u.grid)
+    return nabla_alpha(build_solution(u, avec), avec)
+
+
 def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3,
                            riccati_tol: float = 1e-10):
     """Residual of (-lap + v) phi = (D + M^alpha)(D - M^alpha) phi on a
@@ -86,9 +91,7 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3,
     phi_field = BQField.from_scalar(grid, phi)
     v_arr = sample(grid, v)
     lhs = -laplacian(phi_field) + v_arr * phi_field
-    avec = alpha.vector_field(grid)
-    inner = nabla(phi_field) - phi_field * avec
-    rhs = nabla(inner) + inner * avec
+    rhs = factored_product(phi_field, alpha)
     res = lhs - rhs
     return res, max(lhs.linf(), rhs.linf(), 1e-300)
 
@@ -120,9 +123,15 @@ class PotentialSet:
 def _separable_derivs(alpha: SeparableAlpha, grid: Grid3):
     if alpha.has_exact_derivatives():
         return alpha.deriv_components(grid)
-    from .grid import partial_deriv
     comps = alpha.components(grid)
     return tuple(partial_deriv(comps[k], grid, k) for k in range(3))
+
+
+def d_alpha_involution(derivs, k: int) -> np.ndarray:
+    """The scalar field D(alpha^(k)) = -sum_j s_j a_j' of a separable alpha,
+    from its three derivative arrays a_j'(x_j) and the involution signs s."""
+    s = INVOLUTION_SIGNS[k]
+    return -(s[0] * derivs[0] + s[1] * derivs[1] + s[2] * derivs[2])
 
 
 def potentials(alpha: AlphaSpec, grid: Grid3) -> PotentialSet:
@@ -130,12 +139,11 @@ def potentials(alpha: AlphaSpec, grid: Grid3) -> PotentialSet:
     then is every D(alpha^(k)) a scalar."""
     if not isinstance(alpha, SeparableAlpha):
         raise ValueError("potentials require separable alpha: D(alpha^(k)) is not scalar otherwise")
-    d1, d2, d3 = _separable_derivs(alpha, grid)
+    derivs = _separable_derivs(alpha, grid)
     asq = alpha.alpha_sq(grid)
     v, w = [], []
     for k in range(4):
-        s = _INV_SIGNS[k]
-        d_inv = -(s[0] * d1 + s[1] * d2 + s[2] * d3)  # D(alpha^(k))
+        d_inv = d_alpha_involution(derivs, k)
         v.append(-d_inv - asq)
         w.append(d_inv - asq)
     return PotentialSet(v=tuple(v), w=tuple(w), alpha_sq=asq)
@@ -195,7 +203,7 @@ class ClosedFormFamily:
         measures only the wiring of the sign patterns)."""
         a = self.alpha.components(grid)
         s = _FAMILY_SIGNS[k]
-        sig = _INV_SIGNS[k]
+        sig = INVOLUTION_SIGNS[k]
         worst = 0.0
         for j in range(3):
             worst = max(worst, linf(s[j] * a[j] + sig[j] * a[j]))
@@ -347,11 +355,7 @@ def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v",
     if worst > solver_tol:
         raise ValueError(f"linear solver residual {worst:.3e} exceeds {solver_tol:.1e}")
     u_field = BQField(grid, u)
-    avec = alpha.vector_field(grid)
-    if variant == "v":
-        out = nabla(u_field) - u_field * avec
-    else:
-        out = nabla(u_field) + u_field * avec
+    out = build_solution(u_field, alpha) if variant == "v" else nabla_alpha(u_field, alpha)
     return RightInverseResult(field=out, u=u_field, solver_residual=worst)
 
 
@@ -438,12 +442,6 @@ class AxialOperators:
         rhs = self.schro(v, 1) + self.schro(w, -1)
         return (lhs - rhs).linf() / max(lhs.linf(), 1e-300)
 
-    def factored_product(self, u: BQField) -> BQField:
-        """D_alpha D_{-alpha} u with the discrete first-order operator."""
-        avec = self.alpha.vector_field(self.grid)
-        inner = nabla(u) - u * avec
-        return nabla(inner) + inner * avec
-
     def factq_residual(self, u: BQField, wide: bool = True):
         """Residual of the product identity D_alpha D_{-alpha} = A + BC.
 
@@ -453,7 +451,7 @@ class AxialOperators:
         rounding); for varying a1 the defect is the O(h^2) discrete
         product-rule error.  Returns (residual BQField, scale).
         """
-        lhs = self.factored_product(u)
+        lhs = factored_product(u, self.alpha)
         rhs = self.abc(u, wide=wide)
         return lhs - rhs, max(lhs.linf(), rhs.linf(), 1e-300)
 

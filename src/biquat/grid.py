@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .algebra import Biquaternion, qmul
 
 __all__ = [
     "Grid3",
+    "Field4",
     "BQField",
     "Norms",
     "sample",
@@ -27,6 +28,7 @@ __all__ = [
     "divergence",
     "curl",
     "nabla",
+    "as_alpha_field",
     "nabla_alpha",
     "laplacian",
     "laplacian_wide",
@@ -88,6 +90,22 @@ class Grid3:
     def mesh(self):
         return np.meshgrid(*self.axes, indexing="ij")
 
+    def sample_axis(self, k: int, fn) -> np.ndarray:
+        """Evaluate fn(x_k) (or a constant) on axis k and spread the samples
+        over the grid as a complex array that varies along axis k only."""
+        x = self.axis(k)
+        if callable(fn):
+            # poles are reported by the callers' finiteness checks, not by
+            # numpy noise
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = np.asarray(fn(x), dtype=complex)
+        else:
+            vals = complex(fn)
+        shape = [1, 1, 1]
+        shape[k] = self.shape[k]
+        vals = np.broadcast_to(vals, x.shape).reshape(shape)
+        return np.broadcast_to(vals, self.shape).astype(complex)
+
     @property
     def node_count(self) -> int:
         n1, n2, n3 = self.shape
@@ -118,13 +136,12 @@ def sample(grid: Grid3, fn) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn, dtype=complex), grid.shape).astype(complex)
 
 
-class BQField:
-    """Biquaternion-valued function sampled on a Grid3.
+class Field4:
+    """Four complex components sampled on a Grid3; data shape (4, n1, n2, n3).
 
-    data has shape (4, n1, n2, n3), complex; index 0 is the scalar part.
-    Fields behave like elements of the algebra pointwise: * is the
-    quaternion product (with BQField, Biquaternion, or a scalar/array of
-    complex numbers), + and - are componentwise.  All operations are pure.
+    + and - combine two fields of the same type on the same grid; * by a
+    complex scalar or a scalar array (grid.shape) scales every component.
+    Fields of different types never mix.  All operations are pure.
     """
 
     __array_ufunc__ = None  # defer numpy binary ops to our __rmul__ etc.
@@ -136,15 +153,63 @@ class BQField:
         self.grid = grid
         self.data = data
 
-    # -- constructors ----------------------------------------------------
     @classmethod
-    def zeros(cls, grid: Grid3) -> "BQField":
+    def zeros(cls, grid: Grid3):
         return cls(grid, np.zeros((4, *grid.shape), dtype=complex))
 
     @classmethod
-    def from_components(cls, grid: Grid3, c0=0.0, c1=0.0, c2=0.0, c3=0.0) -> "BQField":
+    def from_components(cls, grid: Grid3, c0=0.0, c1=0.0, c2=0.0, c3=0.0):
         return cls(grid, np.stack([sample(grid, c) for c in (c0, c1, c2, c3)]))
 
+    def _same_grid(self, other: "Field4") -> None:
+        if other.grid != self.grid:
+            raise ValueError("fields live on different grids")
+
+    def _binary(self, other, op):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._same_grid(other)
+        return type(self)(self.grid, op(self.data, other.data))
+
+    def __add__(self, other):
+        return self._binary(other, np.add)
+
+    def __sub__(self, other):
+        return self._binary(other, np.subtract)
+
+    def __neg__(self):
+        return type(self)(self.grid, -self.data)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return type(self)(self.grid, self.data * other)
+        if isinstance(other, np.ndarray):
+            return type(self)(self.grid, self.data * other[np.newaxis])
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return type(self)(self.grid, other * self.data)
+        if isinstance(other, np.ndarray):
+            return type(self)(self.grid, other[np.newaxis] * self.data)
+        return NotImplemented
+
+    def linf(self) -> float:
+        return linf(self.data)
+
+    def l2(self) -> float:
+        return l2(self.data, self.grid)
+
+
+class BQField(Field4):
+    """Biquaternion-valued function sampled on a Grid3.
+
+    Index 0 of data is the scalar part.  Fields behave like elements of the
+    algebra pointwise: on top of Field4's componentwise arithmetic, * with
+    a BQField or a Biquaternion is the quaternion product.
+    """
+
+    # -- constructors ----------------------------------------------------
     @classmethod
     def from_scalar(cls, grid: Grid3, f) -> "BQField":
         return cls.from_components(grid, c0=f)
@@ -176,57 +241,24 @@ class BQField:
         scale = max(1.0, float(np.nanmax(np.abs(self.data), initial=0.0)))
         return float(np.nanmax(np.abs(self.data[0]), initial=0.0)) <= tol * scale
 
-    # -- arithmetic --------------------------------------------------------
-    def _binary(self, other, op):
-        if isinstance(other, BQField):
-            if other.grid != self.grid:
-                raise ValueError("fields live on different grids")
-            return BQField(self.grid, op(self.data, other.data))
-        return NotImplemented
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __neg__(self):
-        return BQField(self.grid, -self.data)
-
+    # -- quaternion product ------------------------------------------------
     def __mul__(self, other):
         if isinstance(other, BQField):
-            if other.grid != self.grid:
-                raise ValueError("fields live on different grids")
+            self._same_grid(other)
             return BQField(self.grid, qmul(self.data, other.data))
         if isinstance(other, Biquaternion):
             return BQField(self.grid, qmul(self.data, other.components.reshape(4, 1, 1, 1)))
-        if isinstance(other, (int, float, complex)):
-            return BQField(self.grid, self.data * other)
-        if isinstance(other, np.ndarray):
-            return BQField(self.grid, self.data * other[np.newaxis])
-        return NotImplemented
+        return super().__mul__(other)
 
     def __rmul__(self, other):
-        # scalars and scalar fields commute with everything
-        if isinstance(other, (int, float, complex)):
-            return BQField(self.grid, other * self.data)
-        if isinstance(other, np.ndarray):
-            return BQField(self.grid, other[np.newaxis] * self.data)
         if isinstance(other, Biquaternion):
             return BQField(self.grid, qmul(other.components.reshape(4, 1, 1, 1), self.data))
-        return NotImplemented
+        return super().__rmul__(other)
 
     def conj(self) -> "BQField":
         out = self.data.copy()
         out[1:] = -out[1:]
         return BQField(self.grid, out)
-
-    # -- norms -------------------------------------------------------------
-    def linf(self) -> float:
-        return linf(self.data)
-
-    def l2(self) -> float:
-        return l2(self.data, self.grid)
 
     def __repr__(self):
         return f"BQField(grid={self.grid.shape}, linf={self.linf():.6g})"
@@ -237,7 +269,7 @@ class BQField:
 # --------------------------------------------------------------------------
 
 def linf(a) -> float:
-    data = a.data if isinstance(a, BQField) else np.asarray(a)
+    data = a.data if isinstance(a, Field4) else np.asarray(a)
     m = np.abs(data)
     if not np.any(np.isfinite(m)):
         raise ValueError("no valid nodes to take a norm over")
@@ -245,7 +277,7 @@ def linf(a) -> float:
 
 
 def l2(a, grid: Grid3 | None = None) -> float:
-    if isinstance(a, BQField):
+    if isinstance(a, Field4):
         grid = a.grid
         data = a.data
     else:
@@ -325,13 +357,14 @@ def nabla(f: BQField) -> BQField:
     return BQField(g, np.stack([d, g1 + c1, g2 + c2, g3 + c3]))
 
 
-def _alpha_field(f: BQField, alpha) -> BQField:
+def as_alpha_field(alpha, grid: Grid3) -> BQField:
+    """Normalize a BQField, a constant Biquaternion, or an AlphaSpec (anything
+    exposing vector_field(grid)) to a field on the grid."""
     if isinstance(alpha, BQField):
         return alpha
     if isinstance(alpha, Biquaternion):
-        return BQField.constant(f.grid, alpha)
-    # AlphaSpec and anything else exposing vector_field(grid)
-    return alpha.vector_field(f.grid)
+        return BQField.constant(grid, alpha)
+    return alpha.vector_field(grid)
 
 
 def nabla_alpha(f: BQField, alpha) -> BQField:
@@ -339,7 +372,7 @@ def nabla_alpha(f: BQField, alpha) -> BQField:
 
     alpha may be a BQField, a constant Biquaternion, or an AlphaSpec.
     """
-    return nabla(f) + f * _alpha_field(f, alpha)
+    return nabla(f) + f * as_alpha_field(alpha, f.grid)
 
 
 def laplacian(f: BQField) -> BQField:
@@ -377,11 +410,12 @@ def laplacian_wide(f: BQField) -> BQField:
     return BQField(g, out)
 
 
-def reflect_x3(f: BQField) -> BQField:
-    """Pull back along x3 -> -x3 (an exact node permutation); involutive."""
+def reflect_x3(f: Field4) -> Field4:
+    """Pull back along x3 -> -x3 (an exact node permutation); involutive.
+    Returns a field of the argument's type."""
     if not f.grid.x3_symmetric:
         raise ValueError("reflection not node-exact: grid is not symmetric about x3 = 0")
-    return BQField(f.grid, f.data[..., ::-1].copy())
+    return type(f)(f.grid, f.data[..., ::-1].copy())
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .algebra import Biquaternion, qmul
 from .alpha import (axial_alpha, constant_alpha, gradient_alpha,
                     reciprocal_alpha, separable_alpha)
 from .grid import (BQField, Grid3, l2, laplacian, laplacian_wide, linf,
-                   nabla, nabla_alpha, partial_deriv, reflect_x3, sample)
+                   nabla, nabla_alpha, partial_deriv, reflect_x3)
 
 __all__ = [
     "SuiteConfig",
@@ -198,12 +198,14 @@ def _modes(rng, n_modes=3, kmax=2):
         out.append((kv.astype(float), c))
     return out
 
-def _eval_modes(grid, modes):
-    x1, x2, x3 = grid.mesh()
-    acc = np.zeros(grid.shape, dtype=complex)
+def _eval_modes_xyz(x1, x2, x3, modes):
+    acc = np.zeros(np.broadcast(x1, x2, x3).shape, dtype=complex)
     for kv, c in modes:
         acc = acc + c * np.exp(1j * (kv[0] * x1 + kv[1] * x2 + kv[2] * x3))
     return acc
+
+def _eval_modes(grid, modes):
+    return _eval_modes_xyz(*grid.mesh(), modes)
 
 def _smooth_scalar(grid, rng, **kw):
     return _eval_modes(grid, _modes(rng, **kw))
@@ -659,13 +661,6 @@ def check_dirac(cfg: SuiteConfig):
     return rows
 
 
-def _eval_modes_xyz(x1, x2, x3, modes):
-    acc = np.zeros(np.broadcast(x1, x2, x3).shape, dtype=complex)
-    for kv, c in modes:
-        acc = acc + c * np.exp(1j * (kv[0] * x1 + kv[1] * x2 + kv[2] * x3))
-    return acc
-
-
 # --------------------------------------------------------------------------
 # suite: maxwell
 # --------------------------------------------------------------------------
@@ -911,14 +906,14 @@ def check_factorization(cfg: SuiteConfig):
                                    lambda a, b, c: a ** 2 - b ** 2,
                                    lambda a, b, c: b * c,
                                    lambda a, b, c: a ** 2 - c ** 2)
-    lhs = _factored_product(quad, alfc)
+    lhs = fz.factored_product(quad, alfc)
     rhs = _fact_rhs(quad, alfc, g_coarse, wide=True)
     rows.append(_exact_field_row(s, "component_factorization_quadratic", lhs - rhs, tol,
                                  scale=max(lhs.linf(), rhs.linf())))
     entries = []
     for g in (g_coarse, g_fine):
         u = BQField(g, np.stack([_eval_modes(g, modes) for _ in range(4)]))
-        lhs = _factored_product(u, alf)
+        lhs = fz.factored_product(u, alf)
         rhs = _fact_rhs(u, alf, g, wide=False)
         entries.append((g, lhs - rhs))
     rows.append(_order_from_fields(s, "component_factorization_order", entries, cfg))
@@ -937,7 +932,7 @@ def check_factorization(cfg: SuiteConfig):
     entries = []
     for g in (g_coarse, g_fine):
         gfield = BQField(g, np.stack([_eval_modes(g, modes) for _ in range(4)]))
-        lhs = nabla_alpha(fz.build_solution(gfield, alf), alf)
+        lhs = fz.factored_product(gfield, alf)
         pots_g = fz.potentials(alf, g)
         rhs_data = np.stack([
             (-laplacian(BQField.from_scalar(g, gfield.data[k])).scalar
@@ -947,19 +942,14 @@ def check_factorization(cfg: SuiteConfig):
     return rows
 
 
-def _factored_product(u: BQField, alpha) -> BQField:
-    avec = alpha.vector_field(u.grid)
-    inner = nabla(u) - u * avec
-    return nabla(inner) + inner * avec
-
-
 def _fact_rhs(u: BQField, alpha, grid: Grid3, wide: bool) -> BQField:
     """sum_k (-lap u_k - alpha^2 u_k - D(alpha^(k)) u_k) e_k."""
     asq = alpha.alpha_sq(grid)
+    derivs = alpha.deriv_components(grid)
     lap = laplacian_wide(u) if wide else laplacian(u)
     data = np.empty_like(u.data)
     for k in range(4):
-        dk = alpha.d_alpha_involution(grid, k)
+        dk = fz.d_alpha_involution(derivs, k)
         data[k] = -lap.data[k] - asq * u.data[k] - dk * u.data[k]
     return BQField(grid, data)
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Biquaternion
+from .algebra import right_projector
 from .grid import BQField, Grid3, linf, nabla, partial_deriv, sample
 
 __all__ = [
@@ -85,13 +85,9 @@ def medium_alpha(m: MediumFields, grid: Grid3, which: str = "eps",
     if method == "closed" and not use_closed:
         raise ValueError("closed form requires separable eps factors")
     if use_closed:
-        comps = []
-        for k, (fk, dfk) in enumerate(m.separable_eps):
-            x = grid.axis(k)
-            vals = np.asarray(dfk(x), dtype=complex) / (2.0 * np.asarray(fk(x), dtype=complex))
-            shape = [1, 1, 1]
-            shape[k] = grid.shape[k]
-            comps.append(np.broadcast_to(vals.reshape(shape), grid.shape).astype(complex))
+        comps = [grid.sample_axis(k, lambda x, fk=fk, dfk=dfk: np.asarray(dfk(x), dtype=complex)
+                                  / (2.0 * np.asarray(fk(x), dtype=complex)))
+                 for k, (fk, dfk) in enumerate(m.separable_eps)]
         return BQField.from_vector(grid, *comps)
     w = m.eps_values(grid) if which == "eps" else m.mu_values(grid)
     root = np.sqrt(w)
@@ -170,10 +166,8 @@ def forcefree_split(f: BQField, nu):
     """
     grid = f.grid
     nu_arr = sample(grid, nu)
-    p_plus = Biquaternion(0.5, 0.5j, 0, 0)
-    p_minus = Biquaternion(0.5, -0.5j, 0, 0)
-    f_plus = f * p_plus
-    f_minus = f * p_minus
+    f_plus = f * right_projector(1, 1)
+    f_minus = f * right_projector(1, -1)
     mult = BQField.from_vector(grid, 1j * nu_arr, 0.0, 0.0)
     lhs = nabla(f) + nu_arr * f
     rhs = (nabla(f_plus) + f_plus * mult) + (nabla(f_minus) - f_minus * mult)

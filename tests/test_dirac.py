@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from biquat.dirac import (DiracParams, GammaSet, SpinorField, apply_dirac,
                           intertwining_residual, manufactured_split_solution,
                           pseudoscalar_identity_residual, pseudoscalar_split,
                           spinor_to_bq)
-from biquat.grid import BQField, Grid3, linf, nabla, nabla_alpha
+from biquat.grid import BQField, Grid3, linf, nabla, nabla_alpha, reflect_x3
 
 TOL = 1e-12
 GAM = GammaSet.standard()
@@ -232,3 +233,29 @@ def test_manufactured_solution_and_part_equations():
     assert 1.7 <= math.log(full[9] / full[17], 2) <= 2.3
     for key in errs:
         assert 1.7 <= math.log(errs[key][9] / errs[key][17], 2) <= 2.3
+
+
+def test_spinor_and_bq_fields_never_mix():
+    g = sym_grid()
+    phi, f = smooth_spinor(g, 1), BQField(g, smooth_spinor(g, 2).data)
+    for a, b in ((phi, f), (f, phi)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+
+@pytest.mark.parametrize("cls", [BQField, SpinorField])
+def test_field_grid_mismatch_rejected(cls):
+    a, b = cls.zeros(sym_grid(9)), cls.zeros(sym_grid(11))
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="different grids"):
+            op(a, b)
+
+
+@pytest.mark.parametrize("cls", [BQField, SpinorField])
+def test_reflect_x3_keeps_type(cls):
+    g = sym_grid()
+    f = cls(g, smooth_spinor(g, 3).data)
+    out = reflect_x3(f)
+    assert type(out) is cls
+    assert np.array_equal(out.data, f.data[..., ::-1])
