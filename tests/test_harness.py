@@ -5,9 +5,18 @@ import sys
 
 import pytest
 
+from biquat import algebra
+from biquat.algebra import Biquaternion
 from biquat.cli import main as cli_main
+from biquat.dirac import (PseudoscalarSplit, manufactured_split_solution,
+                          pseudoscalar_split)
+from biquat.grid import Grid3
 from biquat.harness import (CSV_COLUMNS, EXACT_ORDER, SuiteConfig,
                             convergence_order, run_suite)
+
+
+def _row(cfg, check):
+    return next(r for r in run_suite(cfg).rows if r.check == check)
 
 
 def test_convergence_order_clean_halving():
@@ -127,3 +136,37 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert out.exists()
     body = out.read_text()
     assert "FAIL" in body
+
+
+def test_ps_part_equations_order_reports_worst_part(monkeypatch):
+    cfg = SuiteConfig(suite="dirac", grids=(17, 33))
+    # the four parts' fine-grid relative residuals, as the dirac suite builds them
+    g = Grid3.box((1.0, 1.0, -0.5), (2.0, 2.0, 0.5), 33)
+    nu, beta = 0.4 - 0.2j, Biquaternion.vector(-1j * cfg.omega, -cfg.m, 0.0)
+    man = manufactured_split_solution(g, nu, beta, coeffs=(1.0, 0.5, 0.8, 1.2))
+    split = pseudoscalar_split(man, nu, beta)
+    fine = {key: split.part_residual(*key).linf() / max(man.linf(), 1.0)
+            for key in split.parts}
+    worst = max(fine.values())
+    assert worst > fine[(1, 1)]
+    row = _row(cfg, "ps_part_equations_order")
+    assert row.passed and row.linf == worst
+
+    # a failing part that is not the worst still fails the row
+    original = PseudoscalarSplit.part_residual
+
+    def degraded(self, p_sign, s_sign):
+        res = original(self, p_sign, s_sign)
+        fine_grid = res.grid.shape[0] == 33
+        return 2.0 * res if (p_sign, s_sign) == (1, 1) and fine_grid else res
+
+    monkeypatch.setattr(PseudoscalarSplit, "part_residual", degraded)
+    row = _row(cfg, "ps_part_equations_order")
+    assert not row.passed and row.linf == worst
+
+
+def test_zero_divisor_misclassification_fails_row_not_linf(monkeypatch):
+    monkeypatch.setattr(algebra, "is_zero_divisor", lambda q, tol=1e-12: False)
+    row = _row(SuiteConfig(suite="algebra"), "zero_divisor_criterion")
+    assert not row.passed
+    assert row.linf == row.l2 <= 1e-12
