@@ -932,7 +932,7 @@ def check_factorization(cfg: SuiteConfig):
     entries = []
     for g in (g_coarse, g_fine):
         gfield = BQField(g, np.stack([_eval_modes(g, modes) for _ in range(4)]))
-        lhs = fz.factored_product(gfield, alf)
+        lhs = nabla_alpha(fz.build_solution(gfield, alf), alf)
         pots_g = fz.potentials(alf, g)
         rhs_data = np.stack([
             (-laplacian(BQField.from_scalar(g, gfield.data[k])).scalar
@@ -945,8 +945,8 @@ def check_factorization(cfg: SuiteConfig):
 def _fact_rhs(u: BQField, alpha, grid: Grid3, wide: bool) -> BQField:
     """sum_k (-lap u_k - alpha^2 u_k - D(alpha^(k)) u_k) e_k."""
     asq = alpha.alpha_sq(grid)
-    derivs = alpha.deriv_components(grid)
     lap = laplacian_wide(u) if wide else laplacian(u)
+    derivs = alpha.deriv_components(grid)
     data = np.empty_like(u.data)
     for k in range(4):
         dk = fz.d_alpha_involution(derivs, k)
