@@ -11,6 +11,7 @@ the CSV contains no timing data.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import time
@@ -41,8 +42,15 @@ CSV_COLUMNS = ("suite", "check", "h", "linf", "l2",
                "expected_order", "observed_order", "pass")
 
 
+_log = logging.getLogger(__name__)
+
+
 def _default_tol() -> float:
-    return float(os.environ.get("BIQUAT_TOL", "1e-12"))
+    text = os.environ.get("BIQUAT_TOL", "1e-12")
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"BIQUAT_TOL must be a number, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -50,8 +58,11 @@ class SuiteConfig:
     """Knobs shared by every suite.
 
     grids holds the node counts of the convergence pair (coarse, fine);
-    the domain box is fixed while h halves, so counts like (17, 33) nest.
-    tol=None resolves to the BIQUAT_TOL environment variable or 1e-12.
+    the domain box is fixed while h halves, so the counts must nest:
+    fine = 2*coarse - 1, as in (17, 33).  tol=None resolves to the
+    BIQUAT_TOL environment variable or 1e-12.  Construction rejects an
+    unknown suite, a grid pair that is not two nested counts >= 5, a
+    non-finite or non-positive tolerance and an unordered order window.
     """
 
     suite: str = "all"
@@ -65,6 +76,24 @@ class SuiteConfig:
     m: float = 1.3
     nu: float = 1.5
     b: tuple = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        if self.suite not in SUITE_NAMES:
+            raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
+        grids = tuple(self.grids)
+        if len(grids) != 2 or not all(isinstance(n, (int, np.integer)) for n in grids):
+            raise ValueError(f"grids must be two integer node counts (coarse, fine), got {grids}")
+        n1, n2 = grids
+        if n1 < 5 or n2 != 2 * n1 - 1:
+            raise ValueError(f"grids must nest as (n, 2n - 1) with n >= 5, got {grids}")
+        tol = self.tol_resolved
+        if not (math.isfinite(tol) and tol > 0):
+            source = "BIQUAT_TOL" if self.tol is None else "tol"
+            raise ValueError(f"{source} must be finite and positive, got {tol!r}")
+        window = tuple(self.order_window)
+        if (len(window) != 2 or not all(math.isfinite(w) for w in window)
+                or not window[0] < window[1]):
+            raise ValueError(f"order_window must be finite (lo, hi) with lo < hi, got {window}")
 
     @property
     def tol_resolved(self) -> float:
@@ -90,9 +119,7 @@ class SuiteConfig:
     def grid_pair(self, lo=None, hi=None):
         lo = self.lo if lo is None else lo
         hi = self.hi if hi is None else hi
-        if len(self.grids) < 2:
-            raise ValueError("convergence checks need at least two grid sizes")
-        return tuple(Grid3.box(lo, hi, n) for n in self.grids[:2])
+        return tuple(Grid3.box(lo, hi, n) for n in self.grids)
 
     def dirac_grid_pair(self):
         # the transform needs node-exact x3 reflection: center axis 3 on 0
@@ -1189,14 +1216,22 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     """Run the named suite (or all of them) and collect the report.
 
     Row order is stable; with a fixed seed the CSV serialization is
-    byte-identical between runs.
+    byte-identical between runs.  A suite that raises a numerical
+    exception contributes one FAIL row named after the exception type
+    (the message goes to the log), and the remaining suites still run.
     """
-    if cfg.suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {cfg.suite!r}; choose from {SUITE_NAMES}")
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
     t0 = time.perf_counter()
     report = VerificationReport()
     for name in names:
-        report.rows.extend(SUITES[name](cfg))
+        try:
+            rows = SUITES[name](cfg)
+        except (ArithmeticError, ValueError) as err:
+            _log.error("suite %s raised %s: %s", name, type(err).__name__, err)
+            nan = float("nan")
+            rows = [CheckRow(suite=name, check=f"raised_{type(err).__name__}", h=None,
+                             linf=nan, l2=nan, expected_order=None,
+                             observed_order=None, passed=False)]
+        report.rows.extend(rows)
     report.wall_time = time.perf_counter() - t0
     return report

@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from biquat import algebra
+import biquat
+from biquat import algebra, harness
 from biquat.algebra import Biquaternion
 from biquat.cli import main as cli_main
 from biquat.dirac import (PseudoscalarSplit, manufactured_split_solution,
@@ -119,9 +121,13 @@ def test_cli_bad_config(tmp_path):
 
 
 def test_cli_unknown_suite_usage_error():
+    # the child imports biquat from wherever this process found it
+    src = os.path.dirname(os.path.dirname(biquat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "biquat", "bogus"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
 
@@ -170,3 +176,77 @@ def test_zero_divisor_misclassification_fails_row_not_linf(monkeypatch):
     row = _row(SuiteConfig(suite="algebra"), "zero_divisor_criterion")
     assert not row.passed
     assert row.linf == row.l2 <= 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"suite": "bogus"},
+    {"grids": (17,)},
+    {"grids": (17, 33, 65)},
+    {"grids": (17, 30)},
+    {"grids": (3, 5)},
+    {"grids": (17.0, 33.0)},
+    {"tol": float("nan")},
+    {"tol": float("inf")},
+    {"tol": 0.0},
+    {"tol": -1e-12},
+    {"order_window": (2.3, 1.7)},
+    {"order_window": (1.7, 1.7)},
+    {"order_window": (1.7, float("nan"))},
+    {"order_window": (1.7, float("inf"))},
+    {"order_window": (1.7,)},
+])
+def test_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        SuiteConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-12", "abc"])
+def test_config_rejects_bad_tol_env(monkeypatch, value):
+    monkeypatch.setenv("BIQUAT_TOL", value)
+    with pytest.raises(ValueError, match="BIQUAT_TOL"):
+        SuiteConfig()
+
+
+@pytest.mark.parametrize("grid", ["17", "17,30", "17,33,65", "3,5"])
+def test_cli_rejects_bad_grids(tmp_path, grid):
+    out = tmp_path / "rep.csv"
+    assert cli_main(["forcefree", "--grid", grid, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "abc"])
+def test_cli_rejects_bad_tol_env(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("BIQUAT_TOL", value)
+    out = tmp_path / "rep.csv"
+    assert cli_main(["forcefree", "--grid", "9,17", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [
+    {"tol": float("nan")}, {"tol": -1.0},
+    {"order_window": [2.3, 1.7]}, {"order_window": 2.0},
+    {"grids": [17, 33, 65]}, {"suite": "bogus"},
+])
+def test_cli_rejects_bad_config_values(tmp_path, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    out = tmp_path / "rep.csv"
+    assert cli_main(["forcefree", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_suite_exception_becomes_fail_row(tmp_path, monkeypatch):
+    def broken(cfg):
+        raise ValueError("synthetic numerical failure")
+
+    monkeypatch.setattr(harness, "SUITES", {"algebra": harness.check_algebra,
+                                            "calculus": broken,
+                                            "forcefree": harness.check_forcefree})
+    rows = run_suite(SuiteConfig(suite="all", grids=(9, 17))).rows
+    raised = [r for r in rows if r.suite == "calculus"]
+    assert [(r.check, r.passed) for r in raised] == [("raised_ValueError", False)]
+    assert {r.suite for r in rows} == {"algebra", "calculus", "forcefree"}
+
+    out = tmp_path / "rep.csv"
+    assert cli_main(["all", "--grid", "9,17", "--out", str(out)]) == 1
+    assert "calculus,raised_ValueError," in out.read_text()
