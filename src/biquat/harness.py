@@ -252,27 +252,18 @@ def _rng(cfg: SuiteConfig, salt: int):
 # row builders
 # --------------------------------------------------------------------------
 
-def _exact_row(suite, check, value_linf, value_l2, tol, h=None, scale=1.0) -> CheckRow:
+def _exact_row(suite, check, value_linf, tol, h=None, scale=1.0, value_l2=None) -> CheckRow:
     scale = max(scale, 1.0)
     return CheckRow(suite=suite, check=check, h=h,
-                    linf=value_linf, l2=value_l2,
+                    linf=value_linf,
+                    l2=value_linf if value_l2 is None else value_l2,
                     expected_order=None, observed_order=None,
                     passed=bool(value_linf <= tol * scale))
 
 
 def _exact_field_row(suite, check, res: BQField, tol, scale=1.0) -> CheckRow:
-    return _exact_row(suite, check, res.linf(), res.l2(), tol,
-                      h=res.grid.hmax, scale=scale)
-
-
-def _order_row(suite, check, coarse, fine, cfg: SuiteConfig) -> CheckRow:
-    tol = cfg.tol_resolved
-    lo, hi = cfg.order_window
-    order = convergence_order(coarse[:2], fine[:2], tol)
-    ok = order == EXACT_ORDER or (lo <= order <= hi)
-    return CheckRow(suite=suite, check=check, h=fine[0],
-                    linf=fine[1], l2=fine[2],
-                    expected_order=2.0, observed_order=order, passed=bool(ok))
+    return _exact_row(suite, check, res.linf(), tol, h=res.grid.hmax, scale=scale,
+                      value_l2=res.l2())
 
 
 def _aligned_window_bounds(coarse: Grid3, frac: float):
@@ -301,23 +292,33 @@ def _windowed(field: BQField, bounds) -> BQField:
     return BQField(field.grid, data)
 
 
-def _order_from_fields(suite, check, residuals, cfg, scales=None,
-                       window=None) -> CheckRow:
-    """residuals: [(grid, BQField residual), (grid, BQField residual)].
+def _order_check(suite, check, grids, residual_at, cfg: SuiteConfig,
+                 window=None) -> CheckRow:
+    """Grid-halving convergence study of one residual.
 
-    window, when set to a fraction, restricts both residuals to the fixed
-    node-aligned observation box before taking norms.
+    residual_at(g) builds the residual BQField on grid g, or returns
+    (field, scale) to measure it relative to scale.  Its norms are taken
+    before the next grid's residual is built.  window, when set to a
+    fraction, restricts the norms to the node-aligned observation box of
+    the coarse grid.  The row reports the fine grid's norms and passes when
+    the observed order lies in cfg.order_window, or when both norms sit at
+    the tolerance (EXACT_ORDER).
     """
-    bounds = None
-    if window is not None:
-        bounds = _aligned_window_bounds(residuals[0][0], window)
-    entries = []
-    for i, (g, res) in enumerate(residuals):
+    bounds = None if window is None else _aligned_window_bounds(grids[0], window)
+    norms = []
+    for g in grids:
+        res = residual_at(g)
+        res, scale = res if isinstance(res, tuple) else (res, 1.0)
         if bounds is not None:
             res = _windowed(res, bounds)
-        s = 1.0 if scales is None else max(scales[i], 1e-300)
-        entries.append((g.hmax, res.linf() / s, res.l2() / s))
-    return _order_row(suite, check, entries[0], entries[1], cfg)
+        scale = max(scale, 1e-300)
+        norms.append((g.hmax, res.linf() / scale, res.l2() / scale))
+    (h1, linf1, _), (h2, linf2, l2_2) = norms
+    order = convergence_order((h1, linf1), (h2, linf2), cfg.tol_resolved)
+    lo, hi = cfg.order_window
+    return CheckRow(suite=suite, check=check, h=h2, linf=linf2, l2=l2_2,
+                    expected_order=2.0, observed_order=order,
+                    passed=bool(order == EXACT_ORDER or lo <= order <= hi))
 
 
 # --------------------------------------------------------------------------
@@ -345,7 +346,7 @@ def check_algebra(cfg: SuiteConfig):
     for j in range(4):
         worst = max(worst, float(np.abs(qmul(e[0], e[j]) - e[j]).max()))
         worst = max(worst, float(np.abs(qmul(e[j], e[0]) - e[j]).max()))
-    rows.append(_exact_row(s, "mul_table", worst, worst, tol))
+    rows.append(_exact_row(s, "mul_table", worst, tol))
 
     rng = _rng(cfg, 1)
     # identity element on random values
@@ -353,7 +354,7 @@ def check_algebra(cfg: SuiteConfig):
     for _ in range(50):
         q = _random_bq(rng)
         worst = max(worst, ((algebra.E0 * q) - q).abs_max(), ((q * algebra.E0) - q).abs_max())
-    rows.append(_exact_row(s, "identity_element", worst, worst, tol))
+    rows.append(_exact_row(s, "identity_element", worst, tol))
 
     # zero-divisor criterion: q**2 = 2 q0 q on constructed zero divisors,
     # and the classifier agreeing on both populations
@@ -373,7 +374,7 @@ def check_algebra(cfg: SuiteConfig):
         expect = abs(q.q0 ** 2 - (-(q.q1**2 + q.q2**2 + q.q3**2))) <= 1e-9
         if algebra.is_zero_divisor(q, tol=1e-9) != expect:
             misclassified += 1
-    row = _exact_row(s, "zero_divisor_criterion", worst, worst, tol)
+    row = _exact_row(s, "zero_divisor_criterion", worst, tol)
     rows.append(replace(row, passed=row.passed and misclassified == 0))
 
     # associativity over 1000 random triples
@@ -383,7 +384,7 @@ def check_algebra(cfg: SuiteConfig):
         lhs = (p * q) * r
         rhs = p * (q * r)
         worst = max(worst, (lhs - rhs).abs_max() / max(1.0, lhs.abs_max(), rhs.abs_max()))
-    rows.append(_exact_row(s, "associativity", worst, worst, tol))
+    rows.append(_exact_row(s, "associativity", worst, tol))
 
     # conjugation anti-homomorphism
     worst = 0.0
@@ -392,7 +393,7 @@ def check_algebra(cfg: SuiteConfig):
         lhs = (p * q).conj()
         rhs = q.conj() * p.conj()
         worst = max(worst, (lhs - rhs).abs_max() / max(1.0, lhs.abs_max()))
-    rows.append(_exact_row(s, "conj_antihomomorphism", worst, worst, tol))
+    rows.append(_exact_row(s, "conj_antihomomorphism", worst, tol))
 
     # involutions: sandwich formula, involutive, printed sign pattern
     worst = 0.0
@@ -405,7 +406,7 @@ def check_algebra(cfg: SuiteConfig):
             worst = max(worst, (q.involution(k).involution(k) - q).abs_max() / max(1.0, q.abs_max()))
     q = Biquaternion(1, 2, 3, 4)
     worst = max(worst, (q.involution(1) - Biquaternion(1, 2, -3, -4)).abs_max())
-    rows.append(_exact_row(s, "involution_identities", worst, worst, tol))
+    rows.append(_exact_row(s, "involution_identities", worst, tol))
 
     # q * conj(q) is the scalar q0^2 + <qvec, qvec>
     worst = 0.0
@@ -414,7 +415,7 @@ def check_algebra(cfg: SuiteConfig):
         prod = q * q.conj()
         want = q.q0 ** 2 + q.q1 ** 2 + q.q2 ** 2 + q.q3 ** 2
         worst = max(worst, (prod - Biquaternion.scalar(want)).abs_max() / max(1.0, abs(want)))
-    rows.append(_exact_row(s, "norm_product", worst, worst, tol))
+    rows.append(_exact_row(s, "norm_product", worst, tol))
 
     # P_k^± idempotent, complementary, mutually annihilating
     worst = 0.0
@@ -427,7 +428,7 @@ def check_algebra(cfg: SuiteConfig):
             worst = max(worst, ((q * pp) * pp - q * pp).abs_max() / qs)
             worst = max(worst, ((q * pp) * pm).abs_max() / qs)
             worst = max(worst, ((q * pp + q * pm) - q).abs_max() / qs)
-    rows.append(_exact_row(s, "p_projectors", worst, worst, tol))
+    rows.append(_exact_row(s, "p_projectors", worst, tol))
 
     # S^± pair: partition of unity, idempotence, annihilation, conjugate
     # zero divisors; construction must reject zero-divisor beta
@@ -449,7 +450,7 @@ def check_algebra(cfg: SuiteConfig):
         check = (pair.lam * one + beta) * (pair.lam * one + beta) \
             - (2 * pair.lam) * (pair.lam * one + beta)
         worst = max(worst, check.abs_max() / max(1.0, abs(pair.lam) ** 2))
-    rows.append(_exact_row(s, "s_projectors", worst, worst, tol))
+    rows.append(_exact_row(s, "s_projectors", worst, tol))
 
     rejected = 0.0
     try:
@@ -457,7 +458,7 @@ def check_algebra(cfg: SuiteConfig):
         rejected = 1.0  # m = omega case must raise
     except ValueError:
         pass
-    rows.append(_exact_row(s, "s_rejects_zero_divisor", rejected, rejected, tol))
+    rows.append(_exact_row(s, "s_rejects_zero_divisor", rejected, tol))
 
     # axial operator identities on a small field: C, J, Q, Pi and Q B = B Q
     grid = Grid3.box(0.0, 1.0, 5)
@@ -478,8 +479,7 @@ def check_algebra(cfg: SuiteConfig):
         (fz.pi_map(fz.pi_map(u)) - u).linf(),
         (ops.q(ops.b(u), 1) - ops.b(ops.q(u, 1))).linf(),
     )
-    rows.append(_exact_row(s, "axial_operator_identities", defect / max(scale, 1.0),
-                           defect / max(scale, 1.0), tol))
+    rows.append(_exact_row(s, "axial_operator_identities", defect / max(scale, 1.0), tol))
     return rows
 
 
@@ -491,7 +491,8 @@ def check_calculus(cfg: SuiteConfig):
     tol = cfg.tol_resolved
     rows = []
     s = "calculus"
-    g_coarse, g_fine = cfg.grid_pair()
+    grids = cfg.grid_pair()
+    g_coarse = grids[0]
     rng = _rng(cfg, 10)
 
     # Sc/Vec split of the first-order operator vs the raw sum e_k d_k
@@ -532,33 +533,26 @@ def check_calculus(cfg: SuiteConfig):
 
     # order of || D^2 f + lap f || on a smooth field over the grid pair
     modes = _modes(rng)
-    entries = []
-    for g in (g_coarse, g_fine):
+    def dd_plus_laplacian(g):
         fg = BQField(g, np.stack([_eval_modes(g, modes) for _ in range(4)]))
-        res = nabla(nabla(fg)) + laplacian(fg)
-        entries.append((g, res))
-    rows.append(_order_from_fields(s, "dd_plus_laplacian_order", entries, cfg))
+        return nabla(nabla(fg)) + laplacian(fg)
+    rows.append(_order_check(s, "dd_plus_laplacian_order", grids, dd_plus_laplacian, cfg))
 
     # O(h^2) of the 7-point Laplacian on sin(x1)
-    entries = []
-    for g in (g_coarse, g_fine):
+    def laplacian_sin(g):
         f_sin = BQField.from_scalar(g, lambda a, b, c: np.sin(a))
-        res = laplacian(f_sin) + f_sin
-        entries.append((g, res))
-    rows.append(_order_from_fields(s, "laplacian_sin_order", entries, cfg))
+        return laplacian(f_sin) + f_sin
+    rows.append(_order_check(s, "laplacian_sin_order", grids, laplacian_sin, cfg))
 
     # scalar one-component solution of the reciprocal family:
     # f = e0 / ((x1-b1)(x2-b2)(x3-b3)) has D f + f alpha = 0 exactly
     alf = reciprocal_alpha(cfg.b)
     fam = fz.one_component_family(alf)
-    entries = []
-    for g in (g_coarse, g_fine):
-        f0 = BQField.from_scalar(g, fam.f_values(g, 0))
-        res = nabla_alpha(f0, alf)
-        entries.append((g, res))
-    rows.append(_order_from_fields(s, "alpha_residual_reciprocal_order", entries, cfg,
-                                   scales=[linf(fam.f_values(g, 0)) for g in (g_coarse, g_fine)],
-                                   window=0.15))
+    def alpha_residual(g):
+        f0 = fam.f_values(g, 0)
+        return nabla_alpha(BQField.from_scalar(g, f0), alf), linf(f0)
+    rows.append(_order_check(s, "alpha_residual_reciprocal_order", grids, alpha_residual,
+                             cfg, window=0.15))
 
     # reflection: involutive, commutes with d1/d2, anticommutes with d3
     gsym = Grid3.box((1.0, 1.0, -0.5), (2.0, 2.0, 0.5), cfg.grids[0])
@@ -571,7 +565,7 @@ def check_calculus(cfg: SuiteConfig):
         sign = -1.0 if axis == 2 else 1.0
         worst = max(worst, (r_then_d - sign * d_then_r).linf())
     rows.append(_exact_row(s, "reflect_derivative_commutation", worst / max(scale, 1.0),
-                           worst / max(scale, 1.0), tol, h=gsym.hmax))
+                           tol, h=gsym.hmax))
 
     # linearity of D + M^alpha in the field argument
     a_const = constant_alpha(0.3 + 0.1j, -0.2, 0.5j)
@@ -596,7 +590,8 @@ def check_dirac(cfg: SuiteConfig):
     tol = cfg.tol_resolved
     rows = []
     s = "dirac"
-    g_coarse, g_fine = cfg.dirac_grid_pair()
+    grids = cfg.dirac_grid_pair()
+    g_coarse = grids[0]
     gam = dirac.GammaSet.standard()
     rng = _rng(cfg, 20)
 
@@ -610,7 +605,7 @@ def check_dirac(cfg: SuiteConfig):
             want = 2 * eye if a == b_ == 0 else (-2 * eye if a == b_ else 0 * eye)
             worst = max(worst, float(np.abs(anti - want).max()))
     worst = max(worst, float(np.abs(gam.g5 - 1j * gam.g0 @ gam.g1 @ gam.g2 @ gam.g3).max()))
-    rows.append(_exact_row(s, "gamma_relations", worst, worst, tol))
+    rows.append(_exact_row(s, "gamma_relations", worst, tol))
 
     # transform round trip, both orders
     phi = _smooth_spinor(g_coarse, rng)
@@ -619,7 +614,7 @@ def check_dirac(cfg: SuiteConfig):
     fld = _smooth_bq(g_coarse, rng)
     back = dirac.spinor_to_bq(dirac.bq_to_spinor(fld))
     worst = max(worst, (back - fld).linf() / max(fld.linf(), 1.0))
-    rows.append(_exact_row(s, "transform_roundtrip", worst, worst, tol, h=g_coarse.hmax))
+    rows.append(_exact_row(s, "transform_roundtrip", worst, tol, h=g_coarse.hmax))
 
     # first column of the forward matrix
     unit = dirac.SpinorField.from_components(g_coarse, 1.0, 0.0, 0.0, 0.0)
@@ -638,7 +633,7 @@ def check_dirac(cfg: SuiteConfig):
             phi = _smooth_spinor(g_coarse, rng)
             res, scale = dirac.intertwining_residual(phi, params, gam)
             worst = max(worst, res.linf() / max(scale, 1.0))
-        rows.append(_exact_row(s, name, worst, worst, tol, h=g_coarse.hmax))
+        rows.append(_exact_row(s, name, worst, tol, h=g_coarse.hmax))
 
     # printed alpha formulas at omega = 1, m = 2, zero potential; nu sign
     p0 = dirac.DiracParams(omega=1.0, m=2.0, kind="scalar", phi=None)
@@ -651,7 +646,7 @@ def check_dirac(cfg: SuiteConfig):
     nu, beta = dirac.equivalent_alpha(pps, g_coarse)
     worst = max(worst, float(np.abs(nu - (-1j)).max()))
     worst = max(worst, (beta - Biquaternion.vector(-1j, -2.0, 0.0)).abs_max())
-    rows.append(_exact_row(s, "equivalent_alpha_formulas", worst, worst, tol))
+    rows.append(_exact_row(s, "equivalent_alpha_formulas", worst, tol))
 
     # pseudoscalar splitting: exact recombination and operator identity
     nu_c = 0.4 - 0.2j
@@ -664,27 +659,24 @@ def check_dirac(cfg: SuiteConfig):
     rows.append(_exact_field_row(s, "ps_operator_identity", res, tol, scale=scale))
 
     # manufactured constant-nu solution: per-part equation residuals O(h^2)
-    entries_all = {name: [] for name in ((1, 1), (-1, 1), (1, -1), (-1, -1))}
-    scales = []
-    for g in (g_coarse, g_fine):
+    splits, scales = {}, {}
+    for g in grids:
         man = dirac.manufactured_split_solution(g, nu_c, beta, coeffs=(1.0, 0.5, 0.8, 1.2))
-        split = dirac.pseudoscalar_split(man, nu_c, beta)
-        scales.append(max(man.linf(), 1.0))
-        for key in entries_all:
-            entries_all[key].append((g, split.part_residual(*key)))
+        splits[g] = dirac.pseudoscalar_split(man, nu_c, beta)
+        scales[g] = max(man.linf(), 1.0)
     # report the part with the largest fine-grid residual; pass only if all do
-    part_rows = [_order_from_fields(s, "ps_part_equations_order", entries, cfg, scales=scales)
-                 for entries in entries_all.values()]
+    part_rows = [_order_check(s, "ps_part_equations_order", grids,
+                              lambda g, key=key: (splits[g].part_residual(*key), scales[g]),
+                              cfg)
+                 for key in splits[g_coarse].parts]
     worst_row = max(part_rows, key=lambda r: r.linf)
     rows.append(replace(worst_row, passed=all(r.passed for r in part_rows)))
 
     # free plane wave: residual of the free operator O(h^2)
-    entries = []
-    for g in (g_coarse, g_fine):
+    def plane_wave(g):
         wave, params = dirac.free_plane_wave(g, (1.0, 0.5, -0.8), cfg.m, gam)
-        out = dirac.apply_dirac(wave, params, gam)
-        entries.append((g, BQField(g, out.data)))
-    rows.append(_order_from_fields(s, "plane_wave_order", entries, cfg))
+        return BQField(g, dirac.apply_dirac(wave, params, gam).data)
+    rows.append(_order_check(s, "plane_wave_order", grids, plane_wave, cfg))
     return rows
 
 
@@ -696,7 +688,8 @@ def check_maxwell(cfg: SuiteConfig):
     tol = cfg.tol_resolved
     rows = []
     s = "maxwell"
-    g_coarse, g_fine = cfg.grid_pair()
+    grids = cfg.grid_pair()
+    g_coarse = grids[0]
     rng = _rng(cfg, 30)
 
     # constant medium: coefficient vector vanishes
@@ -713,12 +706,11 @@ def check_maxwell(cfg: SuiteConfig):
     closed = physics.medium_alpha(med, g_coarse, "eps", method="closed")
     want = BQField.constant(g_coarse, algebra.E1)
     rows.append(_exact_field_row(s, "medium_alpha_exp_closed", closed - want, tol))
-    entries = []
-    for g in (g_coarse, g_fine):
-        diff = physics.medium_alpha(med, g, "eps", method="numeric") \
-            - physics.medium_alpha(med, g, "eps", method="closed")
-        entries.append((g, diff))
-    rows.append(_order_from_fields(s, "medium_alpha_closed_vs_numeric_order", entries, cfg))
+    def closed_vs_numeric(g):
+        return (physics.medium_alpha(med, g, "eps", method="numeric")
+                - physics.medium_alpha(med, g, "eps", method="closed"))
+    rows.append(_order_check(s, "medium_alpha_closed_vs_numeric_order", grids,
+                             closed_vs_numeric, cfg))
 
     # diagonalization round trip
     e_f = _smooth_bq(g_coarse, rng).vector_part()
@@ -726,26 +718,20 @@ def check_maxwell(cfg: SuiteConfig):
     phi, psi = physics.diagonalize_em(e_f, h_f)
     e2_, h2_ = physics.undiagonalize_em(phi, psi)
     worst = max((e2_ - e_f).linf(), (h2_ - h_f).linf()) / max(e_f.linf(), h_f.linf(), 1.0)
-    rows.append(_exact_row(s, "diagonalization_roundtrip", worst, worst, tol, h=g_coarse.hmax))
+    rows.append(_exact_row(s, "diagonalization_roundtrip", worst, tol, h=g_coarse.hmax))
 
     # slow-medium plane-wave pair: diagonal equations and Helmholtz, O(h^2)
     for sign, name in ((1, "diagonal_plus_order"), (-1, "diagonal_minus_order")):
-        entries = []
-        for g in (g_coarse, g_fine):
+        def diagonal(g, sign=sign):
             b = physics.circular_wave(g, cfg.nu, sign)
-            e_w = b
-            h_w = (-sign * 1j) * b
-            phi, psi = physics.diagonalize_em(e_w, h_w)
+            phi, psi = physics.diagonalize_em(b, (-sign * 1j) * b)
             active = phi if sign == 1 else psi
-            res = nabla(active) - float(sign) * cfg.nu * active
-            entries.append((g, res))
-        rows.append(_order_from_fields(s, name, entries, cfg))
-    entries = []
-    for g in (g_coarse, g_fine):
+            return nabla(active) - float(sign) * cfg.nu * active
+        rows.append(_order_check(s, name, grids, diagonal, cfg))
+    def helmholtz(g):
         b = physics.circular_wave(g, cfg.nu, -1)
-        res = laplacian(b) + cfg.nu ** 2 * b
-        entries.append((g, res))
-    rows.append(_order_from_fields(s, "helmholtz_order", entries, cfg))
+        return laplacian(b) + cfg.nu ** 2 * b
+    rows.append(_order_check(s, "helmholtz_order", grids, helmholtz, cfg))
 
     # static system: constants, manufactured solution, manufactured source
     e_const = BQField.constant(g_coarse, Biquaternion.vector(1.0, -2.0, 0.5))
@@ -757,23 +743,19 @@ def check_maxwell(cfg: SuiteConfig):
         separable_eps=tuple((lambda x: x ** 2, lambda x: 2.0 * x) for _ in range(3)))
     alf = reciprocal_alpha((0.0, 0.0, 0.0))  # equals grad(sqrt eps)/sqrt(eps)
     fam = fz.one_component_family(alf)
-    entries = []
-    scales = []
-    for g in (g_coarse, g_fine):
+    def static_manufactured(g):
         e_man = BQField.from_vector(g, fam.f_values(g, 1), fam.f_values(g, 2),
                                     fam.f_values(g, 3))
-        res = physics.static_maxwell_residual(e_man, med_sep, which="E")
-        entries.append((g, res))
-        scales.append(e_man.linf())
-    rows.append(_order_from_fields(s, "static_manufactured_order", entries, cfg,
-                                   scales=scales, window=0.15))
+        return physics.static_maxwell_residual(e_man, med_sep, which="E"), e_man.linf()
+    rows.append(_order_check(s, "static_manufactured_order", grids, static_manufactured,
+                             cfg, window=0.15))
 
     e_smooth = _smooth_bq(g_coarse, rng).vector_part()
     bare = physics.static_maxwell_residual(e_smooth, med_const, which="E")
     rho = -np.sqrt(med_const.eps_values(g_coarse)) * bare.scalar
     cancelled = physics.static_maxwell_residual(e_smooth, med_const, which="E", rho=rho)
     worst = linf(np.nan_to_num(cancelled.scalar, nan=0.0)) / max(bare.linf(), 1.0)
-    rows.append(_exact_row(s, "static_manufactured_source", worst, worst, tol,
+    rows.append(_exact_row(s, "static_manufactured_source", worst, tol,
                            h=g_coarse.hmax))
     return rows
 
@@ -786,7 +768,8 @@ def check_forcefree(cfg: SuiteConfig):
     tol = cfg.tol_resolved
     rows = []
     s = "forcefree"
-    g_coarse, g_fine = cfg.grid_pair()
+    grids = cfg.grid_pair()
+    g_coarse = grids[0]
     rng = _rng(cfg, 40)
 
     # the split identity is exact for arbitrary f and scalar nu(x)
@@ -797,26 +780,23 @@ def check_forcefree(cfg: SuiteConfig):
         nu_arr = _eval_modes(g_coarse, nu_modes)
         _, _, resid = physics.forcefree_split(f, nu_arr)
         worst = max(worst, resid)
-    rows.append(_exact_row(s, "split_identity_random", worst, worst, tol,
+    rows.append(_exact_row(s, "split_identity_random", worst, tol,
                            h=g_coarse.hmax))
 
     # Beltrami fixture: div exactly zero, curl + nu B at O(h^2)
     b = physics.beltrami_field(g_coarse, cfg.nu)
     div_part = nabla(b).scalar
-    rows.append(_exact_row(s, "beltrami_divergence", linf(div_part), linf(div_part),
-                           tol, h=g_coarse.hmax))
-    entries = []
-    for g in (g_coarse, g_fine):
+    rows.append(_exact_row(s, "beltrami_divergence", linf(div_part), tol, h=g_coarse.hmax))
+    def beltrami(g):
         bg = physics.beltrami_field(g, cfg.nu)
-        res = nabla(bg) + cfg.nu * bg
-        entries.append((g, res))
-    rows.append(_order_from_fields(s, "beltrami_residual_order", entries, cfg))
+        return nabla(bg) + cfg.nu * bg
+    rows.append(_order_check(s, "beltrami_residual_order", grids, beltrami, cfg))
 
     # full biquaternion accepted: nonzero scalar part, identity still exact
     f = _smooth_bq(g_coarse, rng)
     assert linf(f.scalar) > 0
     _, _, resid = physics.forcefree_split(f, cfg.nu)
-    rows.append(_exact_row(s, "scalar_part_accepted", resid, resid, tol,
+    rows.append(_exact_row(s, "scalar_part_accepted", resid, tol,
                            h=g_coarse.hmax))
     return rows
 
@@ -829,7 +809,8 @@ def check_factorization(cfg: SuiteConfig):
     tol = cfg.tol_resolved
     rows = []
     s = "factorization"
-    g_coarse, g_fine = cfg.grid_pair()
+    grids = cfg.grid_pair()
+    g_coarse = grids[0]
     rng = _rng(cfg, 50)
     alf = reciprocal_alpha(cfg.b)
     x1, x2, x3 = g_coarse.mesh()
@@ -837,15 +818,15 @@ def check_factorization(cfg: SuiteConfig):
 
     # reciprocal family: vanishing zeroth potential, printed v_1..v_3
     pots = fz.potentials(alf, g_coarse)
-    rows.append(_exact_row(s, "reciprocal_zero_potential", linf(pots.v[0]),
-                           l2(pots.v[0], g_coarse), tol, h=g_coarse.hmax))
+    rows.append(_exact_row(s, "reciprocal_zero_potential", linf(pots.v[0]), tol,
+                           h=g_coarse.hmax, value_l2=l2(pots.v[0], g_coarse)))
     printed = (
         2.0 * (1.0 / (x2 - b2) ** 2 + 1.0 / (x3 - b3) ** 2),
         2.0 * (1.0 / (x1 - b1) ** 2 + 1.0 / (x3 - b3) ** 2),
         2.0 * (1.0 / (x1 - b1) ** 2 + 1.0 / (x2 - b2) ** 2),
     )
     worst = max(linf(pots.v[k + 1] - printed[k]) for k in range(3))
-    rows.append(_exact_row(s, "reciprocal_printed_potentials", worst, worst, tol,
+    rows.append(_exact_row(s, "reciprocal_printed_potentials", worst, tol,
                            h=g_coarse.hmax, scale=max(linf(p) for p in printed)))
 
     # v_k + w_k = -2 alpha^2 for a generic separable alpha
@@ -857,7 +838,7 @@ def check_factorization(cfg: SuiteConfig):
                     lambda x: np.exp(0.3 * x) / 0.3, lambda x: (0.7 - 0.2j) * x))
     pots_gen = fz.potentials(alf_gen, g_coarse)
     defect = pots_gen.pairing_defect() / max(1.0, linf(pots_gen.alpha_sq))
-    rows.append(_exact_row(s, "potential_pairing", defect, defect, tol, h=g_coarse.hmax))
+    rows.append(_exact_row(s, "potential_pairing", defect, tol, h=g_coarse.hmax))
 
     # Riccati residuals with exact derivatives
     res = fz.riccati_residual(alf, 0.0, g_coarse)
@@ -891,7 +872,7 @@ def check_factorization(cfg: SuiteConfig):
         coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
         res, scale = fam.equation_residual_analytic(g_coarse, coeffs)
         worst = max(worst, res.linf() / scale)
-    rows.append(_exact_row(s, "closed_form_first_order", worst, worst, tol,
+    rows.append(_exact_row(s, "closed_form_first_order", worst, tol,
                            h=g_coarse.hmax))
     for which, name in (("v", "closed_form_schrodinger_v"),
                         ("w", "closed_form_schrodinger_w")):
@@ -899,18 +880,15 @@ def check_factorization(cfg: SuiteConfig):
         for k in range(4):
             res, scale = fam.schrodinger_residual_analytic(g_coarse, k, which)
             worst = max(worst, linf(res) / scale)
-        rows.append(_exact_row(s, name, worst, worst, tol, h=g_coarse.hmax))
+        rows.append(_exact_row(s, name, worst, tol, h=g_coarse.hmax))
 
     # the same combination checked with grid derivatives converges at 2
     coeffs = (0.3 - 0.1j, 1.0, -0.7, 0.4 + 0.2j)
-    entries = []
-    scales = []
-    for g in (g_coarse, g_fine):
+    def closed_form_grid(g):
         comb = fam.combination(g, coeffs)
-        entries.append((g, nabla_alpha(comb, alf)))
-        scales.append(comb.linf())
-    rows.append(_order_from_fields(s, "closed_form_grid_order", entries, cfg,
-                                   scales=scales, window=0.15))
+        return nabla_alpha(comb, alf), comb.linf()
+    rows.append(_order_check(s, "closed_form_grid_order", grids, closed_form_grid, cfg,
+                             window=0.15))
 
     # scalar factorization: exact for constant alpha on a quadratic
     m = cfg.m
@@ -920,11 +898,11 @@ def check_factorization(cfg: SuiteConfig):
     rows.append(_exact_field_row(s, "scalar_factorization_quadratic", res, tol, scale=scale))
     # order 2 on a smooth function with the reciprocal alpha, v = 0
     modes = _modes(rng)
-    entries = []
-    for g in (g_coarse, g_fine):
+    def scalar_factorization(g):
         res, scale = fz.factorization_residual(alf, _eval_modes(g, modes), 0.0, g)
-        entries.append((g, res * (1.0 / scale)))
-    rows.append(_order_from_fields(s, "scalar_factorization_order", entries, cfg))
+        return res * (1.0 / scale)
+    rows.append(_order_check(s, "scalar_factorization_order", grids, scalar_factorization,
+                             cfg))
 
     # componentwise factorization (fact): exact for constant alpha on
     # quadratics against the wide Laplacian; order 2 for separable alpha
@@ -937,35 +915,29 @@ def check_factorization(cfg: SuiteConfig):
     rhs = _fact_rhs(quad, alfc, g_coarse, wide=True)
     rows.append(_exact_field_row(s, "component_factorization_quadratic", lhs - rhs, tol,
                                  scale=max(lhs.linf(), rhs.linf())))
-    entries = []
-    for g in (g_coarse, g_fine):
+    def component_factorization(g):
         u = BQField(g, np.stack([_eval_modes(g, modes) for _ in range(4)]))
-        lhs = fz.factored_product(u, alf)
-        rhs = _fact_rhs(u, alf, g, wide=False)
-        entries.append((g, lhs - rhs))
-    rows.append(_order_from_fields(s, "component_factorization_order", entries, cfg))
+        return fz.factored_product(u, alf) - _fact_rhs(u, alf, g, wide=False)
+    rows.append(_order_check(s, "component_factorization_order", grids,
+                             component_factorization, cfg))
 
     # solutions built from harmonic/Schrodinger data
-    entries = []
-    for g in (g_coarse, g_fine):
+    def build_from_harmonic(g):
         gfield = BQField.from_scalar(g, lambda a, b, c: a)  # harmonic, v_0 = 0
-        f = fz.build_solution(gfield, alf)
-        entries.append((g, nabla_alpha(f, alf)))
-    rows.append(_order_from_fields(s, "build_from_harmonic_order", entries, cfg,
-                                   window=0.15))
+        return nabla_alpha(fz.build_solution(gfield, alf), alf)
+    rows.append(_order_check(s, "build_from_harmonic_order", grids, build_from_harmonic,
+                             cfg, window=0.15))
 
     # identity behind the converse: D_alpha (D - M^alpha) g equals the sum
     # of the componentwise Schrodinger operators, for arbitrary smooth g
-    entries = []
-    for g in (g_coarse, g_fine):
+    def converse_identity(g):
         gfield = BQField(g, np.stack([_eval_modes(g, modes) for _ in range(4)]))
         lhs = nabla_alpha(fz.build_solution(gfield, alf), alf)
-        pots_g = fz.potentials(alf, g)
-        rhs_data = np.stack([
-            (-laplacian(BQField.from_scalar(g, gfield.data[k])).scalar
-             + pots_g.v[k] * gfield.data[k]) for k in range(4)])
-        entries.append((g, lhs - BQField(g, rhs_data)))
-    rows.append(_order_from_fields(s, "converse_identity_order", entries, cfg))
+        v = fz.potentials(alf, g).v
+        lap = laplacian(gfield)
+        rhs = np.stack([-lap.data[k] + v[k] * gfield.data[k] for k in range(4)])
+        return lhs - BQField(g, rhs)
+    rows.append(_order_check(s, "converse_identity_order", grids, converse_identity, cfg))
     return rows
 
 
@@ -1005,7 +977,8 @@ def check_right_inverse(cfg: SuiteConfig):
     tol = cfg.tol_resolved
     rows = []
     s = "right-inverse"
-    g_coarse, g_fine = cfg.grid_pair()
+    grids = cfg.grid_pair()
+    g_coarse = grids[0]
     rng = _rng(cfg, 60)
 
     alf_const = constant_alpha(1j * 1.0, 0.0, 0.0)  # m = 1: -lap - 1, safely invertible
@@ -1017,18 +990,14 @@ def check_right_inverse(cfg: SuiteConfig):
 
     for alf, name in ((alf_const, "constant_alpha_order"),
                       (alf_sep, "separable_alpha_order")):
-        entries = []
-        scales = []
-        solver_ok = True
-        for g in (g_coarse, g_fine):
-            pots = fz.potentials(alf, g)
-            f = _compatible_rhs(g, pots, cfg.lo, cfg.hi)
+        solver_residuals = []
+        def solved(g, alf=alf):
+            f = _compatible_rhs(g, fz.potentials(alf, g), cfg.lo, cfg.hi)
             out = fz.right_inverse(f, alf)
-            solver_ok = solver_ok and out.solver_residual <= 1e-10
-            res = nabla_alpha(out.field, alf) - f
-            entries.append((g, res))
-            scales.append(f.linf())
-        row = _order_from_fields(s, name, entries, cfg, scales=scales)
+            solver_residuals.append(out.solver_residual)
+            return nabla_alpha(out.field, alf) - f, f.linf()
+        row = _order_check(s, name, grids, solved, cfg)
+        solver_ok = all(r <= 1e-10 for r in solver_residuals)
         rows.append(replace(row, passed=row.passed and solver_ok))
 
     # random smooth data on the coarse grid: bound max(5 h^2, 1e-8) on the
@@ -1045,17 +1014,11 @@ def check_right_inverse(cfg: SuiteConfig):
                          passed=bool(rel <= bound and out.solver_residual <= 1e-10)))
 
     # mirrored variant: g = (D + M^alpha) u solves (D - M^alpha) g = f
-    entries = []
-    scales = []
-    for g in (g_coarse, g_fine):
-        pots = fz.potentials(alf_const, g)
-        f = _compatible_rhs(g, pots, cfg.lo, cfg.hi)
+    def mirrored(g):
+        f = _compatible_rhs(g, fz.potentials(alf_const, g), cfg.lo, cfg.hi)
         out = fz.right_inverse(f, alf_const, variant="w")
-        res = fz.build_solution(out.field, alf_const) - f
-        entries.append((g, res))
-        scales.append(f.linf())
-    rows.append(_order_from_fields(s, "mirrored_variant_order", entries, cfg,
-                                   scales=scales))
+        return fz.build_solution(out.field, alf_const) - f, f.linf()
+    rows.append(_order_check(s, "mirrored_variant_order", grids, mirrored, cfg))
     return rows
 
 
@@ -1068,7 +1031,8 @@ def check_axial(cfg: SuiteConfig):
     rows = []
     s = "axial"
     lo, hi = (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)
-    g_coarse, g_fine = cfg.grid_pair(lo=lo, hi=hi)
+    grids = cfg.grid_pair(lo=lo, hi=hi)
+    g_coarse = grids[0]
     rng = _rng(cfg, 70)
 
     zeros = lambda *x: np.zeros_like(x[0])
@@ -1081,10 +1045,10 @@ def check_axial(cfg: SuiteConfig):
     u = _smooth_bq(g_coarse, rng)
 
     resid = ops.split_identity_residual(u)
-    rows.append(_exact_row(s, "q_split_identity", resid, resid, tol, h=g_coarse.hmax))
+    rows.append(_exact_row(s, "q_split_identity", resid, tol, h=g_coarse.hmax))
 
     worst = (fz.pi_map(fz.pi_map(u)) - u).linf() / max(u.linf(), 1.0)
-    rows.append(_exact_row(s, "pi_involution", worst, worst, tol, h=g_coarse.hmax))
+    rows.append(_exact_row(s, "pi_involution", worst, tol, h=g_coarse.hmax))
 
     # product identity: exact for constant a1 on quadratics (wide Laplacian)
     alf_c = axial_alpha(lambda a, b, c: (0.4 - 0.3j) * np.ones_like(a), 0.2, -0.1j,
@@ -1099,13 +1063,11 @@ def check_axial(cfg: SuiteConfig):
 
     # varying a1 = x2: O(h^2) against the compact Laplacian
     modes = _modes(rng)
-    entries = []
-    for g in (g_coarse, g_fine):
-        ops_g = fz.axial_operators(alf_x2, g)
+    def factq_x2(g):
         ug = BQField(g, np.stack([_eval_modes(g, modes) for _ in range(4)]))
-        res, scale = ops_g.factq_residual(ug, wide=False)
-        entries.append((g, res * (1.0 / scale)))
-    rows.append(_order_from_fields(s, "factq_x2_order", entries, cfg))
+        res, scale = fz.axial_operators(alf_x2, g).factq_residual(ug, wide=False)
+        return res * (1.0 / scale)
+    rows.append(_order_check(s, "factq_x2_order", grids, factq_x2, cfg))
 
     # the printed diagonal '+' potential for a1 = x2
     x1, x2, x3 = g_coarse.mesh()
@@ -1127,24 +1089,17 @@ def check_axial(cfg: SuiteConfig):
         tdir = (x2g - 1j * x3g) / 4.0
         fval = np.exp(sdir ** 3 / 3.0 + tdir)
         return BQField.from_components(g, 0.0, 0.0, fval, 1j * fval)
-    for name, mapper, sign in (("pi_correspondence_order", fz.pi_map, None),
-                               ("conjugate_pair_order", None, -1)):
-        entries = []
-        scales = []
-        for g in (g_coarse, g_fine):
-            ops_g = fz.axial_operators(alf_null, g)
-            v = null_v(g)
-            if mapper is not None:
-                uu = mapper(v)
-                res = ops_g.abc(uu)
-                scales.append(max(laplacian(uu).linf(), 1.0))
-            else:
-                w = ops_g.j(v)
-                res = ops_g.schro(w, -1)
-                scales.append(max(laplacian(w).linf(), 1.0))
-            entries.append((g, res))
-        rows.append(_order_from_fields(s, name, entries, cfg, scales=scales,
-                                       window=0.15))
+    def pi_correspondence(g):
+        uu = fz.pi_map(null_v(g))
+        return fz.axial_operators(alf_null, g).abc(uu), max(laplacian(uu).linf(), 1.0)
+    rows.append(_order_check(s, "pi_correspondence_order", grids, pi_correspondence, cfg,
+                             window=0.15))
+    def conjugate_pair(g):
+        ops_g = fz.axial_operators(alf_null, g)
+        w = ops_g.j(null_v(g))
+        return ops_g.schro(w, -1), max(laplacian(w).linf(), 1.0)
+    rows.append(_order_check(s, "conjugate_pair_order", grids, conjugate_pair, cfg,
+                             window=0.15))
 
     # zero-divisor reduction: classification of the three cases
     alf_tan = axial_alpha(lambda a, b, c: np.tan(b + 0.2) + 0j, 1.0, 0.0,
@@ -1155,7 +1110,7 @@ def check_axial(cfg: SuiteConfig):
           and fz.zero_divisor_reduction(alf_x2, g_coarse).case == "iii"
           and fz.zero_divisor_reduction(alf_c, g_coarse).case == "degenerate")
     flag = 0.0 if ok else 1.0
-    rows.append(_exact_row(s, "reduction_classification", flag, flag, tol))
+    rows.append(_exact_row(s, "reduction_classification", flag, tol))
 
     # case i closes exactly: v = (-1 + i e2) (x1 x2) is harmonic and the
     # potential term annihilates it pointwise
@@ -1167,30 +1122,18 @@ def check_axial(cfg: SuiteConfig):
                                  scale=max(linf(ops_tan.alpha_sq) * v_i.linf(), 1.0)))
 
     # case ii closes at O(h^2): v = (D a1) f with the null-direction f
-    entries = []
-    scales = []
-    for g in (g_coarse, g_fine):
-        ops_g = fz.axial_operators(alf_null, g)
+    def case_ii(g):
         v = null_v(g)
-        res = ops_g.schro(v, +1)
-        entries.append((g, res))
-        scales.append(max(laplacian(v).linf(), 1.0))
-    rows.append(_order_from_fields(s, "reduction_case_ii_order", entries, cfg,
-                                   scales=scales, window=0.15))
+        return fz.axial_operators(alf_null, g).schro(v, +1), max(laplacian(v).linf(), 1.0)
+    rows.append(_order_check(s, "reduction_case_ii_order", grids, case_ii, cfg,
+                             window=0.15))
 
     # case iii closes at O(h^2): v = (beta0 - beta) exp(-x2^2/2), beta0 = 1
-    entries = []
-    scales = []
-    for g in (g_coarse, g_fine):
-        ops_g = fz.axial_operators(alf_x2, g)
-        x1g, x2g, x3g = g.mesh()
-        fval = np.exp(-x2g ** 2 / 2.0)
+    def case_iii(g):
+        fval = np.exp(-g.mesh()[1] ** 2 / 2.0)
         v3 = BQField.from_components(g, fval, 0.0, -1j * fval, 0.0)
-        res = ops_g.schro(v3, +1)
-        entries.append((g, res))
-        scales.append(max(laplacian(v3).linf(), 1.0))
-    rows.append(_order_from_fields(s, "reduction_case_iii_order", entries, cfg,
-                                   scales=scales))
+        return fz.axial_operators(alf_x2, g).schro(v3, +1), max(laplacian(v3).linf(), 1.0)
+    rows.append(_order_check(s, "reduction_case_iii_order", grids, case_iii, cfg))
     return rows
 
 

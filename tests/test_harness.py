@@ -3,7 +3,9 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import biquat
@@ -12,7 +14,7 @@ from biquat.algebra import Biquaternion
 from biquat.cli import main as cli_main
 from biquat.dirac import (PseudoscalarSplit, manufactured_split_solution,
                           pseudoscalar_split)
-from biquat.grid import Grid3
+from biquat.grid import BQField, Grid3
 from biquat.harness import (CSV_COLUMNS, EXACT_ORDER, SuiteConfig,
                             convergence_order, run_suite)
 
@@ -41,6 +43,51 @@ def test_convergence_order_validation():
         convergence_order((0.05, 1.0), (0.1, 0.5))
     with pytest.raises(ValueError):
         convergence_order((0.1, -1.0), (0.05, 0.5))
+
+
+def _h2_residual(g, power=2, spike=False):
+    """c * h**power at every node; spike puts a non-converging 1.0 on the
+    x1 = lo face."""
+    data = np.full((4,) + g.shape, 3.7 * g.hmax ** power, dtype=complex)
+    if spike:
+        data[:, 0] = 1.0
+    return BQField(g, data)
+
+
+def test_order_check_manufactured_residuals():
+    cfg = SuiteConfig(grids=(9, 17))
+    grids = cfg.grid_pair()
+    row = harness._order_check("t", "h2", grids, _h2_residual, cfg)
+    assert row.passed and abs(row.observed_order - 2.0) < 1e-12
+    assert row.h == grids[1].hmax and row.expected_order == 2.0
+    assert row.linf == 3.7 * grids[1].hmax ** 2
+
+    row = harness._order_check("t", "h1", grids, lambda g: _h2_residual(g, power=1), cfg)
+    assert not row.passed and abs(row.observed_order - 1.0) < 1e-12
+
+    # (field, scale): norms are taken relative to scale
+    scaled = harness._order_check("t", "scaled", grids,
+                                  lambda g: (_h2_residual(g) * 5.0, 5.0), cfg)
+    assert scaled.passed and abs(scaled.observed_order - 2.0) < 1e-12
+    assert abs(scaled.linf - 3.7 * grids[1].hmax ** 2) < 1e-15
+
+    # a boundary spike stalls the order unless the window excludes it
+    spiked = lambda g: _h2_residual(g, spike=True)
+    assert not harness._order_check("t", "spike", grids, spiked, cfg).passed
+    row = harness._order_check("t", "spike", grids, spiked, cfg, window=0.15)
+    assert row.passed and abs(row.observed_order - 2.0) < 1e-12
+
+    # residuals at the tolerance report the EXACT_ORDER sentinel and pass
+    row = harness._order_check("t", "exact", grids, BQField.zeros, cfg)
+    assert row.passed and row.observed_order == EXACT_ORDER and row.linf == 0.0
+
+
+def test_run_suite_matches_benchmark_catalog():
+    # the benchmark treats a renamed or reordered row as a wrong output
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "catalog.json"
+    catalog = [tuple(entry) for entry in json.loads(path.read_text())]
+    rows = run_suite(SuiteConfig(suite="all", grids=(9, 17))).rows
+    assert [(r.suite, r.check) for r in rows] == catalog
 
 
 def test_unknown_suite_rejected():
