@@ -237,8 +237,16 @@ def _eval_modes(grid, modes):
 def _smooth_scalar(grid, rng, **kw):
     return _eval_modes(grid, _modes(rng, **kw))
 
+def _bq_modes(modes, rng):
+    """Frozen modes of a four-component field: modes for component 0,
+    three fresh sets from rng for components 1-3."""
+    return [modes] + [_modes(rng) for _ in range(3)]
+
+def _eval_bq(grid, bq_modes):
+    return BQField(grid, np.stack([_eval_modes(grid, m) for m in bq_modes]))
+
 def _smooth_bq(grid, rng, **kw):
-    return BQField(grid, np.stack([_smooth_scalar(grid, rng, **kw) for _ in range(4)]))
+    return _eval_bq(grid, [_modes(rng, **kw) for _ in range(4)])
 
 def _smooth_spinor(grid, rng, **kw):
     return dirac.SpinorField(grid, np.stack([_smooth_scalar(grid, rng, **kw)
@@ -532,9 +540,9 @@ def check_calculus(cfg: SuiteConfig):
                                  scale=laplacian_wide(quad).linf()))
 
     # order of || D^2 f + lap f || on a smooth field over the grid pair
-    modes = _modes(rng)
+    bq_modes = _bq_modes(_modes(rng), _rng(cfg, 11))
     def dd_plus_laplacian(g):
-        fg = BQField(g, np.stack([_eval_modes(g, modes) for _ in range(4)]))
+        fg = _eval_bq(g, bq_modes)
         return nabla(nabla(fg)) + laplacian(fg)
     rows.append(_order_check(s, "dd_plus_laplacian_order", grids, dd_plus_laplacian, cfg))
 
@@ -905,7 +913,8 @@ def check_factorization(cfg: SuiteConfig):
                              cfg))
 
     # componentwise factorization (fact): exact for constant alpha on
-    # quadratics against the wide Laplacian; order 2 for separable alpha
+    # quadratics against the wide Laplacian; order 2 for the generic
+    # complex separable alpha
     quad = BQField.from_components(g_coarse,
                                    lambda a, b, c: a * b,
                                    lambda a, b, c: a ** 2 - b ** 2,
@@ -915,9 +924,10 @@ def check_factorization(cfg: SuiteConfig):
     rhs = _fact_rhs(quad, alfc, g_coarse, wide=True)
     rows.append(_exact_field_row(s, "component_factorization_quadratic", lhs - rhs, tol,
                                  scale=max(lhs.linf(), rhs.linf())))
+    bq_modes = _bq_modes(modes, _rng(cfg, 51))
     def component_factorization(g):
-        u = BQField(g, np.stack([_eval_modes(g, modes) for _ in range(4)]))
-        return fz.factored_product(u, alf) - _fact_rhs(u, alf, g, wide=False)
+        u = _eval_bq(g, bq_modes)
+        return fz.factored_product(u, alf_gen) - _fact_rhs(u, alf_gen, g, wide=False)
     rows.append(_order_check(s, "component_factorization_order", grids,
                              component_factorization, cfg))
 
@@ -931,7 +941,7 @@ def check_factorization(cfg: SuiteConfig):
     # identity behind the converse: D_alpha (D - M^alpha) g equals the sum
     # of the componentwise Schrodinger operators, for arbitrary smooth g
     def converse_identity(g):
-        gfield = BQField(g, np.stack([_eval_modes(g, modes) for _ in range(4)]))
+        gfield = _eval_bq(g, bq_modes)
         lhs = nabla_alpha(fz.build_solution(gfield, alf), alf)
         v = fz.potentials(alf, g).v
         lap = laplacian(gfield)
@@ -1062,9 +1072,9 @@ def check_axial(cfg: SuiteConfig):
     rows.append(_exact_field_row(s, "factq_constant_quadratic", res, tol, scale=scale))
 
     # varying a1 = x2: O(h^2) against the compact Laplacian
-    modes = _modes(rng)
+    bq_modes = _bq_modes(_modes(rng), _rng(cfg, 71))
     def factq_x2(g):
-        ug = BQField(g, np.stack([_eval_modes(g, modes) for _ in range(4)]))
+        ug = _eval_bq(g, bq_modes)
         res, scale = fz.axial_operators(alf_x2, g).factq_residual(ug, wide=False)
         return res * (1.0 / scale)
     rows.append(_order_check(s, "factq_x2_order", grids, factq_x2, cfg))
