@@ -61,8 +61,10 @@ class SuiteConfig:
     the domain box is fixed while h halves, so the counts must nest:
     fine = 2*coarse - 1, as in (17, 33).  tol=None resolves to the
     BIQUAT_TOL environment variable or 1e-12.  Construction rejects an
-    unknown suite, a grid pair that is not two nested counts >= 5, a
-    non-finite or non-positive tolerance and an unordered order window.
+    unknown suite, a grid pair that is not two nested counts >= 5, a box
+    whose lo and hi are not three finite numbers with lo < hi on every
+    axis, a non-finite or non-positive tolerance and an unordered order
+    window.
     """
 
     suite: str = "all"
@@ -86,6 +88,11 @@ class SuiteConfig:
         n1, n2 = grids
         if n1 < 5 or n2 != 2 * n1 - 1:
             raise ValueError(f"grids must nest as (n, 2n - 1) with n >= 5, got {grids}")
+        lo, hi = tuple(self.lo), tuple(self.hi)
+        if (len(lo) != 3 or len(hi) != 3 or not all(map(math.isfinite, lo + hi))
+                or not all(a < b for a, b in zip(lo, hi))):
+            raise ValueError(f"lo and hi must be three finite numbers with lo < hi, "
+                             f"got lo={lo}, hi={hi}")
         tol = self.tol_resolved
         if not (math.isfinite(tol) and tol > 0):
             source = "BIQUAT_TOL" if self.tol is None else "tol"
@@ -234,9 +241,6 @@ def _eval_modes_xyz(x1, x2, x3, modes):
 def _eval_modes(grid, modes):
     return _eval_modes_xyz(*grid.mesh(), modes)
 
-def _smooth_scalar(grid, rng, **kw):
-    return _eval_modes(grid, _modes(rng, **kw))
-
 def _bq_modes(modes, rng):
     """Frozen modes of a four-component field: modes for component 0,
     three fresh sets from rng for components 1-3."""
@@ -245,12 +249,11 @@ def _bq_modes(modes, rng):
 def _eval_bq(grid, bq_modes):
     return BQField(grid, np.stack([_eval_modes(grid, m) for m in bq_modes]))
 
-def _smooth_bq(grid, rng, **kw):
-    return _eval_bq(grid, [_modes(rng, **kw) for _ in range(4)])
+def _smooth_bq(grid, rng):
+    return _eval_bq(grid, [_modes(rng) for _ in range(4)])
 
-def _smooth_spinor(grid, rng, **kw):
-    return dirac.SpinorField(grid, np.stack([_smooth_scalar(grid, rng, **kw)
-                                             for _ in range(4)]))
+def _smooth_spinor(grid, rng):
+    return dirac.SpinorField(grid, _smooth_bq(grid, rng).data)
 
 def _rng(cfg: SuiteConfig, salt: int):
     return np.random.default_rng([cfg.seed, salt])

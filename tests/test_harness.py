@@ -232,6 +232,9 @@ def test_zero_divisor_misclassification_fails_row_not_linf(monkeypatch):
     {"grids": (17, 30)},
     {"grids": (3, 5)},
     {"grids": (17.0, 33.0)},
+    {"lo": (2.0, 2.0, 2.0), "hi": (1.0, 1.0, 1.0)},
+    {"lo": (1.0, float("nan"), 1.0)},
+    {"lo": (1.0, 1.0)},
     {"tol": float("nan")},
     {"tol": float("inf")},
     {"tol": 0.0},
@@ -273,6 +276,7 @@ def test_cli_rejects_bad_tol_env(tmp_path, monkeypatch, value):
     {"tol": float("nan")}, {"tol": -1.0},
     {"order_window": [2.3, 1.7]}, {"order_window": 2.0},
     {"grids": [17, 33, 65]}, {"suite": "bogus"},
+    {"lo": [2, 2, 2], "hi": [1, 1, 1]}, {"lo": [1, float("nan"), 1]}, {"lo": [1, 1]},
 ])
 def test_cli_rejects_bad_config_values(tmp_path, entry):
     cfg = tmp_path / "cfg.json"
