@@ -232,9 +232,6 @@ def test_zero_divisor_misclassification_fails_row_not_linf(monkeypatch):
     {"grids": (17, 30)},
     {"grids": (3, 5)},
     {"grids": (17.0, 33.0)},
-    {"lo": (2.0, 2.0, 2.0), "hi": (1.0, 1.0, 1.0)},
-    {"lo": (1.0, float("nan"), 1.0)},
-    {"lo": (1.0, 1.0)},
     {"tol": float("nan")},
     {"tol": float("inf")},
     {"tol": 0.0},
@@ -244,6 +241,9 @@ def test_zero_divisor_misclassification_fails_row_not_linf(monkeypatch):
     {"order_window": (1.7, float("nan"))},
     {"order_window": (1.7, float("inf"))},
     {"order_window": (1.7,)},
+    {"lo": (2.0, 2.0, 2.0), "hi": (1.0, 1.0, 1.0)},
+    {"lo": (1.0, float("nan"), 1.0)},
+    {"lo": (1.0, 1.0)},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
