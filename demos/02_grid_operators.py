@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 
-from biquat import (BQField, Biquaternion, Grid3, field_to_csv, laplacian,
-                    nabla, nabla_alpha, reciprocal_alpha, reflect_x3)
+from biquat import (BQField, Biquaternion, Grid3, laplacian, nabla,
+                    nabla_alpha, reciprocal_alpha, reflect_x3)
 from biquat.factorization import one_component_family
 
 grid = Grid3.box(1.0, 2.0, 17)
@@ -46,6 +46,3 @@ gsym = Grid3.box((1, 1, -0.5), (2, 2, 0.5), 9)
 f = BQField.from_scalar(gsym, lambda x1, x2, x3: x3)
 print("reflect(x3 e0) = -x3 e0:", (reflect_x3(f) + f).linf())
 print("reflect twice is the identity:", (reflect_x3(reflect_x3(f)) - f).linf())
-
-field_to_csv(f, "/tmp/demo_field.csv")
-print("\nnode-by-node CSV written to /tmp/demo_field.csv")

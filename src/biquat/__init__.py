@@ -27,10 +27,9 @@ from .factorization import (AxialOperators, ClosedFormFamily, PotentialSet,
                             factorization_residual, one_component_family,
                             pi_map, potentials, riccati_residual,
                             right_inverse, zero_divisor_reduction)
-from .grid import (BQField, Grid3, Norms, curl, divergence, field_to_csv,
-                   grad_scalar, l2, laplacian, laplacian_wide, linf, nabla,
-                   nabla_alpha, norms, partial_deriv, reflect_x3, rel_linf,
-                   sample)
+from .grid import (BQField, Grid3, Norms, curl, divergence, grad_scalar, l2,
+                   laplacian, laplacian_wide, linf, nabla, nabla_alpha, norms,
+                   partial_deriv, reflect_x3, rel_linf, sample)
 from .physics import (EMField, MediumFields, beltrami_field, circular_wave,
                       diagonalize_em, forcefree_split, medium_alpha,
                       static_maxwell_residual, undiagonalize_em)

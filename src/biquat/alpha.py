@@ -68,7 +68,7 @@ class AlphaSpec:
 
     def d_alpha_numeric(self, grid: Grid3) -> BQField:
         """Central-difference D(alpha): scalar part -div, vector part curl."""
-        a1, a2, a3 = self.components(grid)
+        a1, a2, a3 = np.broadcast_arrays(*self.components(grid))
         d = -divergence(a1, a2, a3, grid)
         c1, c2, c3 = curl(a1, a2, a3, grid)
         return BQField(grid, np.stack([d, c1, c2, c3]))
@@ -209,9 +209,7 @@ class GeneralAlpha(AlphaSpec):
 
     def components(self, grid: Grid3):
         x1, x2, x3 = grid.mesh()
-        a1, a2, a3 = self.fn(x1, x2, x3)
-        out = tuple(np.broadcast_to(np.asarray(a, dtype=complex), grid.shape).astype(complex)
-                    for a in (a1, a2, a3))
+        out = tuple(sample(grid, a) for a in self.fn(x1, x2, x3))
         _check_finite(out)
         return out
 

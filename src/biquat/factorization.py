@@ -227,7 +227,7 @@ class ClosedFormFamily:
                 acc = acc + ej_ek.reshape(4, 1, 1, 1) * dj_fk[np.newaxis]
         f = BQField(grid, fdata)
         total = BQField(grid, acc) + f * self.alpha.vector_field(grid)
-        scale = max(f.linf() * max(1.0, linf(np.stack(a))), 1e-300)
+        scale = max(f.linf() * max(1.0, *map(linf, a)), 1e-300)
         return total, scale
 
     def schrodinger_residual_analytic(self, grid: Grid3, k: int, which: str = "v"):

@@ -9,7 +9,6 @@ over the interior on which the discrete operators are actually defined.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,7 +36,6 @@ __all__ = [
     "l2",
     "norms",
     "rel_linf",
-    "field_to_csv",
 ]
 
 
@@ -91,8 +89,9 @@ class Grid3:
         return np.meshgrid(*self.axes, indexing="ij")
 
     def sample_axis(self, k: int, fn) -> np.ndarray:
-        """Evaluate fn(x_k) (or a constant) on axis k and spread the samples
-        over the grid as a complex array that varies along axis k only."""
+        """Evaluate fn(x_k) (or a constant) on axis k as a complex line:
+        length n_k along axis k and 1 along the others, so it broadcasts
+        against full grid arrays without being copied to the grid."""
         x = self.axis(k)
         if callable(fn):
             # poles are reported by the callers' finiteness checks, not by
@@ -103,8 +102,7 @@ class Grid3:
             vals = complex(fn)
         shape = [1, 1, 1]
         shape[k] = self.shape[k]
-        vals = np.broadcast_to(vals, x.shape).reshape(shape)
-        return np.broadcast_to(vals, self.shape).astype(complex)
+        return np.broadcast_to(vals, x.shape).reshape(shape)
 
     @property
     def node_count(self) -> int:
@@ -416,27 +414,3 @@ def reflect_x3(f: Field4) -> Field4:
     if not f.grid.x3_symmetric:
         raise ValueError("reflection not node-exact: grid is not symmetric about x3 = 0")
     return type(f)(f.grid, f.data[..., ::-1].copy())
-
-
-# --------------------------------------------------------------------------
-# export
-# --------------------------------------------------------------------------
-
-def field_to_csv(f: BQField, path) -> None:
-    """Write one row per node: i,j,k,x1,x2,x3 then Re/Im of q0..q3."""
-    x1, x2, x3 = f.grid.axes
-    n1, n2, n3 = f.grid.shape
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "k", "x1", "x2", "x3",
-                    "re_q0", "im_q0", "re_q1", "im_q1",
-                    "re_q2", "im_q2", "re_q3", "im_q3"])
-        for i in range(n1):
-            for j in range(n2):
-                for k in range(n3):
-                    q = f.data[:, i, j, k]
-                    row = [i, j, k, repr(float(x1[i])), repr(float(x2[j])), repr(float(x3[k]))]
-                    for comp in q:
-                        row.append(repr(float(comp.real)))
-                        row.append(repr(float(comp.imag)))
-                    w.writerow(row)

@@ -63,8 +63,10 @@ class SuiteConfig:
     BIQUAT_TOL environment variable or 1e-12.  Construction rejects an
     unknown suite, a grid pair that is not two nested counts >= 5, a box
     whose lo and hi are not three finite numbers with lo < hi on every
-    axis, a non-finite or non-positive tolerance and an unordered order
-    window.
+    axis, a non-finite or non-positive tolerance, an unordered order
+    window, a non-finite omega, m or nu, an omega and m whose dirac_beta
+    is a zero divisor (omega**2 == m**2), and a pole b that is not three
+    finite numbers each outside [lo_k, hi_k].
     """
 
     suite: str = "all"
@@ -101,6 +103,19 @@ class SuiteConfig:
         if (len(window) != 2 or not all(math.isfinite(w) for w in window)
                 or not window[0] < window[1]):
             raise ValueError(f"order_window must be finite (lo, hi) with lo < hi, got {window}")
+        if not all(map(math.isfinite, (self.omega, self.m, self.nu))):
+            raise ValueError(f"omega, m and nu must be finite numbers, got omega={self.omega!r}, "
+                             f"m={self.m!r}, nu={self.nu!r}")
+        try:
+            algebra.split_projectors(self.dirac_beta)
+        except ValueError:
+            raise ValueError(f"omega and m make dirac_beta a zero divisor (omega**2 == m**2), "
+                             f"got omega={self.omega!r}, m={self.m!r}") from None
+        b = tuple(self.b)
+        if (len(b) != 3 or not all(map(math.isfinite, b))
+                or any(lo_k <= b_k <= hi_k for b_k, lo_k, hi_k in zip(b, lo, hi))):
+            raise ValueError(f"b must be three finite numbers, each outside [lo_k, hi_k], "
+                             f"got b={b}, lo={lo}, hi={hi}")
 
     @property
     def tol_resolved(self) -> float:
@@ -131,6 +146,11 @@ class SuiteConfig:
     def dirac_grid_pair(self):
         # the transform needs node-exact x3 reflection: center axis 3 on 0
         return self.grid_pair(lo=(1.0, 1.0, -0.5), hi=(2.0, 2.0, 0.5))
+
+    @property
+    def dirac_beta(self) -> Biquaternion:
+        """beta = -(i omega e1 + m e2) of the dirac suite's pseudoscalar split."""
+        return Biquaternion.vector(-1j * self.omega, -self.m, 0.0)
 
 
 @dataclass(frozen=True)
@@ -661,7 +681,7 @@ def check_dirac(cfg: SuiteConfig):
 
     # pseudoscalar splitting: exact recombination and operator identity
     nu_c = 0.4 - 0.2j
-    beta = Biquaternion.vector(-1j * cfg.omega, -cfg.m, 0.0)
+    beta = cfg.dirac_beta
     f = _smooth_bq(g_coarse, rng)
     split = dirac.pseudoscalar_split(f, nu_c, beta)
     res = split.recombined() - f

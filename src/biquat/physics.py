@@ -59,10 +59,7 @@ class MediumFields:
             raise ValueError("no separable factorization supplied")
         prod = np.ones(grid.shape)
         for k, (fk, _) in enumerate(self.separable_eps):
-            x = grid.axis(k)
-            shape = [1, 1, 1]
-            shape[k] = grid.shape[k]
-            prod = prod * np.real(np.asarray(fk(x))).reshape(shape)
+            prod = prod * np.real(grid.sample_axis(k, fk))
         ref = self.eps_values(grid)
         if linf(prod - ref) > tol * max(1.0, linf(ref)):
             raise ValueError("separable factors do not reproduce eps")

@@ -10,7 +10,6 @@ import pytest
 
 import biquat
 from biquat import algebra, harness
-from biquat.algebra import Biquaternion
 from biquat.cli import main as cli_main
 from biquat.dirac import (PseudoscalarSplit, manufactured_split_solution,
                           pseudoscalar_split)
@@ -195,7 +194,7 @@ def test_ps_part_equations_order_reports_worst_part(monkeypatch):
     cfg = SuiteConfig(suite="dirac", grids=(17, 33))
     # the four parts' fine-grid relative residuals, as the dirac suite builds them
     g = Grid3.box((1.0, 1.0, -0.5), (2.0, 2.0, 0.5), 33)
-    nu, beta = 0.4 - 0.2j, Biquaternion.vector(-1j * cfg.omega, -cfg.m, 0.0)
+    nu, beta = 0.4 - 0.2j, cfg.dirac_beta
     man = manufactured_split_solution(g, nu, beta, coeffs=(1.0, 0.5, 0.8, 1.2))
     split = pseudoscalar_split(man, nu, beta)
     fine = {key: split.part_residual(*key).linf() / max(man.linf(), 1.0)
@@ -244,6 +243,10 @@ def test_zero_divisor_misclassification_fails_row_not_linf(monkeypatch):
     {"lo": (2.0, 2.0, 2.0), "hi": (1.0, 1.0, 1.0)},
     {"lo": (1.0, float("nan"), 1.0)},
     {"lo": (1.0, 1.0)},
+    {"nu": float("nan")},
+    {"omega": 1.3, "m": 1.3},
+    {"b": (1.5, 1.5, 1.5)},
+    {"b": (1.51, 1.51, 1.51)},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -277,6 +280,8 @@ def test_cli_rejects_bad_tol_env(tmp_path, monkeypatch, value):
     {"order_window": [2.3, 1.7]}, {"order_window": 2.0},
     {"grids": [17, 33, 65]}, {"suite": "bogus"},
     {"lo": [2, 2, 2], "hi": [1, 1, 1]}, {"lo": [1, float("nan"), 1]}, {"lo": [1, 1]},
+    {"nu": float("nan")}, {"omega": 1.3, "m": 1.3},
+    {"b": [1.5, 1.5, 1.5]}, {"b": [1.51, 1.51, 1.51]},
 ])
 def test_cli_rejects_bad_config_values(tmp_path, entry):
     cfg = tmp_path / "cfg.json"
