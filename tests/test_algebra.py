@@ -25,6 +25,12 @@ def test_identity_element():
     assert q * E0 == q
 
 
+def test_zero_divisor_square():
+    # (1 + i e1)^2 = 2 + 2i e1, forced by q^2 = 2 q0 q
+    q = E0 + 1j * E1
+    assert (q * q).isclose(Biquaternion(2, 2j, 0, 0), TOL)
+
+
 def test_complex_unit_commutes():
     q = Biquaternion(1 + 2j, -3j, 0.5, 4)
     assert ((1j * q) * E2).isclose(1j * (q * E2), TOL)
@@ -53,6 +59,14 @@ def test_complex_conjugation():
     assert (1j * E1).conj_complex() == -1j * E1
     q = Biquaternion(1 + 2j, 3 - 1j, 0, 4j)
     assert q.conj_complex() == Biquaternion(1 - 2j, 3 + 1j, 0, -4j)
+
+
+def test_conjugation_antihomomorphism():
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        p = Biquaternion(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
+        q = Biquaternion(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
+        assert (p * q).conj().isclose(q.conj() * p.conj(), TOL)
 
 
 def test_vec_square_examples():
@@ -142,6 +156,25 @@ def test_split_projectors_rejects_zero_divisor_beta():
     # the m = omega case: beta**2 = 0
     with pytest.raises(ValueError, match="zero divisor"):
         split_projectors(-(1j * E1 + E2))
+
+
+def test_associativity_random_triples():
+    rng = np.random.default_rng(6)
+    for _ in range(1000):
+        p, q, r = (Biquaternion(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
+                   for _ in range(3))
+        lhs = (p * q) * r
+        rhs = p * (q * r)
+        assert (lhs - rhs).abs_max() <= TOL * max(1.0, lhs.abs_max(), rhs.abs_max())
+
+
+def test_norm_product_scalar():
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        q = Biquaternion(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
+        prod = q * q.conj()
+        want = q.q0 ** 2 + q.q1 ** 2 + q.q2 ** 2 + q.q3 ** 2
+        assert (prod - Biquaternion.scalar(want)).abs_max() <= TOL * max(1.0, abs(want))
 
 
 def test_immutability():

@@ -90,6 +90,13 @@ def test_requires_axial_alpha():
         zero_divisor_reduction(constant_alpha(1, 0, 0), box())
 
 
+def test_split_equivalence_identity():
+    g = box()
+    ops = axial_operators(alpha_x2(), g)
+    u = smooth_field(g, 4)
+    assert ops.split_identity_residual(u) <= TOL
+
+
 def test_diagonal_plus_potential_value():
     # for a1 = x2 the '+' equation potential -(alpha^2 - i D a1) = x2^2 + i e2
     g = box()
@@ -112,6 +119,22 @@ def test_factored_product_identity_constant_alpha():
     assert res.linf() <= TOL * scale
 
 
+def test_factored_product_identity_converges():
+    errs = []
+    for n in (17, 33):
+        g = box(n)
+        ops = axial_operators(alpha_x2(), g)
+        u = BQField.from_components(g,
+                                    lambda a, b, c: np.exp(1j * (a + b)),
+                                    lambda a, b, c: np.sin(b + c),
+                                    lambda a, b, c: np.cos(a - c),
+                                    lambda a, b, c: np.exp(1j * (b - c)))
+        res, scale = ops.factq_residual(u, wide=False)
+        errs.append(res.linf() / scale)
+    o = math.log(errs[0] / errs[1], 2)
+    assert 1.7 <= o <= 2.3
+
+
 def test_pi_involution_and_unit_value():
     g = box()
     u = smooth_field(g, 5)
@@ -122,6 +145,24 @@ def test_pi_involution_and_unit_value():
                   + Biquaternion(0, 1j, 0, 0) * (-1.0) * (E1 * E0 * E1))
     assert (pi_map(e0_field) - BQField.constant(g, want)).linf() <= TOL
     assert want.isclose(Biquaternion(0, 1j, 0, 0), TOL)
+
+
+def test_pi_correspondence_maps_solutions():
+    bounds = _aligned_window_bounds(box(17), 0.15)
+    errs_abc = []
+    errs_minus = []
+    for n in (17, 33):
+        g = box(n)
+        ops = axial_operators(alpha_null(), g)
+        v = null_direction_solution(g)
+        scale = max(laplacian(v).linf(), 1.0)
+        u = pi_map(v)
+        errs_abc.append(_windowed(ops.abc(u), bounds).linf() / scale)
+        w = ops.j(v)  # i e1 v solves the '-' equation
+        errs_minus.append(_windowed(ops.schro(w, -1), bounds).linf() / scale)
+    for errs in (errs_abc, errs_minus):
+        o = math.log(errs[0] / errs[1], 2)
+        assert 1.7 <= o <= 2.3
 
 
 def test_zero_divisor_reduction_classification():
