@@ -1,6 +1,7 @@
 """The core machinery: the quaternionic Riccati balance, factorization of
 -lap + v into first-order factors, closed-form solution families, a right
-inverse from four sparse solves, and the axial quaternionic potentials."""
+inverse from four Dirichlet solves diagonalized axis by axis, and the
+axial quaternionic potentials."""
 
 import numpy as np
 
@@ -51,7 +52,7 @@ print("\n== building solutions from harmonic data ==")
 f = build_solution(BQField.from_scalar(grid, lambda a, b, c: a), alpha)
 print(f"(D - M^alpha)(x1 e0) residual: {nabla_alpha(f, alpha).linf():.2e}")
 
-print("\n== a right inverse from four Dirichlet solves ==")
+print("\n== a right inverse from four per-axis diagonalized Dirichlet solves ==")
 rhs = BQField.from_scalar(grid, lambda a, b, c:
                           np.sin(np.pi * (a - 1)) * np.sin(np.pi * (b - 1))
                           * np.sin(np.pi * (c - 1)))

@@ -157,7 +157,7 @@ def test_criterion_8_axial_suite(full_report):
 def test_full_suite_green_within_wall_target(full_report):
     # every catalog row must pass: this is the test of each row's claim
     failing = [f"{r.suite}/{r.check}" for r in full_report.rows if not r.passed]
-    ok = not failing and full_report.wall_time < 120.0
+    ok = not failing and full_report.wall_time < 30.0
     _announce("all", ok,
-              f"{full_report.n_pass} checks pass, wall {full_report.wall_time:.1f}s < 120s"
+              f"{full_report.n_pass} checks pass, wall {full_report.wall_time:.1f}s < 30s"
               + (f"; failing: {', '.join(failing)}" if failing else ""))

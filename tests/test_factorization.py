@@ -1,7 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import linalg as sla
 
 from biquat.alpha import (axial_alpha, constant_alpha, gradient_alpha,
                           reciprocal_alpha, separable_alpha)
@@ -249,3 +252,61 @@ def test_right_inverse_reports_singular_operator():
     f = BQField.from_scalar(g, lambda a, b, c: np.sin(a))
     with pytest.raises(ValueError):
         right_inverse(f, alf)
+
+
+def _direct_solve(f, alpha, variant):
+    """The four Dirichlet solves by spsolve on the assembled 3-D matrix
+    (7-point -lap plus the sampled potential), the reference for u."""
+    g = f.grid
+    pots = potentials(alpha, g)
+    pot = pots.v if variant == "v" else pots.w
+    inner = (slice(1, -1),) * 3
+    mats = [sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n - 2, n - 2)) / h ** 2
+            for n, h in zip(g.shape, g.spacing)]
+    eyes = [sparse.identity(m.shape[0]) for m in mats]
+    lap = (sparse.kron(sparse.kron(mats[0], eyes[1]), eyes[2])
+           + sparse.kron(sparse.kron(eyes[0], mats[1]), eyes[2])
+           + sparse.kron(sparse.kron(eyes[0], eyes[1]), mats[2]))
+    u = np.zeros((4, *g.shape), dtype=complex)
+    for k in range(4):
+        mat = (lap + sparse.diags(pot[k][inner].ravel())).tocsc()
+        u[k][inner] = sla.spsolve(mat, f.data[k][inner].ravel()).reshape(u[k][inner].shape)
+    return u
+
+
+def _complex_data(g, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = (4, *g.shape)
+    return BQField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("variant", ["v", "w"])
+@pytest.mark.parametrize("alpha", [constant_alpha(1j, 0, 0), reciprocal_alpha()],
+                         ids=["constant_i_e1", "reciprocal"])
+def test_right_inverse_matches_direct_sparse_solve(alpha, variant):
+    g = box(9)
+    f = _complex_data(g)
+    out = right_inverse(f, alpha, variant=variant)
+    want = _direct_solve(f, alpha, variant)
+    assert np.abs(out.u.data - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_right_inverse_falls_back_to_lu_for_ill_conditioned_basis(caplog):
+    # a_j = sqrt(i c x_j) makes each 1-D operator about -d^2 + i c x, whose
+    # eigenvector basis on 15 interior nodes has cond(V) ~ 1.3e3 per axis
+    c = 1e3
+    root = np.sqrt(1j * c)
+    a = lambda x: root * np.sqrt(x + 0j)
+    da = lambda x: root / (2.0 * np.sqrt(x + 0j))
+    alf = separable_alpha(a, a, a, derivs=(da, da, da))
+    g = box(17)
+    f = _complex_data(g)
+    with caplog.at_level(logging.WARNING, logger="biquat"):
+        out = right_inverse(f, alf)
+    records = [r for r in caplog.records if r.name.startswith("biquat")]
+    assert len(records) == 1
+    assert "cond(V)" in records[0].getMessage()
+    assert "sparse LU" in records[0].getMessage()
+    want = _direct_solve(f, alf, "v")
+    assert np.abs(out.u.data - want).max() <= 1e-12 * np.abs(want).max()
+    assert out.solver_residual <= 1e-10
