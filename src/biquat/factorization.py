@@ -297,19 +297,15 @@ def _axis_operators(alpha: SeparableAlpha, grid: Grid3, variant: str):
     comps = alpha.components(grid)
     derivs = _separable_derivs(alpha, grid)
     sign = 1.0 if variant == "v" else -1.0
-    lines = []
-    for j in range(3):
-        m, h = grid.shape[j] - 2, grid.spacing[j]
-        lap = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / h ** 2
-        lines.append((lap, comps[j].ravel()[1:-1], derivs[j].ravel()[1:-1]))
     ops = []
-    for k in range(4):
-        s = INVOLUTION_SIGNS[k]
+    for s in INVOLUTION_SIGNS:
         row = []
-        for j, (lap, a, da) in enumerate(lines):
-            q = sign * s[j] * da + a ** 2
+        for j in range(3):
+            m, h = grid.shape[j] - 2, grid.spacing[j]
+            q = sign * s[j] * derivs[j].ravel()[1:-1] + comps[j].ravel()[1:-1] ** 2
             if not np.all(np.isfinite(q)):
                 raise ValueError("potential has invalid interior values")
+            lap = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / h ** 2
             row.append(lap + np.diag(q))
         ops.append(row)
     return ops

@@ -283,10 +283,12 @@ def _complex_data(g, seed=0):
 @pytest.mark.parametrize("variant", ["v", "w"])
 @pytest.mark.parametrize("alpha", [constant_alpha(1j, 0, 0), reciprocal_alpha()],
                          ids=["constant_i_e1", "reciprocal"])
-def test_right_inverse_matches_direct_sparse_solve(alpha, variant):
+def test_right_inverse_matches_direct_sparse_solve(alpha, variant, caplog):
     g = box(9)
     f = _complex_data(g)
-    out = right_inverse(f, alpha, variant=variant)
+    with caplog.at_level(logging.WARNING, logger="biquat"):
+        out = right_inverse(f, alpha, variant=variant)
+    assert not caplog.records  # diagonalized, no LU fallback
     want = _direct_solve(f, alpha, variant)
     assert np.abs(out.u.data - want).max() <= 1e-12 * np.abs(want).max()
 
