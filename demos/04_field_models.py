@@ -34,7 +34,7 @@ print("\n== static system with a separable permittivity ==")
 med = MediumFields(
     eps=lambda x1, x2, x3: (x1 * x2 * x3) ** 2, mu=1.0,
     separable_eps=tuple((lambda x: x ** 2, lambda x: 2.0 * x) for _ in range(3)))
-avec = medium_alpha(med, grid, "eps", method="closed")
+avec = medium_alpha(med, grid, "eps")
 print("closed-form coefficient vector at a node:", avec.data[1:, 4, 4, 4].real)
 
 alpha = reciprocal_alpha((0.0, 0.0, 0.0))   # equals grad(sqrt eps)/sqrt(eps)

@@ -27,6 +27,7 @@ __all__ = [
     "E3",
     "BASIS",
     "INVOLUTION_SIGNS",
+    "ROUNDING_TOL",
     "qmul",
     "vec_square",
     "is_zero_divisor",
@@ -57,6 +58,10 @@ def qmul(p, q):
 # sign pattern of the involutions: row k gives the signs that q^(k) applies
 # to the vector components (q1, q2, q3)
 INVOLUTION_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+
+# relative tolerance of the package's exact classifications (vectorial,
+# zero divisor, separable factors): a few hundred ulps of a unit value
+ROUNDING_TOL = 1e-12
 
 
 class Biquaternion:
@@ -183,7 +188,7 @@ class Biquaternion:
     def abs_max(self) -> float:
         return float(np.abs(self._c).max())
 
-    def isclose(self, other: "Biquaternion", tol: float = 1e-12) -> bool:
+    def isclose(self, other: "Biquaternion", tol: float = ROUNDING_TOL) -> bool:
         scale = max(1.0, self.abs_max(), other.abs_max())
         return bool(np.abs(self._c - other._c).max() <= tol * scale)
 
@@ -204,19 +209,19 @@ E3 = Biquaternion(0, 0, 0, 1)
 BASIS = (E0, E1, E2, E3)
 
 
-def vec_square(q: Biquaternion, tol: float = 1e-12) -> complex:
+def vec_square(q: Biquaternion) -> complex:
     """The quaternion square of a purely vectorial q, as a complex scalar.
 
     Equals -(q1**2 + q2**2 + q3**2); by the multiplication table this is
     exactly Sc(q*q), with Vec(q*q) = 0.  A nonzero scalar part is a
     contract violation and raises.
     """
-    if abs(q.q0) > tol * max(1.0, q.abs_max()):
+    if abs(q.q0) > ROUNDING_TOL * max(1.0, q.abs_max()):
         raise ValueError(f"vec_square requires a purely vectorial argument, got Sc = {q.q0}")
     return -(q.q1 ** 2 + q.q2 ** 2 + q.q3 ** 2)
 
 
-def is_zero_divisor(q: Biquaternion, tol: float = 1e-12) -> bool:
+def is_zero_divisor(q: Biquaternion, tol: float = ROUNDING_TOL) -> bool:
     """True iff q0**2 = q_vec**2 within the relative tolerance.
 
     Equivalent to q**2 = 2*q0*q; such q make up the zero-divisor set.
@@ -263,7 +268,7 @@ class ProjectorPair:
     minus: Biquaternion
 
 
-def split_projectors(beta: Biquaternion, tol: float = 1e-12) -> ProjectorPair:
+def split_projectors(beta: Biquaternion) -> ProjectorPair:
     """Build the ProjectorPair for a purely vectorial beta outside the
     zero-divisor set.
 
@@ -271,9 +276,9 @@ def split_projectors(beta: Biquaternion, tol: float = 1e-12) -> ProjectorPair:
     negative real axis); since the pair appears symmetrically, any fixed
     branch is equivalent.  Raises if beta**2 vanishes within tolerance.
     """
-    b2 = vec_square(beta, tol)
+    b2 = vec_square(beta)
     scale = max(1.0, abs(beta.q1) ** 2 + abs(beta.q2) ** 2 + abs(beta.q3) ** 2)
-    if abs(b2) <= tol * scale:
+    if abs(b2) <= ROUNDING_TOL * scale:
         raise ValueError("beta is a zero divisor; splitting undefined")
     # adding +0.0 normalizes a signed-zero imaginary part so the principal
     # branch is deterministic

@@ -10,9 +10,11 @@ Four shapes cover everything the package needs:
 * gradient: alpha = grad(phi)/phi for a given scalar phi.
 * general: arbitrary vector field, values only.
 
-Specs carry optional exact derivative/antiderivative callables; residual
-evaluators use them when present and fall back to central differences
-otherwise.
+Specs carry optional exact derivative/antiderivative callables.  Each
+spec is the one place that decides where its derivatives come from:
+``d_alpha`` (and ``SeparableAlpha.deriv_components``) is exact when
+``has_exact_derivatives()`` is true and uses central differences, with an
+invalid one-node rim, otherwise.
 """
 
 from __future__ import annotations
@@ -61,13 +63,10 @@ class AlphaSpec:
         a1, a2, a3 = self.components(grid)
         return -(a1 ** 2 + a2 ** 2 + a3 ** 2)
 
-    def d_alpha(self, grid: Grid3) -> BQField | None:
-        """Exact D(alpha) as a biquaternion field, or None if the spec has
-        no derivative data."""
-        return None
-
-    def d_alpha_numeric(self, grid: Grid3) -> BQField:
-        """Central-difference D(alpha): scalar part -div, vector part curl."""
+    def d_alpha(self, grid: Grid3) -> BQField:
+        """D(alpha): scalar part -div, vector part curl.  Exact when
+        has_exact_derivatives(), central differences otherwise; this base
+        body is the central-difference one."""
         a1, a2, a3 = np.broadcast_arrays(*self.components(grid))
         d = -divergence(a1, a2, a3, grid)
         c1, c2, c3 = curl(a1, a2, a3, grid)
@@ -94,16 +93,17 @@ class SeparableAlpha(AlphaSpec):
         return all(d is not None for d in self.derivs)
 
     def deriv_components(self, grid: Grid3):
-        """The three arrays a_k'(x_k), from exact derivative callables."""
+        """The three lines a_k'(x_k): exact when has_exact_derivatives(),
+        central differences of the sampled factors otherwise."""
         if not self.has_exact_derivatives():
-            raise ValueError("separable alpha has no derivative callables")
+            comps = self.components(grid)
+            return tuple(partial_deriv(comps[k], grid, k) for k in range(3))
         out = tuple(grid.sample_axis(k, fn) for k, fn in enumerate(self.derivs))
         _check_finite(out, "alpha derivative")
         return out
 
-    def d_alpha(self, grid: Grid3) -> BQField | None:
-        if not self.has_exact_derivatives():
-            return None
+    def d_alpha(self, grid: Grid3) -> BQField:
+        # D(alpha) of a separable alpha is the scalar -sum_k a_k'(x_k)
         d1, d2, d3 = self.deriv_components(grid)
         return BQField.from_scalar(grid, -(d1 + d2 + d3))
 
@@ -152,7 +152,7 @@ class AxialAlpha(AlphaSpec):
         g1, g2, g3 = self.grad_a1_components(grid)
         return BQField.from_vector(grid, g1, g2, g3)
 
-    def d_alpha(self, grid: Grid3) -> BQField | None:
+    def d_alpha(self, grid: Grid3) -> BQField:
         # D(a1 e1) = (D a1) e1; a numeric gradient carries an invalid rim
         g1, g2, g3 = self.grad_a1_components(grid)
         return BQField.from_components(grid, -g1, np.zeros(grid.shape), g3, -g2)
@@ -183,11 +183,11 @@ class GradientAlpha(AlphaSpec):
     def has_exact_derivatives(self) -> bool:
         return self.grad_phi is not None and self.lap_phi is not None
 
-    def d_alpha(self, grid: Grid3) -> BQField | None:
+    def d_alpha(self, grid: Grid3) -> BQField:
         # D(grad phi / phi) = -lap(phi)/phi + <grad phi, grad phi>/phi**2,
         # a pure scalar: the curl of a gradient vanishes identically.
         if not self.has_exact_derivatives():
-            return None
+            return super().d_alpha(grid)
         p = self._phi_values(grid)
         g = tuple(sample(grid, f) for f in self.grad_phi)
         lp = sample(grid, self.lap_phi)

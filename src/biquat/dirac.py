@@ -263,13 +263,13 @@ class PseudoscalarSplit:
         return nabla(part) + float(p_sign) * (part * mult)
 
 
-def pseudoscalar_split(f: BQField, nu, beta: Biquaternion, tol: float = 1e-12) -> PseudoscalarSplit:
+def pseudoscalar_split(f: BQField, nu, beta: Biquaternion) -> PseudoscalarSplit:
     """Split f into the four parts P_1^± applied after S^±.
 
     beta must lie outside the zero-divisor set (for the Dirac case this is
     m**2 != omega**2).  nu may be a constant, array or callable.
     """
-    pair = split_projectors(beta, tol)
+    pair = split_projectors(beta)
     grid = f.grid
     nu_arr = sample(grid, nu)
     p_plus, p_minus = right_projector(1, 1), right_projector(1, -1)
@@ -281,7 +281,7 @@ def pseudoscalar_split(f: BQField, nu, beta: Biquaternion, tol: float = 1e-12) -
         lam=pair.lam, nu=nu_arr, beta=beta)
 
 
-def pseudoscalar_identity_residual(f: BQField, nu, beta: Biquaternion, tol: float = 1e-12):
+def pseudoscalar_identity_residual(f: BQField, nu, beta: Biquaternion):
     """Exact four-term operator identity on an arbitrary field f:
 
         (D + nu + M^beta) f  =  sum_{a,b} S^b [ P_1^a (D + a M^{(nu+b*lam) i e1}) f ]
@@ -289,7 +289,7 @@ def pseudoscalar_identity_residual(f: BQField, nu, beta: Biquaternion, tol: floa
     (projectors applied to the operator output, P first then S).  Returns
     (residual BQField, scale).
     """
-    pair = split_projectors(beta, tol)
+    pair = split_projectors(beta)
     grid = f.grid
     nu_arr = sample(grid, nu)
     lhs = nabla(f) + nu_arr * f + f * beta
@@ -329,16 +329,16 @@ def manufactured_split_solution(grid: Grid3, nu: complex, beta: Biquaternion,
     return BQField(grid, out)
 
 
-def free_plane_wave(grid: Grid3, kvec, m: float, g: GammaSet, branch: int = 1):
+def free_plane_wave(grid: Grid3, kvec, m: float, g: GammaSet):
     """A plane-wave null solution of the free operator at wave vector kvec.
 
-    Solves the 4x4 symbol equation numerically: omega is set on shell
-    (omega = branch * sqrt(<k,k> + m^2)) and the amplitude is the singular
-    vector of the symbol matrix with smallest singular value.  Returns
-    (SpinorField, DiracParams).
+    Solves the 4x4 symbol equation numerically: omega is set on the
+    positive-energy shell, omega = sqrt(<k,k> + m^2), and the amplitude is
+    the singular vector of the symbol matrix with smallest singular value.
+    Returns (SpinorField, DiracParams).
     """
     kvec = np.asarray(kvec, dtype=float)
-    omega = branch * float(np.sqrt(kvec @ kvec + m ** 2))
+    omega = float(np.sqrt(kvec @ kvec + m ** 2))
     symbol = 1j * omega * g.g0 + 1j * m * np.eye(4)
     for kk, gk in zip(kvec, g.spatial):
         symbol = symbol + 1j * kk * gk

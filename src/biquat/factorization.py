@@ -20,10 +20,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sla
 
-from .algebra import INVOLUTION_SIGNS, qmul
+from .algebra import INVOLUTION_SIGNS, ROUNDING_TOL, qmul
 from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, gradient_alpha
 from .grid import (BQField, Grid3, as_alpha_field, laplacian, laplacian_wide,
-                   linf, nabla, nabla_alpha, partial_deriv, sample)
+                   linf, nabla, nabla_alpha, sample)
 
 __all__ = [
     "riccati_residual",
@@ -45,25 +45,16 @@ __all__ = [
     "zero_divisor_reduction",
 ]
 
-def riccati_residual(alpha: AlphaSpec, v, grid: Grid3,
-                     derivatives: str = "auto") -> BQField:
+def riccati_residual(alpha: AlphaSpec, v, grid: Grid3) -> BQField:
     """The biquaternion field D(alpha) + alpha**2 + v.
 
     Zero exactly when alpha solves the quaternionic Riccati equation for v.
     The scalar slot carries the Riccati balance; the vector slot carries
     curl(alpha), whose vanishing is what forces alpha to be a gradient.
-    derivatives: 'auto' uses exact callables when the spec has them,
-    'analytic' requires them, 'numeric' forces central differences.
+    D(alpha) is exact when alpha.has_exact_derivatives(), central
+    differences otherwise.
     """
-    if derivatives not in ("auto", "analytic", "numeric"):
-        raise ValueError("derivatives must be 'auto', 'analytic' or 'numeric'")
-    dal = None
-    if derivatives != "numeric":
-        dal = alpha.d_alpha(grid)
-        if dal is None and derivatives == "analytic":
-            raise ValueError("alpha spec carries no exact derivative data")
-    if dal is None:
-        dal = alpha.d_alpha_numeric(grid)
+    dal = alpha.d_alpha(grid)
     balance = alpha.alpha_sq(grid) + sample(grid, v)
     return dal + BQField.from_scalar(grid, balance)
 
@@ -75,21 +66,24 @@ def factored_product(u: BQField, alpha) -> BQField:
     return nabla_alpha(build_solution(u, avec), avec)
 
 
-def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3,
-                           riccati_tol: float = 1e-10):
+# relative Riccati residual above which factorization_residual refuses alpha
+_RICCATI_TOL = 1e-10
+
+
+def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
     """Residual of (-lap + v) phi = (D + M^alpha)(D - M^alpha) phi on a
     scalar function phi.
 
     Checks the Riccati precondition first and raises when alpha does not
-    solve it for v within riccati_tol (relative).  Returns
+    solve it for v within _RICCATI_TOL (relative).  Returns
     (residual BQField, scale).
     """
     rres = riccati_residual(alpha, v, grid)
     scale0 = max(1.0, linf(alpha.alpha_sq(grid)), linf(sample(grid, v)))
     rel = rres.linf() / scale0
-    if rel > riccati_tol:
+    if rel > _RICCATI_TOL:
         raise ValueError(
-            f"Riccati precondition violated: relative residual {rel:.3e} > {riccati_tol:.1e}")
+            f"Riccati precondition violated: relative residual {rel:.3e} > {_RICCATI_TOL:.1e}")
     phi_field = BQField.from_scalar(grid, phi)
     v_arr = sample(grid, v)
     lhs = -laplacian(phi_field) + v_arr * phi_field
@@ -122,13 +116,6 @@ class PotentialSet:
         return worst
 
 
-def _separable_derivs(alpha: SeparableAlpha, grid: Grid3):
-    if alpha.has_exact_derivatives():
-        return alpha.deriv_components(grid)
-    comps = alpha.components(grid)
-    return tuple(partial_deriv(comps[k], grid, k) for k in range(3))
-
-
 def d_alpha_involution(derivs, k: int) -> np.ndarray:
     """The scalar field D(alpha^(k)) = -sum_j s_j a_j' of a separable alpha,
     from its three derivative arrays a_j'(x_j) and the involution signs s."""
@@ -141,7 +128,7 @@ def potentials(alpha: AlphaSpec, grid: Grid3) -> PotentialSet:
     then is every D(alpha^(k)) a scalar."""
     if not isinstance(alpha, SeparableAlpha):
         raise ValueError("potentials require separable alpha: D(alpha^(k)) is not scalar otherwise")
-    derivs = _separable_derivs(alpha, grid)
+    derivs = alpha.deriv_components(grid)
     asq = alpha.alpha_sq(grid)
     v, w = [], []
     for k in range(4):
@@ -235,9 +222,12 @@ class ClosedFormFamily:
     def schrodinger_residual_analytic(self, grid: Grid3, k: int, which: str = "v"):
         """(-lap + v_k) phi_k (which='v') or (-lap + w_k) f_k (which='w'),
         with the Laplacian evaluated from exact derivatives.  Returns
-        (residual array, scale)."""
+        (residual array, scale).  Raises when alpha has no derivative
+        callables."""
         if which not in ("v", "w"):
             raise ValueError("which must be 'v' or 'w'")
+        if not self.alpha.has_exact_derivatives():
+            raise ValueError("analytic residual requires derivative callables")
         a = self.alpha.components(grid)
         da = self.alpha.deriv_components(grid)
         pots = potentials(self.alpha, grid)
@@ -275,9 +265,12 @@ def one_component_family(alpha: AlphaSpec) -> ClosedFormFamily:
 # condition number of the 3-D eigenvector basis,
 # cond(V1 ⊗ V2 ⊗ V3) = cond(V1) cond(V2) cond(V3): about 1e-18 times it
 # for -d^2 + i c x (2e-13 at 1.4e5, 2e-9 at 2e9).  Below this limit even
-# eps times it is 2e-12, two orders inside the default solver_tol; above
-# it the component is solved by sparse LU on the same operator.
+# eps times it is 2e-12, two orders inside _SOLVER_TOL; above it the
+# component is solved by sparse LU on the same operator.
 _COND_LIMIT = 1e4
+
+# relative residual of a component solve above which right_inverse raises
+_SOLVER_TOL = 1e-10
 
 _log = logging.getLogger(__name__)
 
@@ -295,7 +288,7 @@ def _axis_operators(alpha: SeparableAlpha, grid: Grid3, variant: str):
     q_kj = ±s_kj a_j' + a_j**2 (+ for 'v', - for 'w').  Their Kronecker sum
     A_k1 ⊕ A_k2 ⊕ A_k3 is -lap + v_k (or w_k) on the interior nodes."""
     comps = alpha.components(grid)
-    derivs = _separable_derivs(alpha, grid)
+    derivs = alpha.deriv_components(grid)
     sign = 1.0 if variant == "v" else -1.0
     ops = []
     for s in INVOLUTION_SIGNS:
@@ -316,8 +309,7 @@ def _along(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(mat, x, axes=(1, axis)), 0, axis)
 
 
-def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v",
-                  solver_tol: float = 1e-10) -> RightInverseResult:
+def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v") -> RightInverseResult:
     """Apply a discrete right inverse of D + M^alpha (variant 'v') or
     produce a preimage under D - M^alpha (variant 'w').
 
@@ -339,7 +331,7 @@ def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v",
     above _COND_LIMIT is solved by sparse LU on the same Kronecker sum
     instead, and the call logs the condition number once.  A ValueError is
     raised when min |lam_1 + lam_2 + lam_3| shows a singular operator, and
-    when the relative residual of any component solve exceeds solver_tol.
+    when the relative residual of any component solve exceeds _SOLVER_TOL.
     """
     if variant not in ("v", "w"):
         raise ValueError("variant must be 'v' or 'w'")
@@ -384,8 +376,8 @@ def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v",
         _log.warning("right_inverse: eigenvector basis cond(V) up to %.3e > %.1e; "
                      "components %s solved by sparse LU",
                      max(fallback.values()), _COND_LIMIT, sorted(fallback))
-    if worst > solver_tol:
-        raise ValueError(f"linear solver residual {worst:.3e} exceeds {solver_tol:.1e}")
+    if worst > _SOLVER_TOL:
+        raise ValueError(f"linear solver residual {worst:.3e} exceeds {_SOLVER_TOL:.1e}")
     u_field = BQField(grid, u)
     out = build_solution(u_field, alpha) if variant == "v" else nabla_alpha(u_field, alpha)
     return RightInverseResult(field=out, u=u_field, solver_residual=worst)
@@ -525,8 +517,7 @@ class ReductionReport:
     unknown: str
 
 
-def zero_divisor_reduction(alpha: AxialAlpha, grid: Grid3,
-                           tol: float = 1e-12) -> ReductionReport:
+def zero_divisor_reduction(alpha: AxialAlpha, grid: Grid3) -> ReductionReport:
     if not isinstance(alpha, AxialAlpha):
         raise ValueError("zero-divisor reduction requires axial alpha")
     g1, g2, g3 = alpha.grad_a1_components(grid)
@@ -534,13 +525,13 @@ def zero_divisor_reduction(alpha: AxialAlpha, grid: Grid3,
     grad_sq = g1 ** 2 + g2 ** 2 + g3 ** 2          # <grad a1, grad a1>
     grad_mag = np.abs(g1) + np.abs(g2) + np.abs(g3)
     scale = float(np.nanmax(grad_mag, initial=0.0))
-    if scale <= tol:
+    if scale <= ROUNDING_TOL:
         return ReductionReport(case="degenerate", multiplier=None,
                                potential=None, beta0=None, unknown="f")
 
     def all_zero(arr, ref):
         vals = np.abs(arr)
-        refs = tol * np.maximum(1.0, np.abs(ref))
+        refs = ROUNDING_TOL * np.maximum(1.0, np.abs(ref))
         mask = np.isfinite(vals)
         return bool(np.all(vals[mask] <= refs[mask]))
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Biquaternion, qmul
+from .algebra import ROUNDING_TOL, Biquaternion, qmul
 
 __all__ = [
     "Grid3",
@@ -235,9 +235,9 @@ class BQField(Field4):
         out[0] = 0.0
         return BQField(self.grid, out)
 
-    def is_vectorial(self, tol: float = 1e-12) -> bool:
+    def is_vectorial(self) -> bool:
         scale = max(1.0, float(np.nanmax(np.abs(self.data), initial=0.0)))
-        return float(np.nanmax(np.abs(self.data[0]), initial=0.0)) <= tol * scale
+        return float(np.nanmax(np.abs(self.data[0]), initial=0.0)) <= ROUNDING_TOL * scale
 
     # -- quaternion product ------------------------------------------------
     def __mul__(self, other):

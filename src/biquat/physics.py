@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import right_projector
+from .algebra import ROUNDING_TOL, right_projector
 from .grid import BQField, Grid3, linf, nabla, partial_deriv, sample
 
 __all__ = [
@@ -34,8 +34,9 @@ class MediumFields:
     """Positive permittivity and permeability, as callables of (x1,x2,x3).
 
     separable_eps optionally supplies the factorization
-    eps = e1(x1)*e2(x2)*e3(x3) as three (factor, derivative) pairs, which
-    unlocks the closed form for the eps coefficient vector.
+    eps = e1(x1)*e2(x2)*e3(x3) as three (factor, derivative) pairs; when
+    present, medium_alpha evaluates the eps coefficient vector in closed
+    form.
     """
 
     eps: Callable | float
@@ -54,34 +55,28 @@ class MediumFields:
             raise ValueError("permeability must be positive at all nodes")
         return vals
 
-    def check_separable(self, grid: Grid3, tol: float = 1e-12) -> None:
+    def check_separable(self, grid: Grid3) -> None:
         if self.separable_eps is None:
             raise ValueError("no separable factorization supplied")
         prod = np.ones(grid.shape)
         for k, (fk, _) in enumerate(self.separable_eps):
             prod = prod * np.real(grid.sample_axis(k, fk))
         ref = self.eps_values(grid)
-        if linf(prod - ref) > tol * max(1.0, linf(ref)):
+        if linf(prod - ref) > ROUNDING_TOL * max(1.0, linf(ref)):
             raise ValueError("separable factors do not reproduce eps")
 
 
-def medium_alpha(m: MediumFields, grid: Grid3, which: str = "eps",
-                 method: str = "auto") -> BQField:
+def medium_alpha(m: MediumFields, grid: Grid3, which: str = "eps") -> BQField:
     """The coefficient vector grad(sqrt(w))/sqrt(w) for w = eps or mu.
 
-    method 'numeric' uses central differences of sqrt(w) (invalid rim);
-    'closed' requires the separable factorization and evaluates
-    a_k = w_k'(x_k) / (2 w_k(x_k)) exactly; 'auto' prefers the closed form
-    for eps when factors are present.
+    For eps with separable factors, after checking that they reproduce eps,
+    a_k = w_k'(x_k) / (2 w_k(x_k)) exactly; otherwise central differences
+    of sqrt(w) (invalid rim).
     """
     if which not in ("eps", "mu"):
         raise ValueError("which must be 'eps' or 'mu'")
-    if method not in ("auto", "numeric", "closed"):
-        raise ValueError("method must be 'auto', 'numeric' or 'closed'")
-    use_closed = (which == "eps" and m.separable_eps is not None and method != "numeric")
-    if method == "closed" and not use_closed:
-        raise ValueError("closed form requires separable eps factors")
-    if use_closed:
+    if which == "eps" and m.separable_eps is not None:
+        m.check_separable(grid)
         comps = [grid.sample_axis(k, lambda x, fk=fk, dfk=dfk: np.asarray(dfk(x), dtype=complex)
                                   / (2.0 * np.asarray(fk(x), dtype=complex)))
                  for k, (fk, dfk) in enumerate(m.separable_eps)]

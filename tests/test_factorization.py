@@ -65,11 +65,14 @@ def test_riccati_gradient_pairs_with_laplacian_quotient():
 def test_riccati_vector_part_is_curl():
     g = box()
     # curl(x2 e2) = 0 even though alpha is not constant; central differences
-    # are exact on the linear factor, so both derivative paths agree
+    # are exact on the linear factor, so the spec without derivative
+    # callables agrees with the one that has them
     alf = separable_alpha(0.0, lambda x: x, 0.0,
                           derivs=(None, lambda x: np.ones_like(x), None))
-    numeric = riccati_residual(alf, 0.0, g, derivatives="numeric")
-    analytic = riccati_residual(alf, 0.0, g, derivatives="analytic")
+    alf_numeric = separable_alpha(0.0, lambda x: x, 0.0)
+    assert alf.has_exact_derivatives() and not alf_numeric.has_exact_derivatives()
+    numeric = riccati_residual(alf_numeric, 0.0, g)
+    analytic = riccati_residual(alf, 0.0, g)
     assert (numeric - analytic).linf() <= TOL
     # a non-gradient alpha has curl in the vector slot of the residual
     alf2 = axial_alpha(lambda a, b, c: b + 0j, 0.0, 0.0,
@@ -81,11 +84,33 @@ def test_riccati_vector_part_is_curl():
     assert linf(res2.data[3] + 1.0) <= TOL
 
 
-def test_riccati_requires_derivative_data_when_analytic():
-    g = box()
-    alf = separable_alpha(lambda x: 1.0 / x, 0.0, 0.0)  # no derivs supplied
-    with pytest.raises(ValueError, match="derivative"):
-        riccati_residual(alf, 0.0, g, derivatives="analytic")
+def test_d_alpha_exact_or_numeric_for_every_kind():
+    # each spec kind, with and without derivative callables: d_alpha is a
+    # field, exact when has_exact_derivatives(), else central differences
+    # that agree with it at O(h^2) on the interior
+    zeros = lambda *x: np.zeros_like(x[0])
+    pairs = (
+        (reciprocal_alpha(), separable_alpha(*reciprocal_alpha().funcs)),
+        (axial_alpha(lambda a, b, c: np.sin(b) * c + 0j, 0.5, 0.0,
+                     grad_a1=(zeros, lambda a, b, c: np.cos(b) * c,
+                              lambda a, b, c: np.sin(b))),
+         axial_alpha(lambda a, b, c: np.sin(b) * c + 0j, 0.5, 0.0)),
+        (gradient_alpha(lambda a, b, c: np.exp(a) * np.cos(b / 2),
+                        grad_phi=(lambda a, b, c: np.exp(a) * np.cos(b / 2),
+                                  lambda a, b, c: -0.5 * np.exp(a) * np.sin(b / 2), zeros),
+                        lap_phi=lambda a, b, c: 0.75 * np.exp(a) * np.cos(b / 2)),
+         gradient_alpha(lambda a, b, c: np.exp(a) * np.cos(b / 2))),
+    )
+    for exact, numeric in pairs:
+        assert exact.has_exact_derivatives() and not numeric.has_exact_derivatives()
+        errs = []
+        for n in (33, 65):
+            g = box(n)
+            d_exact, d_numeric = exact.d_alpha(g), numeric.d_alpha(g)
+            assert isinstance(d_exact, BQField) and isinstance(d_numeric, BQField)
+            assert np.all(np.isfinite(d_exact.data))
+            errs.append((d_numeric - d_exact).linf())
+        order_between(errs)
 
 
 # ------------------------------------------------------------------
@@ -187,6 +212,13 @@ def test_family_log_gradient_matches_involution():
     fam = one_component_family(reciprocal_alpha((0.0, 0.0, 0.0)))
     for k in range(4):
         assert fam.log_gradient_defect(g, k) <= TOL
+
+
+def test_family_analytic_schrodinger_requires_derivatives():
+    rec = reciprocal_alpha()
+    fam = one_component_family(separable_alpha(*rec.funcs, antiderivs=rec.antiderivs))
+    with pytest.raises(ValueError, match="derivative"):
+        fam.schrodinger_residual_analytic(box(), 0, "v")
 
 
 # ------------------------------------------------------------------

@@ -226,8 +226,10 @@ def test_general_alpha_kind():
     alf = general_alpha(lambda a, b, c: (b * c, a * c, a * b))
     x1, x2, x3 = g.mesh()
     assert linf(alf.vector_field(g).data[1] - x2 * x3) <= TOL
-    # numeric first-order derivative data: curl of this gradient field is 0
-    dal = alf.d_alpha_numeric(g)
+    # no derivative callables, so D(alpha) is central differences: the curl
+    # of this gradient field is 0
+    assert not alf.has_exact_derivatives()
+    dal = alf.d_alpha(g)
     assert linf(np.nan_to_num(dal.data[1:], nan=0.0)) <= 1e-10
     f = BQField.from_scalar(g, lambda a, b, c: a + b)
     assert np.isfinite(nabla_alpha(f, alf).linf())
