@@ -154,8 +154,9 @@ def build_solution(g: BQField, alpha: AlphaSpec) -> BQField:
 # closed-form one-component solutions
 # --------------------------------------------------------------------------
 
-# exponent signs of Lambda_j in f_k: f_k = exp(sum_j SIGNS[k][j] * Lambda_j)
-_FAMILY_SIGNS = ((-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1))
+# exponent signs of Lambda_j in f_k: f_k = exp(sum_j SIGNS[k][j] * Lambda_j),
+# the negated involution signs, so that grad(f_k)/f_k = -alpha^(k)
+_FAMILY_SIGNS = tuple(tuple(-s for s in row) for row in INVOLUTION_SIGNS)
 
 
 @dataclass(frozen=True)
@@ -185,18 +186,6 @@ class ClosedFormFamily:
     def combination(self, grid: Grid3, coeffs) -> BQField:
         cs = np.asarray(coeffs, dtype=complex)
         return BQField(grid, np.stack([cs[k] * self.f_values(grid, k) for k in range(4)]))
-
-    def log_gradient_defect(self, grid: Grid3, k: int) -> float:
-        """|| grad(f_k)/f_k + alpha^(k) ||_inf via the exact derivative
-        formula d_j f_k = s_j * a_j * f_k (pure sign algebra, so this
-        measures only the wiring of the sign patterns)."""
-        a = self.alpha.components(grid)
-        s = _FAMILY_SIGNS[k]
-        sig = INVOLUTION_SIGNS[k]
-        worst = 0.0
-        for j in range(3):
-            worst = max(worst, linf(s[j] * a[j] + sig[j] * a[j]))
-        return worst
 
     def equation_residual_analytic(self, grid: Grid3, coeffs):
         """D f + f*alpha evaluated with exact derivatives of the family,

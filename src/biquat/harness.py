@@ -284,7 +284,6 @@ def _rng(cfg: SuiteConfig, salt: int):
 # --------------------------------------------------------------------------
 
 def _exact_row(suite, check, value_linf, tol, h=None, scale=1.0, value_l2=None) -> CheckRow:
-    scale = max(scale, 1.0)
     return CheckRow(suite=suite, check=check, h=h,
                     linf=value_linf,
                     l2=value_linf if value_l2 is None else value_l2,

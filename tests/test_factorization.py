@@ -207,13 +207,6 @@ def test_family_requires_antiderivatives():
         one_component_family(alf)
 
 
-def test_family_log_gradient_matches_involution():
-    g = box()
-    fam = one_component_family(reciprocal_alpha((0.0, 0.0, 0.0)))
-    for k in range(4):
-        assert fam.log_gradient_defect(g, k) <= TOL
-
-
 def test_family_analytic_schrodinger_requires_derivatives():
     rec = reciprocal_alpha()
     fam = one_component_family(separable_alpha(*rec.funcs, antiderivs=rec.antiderivs))

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from biquat.algebra import Biquaternion
-from biquat.alpha import reciprocal_alpha
-from biquat.factorization import one_component_family
 from biquat.grid import BQField, Grid3, laplacian, linf, nabla
 from biquat.physics import (EMField, MediumFields, beltrami_field,
                             circular_wave, diagonalize_em, forcefree_split,
@@ -102,27 +100,6 @@ def test_static_residual_constant_field():
     assert static_maxwell_residual(e_const, med, which="H").linf() <= TOL
 
 
-def test_static_residual_manufactured_solution():
-    # separable eps = (x1 x2 x3)^2 has coefficient vector equal to the
-    # reciprocal alpha, whose vector one-component solutions are sourceless
-    # static fields
-    med = MediumFields(
-        eps=lambda a, b, c: (a * b * c) ** 2, mu=1.0,
-        separable_eps=tuple((lambda x: x ** 2, lambda x: 2.0 * x) for _ in range(3)))
-    from biquat.harness import _aligned_window_bounds, _windowed
-    alf = reciprocal_alpha((0.0, 0.0, 0.0))
-    fam = one_component_family(alf)
-    bounds = _aligned_window_bounds(box(17), 0.15)
-    errs = {}
-    for n in (17, 33):
-        g = box(n)
-        e_man = BQField.from_vector(g, fam.f_values(g, 1), fam.f_values(g, 2),
-                                    fam.f_values(g, 3))
-        res = _windowed(static_maxwell_residual(e_man, med, which="E"), bounds)
-        errs[n] = res.linf() / e_man.linf()
-    assert 1.7 <= math.log(errs[17] / errs[33], 2) <= 2.3
-
-
 def test_static_manufactured_source_cancels_scalar_slot():
     g = box()
     med = MediumFields(eps=2.0, mu=1.0)
@@ -182,14 +159,6 @@ def test_forcefree_split_identity_random():
     fp, fm, resid = forcefree_split(f, nu)
     assert resid <= TOL
     assert (fp + fm - f).linf() <= TOL * f.linf()
-
-
-def test_forcefree_accepts_nonzero_scalar_part():
-    g = box()
-    f = smooth_field(g, 5)
-    assert linf(f.scalar) > 0.1
-    _, _, resid = forcefree_split(f, 0.7)
-    assert resid <= TOL
 
 
 def test_beltrami_fixture():
