@@ -656,6 +656,10 @@ def check_dirac(cfg: SuiteConfig):
     for kind, name in (("scalar", "intertwining_scalar"),
                        ("electric", "intertwining_electric")):
         pot_modes = _modes(rng, n_modes=2)
+        # the transform samples the potential reflected in x3, so a
+        # potential constant in x3 would leave the reflection untested
+        if all(kv[2] == 0 for kv, _ in pot_modes):
+            pot_modes[0][0][2] = 1.0
         pot = lambda a, b, c, mm=pot_modes: np.real(_eval_modes_xyz(a, b, c, mm))
         params = dirac.DiracParams(omega=cfg.omega, m=cfg.m, kind=kind, phi=pot)
         worst = 0.0
