@@ -59,8 +59,9 @@ def qmul(p, q):
 # to the vector components (q1, q2, q3)
 INVOLUTION_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
-# relative tolerance of the package's exact classifications (vectorial,
-# zero divisor, separable factors): a few hundred ulps of a unit value
+# relative tolerance of the package's exact classifications (purely
+# vectorial, zero divisor, separable factors): rounding level for values
+# of order one
 ROUNDING_TOL = 1e-12
 
 
