@@ -3,8 +3,8 @@ zero divisors, and the projector families built from them."""
 
 import numpy as np
 
-from biquat import (Biquaternion, E0, E1, E2, E3, apply_right_projector,
-                    is_zero_divisor, split_projectors, vec_square)
+from biquat import (Biquaternion, E0, E1, E2, E3, is_zero_divisor,
+                    right_projector, split_projectors, vec_square)
 
 print("== multiplication table ==")
 print("e1*e2 =", E1 * E2)
@@ -28,10 +28,10 @@ beta = Biquaternion.vector(-1j, -2.0, 0.0)
 print("beta = -(i e1 + 2 e2): beta^2 =", vec_square(beta))
 
 print("\n== right projectors P_k^± ==")
-plus = apply_right_projector(q, 1, +1)
-minus = apply_right_projector(q, 1, -1)
+plus = q * right_projector(1, +1)
+minus = q * right_projector(1, -1)
 print("P_1^+ q + P_1^- q == q:", (plus + minus).isclose(q))
-print("P_1^+ e0 =", apply_right_projector(E0, 1, +1))
+print("P_1^+ e0 =", E0 * right_projector(1, +1))
 
 print("\n== the lam/beta splitting pair ==")
 pair = split_projectors(beta)

@@ -5,12 +5,12 @@ axial quaternionic potentials."""
 
 import numpy as np
 
-from biquat import (BQField, Grid3, axial_alpha, build_solution,
-                    constant_alpha, factorization_residual, gradient_alpha,
+from biquat import (AxialOperators, BQField, E1, Grid3, axial_alpha,
+                    build_solution, c_map, constant_alpha,
+                    factorization_residual, gradient_alpha, j_map,
                     nabla_alpha, one_component_family, pi_map, potentials,
-                    reciprocal_alpha, riccati_residual, right_inverse,
+                    q_map, reciprocal_alpha, riccati_residual, right_inverse,
                     zero_divisor_reduction)
-from biquat.factorization import axial_operators
 
 grid = Grid3.box(1.0, 2.0, 17)
 alpha = reciprocal_alpha((0.0, 0.0, 0.0))  # components 1/x_k
@@ -66,9 +66,13 @@ alf = axial_alpha(lambda a, b, c: b + 0j, 0.0, 0.0,
                   grad_a1=(lambda *x: np.zeros_like(x[0]),
                            lambda *x: np.ones_like(x[0]),
                            lambda *x: np.zeros_like(x[0])))
-ops = axial_operators(alf, grid)
+ops = AxialOperators(alf, grid)  # A, B and their combinations for this alpha
 u = BQField.from_components(grid, lambda a, b, c: np.sin(a + b), 1.0,
                             lambda a, b, c: np.cos(c), 0.0)
+# C, J, Q^± and Pi are pointwise maps that do not depend on alpha
+print(f"JC is right multiplication by i e1: "
+      f"{(j_map(c_map(u)) - u * (1j * E1)).linf():.1e}")
+print(f"Q^+ u + Q^- u = u: {(q_map(u, 1) + q_map(u, -1) - u).linf():.1e}")
 print(f"Q^± split reproduces (A + BC)u: {ops.split_identity_residual(u):.1e}")
 print(f"Pi is an involution: {(pi_map(pi_map(u)) - u).linf():.1e}")
 rep = zero_divisor_reduction(alf, grid)

@@ -9,8 +9,8 @@ machinery.  ``biquat.harness`` runs the named verification suites; the
 """
 
 from .algebra import (BASIS, E0, E1, E2, E3, Biquaternion, ProjectorPair,
-                      VectorBQ, apply_right_projector, is_zero_divisor, qmul,
-                      right_projector, split_projectors, vec_square)
+                      is_zero_divisor, qmul, right_projector, split_projectors,
+                      vec_square)
 from .alpha import (AlphaSpec, AxialAlpha, GeneralAlpha, GradientAlpha,
                     SeparableAlpha, axial_alpha, constant_alpha,
                     general_alpha, gradient_alpha, reciprocal_alpha,
@@ -23,13 +23,13 @@ from .dirac import (DiracParams, GammaSet, PseudoscalarSplit, SpinorField,
                     spinor_to_bq)
 from .factorization import (AxialOperators, ClosedFormFamily, PotentialSet,
                             ReductionReport, RightInverseResult,
-                            axial_operators, build_solution,
-                            factorization_residual, one_component_family,
-                            pi_map, potentials, riccati_residual,
-                            right_inverse, zero_divisor_reduction)
-from .grid import (BQField, Grid3, Norms, curl, divergence, grad_scalar, l2,
+                            build_solution, c_map, factorization_residual,
+                            j_map, one_component_family, pi_map, potentials,
+                            q_map, riccati_residual, right_inverse,
+                            zero_divisor_reduction)
+from .grid import (BQField, Grid3, Norms, curl, divergence, ie1_field, l2,
                    laplacian, laplacian_wide, linf, nabla, nabla_alpha, norms,
-                   partial_deriv, reflect_x3, rel_linf, sample)
+                   partial_deriv, reflect_x3, sample)
 from .physics import (EMField, MediumFields, beltrami_field, circular_wave,
                       diagonalize_em, forcefree_split, medium_alpha,
                       static_maxwell_residual, undiagonalize_em)

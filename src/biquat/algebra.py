@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "Biquaternion",
-    "VectorBQ",
     "ProjectorPair",
     "E0",
     "E1",
@@ -32,7 +31,6 @@ __all__ = [
     "vec_square",
     "is_zero_divisor",
     "right_projector",
-    "apply_right_projector",
     "split_projectors",
 ]
 
@@ -115,16 +113,6 @@ class Biquaternion:
     def q3(self) -> complex:
         return complex(self._c[3])
 
-    @property
-    def sc(self) -> complex:
-        """Scalar part q0."""
-        return self.q0
-
-    @property
-    def vec(self) -> "Biquaternion":
-        """Purely vectorial part q1*e1 + q2*e2 + q3*e3."""
-        return Biquaternion(0.0, *self._c[1:])
-
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
         if isinstance(other, Biquaternion):
@@ -173,10 +161,6 @@ class Biquaternion:
         """Quaternionic conjugate q0 - q_vec."""
         return Biquaternion(self._c[0], *(-self._c[1:]))
 
-    def conj_complex(self) -> "Biquaternion":
-        """Componentwise complex conjugate Re q - i Im q."""
-        return Biquaternion(*np.conj(self._c))
-
     def involution(self, k: int) -> "Biquaternion":
         """The involution e_k q conj(e_k); flips the two vector components
         orthogonal to e_k.  k = 0 is the identity."""
@@ -189,18 +173,10 @@ class Biquaternion:
     def abs_max(self) -> float:
         return float(np.abs(self._c).max())
 
-    def isclose(self, other: "Biquaternion", tol: float = ROUNDING_TOL) -> bool:
+    def isclose(self, other: "Biquaternion") -> bool:
+        """Equal to rounding: relative ROUNDING_TOL, scale floored at 1."""
         scale = max(1.0, self.abs_max(), other.abs_max())
-        return bool(np.abs(self._c - other._c).max() <= tol * scale)
-
-
-class VectorBQ(Biquaternion):
-    """Purely vectorial biquaternion (scalar part identically zero)."""
-
-    __slots__ = ()
-
-    def __init__(self, v1=0.0, v2=0.0, v3=0.0):
-        super().__init__(0.0, v1, v2, v3)
+        return bool(np.abs(self._c - other._c).max() <= ROUNDING_TOL * scale)
 
 
 E0 = Biquaternion(1, 0, 0, 0)
@@ -248,11 +224,6 @@ def right_projector(k: int, sign: int) -> Biquaternion:
     c[0] = 0.5
     c[k] = 0.5j * sign
     return Biquaternion(*c)
-
-
-def apply_right_projector(q: Biquaternion, k: int, sign: int) -> Biquaternion:
-    """P_k^(sign) q = q * (1 + sign*i*e_k)/2."""
-    return q * right_projector(k, sign)
 
 
 @dataclass(frozen=True)

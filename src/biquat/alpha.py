@@ -48,8 +48,6 @@ def _check_finite(arrays, what="alpha"):
 class AlphaSpec:
     """Base interface; concrete kinds implement components()."""
 
-    kind = "general"
-
     def components(self, grid: Grid3):
         """Three complex arrays (a1, a2, a3) sampled on the grid."""
         raise NotImplementedError
@@ -77,8 +75,6 @@ class AlphaSpec:
 
 
 class SeparableAlpha(AlphaSpec):
-    kind = "separable"
-
     def __init__(self, funcs, derivs=None, antiderivs=None):
         self.funcs = tuple(funcs)
         self.derivs = tuple(derivs) if derivs is not None else (None, None, None)
@@ -119,8 +115,6 @@ class SeparableAlpha(AlphaSpec):
 
 
 class AxialAlpha(AlphaSpec):
-    kind = "axial"
-
     def __init__(self, a1: Callable, a2: complex, a3: complex, grad_a1=None):
         self.a1 = a1
         self.a2 = complex(a2)
@@ -147,11 +141,6 @@ class AxialAlpha(AlphaSpec):
         a1 = sample(grid, self.a1)
         return tuple(partial_deriv(a1, grid, k) for k in range(3))
 
-    def d_alpha1(self, grid: Grid3) -> BQField:
-        """D applied to the scalar function a1: the vector field grad a1."""
-        g1, g2, g3 = self.grad_a1_components(grid)
-        return BQField.from_vector(grid, g1, g2, g3)
-
     def d_alpha(self, grid: Grid3) -> BQField:
         # D(a1 e1) = (D a1) e1; a numeric gradient carries an invalid rim
         g1, g2, g3 = self.grad_a1_components(grid)
@@ -159,8 +148,6 @@ class AxialAlpha(AlphaSpec):
 
 
 class GradientAlpha(AlphaSpec):
-    kind = "gradient"
-
     def __init__(self, phi: Callable, grad_phi=None, lap_phi=None):
         self.phi = phi
         self.grad_phi = tuple(grad_phi) if grad_phi is not None else None
@@ -202,8 +189,6 @@ class GradientAlpha(AlphaSpec):
 
 
 class GeneralAlpha(AlphaSpec):
-    kind = "general"
-
     def __init__(self, fn: Callable):
         self.fn = fn
 

@@ -19,14 +19,14 @@ alpha through their x3-reflected samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .algebra import Biquaternion, qmul, right_projector, split_projectors
-from .grid import (BQField, Field4, Grid3, nabla, partial_deriv, reflect_x3,
-                   sample)
+from .grid import (BQField, Field4, Grid3, ie1_field, nabla, nabla_alpha,
+                   partial_deriv, reflect_x3, sample)
 
 __all__ = [
     "SpinorField",
@@ -210,7 +210,7 @@ def intertwining_residual(phi: SpinorField, p: DiracParams, g: GammaSet):
     grid = phi.grid
     alpha = equivalent_alpha(p, grid)
     f = spinor_to_bq(phi)
-    lhs = nabla(f) + f * alpha
+    lhs = nabla_alpha(f, alpha)
     rhs = spinor_to_bq(apply_dirac(phi, p, g).apply_matrix(g.volume))
     res = lhs - rhs
     scale = max(lhs.linf(), rhs.linf())
@@ -221,46 +221,32 @@ def intertwining_residual(phi: SpinorField, p: DiracParams, g: GammaSet):
 # pseudoscalar four-way splitting
 # --------------------------------------------------------------------------
 
-def _ie1_field(grid: Grid3, c: np.ndarray) -> BQField:
-    """The field c * i e1 for a complex scalar array c of shape grid.shape."""
-    ie1 = np.array([0, 1j, 0, 0], dtype=complex).reshape(4, 1, 1, 1)
-    return BQField(grid, c[np.newaxis] * ie1)
-
-
 @dataclass
 class PseudoscalarSplit:
     """The four projections f * s_b * p_a (the beta splitting applied
     first, then the e1 projector).
 
-    Part ``p_s`` carries the sign pair (P-sign, S-sign); the parts sum to f
-    exactly.  When f solves (D + nu + M^beta) f = 0, the part with signs
-    (a, b) solves (D + a * M^{(nu + b*lam) i e1}) part = 0.  The two
-    projector families do not commute when beta has components orthogonal
-    to e1; the composition order here is the one under which the four
-    diagonal equations hold.
+    ``parts`` maps the sign pair (P-sign, S-sign) to its part; the parts
+    sum to f exactly.  When f solves (D + nu + M^beta) f = 0, the part
+    with signs (a, b) solves (D + a * M^{(nu + b*lam) i e1}) part = 0.
+    The two projector families do not commute when beta has components
+    orthogonal to e1; the composition order here is the one under which
+    the four diagonal equations hold.
     """
 
-    pp: BQField
-    mp: BQField
-    pm: BQField
-    mm: BQField
+    parts: dict
     lam: complex
     nu: np.ndarray
-    beta: Biquaternion
-    parts: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.parts = {(1, 1): self.pp, (-1, 1): self.mp,
-                      (1, -1): self.pm, (-1, -1): self.mm}
 
     def recombined(self) -> BQField:
-        return self.pp + self.mp + self.pm + self.mm
+        pp, mp, pm, mm = self.parts.values()
+        return pp + mp + pm + mm
 
     def part_residual(self, p_sign: int, s_sign: int) -> BQField:
         """(D + p_sign * M^{(nu + s_sign*lam) i e1}) applied to the part."""
         part = self.parts[(p_sign, s_sign)]
-        mult = _ie1_field(part.grid, self.nu + s_sign * self.lam)
-        return nabla(part) + float(p_sign) * (part * mult)
+        mult = ie1_field(part.grid, p_sign * (self.nu + s_sign * self.lam))
+        return nabla_alpha(part, mult)
 
 
 def pseudoscalar_split(f: BQField, nu, beta: Biquaternion) -> PseudoscalarSplit:
@@ -275,10 +261,9 @@ def pseudoscalar_split(f: BQField, nu, beta: Biquaternion) -> PseudoscalarSplit:
     p_plus, p_minus = right_projector(1, 1), right_projector(1, -1)
     f_p = f * pair.plus
     f_m = f * pair.minus
-    return PseudoscalarSplit(
-        pp=f_p * p_plus, mp=f_p * p_minus,
-        pm=f_m * p_plus, mm=f_m * p_minus,
-        lam=pair.lam, nu=nu_arr, beta=beta)
+    parts = {(1, 1): f_p * p_plus, (-1, 1): f_p * p_minus,
+             (1, -1): f_m * p_plus, (-1, -1): f_m * p_minus}
+    return PseudoscalarSplit(parts=parts, lam=pair.lam, nu=nu_arr)
 
 
 def pseudoscalar_identity_residual(f: BQField, nu, beta: Biquaternion):
@@ -292,13 +277,14 @@ def pseudoscalar_identity_residual(f: BQField, nu, beta: Biquaternion):
     pair = split_projectors(beta)
     grid = f.grid
     nu_arr = sample(grid, nu)
-    lhs = nabla(f) + nu_arr * f + f * beta
+    df = nabla(f)
+    lhs = df + nu_arr * f + f * beta
     rhs = BQField.zeros(grid)
     for a in (1, -1):
         p_mult = right_projector(1, a)
         for b, s_mult in ((1, pair.plus), (-1, pair.minus)):
-            c_field = _ie1_field(grid, nu_arr + b * pair.lam)
-            term = nabla(f) + float(a) * (f * c_field)
+            c_field = ie1_field(grid, nu_arr + b * pair.lam)
+            term = df + float(a) * (f * c_field)
             rhs = rhs + (term * p_mult) * s_mult
     res = lhs - rhs
     return res, max(lhs.linf(), rhs.linf())

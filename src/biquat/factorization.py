@@ -7,8 +7,13 @@ componentwise diagonalization for separable alpha (potentials v_k, w_k),
 closed-form one-component solution families, a right inverse of
 D + M^alpha built from four Dirichlet solves by per-axis diagonalization
 (sparse LU only for an ill-conditioned eigenvector basis), and the
-quaternionic-potential machinery for axial alpha (the C/J/Q/Pi operators
-and the zero-divisor reductions to scalar equations).
+quaternionic-potential machinery for axial alpha: the alpha-free pointwise
+maps C, J, Q^± and Pi (``c_map``, ``j_map``, ``q_map``, ``pi_map``), the
+alpha-dependent operators in ``AxialOperators`` and the zero-divisor
+reductions to scalar equations.
+
+The factor D + M^alpha is ``grid.nabla_alpha``; D - M^alpha is
+``build_solution``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ __all__ = [
     "RightInverseResult",
     "right_inverse",
     "AxialOperators",
-    "axial_operators",
+    "c_map",
+    "j_map",
+    "q_map",
     "pi_map",
     "ReductionReport",
     "zero_divisor_reduction",
@@ -172,11 +179,8 @@ class ClosedFormFamily:
 
     alpha: SeparableAlpha
 
-    def _lambdas(self, grid: Grid3):
-        return self.alpha.antideriv_components(grid)
-
     def f_values(self, grid: Grid3, k: int) -> np.ndarray:
-        l1, l2, l3 = self._lambdas(grid)
+        l1, l2, l3 = self.alpha.antideriv_components(grid)
         s = _FAMILY_SIGNS[k]
         return np.exp(s[0] * l1 + s[1] * l2 + s[2] * l3)
 
@@ -219,17 +223,18 @@ class ClosedFormFamily:
             raise ValueError("analytic residual requires derivative callables")
         a = self.alpha.components(grid)
         da = self.alpha.deriv_components(grid)
-        pots = potentials(self.alpha, grid)
+        d_inv = d_alpha_involution(da, k)
+        asq = self.alpha.alpha_sq(grid)
         s = _FAMILY_SIGNS[k]
         if which == "v":
             vals = self.phi_values(grid, k)
             # d_j phi = -s_j a_j phi  ->  d_j^2 phi = (-s_j a_j' + a_j^2) phi
             lap_factor = sum(-s[j] * da[j] + a[j] ** 2 for j in range(3))
-            pot = pots.v[k]
+            pot = -d_inv - asq  # v_k, as in potentials()
         else:
             vals = self.f_values(grid, k)
             lap_factor = sum(s[j] * da[j] + a[j] ** 2 for j in range(3))
-            pot = pots.w[k]
+            pot = d_inv - asq   # w_k
         res = -lap_factor * vals + pot * vals
         # scale by the magnitude of the terms entering the cancellation, not
         # by their (identically vanishing) sum
@@ -376,37 +381,45 @@ def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v") -> RightInve
 # axial alpha: quaternionic-potential operators
 # --------------------------------------------------------------------------
 
-def _c_map(u: BQField) -> BQField:
-    # -e1 u e1: flips the signs of the e2 and e3 components
+# The pointwise maps C, J, Q^± and Pi do not depend on alpha.
+
+def c_map(u: BQField) -> BQField:
+    """C u = -e1 u e1: flips the signs of the e2 and e3 components."""
     data = u.data.copy()
     data[2] = -data[2]
     data[3] = -data[3]
     return BQField(u.grid, data)
 
 
-def _j_map(u: BQField) -> BQField:
-    # left multiplication by i e1
+def j_map(u: BQField) -> BQField:
+    """J u = i e1 u (left multiplication)."""
     u0, u1, u2, u3 = u.data
     return BQField(u.grid, np.stack([-1j * u1, 1j * u0, -1j * u3, 1j * u2]))
 
 
+def q_map(u: BQField, sign: int) -> BQField:
+    """Q^± u = (u ± JC u)/2; Q^+ + Q^- = I."""
+    return 0.5 * (u + float(sign) * j_map(c_map(u)))
+
+
 def pi_map(u: BQField) -> BQField:
-    """The involution (1/2)(I + ie1 - C + ie1 C) with C u = -e1 u e1.
+    """The involution (1/2)(I + J - C + JC).
 
     For axial alpha whose varying component does not depend on x1, this
     maps solutions of the quaternionic Schrodinger equation (A + BC)u = 0
     one-to-one onto solutions of the diagonal '+' equation.
     """
-    cu = _c_map(u)
-    return 0.5 * (u + _j_map(u) - cu + _j_map(cu))
+    cu = c_map(u)
+    return 0.5 * (u + j_map(u) - cu + j_map(cu))
 
 
 class AxialOperators:
-    """Operator bundle for alpha = a1(x) e1 + a2 e2 + a3 e3.
+    """The alpha-dependent operators for alpha = a1(x) e1 + a2 e2 + a3 e3.
 
     A u = -lap u - alpha**2 u, B u = -(D alpha) u (left multiplication),
-    C u = -e1 u e1, J u = i e1 u, Q^± = (I ± JC)/2, and the second-order
-    factor product D_alpha D_{-alpha} = A + BC.
+    the second-order factor product D_alpha D_{-alpha} = A + BC and the
+    diagonal pair A ± BJ, with C, J and Q^± the module-level maps
+    ``c_map``, ``j_map`` and ``q_map``.
     """
 
     def __init__(self, alpha: AxialAlpha, grid: Grid3):
@@ -415,18 +428,11 @@ class AxialOperators:
         self.alpha = alpha
         self.grid = grid
         self.alpha_sq = alpha.alpha_sq(grid)
-        self.d_alpha1 = alpha.d_alpha1(grid)        # grad a1 as a vector field
-        self.b_mult = -1.0 * alpha.d_alpha(grid)    # -(D alpha) = -(D a1) e1
-
-    # pointwise maps
-    def c(self, u: BQField) -> BQField:
-        return _c_map(u)
-
-    def j(self, u: BQField) -> BQField:
-        return _j_map(u)
-
-    def q(self, u: BQField, sign: int) -> BQField:
-        return 0.5 * (u + float(sign) * _j_map(_c_map(u)))
+        # grad a1, sampled once for both multipliers
+        g1, g2, g3 = alpha.grad_a1_components(grid)
+        self.d_alpha1 = BQField.from_vector(grid, g1, g2, g3)
+        # -(D alpha) = -(D a1) e1 = g1 - g3 e2 + g2 e3
+        self.b_mult = BQField.from_components(grid, g1, 0.0, -g3, g2)
 
     def a(self, u: BQField, wide: bool = False) -> BQField:
         lap = laplacian_wide(u) if wide else laplacian(u)
@@ -437,22 +443,17 @@ class AxialOperators:
 
     def abc(self, u: BQField, wide: bool = False) -> BQField:
         """(A + BC) u."""
-        return self.a(u, wide) + self.b(_c_map(u))
+        return self.a(u, wide) + self.b(c_map(u))
 
-    def schro(self, u: BQField, sign: int, wide: bool = False) -> BQField:
+    def schro(self, u: BQField, sign: int) -> BQField:
         """(A ± B J) u = -lap u - (alpha**2 ∓ i D a1) u, the diagonal pair."""
-        return self.a(u, wide) + float(sign) * 1j * (self.d_alpha1 * u)
-
-    def split(self, u: BQField):
-        """u = Q^+ u + Q^- u (exact)."""
-        return self.q(u, 1), self.q(u, -1)
+        return self.a(u) + float(sign) * 1j * (self.d_alpha1 * u)
 
     def split_identity_residual(self, u: BQField) -> float:
         """Relative defect of (A + BC)u = (A + BJ)Q^+u + (A - BJ)Q^-u,
         an exact pointwise operator identity."""
         lhs = self.abc(u)
-        v, w = self.split(u)
-        rhs = self.schro(v, 1) + self.schro(w, -1)
+        rhs = self.schro(q_map(u, 1), 1) + self.schro(q_map(u, -1), -1)
         return (lhs - rhs).linf() / max(lhs.linf(), 1e-300)
 
     def factq_residual(self, u: BQField, wide: bool = True):
@@ -467,10 +468,6 @@ class AxialOperators:
         lhs = factored_product(u, self.alpha)
         rhs = self.abc(u, wide=wide)
         return lhs - rhs, max(lhs.linf(), rhs.linf(), 1e-300)
-
-
-def axial_operators(alpha: AxialAlpha, grid: Grid3) -> AxialOperators:
-    return AxialOperators(alpha, grid)
 
 
 # --------------------------------------------------------------------------

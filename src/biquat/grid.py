@@ -23,19 +23,18 @@ __all__ = [
     "Norms",
     "sample",
     "partial_deriv",
-    "grad_scalar",
     "divergence",
     "curl",
     "nabla",
     "as_alpha_field",
     "nabla_alpha",
+    "ie1_field",
     "laplacian",
     "laplacian_wide",
     "reflect_x3",
     "linf",
     "l2",
     "norms",
-    "rel_linf",
 ]
 
 
@@ -103,11 +102,6 @@ class Grid3:
         shape = [1, 1, 1]
         shape[k] = self.shape[k]
         return np.broadcast_to(vals, x.shape).reshape(shape)
-
-    @property
-    def node_count(self) -> int:
-        n1, n2, n3 = self.shape
-        return n1 * n2 * n3
 
     @property
     def cell_volume(self) -> float:
@@ -297,12 +291,6 @@ def norms(a, grid: Grid3 | None = None) -> Norms:
     return Norms(linf(a), l2(a, grid))
 
 
-def rel_linf(residual, *references) -> float:
-    """L-inf norm of the residual divided by the largest reference norm."""
-    scale = max([linf(r) for r in references], default=1.0)
-    return linf(residual) / max(scale, 1e-300)
-
-
 # --------------------------------------------------------------------------
 # discrete operators
 # --------------------------------------------------------------------------
@@ -321,10 +309,6 @@ def partial_deriv(arr: np.ndarray, grid: Grid3, axis: int) -> np.ndarray:
     sl[spatial_axis] = -1
     out[tuple(sl)] = np.nan
     return out
-
-
-def grad_scalar(arr: np.ndarray, grid: Grid3):
-    return tuple(partial_deriv(arr, grid, k) for k in range(3))
 
 
 def divergence(v1, v2, v3, grid: Grid3) -> np.ndarray:
@@ -350,7 +334,7 @@ def nabla(f: BQField) -> BQField:
     g = f.grid
     f0, f1, f2, f3 = f.data
     d = -divergence(f1, f2, f3, g)
-    g1, g2, g3 = grad_scalar(f0, g)
+    g1, g2, g3 = (partial_deriv(f0, g, k) for k in range(3))
     c1, c2, c3 = curl(f1, f2, f3, g)
     return BQField(g, np.stack([d, g1 + c1, g2 + c2, g3 + c3]))
 
@@ -373,39 +357,41 @@ def nabla_alpha(f: BQField, alpha) -> BQField:
     return nabla(f) + f * as_alpha_field(alpha, f.grid)
 
 
-def laplacian(f: BQField) -> BQField:
-    """Componentwise 7-point Laplacian; one-node rim invalidated."""
+def ie1_field(grid: Grid3, c) -> BQField:
+    """The multiplier field c * i e1 for a complex scalar (array or constant) c."""
+    data = np.zeros((4, *grid.shape), dtype=complex)
+    data[1] = 1j * c
+    return BQField(grid, data)
+
+
+def _second_difference(f: BQField, step: int) -> BQField:
+    """Componentwise sum of the second differences over +-step nodes,
+    divided by (step*h)**2; a rim of step nodes invalidated."""
     g = f.grid
     data = f.data
+    inner = slice(step, -step)
     out = np.full_like(data, np.nan)
-    c = data[:, 1:-1, 1:-1, 1:-1]
+    c = data[:, inner, inner, inner]
     acc = np.zeros_like(c)
     for axis, h in enumerate(g.spacing):
-        sl_p = [slice(None), slice(1, -1), slice(1, -1), slice(1, -1)]
-        sl_m = [slice(None), slice(1, -1), slice(1, -1), slice(1, -1)]
-        sl_p[axis + 1] = slice(2, None)
-        sl_m[axis + 1] = slice(0, -2)
-        acc = acc + (data[tuple(sl_p)] - 2 * c + data[tuple(sl_m)]) / h ** 2
-    out[:, 1:-1, 1:-1, 1:-1] = acc
+        sl_p = [slice(None), inner, inner, inner]
+        sl_m = [slice(None), inner, inner, inner]
+        sl_p[axis + 1] = slice(2 * step, None)
+        sl_m[axis + 1] = slice(0, -2 * step)
+        acc = acc + (data[tuple(sl_p)] - 2 * c + data[tuple(sl_m)]) / (step * h) ** 2
+    out[:, inner, inner, inner] = acc
     return BQField(g, out)
+
+
+def laplacian(f: BQField) -> BQField:
+    """Componentwise 7-point Laplacian; one-node rim invalidated."""
+    return _second_difference(f, 1)
 
 
 def laplacian_wide(f: BQField) -> BQField:
     """Laplacian on the doubled-spacing stencil (what nabla(nabla(.)) sees
     on the diagonal); two-node rim invalidated."""
-    g = f.grid
-    data = f.data
-    out = np.full_like(data, np.nan)
-    c = data[:, 2:-2, 2:-2, 2:-2]
-    acc = np.zeros_like(c)
-    for axis, h in enumerate(g.spacing):
-        sl_p = [slice(None), slice(2, -2), slice(2, -2), slice(2, -2)]
-        sl_m = [slice(None), slice(2, -2), slice(2, -2), slice(2, -2)]
-        sl_p[axis + 1] = slice(4, None)
-        sl_m[axis + 1] = slice(0, -4)
-        acc = acc + (data[tuple(sl_p)] - 2 * c + data[tuple(sl_m)]) / (2 * h) ** 2
-    out[:, 2:-2, 2:-2, 2:-2] = acc
-    return BQField(g, out)
+    return _second_difference(f, 2)
 
 
 def reflect_x3(f: Field4) -> Field4:

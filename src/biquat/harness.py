@@ -498,16 +498,17 @@ def check_algebra(cfg: SuiteConfig):
                       grad_a1=(lambda *x: np.zeros_like(x[0]),
                                lambda *x: np.ones_like(x[0]),
                                lambda *x: np.zeros_like(x[0])))
-    ops = fz.axial_operators(alf, grid)
+    ops = fz.AxialOperators(alf, grid)
+    c_map, j_map, q_map = fz.c_map, fz.j_map, fz.q_map
     scale = u.linf()
     defect = max(
-        (ops.c(ops.c(u)) - u).linf(),
-        (ops.j(ops.j(u)) - u).linf(),
-        (ops.c(ops.j(u)) - ops.j(ops.c(u))).linf(),
-        (ops.q(ops.q(u, 1), 1) - ops.q(u, 1)).linf(),
-        (ops.q(u, 1) + ops.q(u, -1) - u).linf(),
+        (c_map(c_map(u)) - u).linf(),
+        (j_map(j_map(u)) - u).linf(),
+        (c_map(j_map(u)) - j_map(c_map(u))).linf(),
+        (q_map(q_map(u, 1), 1) - q_map(u, 1)).linf(),
+        (q_map(u, 1) + q_map(u, -1) - u).linf(),
         (fz.pi_map(fz.pi_map(u)) - u).linf(),
-        (ops.q(ops.b(u), 1) - ops.b(ops.q(u, 1))).linf(),
+        (q_map(ops.b(u), 1) - ops.b(q_map(u, 1))).linf(),
     )
     rows.append(_exact_row(s, "axial_operator_identities", defect / max(scale, 1.0), tol))
     return rows
@@ -1078,7 +1079,7 @@ def check_axial(cfg: SuiteConfig):
     # alpha1 = x2: D a1 = e2 and the diagonal '+' potential is x2^2 + i e2
     alf_x2 = axial_alpha(lambda a, b, c: b + 0j, 0.0, 0.0,
                          grad_a1=(zeros, ones, zeros))
-    ops = fz.axial_operators(alf_x2, g_coarse)
+    ops = fz.AxialOperators(alf_x2, g_coarse)
     u = _smooth_bq(g_coarse, rng)
 
     resid = ops.split_identity_residual(u)
@@ -1090,7 +1091,7 @@ def check_axial(cfg: SuiteConfig):
     # product identity: exact for constant a1 on quadratics (wide Laplacian)
     alf_c = axial_alpha(lambda a, b, c: (0.4 - 0.3j) * np.ones_like(a), 0.2, -0.1j,
                         grad_a1=(zeros, zeros, zeros))
-    ops_c = fz.axial_operators(alf_c, g_coarse)
+    ops_c = fz.AxialOperators(alf_c, g_coarse)
     quad = BQField.from_components(g_coarse,
                                    lambda a, b, c: a * b, lambda a, b, c: b * c,
                                    lambda a, b, c: a ** 2 - c ** 2,
@@ -1102,7 +1103,7 @@ def check_axial(cfg: SuiteConfig):
     bq_modes = _bq_modes(_modes(rng), _rng(cfg, 71))
     def factq_x2(g):
         ug = _eval_bq(g, bq_modes)
-        res, scale = fz.axial_operators(alf_x2, g).factq_residual(ug, wide=False)
+        res, scale = fz.AxialOperators(alf_x2, g).factq_residual(ug, wide=False)
         return res * (1.0 / scale)
     rows.append(_order_check(s, "factq_x2_order", grids, factq_x2, cfg))
 
@@ -1128,13 +1129,12 @@ def check_axial(cfg: SuiteConfig):
         return BQField.from_components(g, 0.0, 0.0, fval, 1j * fval)
     def pi_correspondence(g):
         uu = fz.pi_map(null_v(g))
-        return fz.axial_operators(alf_null, g).abc(uu), max(laplacian(uu).linf(), 1.0)
+        return fz.AxialOperators(alf_null, g).abc(uu), max(laplacian(uu).linf(), 1.0)
     rows.append(_order_check(s, "pi_correspondence_order", grids, pi_correspondence, cfg,
                              window=0.15))
     def conjugate_pair(g):
-        ops_g = fz.axial_operators(alf_null, g)
-        w = ops_g.j(null_v(g))
-        return ops_g.schro(w, -1), max(laplacian(w).linf(), 1.0)
+        w = fz.j_map(null_v(g))
+        return fz.AxialOperators(alf_null, g).schro(w, -1), max(laplacian(w).linf(), 1.0)
     rows.append(_order_check(s, "conjugate_pair_order", grids, conjugate_pair, cfg,
                              window=0.15))
 
@@ -1151,7 +1151,7 @@ def check_axial(cfg: SuiteConfig):
 
     # case i closes exactly: v = (-1 + i e2) (x1 x2) is harmonic and the
     # potential term annihilates it pointwise
-    ops_tan = fz.axial_operators(alf_tan, g_coarse)
+    ops_tan = fz.AxialOperators(alf_tan, g_coarse)
     gharm = x1 * x2
     v_i = BQField.from_components(g_coarse, -gharm, 0.0, 1j * gharm, 0.0)
     res = ops_tan.schro(v_i, +1)
@@ -1161,7 +1161,7 @@ def check_axial(cfg: SuiteConfig):
     # case ii closes at O(h^2): v = (D a1) f with the null-direction f
     def case_ii(g):
         v = null_v(g)
-        return fz.axial_operators(alf_null, g).schro(v, +1), max(laplacian(v).linf(), 1.0)
+        return fz.AxialOperators(alf_null, g).schro(v, +1), max(laplacian(v).linf(), 1.0)
     rows.append(_order_check(s, "reduction_case_ii_order", grids, case_ii, cfg,
                              window=0.15))
 
@@ -1169,7 +1169,7 @@ def check_axial(cfg: SuiteConfig):
     def case_iii(g):
         fval = np.exp(-g.mesh()[1] ** 2 / 2.0)
         v3 = BQField.from_components(g, fval, 0.0, -1j * fval, 0.0)
-        return fz.axial_operators(alf_x2, g).schro(v3, +1), max(laplacian(v3).linf(), 1.0)
+        return fz.AxialOperators(alf_x2, g).schro(v3, +1), max(laplacian(v3).linf(), 1.0)
     rows.append(_order_check(s, "reduction_case_iii_order", grids, case_iii, cfg))
     return rows
 

@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .algebra import ROUNDING_TOL, right_projector
-from .grid import BQField, Grid3, linf, nabla, partial_deriv, sample
+from .grid import (BQField, Grid3, ie1_field, linf, nabla, nabla_alpha,
+                   partial_deriv, sample)
 
 __all__ = [
     "MediumFields",
@@ -109,27 +110,18 @@ def static_maxwell_residual(scaled: BQField, m: MediumFields, which: str = "E",
     (scaled = sqrt(mu)*H):  (D + M^mu_vec) H_s - sqrt(mu)*j with the vector
     current j subtracted componentwise.  Zero for exact solutions.
     """
+    if which not in ("E", "H"):
+        raise ValueError("which must be 'E' or 'H'")
     grid = scaled.grid
-    if which == "E":
-        avec = medium_alpha(m, grid, "eps")
-        res = nabla(scaled) + scaled * avec
-        if rho is not None:
-            src = sample(grid, rho) / np.sqrt(m.eps_values(grid))
-            data = res.data.copy()
-            data[0] = data[0] + src
-            res = BQField(grid, data)
-        return res
-    if which == "H":
-        avec = medium_alpha(m, grid, "mu")
-        res = nabla(scaled) + scaled * avec
-        if current is not None:
-            root = np.sqrt(m.mu_values(grid))
-            data = res.data.copy()
-            for k in range(3):
-                data[k + 1] = data[k + 1] - root * sample(grid, current[k])
-            res = BQField(grid, data)
-        return res
-    raise ValueError("which must be 'E' or 'H'")
+    res = nabla_alpha(scaled, medium_alpha(m, grid, "eps" if which == "E" else "mu"))
+    # the sources are added in place: res is a fresh field
+    if which == "E" and rho is not None:
+        res.data[0] += sample(grid, rho) / np.sqrt(m.eps_values(grid))
+    if which == "H" and current is not None:
+        root = np.sqrt(m.mu_values(grid))
+        for k in range(3):
+            res.data[k + 1] -= root * sample(grid, current[k])
+    return res
 
 
 def diagonalize_em(e: BQField, h: BQField):
@@ -160,9 +152,9 @@ def forcefree_split(f: BQField, nu):
     nu_arr = sample(grid, nu)
     f_plus = f * right_projector(1, 1)
     f_minus = f * right_projector(1, -1)
-    mult = BQField.from_vector(grid, 1j * nu_arr, 0.0, 0.0)
+    mult = ie1_field(grid, nu_arr)
     lhs = nabla(f) + nu_arr * f
-    rhs = (nabla(f_plus) + f_plus * mult) + (nabla(f_minus) - f_minus * mult)
+    rhs = nabla_alpha(f_plus, mult) + nabla_alpha(f_minus, -mult)
     scale = max(lhs.linf(), 1e-300)
     residual = (lhs - rhs).linf() / scale
     return f_plus, f_minus, residual

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v` (one PASSED/FAILED line per
 criterion) or `-s` to see the explicit ACCEPTANCE lines as well.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -12,6 +13,10 @@ import pytest
 from biquat.harness import SuiteConfig, run_suite
 
 WINDOW = (1.7, 2.3)
+
+# sha256 of the `verify all --seed 1234` CSV at the default grids: a change
+# that leaves the numerics alone keeps it; a change to any row updates it
+REPORT_SHA256 = "43b9586a3cf92dfadae3ebe26387370416b8155235da0641671f534a9e3ce02a"
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +166,9 @@ def test_full_suite_green_within_wall_target(full_report):
     _announce("all", ok,
               f"{full_report.n_pass} checks pass, wall {full_report.wall_time:.1f}s < 30s"
               + (f"; failing: {', '.join(failing)}" if failing else ""))
+
+
+def test_report_csv_byte_identical(full_report, tmp_path):
+    path = tmp_path / "report.csv"
+    full_report.write_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256

@@ -5,7 +5,8 @@ import pytest
 
 from biquat.algebra import Biquaternion, E0, E1, E2
 from biquat.alpha import axial_alpha, constant_alpha
-from biquat.factorization import (axial_operators, pi_map,
+from biquat.alpha import AxialAlpha
+from biquat.factorization import (AxialOperators, c_map, j_map, pi_map, q_map,
                                   zero_divisor_reduction)
 from biquat.grid import BQField, Grid3, laplacian, linf
 from biquat.harness import _aligned_window_bounds, _windowed
@@ -55,37 +56,35 @@ def null_direction_solution(grid):
 
 def test_operator_algebra_exact():
     g = box()
-    ops = axial_operators(alpha_x2(), g)
+    ops = AxialOperators(alpha_x2(), g)
     u = smooth_field(g, 1)
     s = u.linf()
-    assert (ops.c(ops.c(u)) - u).linf() <= TOL * s
-    assert (ops.j(ops.j(u)) - u).linf() <= TOL * s
-    assert (ops.c(ops.j(u)) - ops.j(ops.c(u))).linf() <= TOL * s
-    assert (ops.q(ops.q(u, 1), 1) - ops.q(u, 1)).linf() <= TOL * s
-    assert (ops.q(ops.q(u, 1), -1)).linf() <= TOL * s
-    assert (ops.q(u, 1) + ops.q(u, -1) - u).linf() <= TOL * s
-    assert (ops.q(ops.b(u), 1) - ops.b(ops.q(u, 1))).linf() <= TOL * ops.b(u).linf()
+    assert (c_map(c_map(u)) - u).linf() <= TOL * s
+    assert (j_map(j_map(u)) - u).linf() <= TOL * s
+    assert (c_map(j_map(u)) - j_map(c_map(u))).linf() <= TOL * s
+    assert (q_map(q_map(u, 1), 1) - q_map(u, 1)).linf() <= TOL * s
+    assert (q_map(q_map(u, 1), -1)).linf() <= TOL * s
+    assert (q_map(u, 1) + q_map(u, -1) - u).linf() <= TOL * s
+    assert (q_map(ops.b(u), 1) - ops.b(q_map(u, 1))).linf() <= TOL * ops.b(u).linf()
 
 
 def test_c_map_is_e1_sandwich():
     g = box(5)
-    ops = axial_operators(alpha_x2(), g)
     u = smooth_field(g, 2)
     sandwich = -1.0 * (E1 * u * E1)
-    assert (ops.c(u) - sandwich).linf() <= TOL * u.linf()
+    assert (c_map(u) - sandwich).linf() <= TOL * u.linf()
 
 
 def test_jc_is_right_multiplication_by_ie1():
     g = box(5)
-    ops = axial_operators(alpha_x2(), g)
     u = smooth_field(g, 3)
     rhs = u * Biquaternion(0, 1j, 0, 0)
-    assert (ops.j(ops.c(u)) - rhs).linf() <= TOL * u.linf()
+    assert (j_map(c_map(u)) - rhs).linf() <= TOL * u.linf()
 
 
 def test_requires_axial_alpha():
     with pytest.raises(ValueError, match="axial"):
-        axial_operators(constant_alpha(1, 0, 0), box())
+        AxialOperators(constant_alpha(1, 0, 0), box())
     with pytest.raises(ValueError, match="axial"):
         zero_divisor_reduction(constant_alpha(1, 0, 0), box())
 
@@ -93,7 +92,7 @@ def test_requires_axial_alpha():
 def test_diagonal_plus_potential_value():
     # for a1 = x2 the '+' equation potential -(alpha^2 - i D a1) = x2^2 + i e2
     g = box()
-    ops = axial_operators(alpha_x2(), g)
+    ops = AxialOperators(alpha_x2(), g)
     x2 = g.mesh()[1]
     assert linf(-ops.alpha_sq - x2 ** 2) <= TOL
     assert (ops.d_alpha1 - BQField.constant(g, E2)).linf() <= TOL
@@ -108,7 +107,27 @@ def test_pi_involution_and_unit_value():
     want = 0.5 * (E0 + Biquaternion(0, 1j, 0, 0) * E0 - (-1.0) * (E1 * E0 * E1)
                   + Biquaternion(0, 1j, 0, 0) * (-1.0) * (E1 * E0 * E1))
     assert (pi_map(e0_field) - BQField.constant(g, want)).linf() <= TOL
-    assert want.isclose(Biquaternion(0, 1j, 0, 0), TOL)
+    assert want.isclose(Biquaternion(0, 1j, 0, 0))
+
+
+def test_bundle_samples_the_gradient_once(monkeypatch):
+    # grad a1 feeds both d_alpha1 and the B multiplier: one sampling
+    calls = []
+    original = AxialAlpha.grad_a1_components
+
+    def counted(self, grid):
+        calls.append(grid)
+        return original(self, grid)
+
+    monkeypatch.setattr(AxialAlpha, "grad_a1_components", counted)
+    g = box()
+    for alf in (alpha_x2(), axial_alpha(lambda a, b, c: np.sin(a * b) + 0j, 0.3, 0.0)):
+        calls.clear()
+        ops = AxialOperators(alf, g)
+        assert len(calls) == 1
+        # the two multipliers agree with D(alpha) = (D a1) e1
+        assert (ops.b_mult + alf.d_alpha(g)).linf() <= TOL
+        assert (ops.d_alpha1 * E1 - alf.d_alpha(g)).linf() <= TOL
 
 
 def test_zero_divisor_reduction_classification():
@@ -135,7 +154,7 @@ def test_reduction_case_i_closes_exactly():
                                    ZEROS))
     rep = zero_divisor_reduction(alf_tan, g)
     assert rep.case == "i" and rep.potential is None and rep.unknown == "v"
-    ops = axial_operators(alf_tan, g)
+    ops = AxialOperators(alf_tan, g)
     x1, x2, _ = g.mesh()
     gharm = x1 * x2
     v = BQField.from_components(g, -gharm, 0.0, 1j * gharm, 0.0)
@@ -156,7 +175,7 @@ def test_reduction_case_ii_closes_second_order():
         g = box(n)
         rep = zero_divisor_reduction(alpha_null(), g)
         assert rep.case == "ii" and rep.unknown == "f"
-        ops = axial_operators(alpha_null(), g)
+        ops = AxialOperators(alpha_null(), g)
         v = null_direction_solution(g)
         errs.append(_windowed(ops.schro(v, +1), bounds).linf()
                     / max(laplacian(v).linf(), 1.0))
@@ -171,7 +190,7 @@ def test_reduction_case_iii_closes_second_order():
     for n in (17, 33):
         g = box(n)
         rep = zero_divisor_reduction(alpha_x2(), g)
-        ops = axial_operators(alpha_x2(), g)
+        ops = AxialOperators(alpha_x2(), g)
         x2 = g.mesh()[1]
         f = np.exp(-x2 ** 2 / 2.0)
         v = BQField.from_components(g, f, 0.0, -1j * f, 0.0)

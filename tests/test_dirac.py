@@ -139,7 +139,7 @@ def test_pseudoscalar_split_of_unit_scalar():
     pair = split_projectors(beta)
     p_plus = Biquaternion(0.5, 0.5j, 0, 0)
     want = pair.plus * p_plus
-    assert (split.pp - BQField.constant(g, want)).linf() <= TOL
+    assert (split.parts[(1, 1)] - BQField.constant(g, want)).linf() <= TOL
 
 
 def test_pseudoscalar_operator_identity_exact():

@@ -214,6 +214,22 @@ def test_family_analytic_schrodinger_requires_derivatives():
         fam.schrodinger_residual_analytic(box(), 0, "v")
 
 
+def test_family_analytic_schrodinger_builds_no_potential_set(monkeypatch):
+    # each call forms its one potential from the sampled derivative lines;
+    # the full eight-array PotentialSet is never rebuilt
+    from biquat import factorization
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("potentials() called")
+
+    monkeypatch.setattr(factorization, "potentials", refuse)
+    fam = one_component_family(reciprocal_alpha())
+    for k in range(4):
+        for which in ("v", "w"):
+            res, scale = fam.schrodinger_residual_analytic(box(), k, which)
+            assert linf(res) <= TOL * scale
+
+
 # ------------------------------------------------------------------
 # building solutions
 # ------------------------------------------------------------------
