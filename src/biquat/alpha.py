@@ -54,7 +54,7 @@ class AlphaSpec:
 
     def vector_field(self, grid: Grid3) -> BQField:
         a1, a2, a3 = self.components(grid)
-        return BQField.from_components(grid, np.zeros(grid.shape, dtype=complex), a1, a2, a3)
+        return BQField.from_vector(grid, a1, a2, a3)
 
     def alpha_sq(self, grid: Grid3) -> np.ndarray:
         """The scalar field alpha**2 = -(a1**2 + a2**2 + a3**2)."""
@@ -144,7 +144,7 @@ class AxialAlpha(AlphaSpec):
     def d_alpha(self, grid: Grid3) -> BQField:
         # D(a1 e1) = (D a1) e1; a numeric gradient carries an invalid rim
         g1, g2, g3 = self.grad_a1_components(grid)
-        return BQField.from_components(grid, -g1, np.zeros(grid.shape), g3, -g2)
+        return BQField.from_components(grid, -g1, 0.0, g3, -g2)
 
 
 class GradientAlpha(AlphaSpec):

@@ -27,7 +27,7 @@ from scipy.sparse import linalg as sla
 
 from .algebra import INVOLUTION_SIGNS, ROUNDING_TOL, qmul
 from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, gradient_alpha
-from .grid import (BQField, Grid3, as_alpha_field, laplacian, laplacian_wide,
+from .grid import (BQField, Grid3, alpha_arrays, laplacian, laplacian_wide,
                    linf, nabla, nabla_alpha, sample)
 
 __all__ = [
@@ -68,9 +68,9 @@ def riccati_residual(alpha: AlphaSpec, v, grid: Grid3) -> BQField:
 
 def factored_product(u: BQField, alpha) -> BQField:
     """(D + M^alpha)(D - M^alpha) u with the discrete first-order operator;
-    alpha is anything ``as_alpha_field`` accepts."""
-    avec = as_alpha_field(alpha, u.grid)
-    return nabla_alpha(build_solution(u, avec), avec)
+    alpha is anything ``alpha_arrays`` takes; it is sampled once."""
+    a = alpha_arrays(alpha, u.grid)
+    return nabla_alpha(build_solution(u, a), a)
 
 
 # relative Riccati residual above which factorization_residual refuses alpha
@@ -153,8 +153,9 @@ def build_solution(g: BQField, alpha: AlphaSpec) -> BQField:
     conversely a solution f of that form forces the g_k to solve their
     Schrodinger equations.
     """
-    avec = as_alpha_field(alpha, g.grid)
-    return nabla(g) - g * avec
+    out = nabla(g)
+    out.data -= qmul(g.data, alpha_arrays(alpha, g.grid))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -195,7 +196,8 @@ class ClosedFormFamily:
         """D f + f*alpha evaluated with exact derivatives of the family,
         for f = sum_k c_k f_k e_k.  Returns (residual BQField, scale)."""
         cs = np.asarray(coeffs, dtype=complex)
-        a = self.alpha.components(grid)
+        alpha = alpha_arrays(self.alpha, grid)
+        a = alpha[1:]
         basis = np.eye(4, dtype=complex)
         acc = np.zeros((4, *grid.shape), dtype=complex)
         fdata = np.zeros((4, *grid.shape), dtype=complex)
@@ -206,9 +208,10 @@ class ClosedFormFamily:
             for j in range(3):
                 ej_ek = qmul(basis[j + 1], basis[k])  # constant quaternion e_j e_k
                 dj_fk = s[j] * a[j] * fk
-                acc = acc + ej_ek.reshape(4, 1, 1, 1) * dj_fk[np.newaxis]
+                acc += ej_ek.reshape(4, 1, 1, 1) * dj_fk[np.newaxis]
         f = BQField(grid, fdata)
-        total = BQField(grid, acc) + f * self.alpha.vector_field(grid)
+        acc += qmul(fdata, alpha)
+        total = BQField(grid, acc)
         scale = max(f.linf() * max(1.0, *map(linf, a)), 1e-300)
         return total, scale
 

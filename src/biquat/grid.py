@@ -26,7 +26,7 @@ __all__ = [
     "divergence",
     "curl",
     "nabla",
-    "as_alpha_field",
+    "alpha_arrays",
     "nabla_alpha",
     "ie1_field",
     "laplacian",
@@ -151,7 +151,18 @@ class Field4:
 
     @classmethod
     def from_components(cls, grid: Grid3, c0=0.0, c1=0.0, c2=0.0, c3=0.0):
-        return cls(grid, np.stack([sample(grid, c) for c in (c0, c1, c2, c3)]))
+        """Each component a constant, an array broadcasting to grid.shape
+        or a callable of (X1, X2, X3), as ``sample`` takes it; written once
+        into the field."""
+        data = np.empty((4, *grid.shape), dtype=complex)
+        mesh = None
+        for k, c in enumerate((c0, c1, c2, c3)):
+            if callable(c):
+                if mesh is None:
+                    mesh = grid.mesh()
+                c = c(*mesh)
+            data[k] = np.asarray(c, dtype=complex)
+        return cls(grid, data)
 
     def _same_grid(self, other: "Field4") -> None:
         if other.grid != self.grid:
@@ -260,26 +271,42 @@ class BQField(Field4):
 # norms (NaN entries mark invalid nodes and are excluded)
 # --------------------------------------------------------------------------
 
-def linf(a) -> float:
-    data = a.data if isinstance(a, Field4) else np.asarray(a)
-    m = np.abs(data)
-    if not np.any(np.isfinite(m)):
+def _abs_values(a, grid: Grid3 | None):
+    """|entries| of a field or array, and the grid for the volume weight."""
+    if isinstance(a, Field4):
+        return np.abs(a.data), a.grid
+    return np.abs(np.asarray(a)), grid
+
+
+def _linf_of(m: np.ndarray) -> float:
+    # fmax skips NaN: the reduction np.nanmax makes, without its temporaries
+    top = np.fmax.reduce(m, axis=None)
+    if np.isnan(top) or (np.isinf(top) and not np.any(np.isfinite(m))):
         raise ValueError("no valid nodes to take a norm over")
-    return float(np.nanmax(m))
+    return float(top)
+
+
+def _l2_of(m: np.ndarray, grid: Grid3 | None) -> float:
+    """Overwrites m.  Zeroing the NaNs and summing is np.nansum's reduction."""
+    if grid is None:
+        raise ValueError("l2 of a bare array needs the grid for the volume weight")
+    np.square(m, out=m)
+    invalid = np.isnan(m)
+    np.copyto(m, 0.0, where=invalid)
+    total = m.sum()
+    # a finite sum over a not-all-NaN array has a finite entry; an
+    # overflowed one needs the count
+    if invalid.all() or (np.isinf(total) and not np.any(np.isfinite(m) & ~invalid)):
+        raise ValueError("no valid nodes to take a norm over")
+    return float(np.sqrt(total * grid.cell_volume))
+
+
+def linf(a) -> float:
+    return _linf_of(_abs_values(a, None)[0])
 
 
 def l2(a, grid: Grid3 | None = None) -> float:
-    if isinstance(a, Field4):
-        grid = a.grid
-        data = a.data
-    else:
-        data = np.asarray(a)
-        if grid is None:
-            raise ValueError("l2 of a bare array needs the grid for the volume weight")
-    m = np.abs(data) ** 2
-    if not np.any(np.isfinite(m)):
-        raise ValueError("no valid nodes to take a norm over")
-    return float(np.sqrt(np.nansum(m) * grid.cell_volume))
+    return _l2_of(*_abs_values(a, grid))
 
 
 class Norms(NamedTuple):
@@ -288,26 +315,83 @@ class Norms(NamedTuple):
 
 
 def norms(a, grid: Grid3 | None = None) -> Norms:
-    return Norms(linf(a), l2(a, grid))
+    m, grid = _abs_values(a, grid)
+    return Norms(_linf_of(m), _l2_of(m, grid))
 
 
 # --------------------------------------------------------------------------
 # discrete operators
 # --------------------------------------------------------------------------
 
+# The kernels write only the interior of a NaN-rimmed output, one block of
+# x1-planes at a time, so each block's operands and temporaries stay in
+# cache.  At n = 129 a complex plane is 266 kB.
+_BLOCK_PLANES = 8
+
+
+def _blocks(lo: int, hi: int):
+    """The plane ranges [i0, i1) of at most _BLOCK_PLANES covering [lo, hi)."""
+    for i0 in range(lo, hi, _BLOCK_PLANES):
+        yield i0, min(i0 + _BLOCK_PLANES, hi)
+
+
+def _nan_rimmed(shape, axes, width: int, dtype=complex) -> np.ndarray:
+    """Uninitialized array whose first and last `width` slabs along each of
+    the given axes are NaN."""
+    out = np.empty(shape, dtype=dtype)
+    for ax in axes:
+        sl = [slice(None)] * len(shape)
+        sl[ax] = slice(0, width)
+        out[tuple(sl)] = np.nan
+        sl[ax] = slice(shape[ax] - width, None)
+        out[tuple(sl)] = np.nan
+    return out
+
+
+def _divide(a: np.ndarray, divisor: float) -> None:
+    """a /= divisor in place.  numpy divides complex by real with Smith's
+    formula, which for a real divisor and finite values is exactly a
+    multiply by 1/divisor, so complex128 is scaled through its float64 view."""
+    if a.dtype == np.complex128:
+        v = a.view(np.float64)
+        np.multiply(v, 1.0 / divisor, out=v)
+    else:
+        a /= divisor
+
+
+def _shift(sl: tuple, axis: int, by: int) -> tuple:
+    """The block slices sl moved by `by` nodes along axis."""
+    out = list(sl)
+    out[axis] = slice(sl[axis].start + by, sl[axis].stop + by)
+    return tuple(out)
+
+
+def _central_difference(a: np.ndarray, sl: tuple, axis: int, h: float,
+                        out: np.ndarray) -> None:
+    """out = (a[i+1] - a[i-1]) / (2h) along axis over the 3-D block sl of a."""
+    np.subtract(a[_shift(sl, axis, 1)], a[_shift(sl, axis, -1)], out=out)
+    _divide(out, 2.0 * h)
+
+
 def partial_deriv(arr: np.ndarray, grid: Grid3, axis: int) -> np.ndarray:
     """Central-difference partial derivative along a spatial axis.
 
-    arr may be a scalar array (grid.shape) or a component stack
-    (4, *grid.shape); the two boundary slabs along the axis are invalidated.
+    arr may be a scalar array (grid.shape), a component stack
+    (4, *grid.shape) or a line that is 1 along the other axes; the two
+    boundary slabs along the axis are invalidated.
     """
-    spatial_axis = axis + (arr.ndim - 3)
-    out = np.gradient(arr, grid.spacing[axis], axis=spatial_axis)
-    sl = [slice(None)] * arr.ndim
-    sl[spatial_axis] = 0
-    out[tuple(sl)] = np.nan
-    sl[spatial_axis] = -1
-    out[tuple(sl)] = np.nan
+    a = np.asarray(arr)
+    if not np.issubdtype(a.dtype, np.inexact):
+        a = a.astype(float)
+    out = _nan_rimmed(a.shape, (axis + a.ndim - 3,), 1, a.dtype)
+    # leading axes (components) first, then the three spatial ones
+    src, dst = a.reshape(-1, *a.shape[-3:]), out.reshape(-1, *a.shape[-3:])
+    region = [slice(0, n) for n in a.shape[-3:]]
+    region[axis] = slice(1, a.shape[axis - 3] - 1)
+    for i0, i1 in _blocks(region[0].start, region[0].stop):
+        sl = (slice(i0, i1), region[1], region[2])
+        for c in range(src.shape[0]):
+            _central_difference(src[c], sl, axis, grid.spacing[axis], dst[c][sl])
     return out
 
 
@@ -324,37 +408,69 @@ def curl(v1, v2, v3, grid: Grid3):
     )
 
 
+# nabla's components as the terms of (-div f_vec) + grad f0 + curl f_vec,
+# each d_axis f_comp: (comp, axis) of the first term, then (sign, comp,
+# axis) of the terms added or subtracted in turn; the scalar part is
+# negated at the end
+_NABLA_TERMS = (
+    ((1, 0), ((+1, 2, 1), (+1, 3, 2))),
+    ((3, 1), ((-1, 2, 2), (+1, 0, 0))),
+    ((1, 2), ((-1, 3, 0), (+1, 0, 1))),
+    ((2, 0), ((-1, 1, 1), (+1, 0, 2))),
+)
+
+
 def nabla(f: BQField) -> BQField:
     """First-order operator sum_k e_k d_k f.
 
-    Assembled as (-div f_vec) + grad f0 + curl f_vec so that the scalar and
-    vector parts are, by construction, the same arithmetic as the vector
-    calculus operators above.
+    Evaluated as (-div f_vec) + grad f0 + curl f_vec, term by term in that
+    order, so that the scalar and vector parts are the same arithmetic as
+    the vector calculus operators above.
     """
     g = f.grid
-    f0, f1, f2, f3 = f.data
-    d = -divergence(f1, f2, f3, g)
-    g1, g2, g3 = (partial_deriv(f0, g, k) for k in range(3))
-    c1, c2, c3 = curl(f1, f2, f3, g)
-    return BQField(g, np.stack([d, g1 + c1, g2 + c2, g3 + c3]))
+    n1, n2, n3 = g.shape
+    out = _nan_rimmed((4, *g.shape), (1, 2, 3), 1)
+    tmp = np.empty((min(_BLOCK_PLANES, n1 - 2), n2 - 2, n3 - 2), dtype=complex)
+    for i0, i1 in _blocks(1, n1 - 1):
+        sl = (slice(i0, i1), slice(1, n2 - 1), slice(1, n3 - 1))
+        t = tmp[:i1 - i0]
+        for c, ((comp, axis), rest) in enumerate(_NABLA_TERMS):
+            o = out[c][sl]
+            _central_difference(f.data[comp], sl, axis, g.spacing[axis], o)
+            for sign, comp, axis in rest:
+                _central_difference(f.data[comp], sl, axis, g.spacing[axis], t)
+                (np.add if sign > 0 else np.subtract)(o, t, out=o)
+        np.negative(out[0][sl], out=out[0][sl])
+    return BQField(g, out)
 
 
-def as_alpha_field(alpha, grid: Grid3) -> BQField:
-    """Normalize a BQField, a constant Biquaternion, or an AlphaSpec (anything
-    exposing vector_field(grid)) to a field on the grid."""
+def alpha_arrays(alpha, grid: Grid3):
+    """alpha as four arrays that broadcast against grid.shape, for qmul.
+
+    A BQField gives its data, a constant Biquaternion a (4, 1, 1, 1) stack,
+    an AlphaSpec (anything with components(grid)) a zero scalar part and
+    its three components (the 1-D lines of a separable alpha), and four
+    such arrays are returned as they are.
+    """
     if isinstance(alpha, BQField):
-        return alpha
+        if alpha.grid != grid:
+            raise ValueError("fields live on different grids")
+        return alpha.data
     if isinstance(alpha, Biquaternion):
-        return BQField.constant(grid, alpha)
-    return alpha.vector_field(grid)
+        return alpha.components.reshape(4, 1, 1, 1)
+    if isinstance(alpha, (tuple, np.ndarray)):
+        return alpha
+    return (np.zeros((1, 1, 1), dtype=complex), *alpha.components(grid))
 
 
 def nabla_alpha(f: BQField, alpha) -> BQField:
     """The perturbed operator f -> nabla(f) + f * alpha (right multiplication).
 
-    alpha may be a BQField, a constant Biquaternion, or an AlphaSpec.
+    alpha is anything ``alpha_arrays`` takes.
     """
-    return nabla(f) + f * as_alpha_field(alpha, f.grid)
+    out = nabla(f)
+    out.data += qmul(f.data, alpha_arrays(alpha, f.grid))
+    return out
 
 
 def ie1_field(grid: Grid3, c) -> BQField:
@@ -365,21 +481,26 @@ def ie1_field(grid: Grid3, c) -> BQField:
 
 
 def _second_difference(f: BQField, step: int) -> BQField:
-    """Componentwise sum of the second differences over +-step nodes,
-    divided by (step*h)**2; a rim of step nodes invalidated."""
+    """Componentwise sum over the axes of (f[i+step] - 2 f[i] + f[i-step])
+    / (step*h)**2; a rim of step nodes invalidated."""
     g = f.grid
-    data = f.data
-    inner = slice(step, -step)
-    out = np.full_like(data, np.nan)
-    c = data[:, inner, inner, inner]
-    acc = np.zeros_like(c)
-    for axis, h in enumerate(g.spacing):
-        sl_p = [slice(None), inner, inner, inner]
-        sl_m = [slice(None), inner, inner, inner]
-        sl_p[axis + 1] = slice(2 * step, None)
-        sl_m[axis + 1] = slice(0, -2 * step)
-        acc = acc + (data[tuple(sl_p)] - 2 * c + data[tuple(sl_m)]) / (step * h) ** 2
-    out[:, inner, inner, inner] = acc
+    n1, n2, n3 = g.shape
+    out = _nan_rimmed((4, *g.shape), (1, 2, 3), step)
+    shape = (min(_BLOCK_PLANES, n1 - 2 * step), n2 - 2 * step, n3 - 2 * step)
+    twice, tmp = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    for i0, i1 in _blocks(step, n1 - step):
+        sl = (slice(i0, i1), slice(step, n2 - step), slice(step, n3 - step))
+        t2, t = twice[:i1 - i0], tmp[:i1 - i0]
+        for a, out_c in zip(f.data, out):
+            o = out_c[sl]
+            np.multiply(2, a[sl], out=t2)
+            for axis, h in enumerate(g.spacing):
+                d = o if axis == 0 else t
+                np.subtract(a[_shift(sl, axis, step)], t2, out=d)
+                np.add(d, a[_shift(sl, axis, -step)], out=d)
+                _divide(d, (step * h) ** 2)
+                if axis:
+                    np.add(o, d, out=o)
     return BQField(g, out)
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from biquat.algebra import Biquaternion
-from biquat.alpha import constant_alpha, reciprocal_alpha
-from biquat.factorization import one_component_family
-from biquat.grid import (BQField, Grid3, l2, linf, nabla, nabla_alpha,
+from biquat.alpha import AlphaSpec, constant_alpha, reciprocal_alpha
+from biquat.factorization import build_solution, factored_product, one_component_family
+from biquat.grid import (BQField, Grid3, alpha_arrays, l2, laplacian, laplacian_wide,
+                         linf, nabla, nabla_alpha, norms, partial_deriv,
                          reflect_x3, sample)
 
 TOL = 1e-12
@@ -149,3 +150,167 @@ def test_sample_constant_broadcast():
     arr = sample(g, 2.5 - 1j)
     assert arr.shape == g.shape
     assert np.all(arr == 2.5 - 1j)
+
+
+# ---------------------------------------------------------------------------
+# the blocked kernels against the straightforward formulas they replace
+# ---------------------------------------------------------------------------
+
+def _ref_partial_deriv(arr, grid, axis):
+    k = axis + arr.ndim - 3
+    with np.errstate(invalid="ignore"):  # complex division of NaN entries
+        out = np.gradient(arr, grid.spacing[axis], axis=k)
+    sl = [slice(None)] * arr.ndim
+    for edge in (0, -1):
+        sl[k] = edge
+        out[tuple(sl)] = np.nan
+    return out
+
+
+def _ref_nabla(data, grid):
+    d = [[_ref_partial_deriv(data[c], grid, k) for k in range(3)] for c in range(4)]
+    div = d[1][0] + d[2][1] + d[3][2]
+    return np.stack([-div,
+                     d[0][0] + (d[3][1] - d[2][2]),
+                     d[0][1] + (d[1][2] - d[3][0]),
+                     d[0][2] + (d[2][0] - d[1][1])])
+
+
+def _ref_second_difference(data, grid, step):
+    inner = slice(step, -step)
+    out = np.full_like(data, np.nan)
+    c = data[:, inner, inner, inner]
+    acc = np.zeros_like(c)
+    for axis, h in enumerate(grid.spacing):
+        sl_p = [slice(None), inner, inner, inner]
+        sl_m = [slice(None), inner, inner, inner]
+        sl_p[axis + 1] = slice(2 * step, None)
+        sl_m[axis + 1] = slice(0, -2 * step)
+        acc = acc + (data[tuple(sl_p)] - 2 * c + data[tuple(sl_m)]) / (step * h) ** 2
+    out[:, inner, inner, inner] = acc
+    return out
+
+
+def _same(a, b):
+    return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+# node counts below, at and across the block height, and a non-cubic box
+# with a different spacing per axis
+KERNEL_SHAPES = [(5, 5, 5), (6, 6, 6), (17, 17, 17), (18, 18, 18), (5, 9, 18)]
+
+
+def _kernel_field(shape, seed):
+    g = Grid3.box((1.0, -0.5, 0.25), (2.0, 0.75, 3.0), shape)
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(4, *shape)) + 1j * rng.normal(size=(4, *shape))
+    data[1, 2, 2, 2] = np.nan          # interior NaNs spread through stencils
+    data[3, -3, 1, -2] = complex(np.nan, 1.0)
+    return BQField(g, data)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_partial_deriv_matches_gradient_reference(shape):
+    f = _kernel_field(shape, 11)
+    g = f.grid
+    for k in range(3):
+        assert _same(partial_deriv(f.data, g, k), _ref_partial_deriv(f.data, g, k))
+        assert _same(partial_deriv(f.data[2], g, k), _ref_partial_deriv(f.data[2], g, k))
+        real = np.real(f.data[0])
+        assert _same(partial_deriv(real, g, k), _ref_partial_deriv(real, g, k))
+        line = g.sample_axis(k, lambda x: np.exp(1j * x) / x)
+        assert _same(partial_deriv(line, g, k), _ref_partial_deriv(line, g, k))
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_nabla_matches_reference(shape):
+    f = _kernel_field(shape, 12)
+    assert _same(nabla(f).data, _ref_nabla(f.data, f.grid))
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_laplacians_match_reference(shape):
+    f = _kernel_field(shape, 13)
+    assert _same(laplacian(f).data, _ref_second_difference(f.data, f.grid, 1))
+    assert _same(laplacian_wide(f).data, _ref_second_difference(f.data, f.grid, 2))
+
+
+def test_alpha_arrays_shapes():
+    g = box(6)
+    lines = alpha_arrays(reciprocal_alpha((0.0, 0.0, 0.0)), g)
+    assert [a.shape for a in lines] == [(1, 1, 1), (6, 1, 1), (1, 6, 1), (1, 1, 6)]
+    assert alpha_arrays(lines, g) is lines
+    assert alpha_arrays(Biquaternion(1, 2, 3, 4), g).shape == (4, 1, 1, 1)
+    field = BQField.zeros(g)
+    assert alpha_arrays(field, g) is field.data
+    with pytest.raises(ValueError, match="different grids"):
+        alpha_arrays(field, box(7))
+
+
+def test_separable_products_never_materialize_alpha(monkeypatch):
+    f = _kernel_field((18, 17, 6), 14)
+    g = f.grid
+    alf = reciprocal_alpha((0.0, -1.0, 0.0))
+    avec = alf.vector_field(g)
+    want = {
+        "nabla_alpha": nabla_alpha(f, avec),
+        "build_solution": build_solution(f, avec),
+        "factored_product": factored_product(f, avec),
+    }
+
+    def refuse(self, grid):
+        raise AssertionError("alpha was materialized on the grid")
+
+    monkeypatch.setattr(AlphaSpec, "vector_field", refuse)
+    got = {
+        "nabla_alpha": nabla_alpha(f, alf),
+        "build_solution": build_solution(f, alf),
+        "factored_product": factored_product(f, alf),
+    }
+    for name in want:
+        assert _same(got[name].data, want[name].data), name
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_norms_equal_nan_reductions(seed):
+    # magnitudes over several decades, so that another summation order
+    # rounds differently for some of the seeds
+    f = _kernel_field((17, 17, 17), seed)
+    f = f * np.exp(3.0 * np.random.default_rng(100 + seed).normal(size=f.grid.shape))
+    g = f.grid
+    want_linf = np.nanmax(np.abs(f.data))
+    want_l2 = np.sqrt(np.nansum(np.abs(f.data) ** 2) * g.cell_volume)
+    assert linf(f) == want_linf and linf(f.data) == want_linf
+    assert l2(f) == want_l2 and l2(f.data, g) == want_l2
+    assert norms(f) == (want_linf, want_l2)
+    assert norms(f.data, g) == (want_linf, want_l2)
+
+
+def test_norms_raise_without_a_finite_entry():
+    g = box(5)
+    for bad in (np.full((4, 5, 5, 5), np.nan),
+                np.where(np.arange(125).reshape(5, 5, 5) % 2, np.inf, np.nan)):
+        with pytest.raises(ValueError, match="no valid nodes"):
+            linf(bad)
+        with pytest.raises(ValueError, match="no valid nodes"):
+            l2(bad, g)
+    # an infinite entry beside finite ones is a norm, not an error
+    mixed = np.ones((5, 5, 5))
+    mixed[0, 0, 0] = np.inf
+    assert linf(mixed) == np.inf and l2(mixed, g) == np.inf
+    # |x|**2 overflows: no finite square, so l2 has nothing to sum
+    big = np.where(np.arange(125).reshape(5, 5, 5) % 2, 1e200, np.nan)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="no valid nodes"):
+        l2(big, g)
+    big[0, 0, 0] = 1.0
+    with np.errstate(over="ignore"):
+        assert l2(big, g) == np.inf
+
+
+def test_from_components_matches_sampling_each_component():
+    g = Grid3.box(1.0, 2.0, (5, 6, 7))
+    parts = (lambda a, b, c: a * b - 1j * c, 2.5, g.sample_axis(1, np.sin),
+             np.arange(7.0))
+    want = np.stack([sample(g, c) for c in parts])
+    got = BQField.from_components(g, *parts).data
+    assert got.flags.c_contiguous and np.array_equal(got, want)
