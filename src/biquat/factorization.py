@@ -145,8 +145,8 @@ def potentials(alpha: AlphaSpec, grid: Grid3) -> PotentialSet:
     return PotentialSet(v=tuple(v), w=tuple(w), alpha_sq=asq)
 
 
-def build_solution(g: BQField, alpha: AlphaSpec) -> BQField:
-    """f = (D - M^alpha) g.
+def build_solution(g: BQField, alpha) -> BQField:
+    """f = (D - M^alpha) g; alpha is anything ``alpha_arrays`` takes.
 
     When each component g_k solves (-lap + v_k) g_k = 0, f solves
     D f + f*alpha = 0 (at discretization accuracy when g is sampled);

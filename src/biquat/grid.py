@@ -385,9 +385,10 @@ def partial_deriv(arr: np.ndarray, grid: Grid3, axis: int) -> np.ndarray:
         a = a.astype(float)
     out = _nan_rimmed(a.shape, (axis + a.ndim - 3,), 1, a.dtype)
     # leading axes (components) first, then the three spatial ones
-    src, dst = a.reshape(-1, *a.shape[-3:]), out.reshape(-1, *a.shape[-3:])
-    region = [slice(0, n) for n in a.shape[-3:]]
-    region[axis] = slice(1, a.shape[axis - 3] - 1)
+    spatial = a.shape[-3:]
+    src, dst = a.reshape(-1, *spatial), out.reshape(-1, *spatial)
+    region = [slice(0, n) for n in spatial]
+    region[axis] = slice(1, spatial[axis] - 1)
     for i0, i1 in _blocks(region[0].start, region[0].stop):
         sl = (slice(i0, i1), region[1], region[2])
         for c in range(src.shape[0]):
