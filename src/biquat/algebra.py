@@ -45,12 +45,15 @@ def qmul(p, q):
     """
     p0, p1, p2, p3 = p
     q0, q1, q2, q3 = q
-    return np.stack([
-        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-        p0 * q2 + p2 * q0 + p3 * q1 - p1 * q3,
-        p0 * q3 + p3 * q0 + p1 * q2 - p2 * q1,
-    ])
+    # component 0 involves all eight inputs, so it carries the result's
+    # shape and dtype: write every component straight into one array
+    c0 = p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
+    out = np.empty((4, *np.shape(c0)), dtype=np.result_type(c0))
+    out[0] = c0
+    out[1] = p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2
+    out[2] = p0 * q2 + p2 * q0 + p3 * q1 - p1 * q3
+    out[3] = p0 * q3 + p3 * q0 + p1 * q2 - p2 * q1
+    return out
 
 
 # sign pattern of the involutions: row k gives the signs that q^(k) applies

@@ -4,8 +4,9 @@ Usage:  verify <suite> [--config FILE] [--grid N1,N2] [--out report.csv]
                        [--seed S] [--json]
 
 Exit code 0 when every check passes, 1 on any numerical failure (the
-report is still written), 2 on usage errors.  The environment variable
-BIQUAT_TOL overrides the algebraic tolerance (default 1e-12).
+report is still written), 2 on usage errors.  A config file may set only
+suite, grids and seed; the tolerance, the order window and the fixtures
+are fixed (see biquat.harness).
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ def main(argv=None) -> int:
     try:
         cfg = SuiteConfig.from_json(args.config) if args.config else SuiteConfig()
         cfg = replace(cfg, **overrides)
-        # read BIQUAT_TOL once, before anything runs
-        cfg = replace(cfg, tol=cfg.tol_resolved)
     except (OSError, TypeError, ValueError) as err:
         print(f"verify: bad config: {err}", file=sys.stderr)
         return 2

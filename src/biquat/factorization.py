@@ -61,9 +61,9 @@ def riccati_residual(alpha: AlphaSpec, v, grid: Grid3) -> BQField:
     D(alpha) is exact when alpha.has_exact_derivatives(), central
     differences otherwise.
     """
-    dal = alpha.d_alpha(grid)
-    balance = alpha.alpha_sq(grid) + sample(grid, v)
-    return dal + BQField.from_scalar(grid, balance)
+    res = alpha.d_alpha(grid)
+    res.data[0] += alpha.alpha_sq(grid) + sample(grid, v)
+    return res
 
 
 def factored_product(u: BQField, alpha) -> BQField:

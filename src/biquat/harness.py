@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -33,6 +32,8 @@ __all__ = [
     "SUITE_NAMES",
     "CSV_COLUMNS",
     "EXACT_ORDER",
+    "TOL",
+    "ORDER_WINDOW",
     "convergence_order",
     "run_suite",
 ]
@@ -45,41 +46,39 @@ CSV_COLUMNS = ("suite", "check", "h", "linf", "l2",
 _log = logging.getLogger(__name__)
 
 
-def _default_tol() -> float:
-    text = os.environ.get("BIQUAT_TOL", "1e-12")
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"BIQUAT_TOL must be a number, got {text!r}") from None
+# the verification gate: an exact check passes when its relative residual
+# is at most TOL, an order check when its observed order lies in ORDER_WINDOW
+TOL = 1e-12
+ORDER_WINDOW = (1.7, 2.3)
+
+# suite fixtures: the (1,2)^3 box, the dirac suite's omega and m, the
+# Beltrami and circular-wave nu, and the reciprocal alpha's pole B, which
+# lies outside the box
+LO = (1.0, 1.0, 1.0)
+HI = (2.0, 2.0, 2.0)
+OMEGA = 0.7
+M = 1.3
+NU = 1.5
+B = (0.0, 0.0, 0.0)
+# beta = -(i omega e1 + m e2) of the dirac suite's pseudoscalar split
+DIRAC_BETA = Biquaternion.vector(-1j * OMEGA, -M, 0.0)
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs shared by every suite.
+    """What a run may choose: the suite, the grid pair and the seed.
 
     grids holds the node counts of the convergence pair (coarse, fine);
     the domain box is fixed while h halves, so the counts must nest:
-    fine = 2*coarse - 1, as in (17, 33).  tol=None resolves to the
-    BIQUAT_TOL environment variable or 1e-12.  Construction rejects an
-    unknown suite, a grid pair that is not two nested counts >= 5, a box
-    whose lo and hi are not three finite numbers with lo < hi on every
-    axis, a non-finite or non-positive tolerance, an unordered order
-    window, a non-finite omega, m or nu, an omega and m whose dirac_beta
-    is a zero divisor (omega**2 == m**2), and a pole b that is not three
-    finite numbers each outside [lo_k, hi_k].
+    fine = 2*coarse - 1, as in (17, 33).  The gate (TOL, ORDER_WINDOW) and
+    the fixtures (LO, HI, OMEGA, M, NU, B) are module constants.
+    Construction rejects an unknown suite, a grid pair that is not two
+    nested counts >= 5, and a seed that is not a non-negative integer.
     """
 
     suite: str = "all"
     grids: tuple = (17, 33)
-    lo: tuple = (1.0, 1.0, 1.0)
-    hi: tuple = (2.0, 2.0, 2.0)
-    tol: float | None = None
-    order_window: tuple = (1.7, 2.3)
     seed: int = 1234
-    omega: float = 0.7
-    m: float = 1.3
-    nu: float = 1.5
-    b: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
@@ -90,36 +89,9 @@ class SuiteConfig:
         n1, n2 = grids
         if n1 < 5 or n2 != 2 * n1 - 1:
             raise ValueError(f"grids must nest as (n, 2n - 1) with n >= 5, got {grids}")
-        lo, hi = tuple(self.lo), tuple(self.hi)
-        if (len(lo) != 3 or len(hi) != 3 or not all(map(math.isfinite, lo + hi))
-                or not all(a < b for a, b in zip(lo, hi))):
-            raise ValueError(f"lo and hi must be three finite numbers with lo < hi, "
-                             f"got lo={lo}, hi={hi}")
-        tol = self.tol_resolved
-        if not (math.isfinite(tol) and tol > 0):
-            source = "BIQUAT_TOL" if self.tol is None else "tol"
-            raise ValueError(f"{source} must be finite and positive, got {tol!r}")
-        window = tuple(self.order_window)
-        if (len(window) != 2 or not all(math.isfinite(w) for w in window)
-                or not window[0] < window[1]):
-            raise ValueError(f"order_window must be finite (lo, hi) with lo < hi, got {window}")
-        if not all(map(math.isfinite, (self.omega, self.m, self.nu))):
-            raise ValueError(f"omega, m and nu must be finite numbers, got omega={self.omega!r}, "
-                             f"m={self.m!r}, nu={self.nu!r}")
-        try:
-            algebra.split_projectors(self.dirac_beta)
-        except ValueError:
-            raise ValueError(f"omega and m make dirac_beta a zero divisor (omega**2 == m**2), "
-                             f"got omega={self.omega!r}, m={self.m!r}") from None
-        b = tuple(self.b)
-        if (len(b) != 3 or not all(map(math.isfinite, b))
-                or any(lo_k <= b_k <= hi_k for b_k, lo_k, hi_k in zip(b, lo, hi))):
-            raise ValueError(f"b must be three finite numbers, each outside [lo_k, hi_k], "
-                             f"got b={b}, lo={lo}, hi={hi}")
-
-    @property
-    def tol_resolved(self) -> float:
-        return _default_tol() if self.tol is None else float(self.tol)
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SuiteConfig":
@@ -128,9 +100,8 @@ class SuiteConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         d = dict(d)
-        for key in ("grids", "lo", "hi", "order_window", "b"):
-            if key in d:
-                d[key] = tuple(d[key])
+        if "grids" in d:
+            d["grids"] = tuple(d["grids"])
         return cls(**d)
 
     @classmethod
@@ -138,19 +109,12 @@ class SuiteConfig:
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
-    def grid_pair(self, lo=None, hi=None):
-        lo = self.lo if lo is None else lo
-        hi = self.hi if hi is None else hi
+    def grid_pair(self, lo=LO, hi=HI):
         return tuple(Grid3.box(lo, hi, n) for n in self.grids)
 
     def dirac_grid_pair(self):
         # the transform needs node-exact x3 reflection: center axis 3 on 0
         return self.grid_pair(lo=(1.0, 1.0, -0.5), hi=(2.0, 2.0, 0.5))
-
-    @property
-    def dirac_beta(self) -> Biquaternion:
-        """beta = -(i omega e1 + m e2) of the dirac suite's pseudoscalar split."""
-        return Biquaternion.vector(-1j * self.omega, -self.m, 0.0)
 
 
 @dataclass(frozen=True)
@@ -283,16 +247,16 @@ def _rng(cfg: SuiteConfig, salt: int):
 # row builders
 # --------------------------------------------------------------------------
 
-def _exact_row(suite, check, value_linf, tol, h=None, scale=1.0, value_l2=None) -> CheckRow:
+def _exact_row(suite, check, value_linf, h=None, scale=1.0, value_l2=None) -> CheckRow:
     return CheckRow(suite=suite, check=check, h=h,
                     linf=value_linf,
                     l2=value_linf if value_l2 is None else value_l2,
                     expected_order=None, observed_order=None,
-                    passed=bool(value_linf <= tol * scale))
+                    passed=bool(value_linf <= TOL * scale))
 
 
-def _exact_field_row(suite, check, res: BQField, tol, scale=1.0) -> CheckRow:
-    return _exact_row(suite, check, res.linf(), tol, h=res.grid.hmax, scale=scale,
+def _exact_field_row(suite, check, res: BQField, scale=1.0) -> CheckRow:
+    return _exact_row(suite, check, res.linf(), h=res.grid.hmax, scale=scale,
                       value_l2=res.l2())
 
 
@@ -322,8 +286,7 @@ def _windowed(field: BQField, bounds) -> BQField:
     return BQField(field.grid, data)
 
 
-def _order_check(suite, check, grids, residual_at, cfg: SuiteConfig,
-                 window=None) -> CheckRow:
+def _order_check(suite, check, grids, residual_at, window=None) -> CheckRow:
     """Grid-halving convergence study of one residual.
 
     residual_at(g) builds the residual BQField on grid g, or returns
@@ -331,7 +294,7 @@ def _order_check(suite, check, grids, residual_at, cfg: SuiteConfig,
     before the next grid's residual is built.  window, when set to a
     fraction, restricts the norms to the node-aligned observation box of
     the coarse grid.  The row reports the fine grid's norms and passes when
-    the observed order lies in cfg.order_window, or when both norms sit at
+    the observed order lies in ORDER_WINDOW, or when both norms sit at
     the tolerance (EXACT_ORDER).
     """
     bounds = None if window is None else _aligned_window_bounds(grids[0], window)
@@ -344,8 +307,8 @@ def _order_check(suite, check, grids, residual_at, cfg: SuiteConfig,
         scale = max(scale, 1e-300)
         norms.append((g.hmax, res.linf() / scale, res.l2() / scale))
     (h1, linf1, _), (h2, linf2, l2_2) = norms
-    order = convergence_order((h1, linf1), (h2, linf2), cfg.tol_resolved)
-    lo, hi = cfg.order_window
+    order = convergence_order((h1, linf1), (h2, linf2), TOL)
+    lo, hi = ORDER_WINDOW
     return CheckRow(suite=suite, check=check, h=h2, linf=linf2, l2=l2_2,
                     expected_order=2.0, observed_order=order,
                     passed=bool(order == EXACT_ORDER or lo <= order <= hi))
@@ -360,7 +323,6 @@ def _random_bq(rng) -> Biquaternion:
 
 
 def check_algebra(cfg: SuiteConfig):
-    tol = cfg.tol_resolved
     rows = []
     s = "algebra"
 
@@ -376,7 +338,7 @@ def check_algebra(cfg: SuiteConfig):
     for j in range(4):
         worst = max(worst, float(np.abs(qmul(e[0], e[j]) - e[j]).max()))
         worst = max(worst, float(np.abs(qmul(e[j], e[0]) - e[j]).max()))
-    rows.append(_exact_row(s, "mul_table", worst, tol))
+    rows.append(_exact_row(s, "mul_table", worst))
 
     rng = _rng(cfg, 1)
     # identity element on random values
@@ -384,7 +346,7 @@ def check_algebra(cfg: SuiteConfig):
     for _ in range(50):
         q = _random_bq(rng)
         worst = max(worst, ((algebra.E0 * q) - q).abs_max(), ((q * algebra.E0) - q).abs_max())
-    rows.append(_exact_row(s, "identity_element", worst, tol))
+    rows.append(_exact_row(s, "identity_element", worst))
 
     # zero-divisor criterion: q**2 = 2 q0 q on constructed zero divisors,
     # and the classifier agreeing on both populations
@@ -404,7 +366,7 @@ def check_algebra(cfg: SuiteConfig):
         expect = abs(q.q0 ** 2 - (-(q.q1**2 + q.q2**2 + q.q3**2))) <= 1e-9
         if algebra.is_zero_divisor(q, tol=1e-9) != expect:
             misclassified += 1
-    row = _exact_row(s, "zero_divisor_criterion", worst, tol)
+    row = _exact_row(s, "zero_divisor_criterion", worst)
     rows.append(replace(row, passed=row.passed and misclassified == 0))
 
     # associativity over 1000 random triples
@@ -414,7 +376,7 @@ def check_algebra(cfg: SuiteConfig):
         lhs = (p * q) * r
         rhs = p * (q * r)
         worst = max(worst, (lhs - rhs).abs_max() / max(1.0, lhs.abs_max(), rhs.abs_max()))
-    rows.append(_exact_row(s, "associativity", worst, tol))
+    rows.append(_exact_row(s, "associativity", worst))
 
     # conjugation anti-homomorphism
     worst = 0.0
@@ -423,7 +385,7 @@ def check_algebra(cfg: SuiteConfig):
         lhs = (p * q).conj()
         rhs = q.conj() * p.conj()
         worst = max(worst, (lhs - rhs).abs_max() / max(1.0, lhs.abs_max()))
-    rows.append(_exact_row(s, "conj_antihomomorphism", worst, tol))
+    rows.append(_exact_row(s, "conj_antihomomorphism", worst))
 
     # involutions: sandwich formula, involutive, printed sign pattern
     worst = 0.0
@@ -436,7 +398,7 @@ def check_algebra(cfg: SuiteConfig):
             worst = max(worst, (q.involution(k).involution(k) - q).abs_max() / max(1.0, q.abs_max()))
     q = Biquaternion(1, 2, 3, 4)
     worst = max(worst, (q.involution(1) - Biquaternion(1, 2, -3, -4)).abs_max())
-    rows.append(_exact_row(s, "involution_identities", worst, tol))
+    rows.append(_exact_row(s, "involution_identities", worst))
 
     # q * conj(q) is the scalar q0^2 + <qvec, qvec>
     worst = 0.0
@@ -445,7 +407,7 @@ def check_algebra(cfg: SuiteConfig):
         prod = q * q.conj()
         want = q.q0 ** 2 + q.q1 ** 2 + q.q2 ** 2 + q.q3 ** 2
         worst = max(worst, (prod - Biquaternion.scalar(want)).abs_max() / max(1.0, abs(want)))
-    rows.append(_exact_row(s, "norm_product", worst, tol))
+    rows.append(_exact_row(s, "norm_product", worst))
 
     # P_k^± idempotent, complementary, mutually annihilating
     worst = 0.0
@@ -458,7 +420,7 @@ def check_algebra(cfg: SuiteConfig):
             worst = max(worst, ((q * pp) * pp - q * pp).abs_max() / qs)
             worst = max(worst, ((q * pp) * pm).abs_max() / qs)
             worst = max(worst, ((q * pp + q * pm) - q).abs_max() / qs)
-    rows.append(_exact_row(s, "p_projectors", worst, tol))
+    rows.append(_exact_row(s, "p_projectors", worst))
 
     # S^± pair: partition of unity, idempotence, annihilation, conjugate
     # zero divisors; construction must reject zero-divisor beta
@@ -480,7 +442,7 @@ def check_algebra(cfg: SuiteConfig):
         check = (pair.lam * one + beta) * (pair.lam * one + beta) \
             - (2 * pair.lam) * (pair.lam * one + beta)
         worst = max(worst, check.abs_max() / max(1.0, abs(pair.lam) ** 2))
-    rows.append(_exact_row(s, "s_projectors", worst, tol))
+    rows.append(_exact_row(s, "s_projectors", worst))
 
     rejected = 0.0
     try:
@@ -488,7 +450,7 @@ def check_algebra(cfg: SuiteConfig):
         rejected = 1.0  # m = omega case must raise
     except ValueError:
         pass
-    rows.append(_exact_row(s, "s_rejects_zero_divisor", rejected, tol))
+    rows.append(_exact_row(s, "s_rejects_zero_divisor", rejected))
 
     # axial operator identities on a small field: C, J, Q, Pi and Q B = B Q
     grid = Grid3.box(0.0, 1.0, 5)
@@ -510,7 +472,7 @@ def check_algebra(cfg: SuiteConfig):
         (fz.pi_map(fz.pi_map(u)) - u).linf(),
         (q_map(ops.b(u), 1) - ops.b(q_map(u, 1))).linf(),
     )
-    rows.append(_exact_row(s, "axial_operator_identities", defect / max(scale, 1.0), tol))
+    rows.append(_exact_row(s, "axial_operator_identities", defect / max(scale, 1.0)))
     return rows
 
 
@@ -519,7 +481,6 @@ def check_algebra(cfg: SuiteConfig):
 # --------------------------------------------------------------------------
 
 def check_calculus(cfg: SuiteConfig):
-    tol = cfg.tol_resolved
     rows = []
     s = "calculus"
     grids = cfg.grid_pair()
@@ -533,24 +494,23 @@ def check_calculus(cfg: SuiteConfig):
     for k in (1, 2, 3):
         ek = algebra.BASIS[k]
         raw = raw + ek * BQField(g_coarse, partial_deriv(f.data, g_coarse, k - 1))
-    rows.append(_exact_field_row(s, "sc_vec_decomposition", df - raw, tol,
-                                 scale=df.linf()))
+    rows.append(_exact_field_row(s, "sc_vec_decomposition", df - raw, scale=df.linf()))
 
     # exactness on linear fields
     x1 = BQField.from_scalar(g_coarse, lambda a, b, c: a)
     res = nabla(x1) - BQField.constant(g_coarse, algebra.E1)
-    rows.append(_exact_field_row(s, "gradient_of_linear", res, tol))
+    rows.append(_exact_field_row(s, "gradient_of_linear", res))
     xvec = BQField.from_vector(g_coarse, lambda a, b, c: a,
                                lambda a, b, c: b, lambda a, b, c: c)
     res = nabla(xvec) - BQField.constant(g_coarse, Biquaternion.scalar(-3.0))
-    rows.append(_exact_field_row(s, "divergence_of_linear", res, tol))
+    rows.append(_exact_field_row(s, "divergence_of_linear", res))
 
     # Laplacian on quadratics and a harmonic quadratic
     q = BQField.from_scalar(g_coarse, lambda a, b, c: a ** 2)
     res = laplacian(q) - BQField.constant(g_coarse, Biquaternion.scalar(2.0))
-    rows.append(_exact_field_row(s, "laplacian_quadratic", res, tol))
+    rows.append(_exact_field_row(s, "laplacian_quadratic", res))
     harm = BQField.from_scalar(g_coarse, lambda a, b, c: a ** 2 - b ** 2)
-    rows.append(_exact_field_row(s, "laplacian_harmonic", laplacian(harm), tol))
+    rows.append(_exact_field_row(s, "laplacian_harmonic", laplacian(harm)))
 
     # D(D f) equals the doubled-spacing Laplacian on quadratics, exactly
     quad = BQField.from_components(g_coarse,
@@ -559,7 +519,7 @@ def check_calculus(cfg: SuiteConfig):
                                    lambda a, b, c: b * c,
                                    lambda a, b, c: c ** 2)
     res = nabla(nabla(quad)) + laplacian_wide(quad)
-    rows.append(_exact_field_row(s, "dd_vs_wide_laplacian_quadratic", res, tol,
+    rows.append(_exact_field_row(s, "dd_vs_wide_laplacian_quadratic", res,
                                  scale=laplacian_wide(quad).linf()))
 
     # order of || D^2 f + lap f || on a smooth field over the grid pair
@@ -567,23 +527,23 @@ def check_calculus(cfg: SuiteConfig):
     def dd_plus_laplacian(g):
         fg = _eval_bq(g, bq_modes)
         return nabla(nabla(fg)) + laplacian(fg)
-    rows.append(_order_check(s, "dd_plus_laplacian_order", grids, dd_plus_laplacian, cfg))
+    rows.append(_order_check(s, "dd_plus_laplacian_order", grids, dd_plus_laplacian))
 
     # O(h^2) of the 7-point Laplacian on sin(x1)
     def laplacian_sin(g):
         f_sin = BQField.from_scalar(g, lambda a, b, c: np.sin(a))
         return laplacian(f_sin) + f_sin
-    rows.append(_order_check(s, "laplacian_sin_order", grids, laplacian_sin, cfg))
+    rows.append(_order_check(s, "laplacian_sin_order", grids, laplacian_sin))
 
     # scalar one-component solution of the reciprocal family:
     # f = e0 / ((x1-b1)(x2-b2)(x3-b3)) has D f + f alpha = 0 exactly
-    alf = reciprocal_alpha(cfg.b)
+    alf = reciprocal_alpha(B)
     fam = fz.one_component_family(alf)
     def alpha_residual(g):
         f0 = fam.f_values(g, 0)
         return nabla_alpha(BQField.from_scalar(g, f0), alf), linf(f0)
     rows.append(_order_check(s, "alpha_residual_reciprocal_order", grids, alpha_residual,
-                             cfg, window=0.15))
+                             window=0.15))
 
     # reflection: involutive, commutes with d1/d2, anticommutes with d3
     gsym = Grid3.box((1.0, 1.0, -0.5), (2.0, 2.0, 0.5), cfg.grids[0])
@@ -596,7 +556,7 @@ def check_calculus(cfg: SuiteConfig):
         sign = -1.0 if axis == 2 else 1.0
         worst = max(worst, (r_then_d - sign * d_then_r).linf())
     rows.append(_exact_row(s, "reflect_derivative_commutation", worst / max(scale, 1.0),
-                           tol, h=gsym.hmax))
+                           h=gsym.hmax))
 
     # linearity of D + M^alpha in the field argument
     a_const = constant_alpha(0.3 + 0.1j, -0.2, 0.5j)
@@ -604,12 +564,12 @@ def check_calculus(cfg: SuiteConfig):
     f2 = _smooth_bq(g_coarse, rng)
     lhs = nabla_alpha(f1 + 2j * f2, a_const)
     rhs = nabla_alpha(f1, a_const) + 2j * nabla_alpha(f2, a_const)
-    rows.append(_exact_field_row(s, "d_alpha_linearity", lhs - rhs, tol, scale=lhs.linf()))
+    rows.append(_exact_field_row(s, "d_alpha_linearity", lhs - rhs, scale=lhs.linf()))
 
     # constant field times constant alpha reproduces the table: e1 * e2 = e3
     fconst = BQField.constant(g_coarse, algebra.E1)
     res = nabla_alpha(fconst, constant_alpha(0, 1, 0)) - BQField.constant(g_coarse, algebra.E3)
-    rows.append(_exact_field_row(s, "d_alpha_constant_table", res, tol))
+    rows.append(_exact_field_row(s, "d_alpha_constant_table", res))
     return rows
 
 
@@ -618,7 +578,6 @@ def check_calculus(cfg: SuiteConfig):
 # --------------------------------------------------------------------------
 
 def check_dirac(cfg: SuiteConfig):
-    tol = cfg.tol_resolved
     rows = []
     s = "dirac"
     grids = cfg.dirac_grid_pair()
@@ -636,7 +595,7 @@ def check_dirac(cfg: SuiteConfig):
             want = 2 * eye if a == b_ == 0 else (-2 * eye if a == b_ else 0 * eye)
             worst = max(worst, float(np.abs(anti - want).max()))
     worst = max(worst, float(np.abs(gam.g5 - 1j * gam.g0 @ gam.g1 @ gam.g2 @ gam.g3).max()))
-    rows.append(_exact_row(s, "gamma_relations", worst, tol))
+    rows.append(_exact_row(s, "gamma_relations", worst))
 
     # transform round trip, both orders
     phi = _smooth_spinor(g_coarse, rng)
@@ -645,13 +604,13 @@ def check_dirac(cfg: SuiteConfig):
     fld = _smooth_bq(g_coarse, rng)
     back = dirac.spinor_to_bq(dirac.bq_to_spinor(fld))
     worst = max(worst, (back - fld).linf() / max(fld.linf(), 1.0))
-    rows.append(_exact_row(s, "transform_roundtrip", worst, tol, h=g_coarse.hmax))
+    rows.append(_exact_row(s, "transform_roundtrip", worst, h=g_coarse.hmax))
 
     # first column of the forward matrix
     unit = dirac.SpinorField.from_components(g_coarse, 1.0, 0.0, 0.0, 0.0)
     want = BQField.from_components(g_coarse, 0.0, 0.5j, -0.5, 0.0)
     res = dirac.spinor_to_bq(unit) - want
-    rows.append(_exact_field_row(s, "transform_unit_column", res, tol))
+    rows.append(_exact_field_row(s, "transform_unit_column", res))
 
     # intertwining for scalar and electric potentials, 20 random spinors
     for kind, name in (("scalar", "intertwining_scalar"),
@@ -662,13 +621,13 @@ def check_dirac(cfg: SuiteConfig):
         if all(kv[2] == 0 for kv, _ in pot_modes):
             pot_modes[0][0][2] = 1.0
         pot = lambda a, b, c, mm=pot_modes: np.real(_eval_modes_xyz(a, b, c, mm))
-        params = dirac.DiracParams(omega=cfg.omega, m=cfg.m, kind=kind, phi=pot)
+        params = dirac.DiracParams(omega=OMEGA, m=M, kind=kind, phi=pot)
         worst = 0.0
         for _ in range(20):
             phi = _smooth_spinor(g_coarse, rng)
             res, scale = dirac.intertwining_residual(phi, params, gam)
             worst = max(worst, res.linf() / max(scale, 1.0))
-        rows.append(_exact_row(s, name, worst, tol, h=g_coarse.hmax))
+        rows.append(_exact_row(s, name, worst, h=g_coarse.hmax))
 
     # printed alpha formulas at omega = 1, m = 2, zero potential; nu sign
     p0 = dirac.DiracParams(omega=1.0, m=2.0, kind="scalar", phi=None)
@@ -681,17 +640,17 @@ def check_dirac(cfg: SuiteConfig):
     nu, beta = dirac.equivalent_alpha(pps, g_coarse)
     worst = max(worst, float(np.abs(nu - (-1j)).max()))
     worst = max(worst, (beta - Biquaternion.vector(-1j, -2.0, 0.0)).abs_max())
-    rows.append(_exact_row(s, "equivalent_alpha_formulas", worst, tol))
+    rows.append(_exact_row(s, "equivalent_alpha_formulas", worst))
 
     # pseudoscalar splitting: exact recombination and operator identity
     nu_c = 0.4 - 0.2j
-    beta = cfg.dirac_beta
+    beta = DIRAC_BETA
     f = _smooth_bq(g_coarse, rng)
     split = dirac.pseudoscalar_split(f, nu_c, beta)
     res = split.recombined() - f
-    rows.append(_exact_field_row(s, "ps_recombination", res, tol, scale=f.linf()))
+    rows.append(_exact_field_row(s, "ps_recombination", res, scale=f.linf()))
     res, scale = dirac.pseudoscalar_identity_residual(f, nu_c, beta)
-    rows.append(_exact_field_row(s, "ps_operator_identity", res, tol, scale=scale))
+    rows.append(_exact_field_row(s, "ps_operator_identity", res, scale=scale))
 
     # manufactured constant-nu solution: per-part equation residuals O(h^2)
     splits, scales = {}, {}
@@ -701,17 +660,16 @@ def check_dirac(cfg: SuiteConfig):
         scales[g] = max(man.linf(), 1.0)
     # report the part with the largest fine-grid residual; pass only if all do
     part_rows = [_order_check(s, "ps_part_equations_order", grids,
-                              lambda g, key=key: (splits[g].part_residual(*key), scales[g]),
-                              cfg)
+                              lambda g, key=key: (splits[g].part_residual(*key), scales[g]))
                  for key in splits[g_coarse].parts]
     worst_row = max(part_rows, key=lambda r: r.linf)
     rows.append(replace(worst_row, passed=all(r.passed for r in part_rows)))
 
     # free plane wave: residual of the free operator O(h^2)
     def plane_wave(g):
-        wave, params = dirac.free_plane_wave(g, (1.0, 0.5, -0.8), cfg.m, gam)
+        wave, params = dirac.free_plane_wave(g, (1.0, 0.5, -0.8), M, gam)
         return BQField(g, dirac.apply_dirac(wave, params, gam).data)
-    rows.append(_order_check(s, "plane_wave_order", grids, plane_wave, cfg))
+    rows.append(_order_check(s, "plane_wave_order", grids, plane_wave))
     return rows
 
 
@@ -720,7 +678,6 @@ def check_dirac(cfg: SuiteConfig):
 # --------------------------------------------------------------------------
 
 def check_maxwell(cfg: SuiteConfig):
-    tol = cfg.tol_resolved
     rows = []
     s = "maxwell"
     grids = cfg.grid_pair()
@@ -730,7 +687,7 @@ def check_maxwell(cfg: SuiteConfig):
     # constant medium: coefficient vector vanishes
     med_const = physics.MediumFields(eps=2.5, mu=1.0)
     av = physics.medium_alpha(med_const, g_coarse, "eps")
-    rows.append(_exact_field_row(s, "medium_alpha_constant", av, tol))
+    rows.append(_exact_field_row(s, "medium_alpha_constant", av))
 
     # separable closed form vs numeric gradient, exp(2 x1) permittivity;
     # the same medium without factors is the numeric reference
@@ -741,12 +698,12 @@ def check_maxwell(cfg: SuiteConfig):
                        (lambda x: np.ones_like(x), lambda x: np.zeros_like(x))))
     closed = physics.medium_alpha(med, g_coarse, "eps")
     want = BQField.constant(g_coarse, algebra.E1)
-    rows.append(_exact_field_row(s, "medium_alpha_exp_closed", closed - want, tol))
+    rows.append(_exact_field_row(s, "medium_alpha_exp_closed", closed - want))
     def closed_vs_numeric(g):
         return (physics.medium_alpha(replace(med, separable_eps=None), g, "eps")
                 - physics.medium_alpha(med, g, "eps"))
     rows.append(_order_check(s, "medium_alpha_closed_vs_numeric_order", grids,
-                             closed_vs_numeric, cfg))
+                             closed_vs_numeric))
 
     # diagonalization round trip
     e_f = _smooth_bq(g_coarse, rng).vector_part()
@@ -754,25 +711,25 @@ def check_maxwell(cfg: SuiteConfig):
     phi, psi = physics.diagonalize_em(e_f, h_f)
     e2_, h2_ = physics.undiagonalize_em(phi, psi)
     worst = max((e2_ - e_f).linf(), (h2_ - h_f).linf()) / max(e_f.linf(), h_f.linf(), 1.0)
-    rows.append(_exact_row(s, "diagonalization_roundtrip", worst, tol, h=g_coarse.hmax))
+    rows.append(_exact_row(s, "diagonalization_roundtrip", worst, h=g_coarse.hmax))
 
     # slow-medium plane-wave pair: diagonal equations and Helmholtz, O(h^2)
     for sign, name in ((1, "diagonal_plus_order"), (-1, "diagonal_minus_order")):
         def diagonal(g, sign=sign):
-            b = physics.circular_wave(g, cfg.nu, sign)
+            b = physics.circular_wave(g, NU, sign)
             phi, psi = physics.diagonalize_em(b, (-sign * 1j) * b)
             active = phi if sign == 1 else psi
-            return nabla(active) - float(sign) * cfg.nu * active
-        rows.append(_order_check(s, name, grids, diagonal, cfg))
+            return nabla(active) - float(sign) * NU * active
+        rows.append(_order_check(s, name, grids, diagonal))
     def helmholtz(g):
-        b = physics.circular_wave(g, cfg.nu, -1)
-        return laplacian(b) + cfg.nu ** 2 * b
-    rows.append(_order_check(s, "helmholtz_order", grids, helmholtz, cfg))
+        b = physics.circular_wave(g, NU, -1)
+        return laplacian(b) + NU ** 2 * b
+    rows.append(_order_check(s, "helmholtz_order", grids, helmholtz))
 
     # static system: constants, manufactured solution, manufactured source
     e_const = BQField.constant(g_coarse, Biquaternion.vector(1.0, -2.0, 0.5))
     res = physics.static_maxwell_residual(e_const, med_const, which="E")
-    rows.append(_exact_field_row(s, "static_constant", res, tol))
+    rows.append(_exact_field_row(s, "static_constant", res))
 
     med_sep = physics.MediumFields(
         eps=lambda a, b, c: (a * b * c) ** 2, mu=1.0,
@@ -784,15 +741,14 @@ def check_maxwell(cfg: SuiteConfig):
                                     fam.f_values(g, 3))
         return physics.static_maxwell_residual(e_man, med_sep, which="E"), e_man.linf()
     rows.append(_order_check(s, "static_manufactured_order", grids, static_manufactured,
-                             cfg, window=0.15))
+                             window=0.15))
 
     e_smooth = _smooth_bq(g_coarse, rng).vector_part()
     bare = physics.static_maxwell_residual(e_smooth, med_const, which="E")
     rho = -np.sqrt(med_const.eps_values(g_coarse)) * bare.scalar
     cancelled = physics.static_maxwell_residual(e_smooth, med_const, which="E", rho=rho)
     worst = linf(np.nan_to_num(cancelled.scalar, nan=0.0)) / max(bare.linf(), 1.0)
-    rows.append(_exact_row(s, "static_manufactured_source", worst, tol,
-                           h=g_coarse.hmax))
+    rows.append(_exact_row(s, "static_manufactured_source", worst, h=g_coarse.hmax))
     return rows
 
 
@@ -801,7 +757,6 @@ def check_maxwell(cfg: SuiteConfig):
 # --------------------------------------------------------------------------
 
 def check_forcefree(cfg: SuiteConfig):
-    tol = cfg.tol_resolved
     rows = []
     s = "forcefree"
     grids = cfg.grid_pair()
@@ -816,24 +771,22 @@ def check_forcefree(cfg: SuiteConfig):
         nu_arr = _eval_modes(g_coarse, nu_modes)
         _, _, resid = physics.forcefree_split(f, nu_arr)
         worst = max(worst, resid)
-    rows.append(_exact_row(s, "split_identity_random", worst, tol,
-                           h=g_coarse.hmax))
+    rows.append(_exact_row(s, "split_identity_random", worst, h=g_coarse.hmax))
 
     # Beltrami fixture: div exactly zero, curl + nu B at O(h^2)
-    b = physics.beltrami_field(g_coarse, cfg.nu)
+    b = physics.beltrami_field(g_coarse, NU)
     div_part = nabla(b).scalar
-    rows.append(_exact_row(s, "beltrami_divergence", linf(div_part), tol, h=g_coarse.hmax))
+    rows.append(_exact_row(s, "beltrami_divergence", linf(div_part), h=g_coarse.hmax))
     def beltrami(g):
-        bg = physics.beltrami_field(g, cfg.nu)
-        return nabla(bg) + cfg.nu * bg
-    rows.append(_order_check(s, "beltrami_residual_order", grids, beltrami, cfg))
+        bg = physics.beltrami_field(g, NU)
+        return nabla(bg) + NU * bg
+    rows.append(_order_check(s, "beltrami_residual_order", grids, beltrami))
 
     # full biquaternion accepted: nonzero scalar part, identity still exact
     f = _smooth_bq(g_coarse, rng)
     assert linf(f.scalar) > 0
-    _, _, resid = physics.forcefree_split(f, cfg.nu)
-    rows.append(_exact_row(s, "scalar_part_accepted", resid, tol,
-                           h=g_coarse.hmax))
+    _, _, resid = physics.forcefree_split(f, NU)
+    rows.append(_exact_row(s, "scalar_part_accepted", resid, h=g_coarse.hmax))
     return rows
 
 
@@ -842,19 +795,18 @@ def check_forcefree(cfg: SuiteConfig):
 # --------------------------------------------------------------------------
 
 def check_factorization(cfg: SuiteConfig):
-    tol = cfg.tol_resolved
     rows = []
     s = "factorization"
     grids = cfg.grid_pair()
     g_coarse = grids[0]
     rng = _rng(cfg, 50)
-    alf = reciprocal_alpha(cfg.b)
+    alf = reciprocal_alpha(B)
     x1, x2, x3 = g_coarse.mesh()
-    b1, b2, b3 = (complex(v) for v in cfg.b)
+    b1, b2, b3 = (complex(v) for v in B)
 
     # reciprocal family: vanishing zeroth potential, printed v_1..v_3
     pots = fz.potentials(alf, g_coarse)
-    rows.append(_exact_row(s, "reciprocal_zero_potential", linf(pots.v[0]), tol,
+    rows.append(_exact_row(s, "reciprocal_zero_potential", linf(pots.v[0]),
                            h=g_coarse.hmax, value_l2=l2(pots.v[0], g_coarse)))
     printed = (
         2.0 * (1.0 / (x2 - b2) ** 2 + 1.0 / (x3 - b3) ** 2),
@@ -862,7 +814,7 @@ def check_factorization(cfg: SuiteConfig):
         2.0 * (1.0 / (x1 - b1) ** 2 + 1.0 / (x2 - b2) ** 2),
     )
     worst = max(linf(pots.v[k + 1] - printed[k]) for k in range(3))
-    rows.append(_exact_row(s, "reciprocal_printed_potentials", worst, tol,
+    rows.append(_exact_row(s, "reciprocal_printed_potentials", worst,
                            h=g_coarse.hmax, scale=max(linf(p) for p in printed)))
 
     # v_k + w_k = -2 alpha^2 for a generic separable alpha
@@ -874,19 +826,19 @@ def check_factorization(cfg: SuiteConfig):
                     lambda x: np.exp(0.3 * x) / 0.3, lambda x: (0.7 - 0.2j) * x))
     pots_gen = fz.potentials(alf_gen, g_coarse)
     defect = pots_gen.pairing_defect() / max(1.0, linf(pots_gen.alpha_sq))
-    rows.append(_exact_row(s, "potential_pairing", defect, tol, h=g_coarse.hmax))
+    rows.append(_exact_row(s, "potential_pairing", defect, h=g_coarse.hmax))
 
     # Riccati residuals with exact derivatives
     res = fz.riccati_residual(alf, 0.0, g_coarse)
     scale = max(1.0, linf(alf.alpha_sq(g_coarse)))
-    rows.append(_exact_field_row(s, "riccati_reciprocal", res, tol, scale=scale))
+    rows.append(_exact_field_row(s, "riccati_reciprocal", res, scale=scale))
     galf = gradient_alpha(lambda a, b, c: a,
                           grad_phi=(lambda a, b, c: np.ones_like(a),
                                     lambda a, b, c: np.zeros_like(a),
                                     lambda a, b, c: np.zeros_like(a)),
                           lap_phi=lambda a, b, c: np.zeros_like(a))
     res = fz.riccati_residual(galf, 0.0, g_coarse)
-    rows.append(_exact_field_row(s, "riccati_gradient_x1", res, tol))
+    rows.append(_exact_field_row(s, "riccati_gradient_x1", res))
 
     # gradient alpha from the product phi matches the reciprocal family
     phi0 = lambda a, b, c: (a - b1) * (b - b2) * (c - b3)
@@ -897,7 +849,7 @@ def check_factorization(cfg: SuiteConfig):
                   lambda a, b, c: (a - b1) * (b - b2)),
         lap_phi=lambda a, b, c: np.zeros_like(a))
     diff = galf2.vector_field(g_coarse) - alf.vector_field(g_coarse)
-    rows.append(_exact_field_row(s, "gradient_alpha_matches_reciprocal", diff, tol,
+    rows.append(_exact_field_row(s, "gradient_alpha_matches_reciprocal", diff,
                                  scale=alf.vector_field(g_coarse).linf()))
 
     # closed-form one-component solutions: first-order equation, both
@@ -908,37 +860,34 @@ def check_factorization(cfg: SuiteConfig):
         coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
         res, scale = fam.equation_residual_analytic(g_coarse, coeffs)
         worst = max(worst, res.linf() / scale)
-    rows.append(_exact_row(s, "closed_form_first_order", worst, tol,
-                           h=g_coarse.hmax))
+    rows.append(_exact_row(s, "closed_form_first_order", worst, h=g_coarse.hmax))
     for which, name in (("v", "closed_form_schrodinger_v"),
                         ("w", "closed_form_schrodinger_w")):
         worst = 0.0
         for k in range(4):
             res, scale = fam.schrodinger_residual_analytic(g_coarse, k, which)
             worst = max(worst, linf(res) / scale)
-        rows.append(_exact_row(s, name, worst, tol, h=g_coarse.hmax))
+        rows.append(_exact_row(s, name, worst, h=g_coarse.hmax))
 
     # the same combination checked with grid derivatives converges at 2
     coeffs = (0.3 - 0.1j, 1.0, -0.7, 0.4 + 0.2j)
     def closed_form_grid(g):
         comb = fam.combination(g, coeffs)
         return nabla_alpha(comb, alf), comb.linf()
-    rows.append(_order_check(s, "closed_form_grid_order", grids, closed_form_grid, cfg,
+    rows.append(_order_check(s, "closed_form_grid_order", grids, closed_form_grid,
                              window=0.15))
 
     # scalar factorization: exact for constant alpha on a quadratic
-    m = cfg.m
-    alfc = constant_alpha(1j * m, 0.0, 0.0)
+    alfc = constant_alpha(1j * M, 0.0, 0.0)
     res, scale = fz.factorization_residual(alfc, lambda a, b, c: a * b + c ** 2,
-                                           -m ** 2, g_coarse)
-    rows.append(_exact_field_row(s, "scalar_factorization_quadratic", res, tol, scale=scale))
+                                           -M ** 2, g_coarse)
+    rows.append(_exact_field_row(s, "scalar_factorization_quadratic", res, scale=scale))
     # order 2 on a smooth function with the reciprocal alpha, v = 0
     modes = _modes(rng)
     def scalar_factorization(g):
         res, scale = fz.factorization_residual(alf, _eval_modes(g, modes), 0.0, g)
         return res * (1.0 / scale)
-    rows.append(_order_check(s, "scalar_factorization_order", grids, scalar_factorization,
-                             cfg))
+    rows.append(_order_check(s, "scalar_factorization_order", grids, scalar_factorization))
 
     # componentwise factorization (fact): exact for constant alpha on
     # quadratics against the wide Laplacian; order 2 for the generic
@@ -950,21 +899,21 @@ def check_factorization(cfg: SuiteConfig):
                                    lambda a, b, c: a ** 2 - c ** 2)
     lhs = fz.factored_product(quad, alfc)
     rhs = _fact_rhs(quad, alfc, g_coarse, wide=True)
-    rows.append(_exact_field_row(s, "component_factorization_quadratic", lhs - rhs, tol,
+    rows.append(_exact_field_row(s, "component_factorization_quadratic", lhs - rhs,
                                  scale=max(lhs.linf(), rhs.linf())))
     bq_modes = _bq_modes(modes, _rng(cfg, 51))
     def component_factorization(g):
         u = _eval_bq(g, bq_modes)
         return fz.factored_product(u, alf_gen) - _fact_rhs(u, alf_gen, g, wide=False)
     rows.append(_order_check(s, "component_factorization_order", grids,
-                             component_factorization, cfg))
+                             component_factorization))
 
     # solutions built from harmonic/Schrodinger data
     def build_from_harmonic(g):
         gfield = BQField.from_scalar(g, lambda a, b, c: a)  # harmonic, v_0 = 0
         return nabla_alpha(fz.build_solution(gfield, alf), alf)
     rows.append(_order_check(s, "build_from_harmonic_order", grids, build_from_harmonic,
-                             cfg, window=0.15))
+                             window=0.15))
 
     # identity behind the converse: D_alpha (D - M^alpha) g equals the sum
     # of the componentwise Schrodinger operators, for arbitrary smooth g
@@ -975,7 +924,7 @@ def check_factorization(cfg: SuiteConfig):
         lap = laplacian(gfield)
         rhs = np.stack([-lap.data[k] + v[k] * gfield.data[k] for k in range(4)])
         return lhs - BQField(g, rhs)
-    rows.append(_order_check(s, "converse_identity_order", grids, converse_identity, cfg))
+    rows.append(_order_check(s, "converse_identity_order", grids, converse_identity))
     return rows
 
 
@@ -995,15 +944,15 @@ def _fact_rhs(u: BQField, alpha, grid: Grid3, wide: bool) -> BQField:
 # suite: right-inverse
 # --------------------------------------------------------------------------
 
-def _compatible_rhs(grid: Grid3, pots, lo, hi):
+def _compatible_rhs(grid: Grid3, pots):
     """f = (-lap + v) u* for a closed-form u* vanishing on the box boundary;
     keeps the continuous solution smooth up to the boundary so the
     second-order defect of the factored operators converges cleanly."""
     x1, x2, x3 = grid.mesh()
-    spans = [hi[k] - lo[k] for k in range(3)]
-    base = (np.sin(np.pi * (x1 - lo[0]) / spans[0])
-            * np.sin(np.pi * (x2 - lo[1]) / spans[1])
-            * np.sin(np.pi * (x3 - lo[2]) / spans[2]))
+    spans = [HI[k] - LO[k] for k in range(3)]
+    base = (np.sin(np.pi * (x1 - LO[0]) / spans[0])
+            * np.sin(np.pi * (x2 - LO[1]) / spans[1])
+            * np.sin(np.pi * (x3 - LO[2]) / spans[2]))
     lap_base = -(np.pi ** 2) * (1.0 / spans[0] ** 2 + 1.0 / spans[1] ** 2
                                 + 1.0 / spans[2] ** 2) * base
     data = np.stack([(-lap_base + pots.v[k] * base) * (0.5 + 0.25 * k)
@@ -1012,7 +961,6 @@ def _compatible_rhs(grid: Grid3, pots, lo, hi):
 
 
 def check_right_inverse(cfg: SuiteConfig):
-    tol = cfg.tol_resolved
     rows = []
     s = "right-inverse"
     grids = cfg.grid_pair()
@@ -1020,21 +968,21 @@ def check_right_inverse(cfg: SuiteConfig):
     rng = _rng(cfg, 60)
 
     alf_const = constant_alpha(1j * 1.0, 0.0, 0.0)  # m = 1: -lap - 1, safely invertible
-    alf_sep = reciprocal_alpha(cfg.b)
+    alf_sep = reciprocal_alpha(B)
 
     # zero input
     out = fz.right_inverse(BQField.zeros(g_coarse), alf_const)
-    rows.append(_exact_field_row(s, "zero_input", out.field, tol))
+    rows.append(_exact_field_row(s, "zero_input", out.field))
 
     for alf, name in ((alf_const, "constant_alpha_order"),
                       (alf_sep, "separable_alpha_order")):
         solver_residuals = []
         def solved(g, alf=alf):
-            f = _compatible_rhs(g, fz.potentials(alf, g), cfg.lo, cfg.hi)
+            f = _compatible_rhs(g, fz.potentials(alf, g))
             out = fz.right_inverse(f, alf)
             solver_residuals.append(out.solver_residual)
             return nabla_alpha(out.field, alf) - f, f.linf()
-        row = _order_check(s, name, grids, solved, cfg)
+        row = _order_check(s, name, grids, solved)
         solver_ok = all(r <= 1e-10 for r in solver_residuals)
         rows.append(replace(row, passed=row.passed and solver_ok))
 
@@ -1053,10 +1001,10 @@ def check_right_inverse(cfg: SuiteConfig):
 
     # mirrored variant: g = (D + M^alpha) u solves (D - M^alpha) g = f
     def mirrored(g):
-        f = _compatible_rhs(g, fz.potentials(alf_const, g), cfg.lo, cfg.hi)
+        f = _compatible_rhs(g, fz.potentials(alf_const, g))
         out = fz.right_inverse(f, alf_const, variant="w")
         return fz.build_solution(out.field, alf_const) - f, f.linf()
-    rows.append(_order_check(s, "mirrored_variant_order", grids, mirrored, cfg))
+    rows.append(_order_check(s, "mirrored_variant_order", grids, mirrored))
     return rows
 
 
@@ -1065,7 +1013,6 @@ def check_right_inverse(cfg: SuiteConfig):
 # --------------------------------------------------------------------------
 
 def check_axial(cfg: SuiteConfig):
-    tol = cfg.tol_resolved
     rows = []
     s = "axial"
     lo, hi = (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)
@@ -1083,10 +1030,10 @@ def check_axial(cfg: SuiteConfig):
     u = _smooth_bq(g_coarse, rng)
 
     resid = ops.split_identity_residual(u)
-    rows.append(_exact_row(s, "q_split_identity", resid, tol, h=g_coarse.hmax))
+    rows.append(_exact_row(s, "q_split_identity", resid, h=g_coarse.hmax))
 
     worst = (fz.pi_map(fz.pi_map(u)) - u).linf() / max(u.linf(), 1.0)
-    rows.append(_exact_row(s, "pi_involution", worst, tol, h=g_coarse.hmax))
+    rows.append(_exact_row(s, "pi_involution", worst, h=g_coarse.hmax))
 
     # product identity: exact for constant a1 on quadratics (wide Laplacian)
     alf_c = axial_alpha(lambda a, b, c: (0.4 - 0.3j) * np.ones_like(a), 0.2, -0.1j,
@@ -1097,7 +1044,7 @@ def check_axial(cfg: SuiteConfig):
                                    lambda a, b, c: a ** 2 - c ** 2,
                                    lambda a, b, c: c * a)
     res, scale = ops_c.factq_residual(quad, wide=True)
-    rows.append(_exact_field_row(s, "factq_constant_quadratic", res, tol, scale=scale))
+    rows.append(_exact_field_row(s, "factq_constant_quadratic", res, scale=scale))
 
     # varying a1 = x2: O(h^2) against the compact Laplacian
     bq_modes = _bq_modes(_modes(rng), _rng(cfg, 71))
@@ -1105,7 +1052,7 @@ def check_axial(cfg: SuiteConfig):
         ug = _eval_bq(g, bq_modes)
         res, scale = fz.AxialOperators(alf_x2, g).factq_residual(ug, wide=False)
         return res * (1.0 / scale)
-    rows.append(_order_check(s, "factq_x2_order", grids, factq_x2, cfg))
+    rows.append(_order_check(s, "factq_x2_order", grids, factq_x2))
 
     # the printed diagonal '+' potential for a1 = x2
     x1, x2, x3 = g_coarse.mesh()
@@ -1114,7 +1061,7 @@ def check_axial(cfg: SuiteConfig):
         1j * np.ones(g_coarse.shape), np.zeros(g_coarse.shape))
     want = BQField.from_components(g_coarse, x2 ** 2, 0.0, 1j, 0.0)
     rows.append(_exact_field_row(s, "diagonal_plus_potential_value",
-                                 pot_field - want, tol, scale=want.linf()))
+                                 pot_field - want, scale=want.linf()))
 
     # null-gradient closed form (case ii data) drives the involution maps:
     # v solves the '+' equation; i e1 v solves '-'; Pi v solves (A+BC)
@@ -1130,13 +1077,12 @@ def check_axial(cfg: SuiteConfig):
     def pi_correspondence(g):
         uu = fz.pi_map(null_v(g))
         return fz.AxialOperators(alf_null, g).abc(uu), max(laplacian(uu).linf(), 1.0)
-    rows.append(_order_check(s, "pi_correspondence_order", grids, pi_correspondence, cfg,
+    rows.append(_order_check(s, "pi_correspondence_order", grids, pi_correspondence,
                              window=0.15))
     def conjugate_pair(g):
         w = fz.j_map(null_v(g))
         return fz.AxialOperators(alf_null, g).schro(w, -1), max(laplacian(w).linf(), 1.0)
-    rows.append(_order_check(s, "conjugate_pair_order", grids, conjugate_pair, cfg,
-                             window=0.15))
+    rows.append(_order_check(s, "conjugate_pair_order", grids, conjugate_pair, window=0.15))
 
     # zero-divisor reduction: classification of the three cases
     alf_tan = axial_alpha(lambda a, b, c: np.tan(b + 0.2) + 0j, 1.0, 0.0,
@@ -1147,7 +1093,7 @@ def check_axial(cfg: SuiteConfig):
           and fz.zero_divisor_reduction(alf_x2, g_coarse).case == "iii"
           and fz.zero_divisor_reduction(alf_c, g_coarse).case == "degenerate")
     flag = 0.0 if ok else 1.0
-    rows.append(_exact_row(s, "reduction_classification", flag, tol))
+    rows.append(_exact_row(s, "reduction_classification", flag))
 
     # case i closes exactly: v = (-1 + i e2) (x1 x2) is harmonic and the
     # potential term annihilates it pointwise
@@ -1155,22 +1101,21 @@ def check_axial(cfg: SuiteConfig):
     gharm = x1 * x2
     v_i = BQField.from_components(g_coarse, -gharm, 0.0, 1j * gharm, 0.0)
     res = ops_tan.schro(v_i, +1)
-    rows.append(_exact_field_row(s, "reduction_case_i_exact", res, tol,
+    rows.append(_exact_field_row(s, "reduction_case_i_exact", res,
                                  scale=max(linf(ops_tan.alpha_sq) * v_i.linf(), 1.0)))
 
     # case ii closes at O(h^2): v = (D a1) f with the null-direction f
     def case_ii(g):
         v = null_v(g)
         return fz.AxialOperators(alf_null, g).schro(v, +1), max(laplacian(v).linf(), 1.0)
-    rows.append(_order_check(s, "reduction_case_ii_order", grids, case_ii, cfg,
-                             window=0.15))
+    rows.append(_order_check(s, "reduction_case_ii_order", grids, case_ii, window=0.15))
 
     # case iii closes at O(h^2): v = (beta0 - beta) exp(-x2^2/2), beta0 = 1
     def case_iii(g):
         fval = np.exp(-g.mesh()[1] ** 2 / 2.0)
         v3 = BQField.from_components(g, fval, 0.0, -1j * fval, 0.0)
         return fz.AxialOperators(alf_x2, g).schro(v3, +1), max(laplacian(v3).linf(), 1.0)
-    rows.append(_order_check(s, "reduction_case_iii_order", grids, case_iii, cfg))
+    rows.append(_order_check(s, "reduction_case_iii_order", grids, case_iii))
     return rows
 
 

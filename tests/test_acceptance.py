@@ -10,9 +10,7 @@ import time
 
 import pytest
 
-from biquat.harness import SuiteConfig, run_suite
-
-WINDOW = (1.7, 2.3)
+from biquat.harness import ORDER_WINDOW, SuiteConfig, run_suite
 
 # sha256 of the `verify all --seed 1234` CSV at the default grids: a change
 # that leaves the numerics alone keeps it; a change to any row updates it
@@ -42,7 +40,7 @@ def _announce(criterion, ok, detail=""):
 def _order_ok(row):
     if row.observed_order == "exact":
         return True
-    return WINDOW[0] <= row.observed_order <= WINDOW[1]
+    return ORDER_WINDOW[0] <= row.observed_order <= ORDER_WINDOW[1]
 
 
 def test_criterion_1_algebra_identities_and_runtime():

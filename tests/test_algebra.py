@@ -153,3 +153,38 @@ def test_qmul_broadcasts_over_fields():
         a = Biquaternion(*(p[(slice(None),) + idx]))
         b = Biquaternion(*(q[(slice(None),) + idx]))
         assert (a * b - Biquaternion(*(out[(slice(None),) + idx]))).abs_max() <= TOL
+
+
+def _qmul_stacked(p, q):
+    # the product as four separate components joined by np.stack
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return np.stack([
+        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+        p0 * q2 + p2 * q0 + p3 * q1 - p1 * q3,
+        p0 * q3 + p3 * q0 + p1 * q2 - p2 * q1,
+    ])
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "field_lines", "constant_field"])
+def test_qmul_matches_stacked_formula(kind):
+    rng = np.random.default_rng(12)
+    n = 5
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if kind == "complex":
+        p, q = cplx(4), cplx(4)
+    elif kind == "real":
+        p, q = rng.normal(size=4), rng.normal(size=4)
+    elif kind == "field_lines":
+        # a field times a separable alpha kept as its three 1-D lines
+        p = cplx(4, n, n, n)
+        q = (np.zeros((1, 1, 1), dtype=complex), cplx(n, 1, 1), cplx(1, n, 1), cplx(1, 1, n))
+    else:
+        p, q = cplx(4).reshape(4, 1, 1, 1), cplx(4, n, n, n)
+    got, want = qmul(p, q), _qmul_stacked(p, q)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
