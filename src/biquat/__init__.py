@@ -15,7 +15,7 @@ from .alpha import (AlphaSpec, AxialAlpha, GeneralAlpha, GradientAlpha,
                     SeparableAlpha, axial_alpha, constant_alpha,
                     general_alpha, gradient_alpha, reciprocal_alpha,
                     separable_alpha)
-from .dirac import (DiracParams, GammaSet, PseudoscalarSplit, SpinorField,
+from .dirac import (DiracParams, PseudoscalarSplit, SpinorField,
                     apply_dirac, bq_to_spinor, equivalent_alpha,
                     free_plane_wave, intertwining_residual,
                     manufactured_split_solution,
@@ -27,8 +27,8 @@ from .factorization import (AxialOperators, ClosedFormFamily, PotentialSet,
                             j_map, one_component_family, pi_map, potentials,
                             q_map, riccati_residual, right_inverse,
                             zero_divisor_reduction)
-from .grid import (BQField, Grid3, Norms, curl, divergence, ie1_field, l2,
-                   laplacian, laplacian_wide, linf, nabla, nabla_alpha, norms,
+from .grid import (BQField, Grid3, Norms, ie1_field, l2, laplacian,
+                   laplacian_wide, linf, nabla, nabla_alpha, norms,
                    partial_deriv, reflect_x3, sample)
 from .physics import (EMField, MediumFields, beltrami_field, circular_wave,
                       diagonalize_em, forcefree_split, medium_alpha,

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import BQField, Grid3, divergence, curl, partial_deriv, sample
+from .grid import BQField, Grid3, nabla, partial_deriv, sample
 
 __all__ = [
     "AlphaSpec",
@@ -64,11 +64,9 @@ class AlphaSpec:
     def d_alpha(self, grid: Grid3) -> BQField:
         """D(alpha): scalar part -div, vector part curl.  Exact when
         has_exact_derivatives(), central differences otherwise; this base
-        body is the central-difference one."""
-        a1, a2, a3 = np.broadcast_arrays(*self.components(grid))
-        d = -divergence(a1, a2, a3, grid)
-        c1, c2, c3 = curl(a1, a2, a3, grid)
-        return BQField(grid, np.stack([d, c1, c2, c3]))
+        body is the central-difference one, ``nabla`` of the sampled
+        vector field, with its one-node invalid rim on every component."""
+        return nabla(self.vector_field(grid))
 
     def has_exact_derivatives(self) -> bool:
         return False

@@ -4,7 +4,8 @@ Usage:  verify <suite> [--config FILE] [--grid N1,N2] [--out report.csv]
                        [--seed S] [--json]
 
 Exit code 0 when every check passes, 1 on any numerical failure (the
-report is still written), 2 on usage errors.  A config file may set only
+report is still written), 2 on usage errors, a bad config or a report
+path that cannot be opened for writing.  A config file may set only
 suite, grids and seed; the tolerance, the order window and the fixtures
 are fixed (see biquat.harness).
 """
@@ -56,6 +57,13 @@ def main(argv=None) -> int:
         cfg = replace(cfg, **overrides)
     except (OSError, TypeError, ValueError) as err:
         print(f"verify: bad config: {err}", file=sys.stderr)
+        return 2
+    # the report path is checked before any suite runs; appending creates
+    # a missing file and leaves an existing one as it is
+    try:
+        open(args.out, "a").close()
+    except OSError as err:
+        print(f"verify: cannot write report: {err}", file=sys.stderr)
         return 2
 
     report = run_suite(cfg)

@@ -7,14 +7,16 @@ pseudoscalar potential, becomes right multiplication by a constant-plus-
 potential vector alpha (or, in the pseudoscalar case, a scalar term nu and
 a constant beta whose splitting is handled by ``pseudoscalar_split``).
 
-Convention note: with the standard Dirac gamma matrices used here, the
-exact operator identity is
+The transform matrix is built for one representation, the standard Dirac
+gamma matrices ``G0``-``G3`` and ``G5`` of this module, and every operator
+here uses them.  With them the exact operator identity is
 
-    (D + M^alpha) o T  =  + T o (g1 g2 g3) o Dirac,
+    (D + M^alpha) o T  =  + T o (G1 G2 G3) o Dirac,
 
 where T is ``spinor_to_bq``; the sign of the similarity factor is fixed by
 the representation and pinned by the test suite.  Potentials always enter
-alpha through their x3-reflected samples.
+alpha through their x3-reflected samples, the node reversal of
+``grid.reflect_x3``, so the grid must be symmetric about x3 = 0.
 """
 
 from __future__ import annotations
@@ -30,7 +32,11 @@ from .grid import (BQField, Field4, Grid3, ie1_field, nabla, nabla_alpha,
 
 __all__ = [
     "SpinorField",
-    "GammaSet",
+    "G0",
+    "G1",
+    "G2",
+    "G3",
+    "G5",
     "DiracParams",
     "spinor_to_bq",
     "bq_to_spinor",
@@ -45,8 +51,23 @@ __all__ = [
 ]
 
 
-# the two constant matrices of the transform; the forward one carries the
-# global factor 1/2 and the pair is mutually inverse (asserted in tests)
+# the standard Dirac representation: G0**2 = I, G_k**2 = -I, anticommuting
+_I2 = np.eye(2, dtype=complex)
+_Z2 = np.zeros((2, 2), dtype=complex)
+_PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]], dtype=complex),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+G0 = np.block([[_I2, _Z2], [_Z2, -_I2]])
+G1, G2, G3 = (np.block([[_Z2, s], [-s, _Z2]]) for s in _PAULI)
+G5 = 1j * G0 @ G1 @ G2 @ G3
+for _g in (G0, G1, G2, G3, G5):
+    _g.flags.writeable = False
+# the similarity factor G1 G2 G3 of the quaternionic reduction
+_VOLUME = G1 @ G2 @ G3
+
+# the two constant matrices of the transform, built for G0-G3 above; the
+# forward one carries the global factor 1/2 and the pair is mutually
+# inverse (asserted in tests)
 _FWD = 0.5 * np.array([
     [0, -1, 1, 0],
     [1j, 0, 0, -1j],
@@ -62,44 +83,13 @@ _INV = np.array([
 ], dtype=complex)
 
 
+def _apply(m: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """The constant 4x4 matrix m applied at every node of a (4, ...) stack."""
+    return np.einsum("ab,b...->a...", m, data)
+
+
 class SpinorField(Field4):
     """C^4-valued function on a Grid3; data shape (4, n1, n2, n3)."""
-
-    def apply_matrix(self, m: np.ndarray) -> "SpinorField":
-        return SpinorField(self.grid, np.einsum("ab,b...->a...", m, self.data))
-
-
-@dataclass(frozen=True)
-class GammaSet:
-    """A 4x4 gamma representation: g0**2 = I, g_k**2 = -I, anticommuting."""
-
-    g0: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
-    g5: np.ndarray
-
-    @classmethod
-    def standard(cls) -> "GammaSet":
-        """Standard Dirac representation."""
-        i2 = np.eye(2, dtype=complex)
-        z2 = np.zeros((2, 2), dtype=complex)
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        sz = np.array([[1, 0], [0, -1]], dtype=complex)
-        g0 = np.block([[i2, z2], [z2, -i2]])
-        g1, g2, g3 = (np.block([[z2, s], [-s, z2]]) for s in (sx, sy, sz))
-        g5 = 1j * g0 @ g1 @ g2 @ g3
-        return cls(g0=g0, g1=g1, g2=g2, g3=g3, g5=g5)
-
-    @property
-    def spatial(self):
-        return (self.g1, self.g2, self.g3)
-
-    @property
-    def volume(self) -> np.ndarray:
-        """The similarity factor g1 g2 g3 of the quaternionic reduction."""
-        return self.g1 @ self.g2 @ self.g3
 
 
 @dataclass(frozen=True)
@@ -107,7 +97,7 @@ class DiracParams:
     """Energy, mass and potential of a first-order Dirac-type operator.
 
     kind selects how the real potential phi enters: 'scalar' adds
-    i*phi*I, 'electric' adds i*phi*g0, 'pseudoscalar' adds phi*g0*g5.
+    i*phi*I, 'electric' adds i*phi*G0, 'pseudoscalar' adds phi*G0*G5.
     phi may be a callable of (x1, x2, x3), an array, a constant, or None
     (treated as zero).
     """
@@ -127,43 +117,40 @@ class DiracParams:
         return sample(grid, self.phi)
 
     def phi_reflected(self, grid: Grid3) -> np.ndarray:
-        """Potential sampled at (x1, x2, -x3); node-exact on symmetric grids."""
-        if self.phi is None:
-            return np.zeros(grid.shape, dtype=complex)
-        if callable(self.phi):
-            return sample(grid, lambda x1, x2, x3: self.phi(x1, x2, -x3))
-        return sample(grid, self.phi)  # constants are reflection invariant
+        """The potential at (x1, x2, -x3): the node reversal along x3 that
+        ``reflect_x3`` applies, so the grid must be symmetric about x3 = 0."""
+        if not grid.x3_symmetric:
+            raise ValueError("reflection not node-exact: grid is not symmetric about x3 = 0")
+        return self.phi_values(grid)[..., ::-1]
 
 
 def spinor_to_bq(phi: SpinorField) -> BQField:
     """Forward transform: F = (1/2) * M * Phi~ with the constant matrix M
     and the x3-reflected spinor samples."""
-    return BQField(phi.grid, np.einsum("ab,b...->a...", _FWD, reflect_x3(phi).data))
+    return BQField(phi.grid, _apply(_FWD, reflect_x3(phi).data))
 
 
 def bq_to_spinor(f: BQField) -> SpinorField:
     """Inverse transform: Phi = M_inv * F~; inverse of ``spinor_to_bq``."""
-    return SpinorField(f.grid, np.einsum("ab,b...->a...", _INV, reflect_x3(f).data))
+    return SpinorField(f.grid, _apply(_INV, reflect_x3(f).data))
 
 
-def apply_dirac(phi: SpinorField, p: DiracParams, g: GammaSet) -> SpinorField:
-    """i*omega*g0*Phi + sum_k g_k d_k Phi + i*m*Phi + potential term,
+def apply_dirac(phi: SpinorField, p: DiracParams) -> SpinorField:
+    """i*omega*G0*Phi + sum_k G_k d_k Phi + i*m*Phi + potential term,
     with central differences (one-node rim invalidated)."""
     grid = phi.grid
-    out = 1j * p.omega * np.einsum("ab,b...->a...", g.g0, phi.data)
+    out = 1j * p.omega * _apply(G0, phi.data)
     out = out + 1j * p.m * phi.data
-    for k, gk in enumerate(g.spatial):
-        dk = partial_deriv(phi.data, grid, k)
-        out = out + np.einsum("ab,b...->a...", gk, dk)
+    for k, gk in enumerate((G1, G2, G3)):
+        out = out + _apply(gk, partial_deriv(phi.data, grid, k))
     if p.phi is not None:
         pot = p.phi_values(grid)
         if p.kind == "scalar":
             out = out + 1j * pot * phi.data
         elif p.kind == "electric":
-            out = out + 1j * pot * np.einsum("ab,b...->a...", g.g0, phi.data)
+            out = out + 1j * pot * _apply(G0, phi.data)
         else:  # pseudoscalar
-            m05 = g.g0 @ g.g5
-            out = out + pot * np.einsum("ab,b...->a...", m05, phi.data)
+            out = out + pot * _apply(G0 @ G5, phi.data)
     return SpinorField(grid, out)
 
 
@@ -178,6 +165,7 @@ def equivalent_alpha(p: DiracParams, grid: Grid3):
 
     For scalar/electric the return value is a BQField on the grid (the
     potential reflected in x3); for pseudoscalar it is the (nu, beta) pair.
+    Raises ValueError when the grid is not symmetric about x3 = 0.
     """
     if p.kind == "scalar":
         pot = p.phi_reflected(grid)
@@ -195,10 +183,10 @@ def equivalent_alpha(p: DiracParams, grid: Grid3):
     return nu, beta
 
 
-def intertwining_residual(phi: SpinorField, p: DiracParams, g: GammaSet):
+def intertwining_residual(phi: SpinorField, p: DiracParams):
     """Residual field of the transform identity for scalar/electric kinds:
 
-        (D + M^alpha)(T Phi) - T(g1 g2 g3 Dirac Phi)
+        (D + M^alpha)(T Phi) - T(G1 G2 G3 Dirac Phi)
 
     Both sides use the same central differences, so the identity is
     algebraic in the discrete derivatives and the residual sits at rounding
@@ -211,7 +199,7 @@ def intertwining_residual(phi: SpinorField, p: DiracParams, g: GammaSet):
     alpha = equivalent_alpha(p, grid)
     f = spinor_to_bq(phi)
     lhs = nabla_alpha(f, alpha)
-    rhs = spinor_to_bq(apply_dirac(phi, p, g).apply_matrix(g.volume))
+    rhs = spinor_to_bq(SpinorField(grid, _apply(_VOLUME, apply_dirac(phi, p).data)))
     res = lhs - rhs
     scale = max(lhs.linf(), rhs.linf())
     return res, scale
@@ -290,21 +278,25 @@ def pseudoscalar_identity_residual(f: BQField, nu, beta: Biquaternion):
     return res, max(lhs.linf(), rhs.linf())
 
 
-def manufactured_split_solution(grid: Grid3, nu: complex, beta: Biquaternion,
-                                coeffs=(1.0, 1.0, 1.0, 1.0)) -> BQField:
+# weights of the four exponentials of manufactured_split_solution
+_SPLIT_WEIGHTS = (1.0, 0.5, 0.8, 1.2)
+
+
+def manufactured_split_solution(grid: Grid3, nu: complex, beta: Biquaternion) -> BQField:
     """An exact closed-form solution of (D + nu + M^beta) f = 0 for
     constant nu and admissible constant beta.
 
     Built from one-component exponentials: with c_± = nu ± lam, the fields
     exp(-i c x1) (1 + i e1)/2 and exp(+i c x1) (1 - i e1)/2 solve
     (D + c)(.) = 0, and pushing a combination for each lam branch through
-    S^± assembles a full solution.  coeffs weights the four exponentials.
+    S^± assembles a full solution, the four exponentials weighted by
+    _SPLIT_WEIGHTS.
     """
     pair = split_projectors(beta)
     x1, _, _ = grid.mesh()
     p_plus = right_projector(1, 1).components.reshape(4, 1, 1, 1)
     p_minus = right_projector(1, -1).components.reshape(4, 1, 1, 1)
-    a, b, c, d = (complex(v) for v in coeffs)
+    a, b, c, d = (complex(v) for v in _SPLIT_WEIGHTS)
     out = np.zeros((4, *grid.shape), dtype=complex)
     for s_mult, cc, (w_p, w_m) in (
             (pair.plus, nu + pair.lam, (a, b)),
@@ -315,7 +307,7 @@ def manufactured_split_solution(grid: Grid3, nu: complex, beta: Biquaternion,
     return BQField(grid, out)
 
 
-def free_plane_wave(grid: Grid3, kvec, m: float, g: GammaSet):
+def free_plane_wave(grid: Grid3, kvec, m: float):
     """A plane-wave null solution of the free operator at wave vector kvec.
 
     Solves the 4x4 symbol equation numerically: omega is set on the
@@ -325,8 +317,8 @@ def free_plane_wave(grid: Grid3, kvec, m: float, g: GammaSet):
     """
     kvec = np.asarray(kvec, dtype=float)
     omega = float(np.sqrt(kvec @ kvec + m ** 2))
-    symbol = 1j * omega * g.g0 + 1j * m * np.eye(4)
-    for kk, gk in zip(kvec, g.spatial):
+    symbol = 1j * omega * G0 + 1j * m * np.eye(4)
+    for kk, gk in zip(kvec, (G1, G2, G3)):
         symbol = symbol + 1j * kk * gk
     _, s, vh = np.linalg.svd(symbol)
     if s[-1] > 1e-10 * max(s[0], 1.0):

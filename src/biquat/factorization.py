@@ -25,14 +25,13 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sla
 
-from .algebra import INVOLUTION_SIGNS, ROUNDING_TOL, qmul
-from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, gradient_alpha
+from .algebra import INVOLUTION_SIGNS, ROUNDING_TOL, qmul, right_projector
+from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha
 from .grid import (BQField, Grid3, alpha_arrays, laplacian, laplacian_wide,
                    linf, nabla, nabla_alpha, sample)
 
 __all__ = [
     "riccati_residual",
-    "gradient_alpha",
     "factored_product",
     "factorization_residual",
     "PotentialSet",
@@ -401,8 +400,8 @@ def j_map(u: BQField) -> BQField:
 
 
 def q_map(u: BQField, sign: int) -> BQField:
-    """Q^± u = (u ± JC u)/2; Q^+ + Q^- = I."""
-    return 0.5 * (u + float(sign) * j_map(c_map(u)))
+    """Q^± u = (u ± JC u)/2 = u P_1^±, since JC u = u (i e1); Q^+ + Q^- = I."""
+    return u * right_projector(1, sign)
 
 
 def pi_map(u: BQField) -> BQField:

@@ -23,8 +23,6 @@ __all__ = [
     "Norms",
     "sample",
     "partial_deriv",
-    "divergence",
-    "curl",
     "nabla",
     "alpha_arrays",
     "nabla_alpha",
@@ -396,19 +394,6 @@ def partial_deriv(arr: np.ndarray, grid: Grid3, axis: int) -> np.ndarray:
     return out
 
 
-def divergence(v1, v2, v3, grid: Grid3) -> np.ndarray:
-    return (partial_deriv(v1, grid, 0) + partial_deriv(v2, grid, 1)
-            + partial_deriv(v3, grid, 2))
-
-
-def curl(v1, v2, v3, grid: Grid3):
-    return (
-        partial_deriv(v3, grid, 1) - partial_deriv(v2, grid, 2),
-        partial_deriv(v1, grid, 2) - partial_deriv(v3, grid, 0),
-        partial_deriv(v2, grid, 0) - partial_deriv(v1, grid, 1),
-    )
-
-
 # nabla's components as the terms of (-div f_vec) + grad f0 + curl f_vec,
 # each d_axis f_comp: (comp, axis) of the first term, then (sign, comp,
 # axis) of the terms added or subtracted in turn; the scalar part is
@@ -425,8 +410,8 @@ def nabla(f: BQField) -> BQField:
     """First-order operator sum_k e_k d_k f.
 
     Evaluated as (-div f_vec) + grad f0 + curl f_vec, term by term in that
-    order, so that the scalar and vector parts are the same arithmetic as
-    the vector calculus operators above.
+    order: the scalar part sums d1 f1 + d2 f2 + d3 f3 before negating, and
+    each vector component adds its curl pair first, then its gradient term.
     """
     g = f.grid
     n1, n2, n3 = g.shape

@@ -172,31 +172,28 @@ class VerificationReport:
             "wall_time_s": self.wall_time,
         }
 
-    def print_lines(self, out=None) -> None:
-        import sys
-        out = out or sys.stdout
+    def print_lines(self) -> None:
         for r in self.rows:
             tag = "PASS" if r.passed else "FAIL"
             extra = ""
             if r.observed_order is not None:
                 extra = f"  order={r.observed_order if isinstance(r.observed_order, str) else f'{r.observed_order:.2f}'}"
-            print(f"{tag}  {r.suite}/{r.check}  linf={r.linf:.3e}  l2={r.l2:.3e}{extra}",
-                  file=out)
+            print(f"{tag}  {r.suite}/{r.check}  linf={r.linf:.3e}  l2={r.l2:.3e}{extra}")
         print(f"{self.n_pass} passed, {self.n_fail} failed "
-              f"({self.wall_time:.1f} s)", file=out)
+              f"({self.wall_time:.1f} s)")
 
 
-def convergence_order(coarse, fine, tol: float = 1e-12):
+def convergence_order(coarse, fine):
     """Observed order log(n1/n2)/log(h1/h2) from two (h, norm) pairs.
 
     Returns the string sentinel ``EXACT_ORDER`` when both norms already sit
-    at or below the algebraic tolerance (no order measurable, counts as
-    converged).  Raises on nonpositive norms otherwise.
+    at or below TOL (no order measurable, counts as converged).  Raises on
+    nonpositive norms otherwise.
     """
     (h1, n1), (h2, n2) = coarse, fine
     if not (h1 > h2 > 0):
         raise ValueError("need h1 > h2 > 0")
-    if n1 <= tol and n2 <= tol:
+    if n1 <= TOL and n2 <= TOL:
         return EXACT_ORDER
     if n1 <= 0 or n2 <= 0:
         raise ValueError("norms must be positive for an order estimate")
@@ -307,7 +304,7 @@ def _order_check(suite, check, grids, residual_at, window=None) -> CheckRow:
         scale = max(scale, 1e-300)
         norms.append((g.hmax, res.linf() / scale, res.l2() / scale))
     (h1, linf1, _), (h2, linf2, l2_2) = norms
-    order = convergence_order((h1, linf1), (h2, linf2), TOL)
+    order = convergence_order((h1, linf1), (h2, linf2))
     lo, hi = ORDER_WINDOW
     return CheckRow(suite=suite, check=check, h=h2, linf=linf2, l2=l2_2,
                     expected_order=2.0, observed_order=order,
@@ -546,7 +543,7 @@ def check_calculus(cfg: SuiteConfig):
                              window=0.15))
 
     # reflection: involutive, commutes with d1/d2, anticommutes with d3
-    gsym = Grid3.box((1.0, 1.0, -0.5), (2.0, 2.0, 0.5), cfg.grids[0])
+    gsym = cfg.dirac_grid_pair()[0]
     fsym = _smooth_bq(gsym, rng)
     scale = fsym.linf()
     worst = (reflect_x3(reflect_x3(fsym)) - fsym).linf()
@@ -582,11 +579,10 @@ def check_dirac(cfg: SuiteConfig):
     s = "dirac"
     grids = cfg.dirac_grid_pair()
     g_coarse = grids[0]
-    gam = dirac.GammaSet.standard()
     rng = _rng(cfg, 20)
 
     # gamma algebra
-    gs = (gam.g0, gam.g1, gam.g2, gam.g3)
+    gs = (dirac.G0, dirac.G1, dirac.G2, dirac.G3)
     eye = np.eye(4)
     worst = 0.0
     for a in range(4):
@@ -594,7 +590,7 @@ def check_dirac(cfg: SuiteConfig):
             anti = gs[a] @ gs[b_] + gs[b_] @ gs[a]
             want = 2 * eye if a == b_ == 0 else (-2 * eye if a == b_ else 0 * eye)
             worst = max(worst, float(np.abs(anti - want).max()))
-    worst = max(worst, float(np.abs(gam.g5 - 1j * gam.g0 @ gam.g1 @ gam.g2 @ gam.g3).max()))
+    worst = max(worst, float(np.abs(dirac.G5 - 1j * gs[0] @ gs[1] @ gs[2] @ gs[3]).max()))
     rows.append(_exact_row(s, "gamma_relations", worst))
 
     # transform round trip, both orders
@@ -625,7 +621,7 @@ def check_dirac(cfg: SuiteConfig):
         worst = 0.0
         for _ in range(20):
             phi = _smooth_spinor(g_coarse, rng)
-            res, scale = dirac.intertwining_residual(phi, params, gam)
+            res, scale = dirac.intertwining_residual(phi, params)
             worst = max(worst, res.linf() / max(scale, 1.0))
         rows.append(_exact_row(s, name, worst, h=g_coarse.hmax))
 
@@ -655,7 +651,7 @@ def check_dirac(cfg: SuiteConfig):
     # manufactured constant-nu solution: per-part equation residuals O(h^2)
     splits, scales = {}, {}
     for g in grids:
-        man = dirac.manufactured_split_solution(g, nu_c, beta, coeffs=(1.0, 0.5, 0.8, 1.2))
+        man = dirac.manufactured_split_solution(g, nu_c, beta)
         splits[g] = dirac.pseudoscalar_split(man, nu_c, beta)
         scales[g] = max(man.linf(), 1.0)
     # report the part with the largest fine-grid residual; pass only if all do
@@ -667,8 +663,8 @@ def check_dirac(cfg: SuiteConfig):
 
     # free plane wave: residual of the free operator O(h^2)
     def plane_wave(g):
-        wave, params = dirac.free_plane_wave(g, (1.0, 0.5, -0.8), M, gam)
-        return BQField(g, dirac.apply_dirac(wave, params, gam).data)
+        wave, params = dirac.free_plane_wave(g, (1.0, 0.5, -0.8), M)
+        return BQField(g, dirac.apply_dirac(wave, params).data)
     rows.append(_order_check(s, "plane_wave_order", grids, plane_wave))
     return rows
 

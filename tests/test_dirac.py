@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from biquat.algebra import Biquaternion, E0
-from biquat.dirac import (DiracParams, GammaSet, SpinorField, apply_dirac,
+from biquat.dirac import (DiracParams, SpinorField, apply_dirac,
                           bq_to_spinor, equivalent_alpha, free_plane_wave,
                           intertwining_residual, manufactured_split_solution,
                           pseudoscalar_identity_residual, pseudoscalar_split,
                           spinor_to_bq)
-from biquat.grid import BQField, Grid3, linf, nabla, nabla_alpha, reflect_x3
+from biquat.grid import (BQField, Grid3, linf, nabla, nabla_alpha, reflect_x3,
+                         sample)
 
 TOL = 1e-12
-GAM = GammaSet.standard()
 
 
 def sym_grid(n=9):
@@ -48,21 +48,26 @@ def test_transform_requires_symmetric_grid():
     g = Grid3.box(1.0, 2.0, 9)
     with pytest.raises(ValueError, match="not node-exact"):
         spinor_to_bq(SpinorField.zeros(g))
+    # a potential enters alpha reflected in x3, so alpha needs the same grid
+    for kind in ("scalar", "electric", "pseudoscalar"):
+        with pytest.raises(ValueError, match="not node-exact"):
+            equivalent_alpha(DiracParams(omega=0.7, m=1.3, kind=kind,
+                                         phi=lambda a, b, c: c), g)
 
 
 def test_dirac_zero_potential_kinds_agree():
     g = sym_grid()
     phi = smooth_spinor(g, 4)
     base = dict(omega=0.7, m=1.3, phi=None)
-    out_sc = apply_dirac(phi, DiracParams(kind="scalar", **base), GAM)
-    out_el = apply_dirac(phi, DiracParams(kind="electric", **base), GAM)
+    out_sc = apply_dirac(phi, DiracParams(kind="scalar", **base))
+    out_el = apply_dirac(phi, DiracParams(kind="electric", **base))
     assert np.nanmax(np.abs(out_sc.data - out_el.data)) <= TOL * out_sc.linf()
 
 
 def test_dirac_constant_field_massless():
     g = sym_grid()
     phi = SpinorField.from_components(g, 1.0, 2.0, -1.0, 0.5)
-    out = apply_dirac(phi, DiracParams(omega=0.0, m=0.0, kind="scalar", phi=None), GAM)
+    out = apply_dirac(phi, DiracParams(omega=0.0, m=0.0, kind="scalar", phi=None))
     assert out.linf() <= TOL
 
 
@@ -86,21 +91,35 @@ def test_equivalent_alpha_potential_enters_reflected():
 @pytest.mark.parametrize("kind", ["scalar", "electric"])
 def test_intertwining_residual_rounding_level(kind):
     g = sym_grid()
-    # x3-asymmetric potential so the reflection convention actually matters
+    # x3-asymmetric potential so the reflection convention actually matters;
+    # given as its samples it must enter reflected just the same
     pot = lambda a, b, c: np.cos(a) + 0.5 * c + 0.3 * c * b
-    params = DiracParams(omega=0.7, m=1.3, kind=kind, phi=pot)
-    worst = 0.0
-    for seed in range(20):
-        phi = smooth_spinor(g, 100 + seed)
-        res, scale = intertwining_residual(phi, params, GAM)
-        worst = max(worst, res.linf() / max(scale, 1.0))
-    assert worst <= TOL
+    for given in (pot, sample(g, pot)):
+        params = DiracParams(omega=0.7, m=1.3, kind=kind, phi=given)
+        worst = 0.0
+        for seed in range(20):
+            phi = smooth_spinor(g, 100 + seed)
+            res, scale = intertwining_residual(phi, params)
+            worst = max(worst, res.linf() / max(scale, 1.0))
+        assert worst <= TOL
+
+
+def test_pseudoscalar_array_potential_matches_callable():
+    # nu is the reflected potential whether it is given as a callable or
+    # as its samples
+    g = sym_grid()
+    pot = lambda a, b, c: np.cos(a) + 0.5 * c + 0.3 * c * b
+    nu_callable, _ = equivalent_alpha(
+        DiracParams(omega=0.7, m=1.3, kind="pseudoscalar", phi=pot), g)
+    nu_array, _ = equivalent_alpha(
+        DiracParams(omega=0.7, m=1.3, kind="pseudoscalar", phi=sample(g, pot)), g)
+    assert np.array_equal(nu_array, nu_callable)
 
 
 def test_intertwining_zero_field():
     g = sym_grid()
     res, _ = intertwining_residual(
-        SpinorField.zeros(g), DiracParams(omega=0.7, m=1.3, kind="scalar", phi=None), GAM)
+        SpinorField.zeros(g), DiracParams(omega=0.7, m=1.3, kind="scalar", phi=None))
     assert res.linf() == 0.0
 
 
@@ -108,19 +127,18 @@ def test_intertwining_rejects_pseudoscalar():
     g = sym_grid()
     with pytest.raises(ValueError, match="pseudoscalar"):
         intertwining_residual(SpinorField.zeros(g),
-                              DiracParams(omega=0.7, m=1.3, kind="pseudoscalar", phi=None),
-                              GAM)
+                              DiracParams(omega=0.7, m=1.3, kind="pseudoscalar", phi=None))
 
 
 def test_solution_equivalence_through_transform():
     # a null solution of the free operator maps to a null solution of the
     # first-order quaternionic equation, and residual norms track each other
     g = sym_grid(13)
-    wave, params = free_plane_wave(g, (1.0, 0.0, 0.5), 1.3, GAM)
+    wave, params = free_plane_wave(g, (1.0, 0.0, 0.5), 1.3)
     f = spinor_to_bq(wave)
     alpha = equivalent_alpha(params, g)
     quat_res = nabla_alpha(f, alpha).linf() / f.linf()
-    dirac_res = apply_dirac(wave, params, GAM).linf() / wave.linf()
+    dirac_res = apply_dirac(wave, params).linf() / wave.linf()
     assert quat_res <= 10 * dirac_res + 1e-10
     assert dirac_res <= 1e-2  # discretization level on this grid
 
@@ -166,7 +184,7 @@ def test_manufactured_solution_and_part_equations():
     full = {}
     for n in (9, 17):
         g = sym_grid(n)
-        f = manufactured_split_solution(g, nu, beta, coeffs=(1.0, 0.5, 0.8, 1.2))
+        f = manufactured_split_solution(g, nu, beta)
         res = nabla(f) + nu * f + f * beta
         full[n] = res.linf() / f.linf()
         split = pseudoscalar_split(f, nu, beta)

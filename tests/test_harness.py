@@ -158,6 +158,18 @@ def test_cli_bad_config(tmp_path):
     assert cli_main(["algebra", "--config", str(cfg)]) == 2
 
 
+def test_cli_unwritable_report_usage_error(tmp_path, monkeypatch, capsys):
+    # the report path is checked before any suite runs
+    ran = []
+    monkeypatch.setattr("biquat.cli.run_suite", lambda cfg: ran.append(cfg))
+    out = tmp_path / "missing_dir" / "r.csv"
+    assert cli_main(["algebra", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("verify: cannot write report: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert ran == []
+
+
 def test_cli_unknown_suite_usage_error():
     # the child imports biquat from wherever this process found it
     src = os.path.dirname(os.path.dirname(biquat.__file__))
@@ -187,7 +199,7 @@ def test_ps_part_equations_order_reports_worst_part(monkeypatch):
     # the four parts' fine-grid relative residuals, as the dirac suite builds them
     g = Grid3.box((1.0, 1.0, -0.5), (2.0, 2.0, 0.5), 33)
     nu, beta = 0.4 - 0.2j, harness.DIRAC_BETA
-    man = manufactured_split_solution(g, nu, beta, coeffs=(1.0, 0.5, 0.8, 1.2))
+    man = manufactured_split_solution(g, nu, beta)
     split = pseudoscalar_split(man, nu, beta)
     fine = {key: split.part_residual(*key).linf() / max(man.linf(), 1.0)
             for key in split.parts}
