@@ -11,10 +11,9 @@ machinery.  ``biquat.harness`` runs the named verification suites; the
 from .algebra import (BASIS, E0, E1, E2, E3, Biquaternion, ProjectorPair,
                       is_zero_divisor, qmul, right_projector, split_projectors,
                       vec_square)
-from .alpha import (AlphaSpec, AxialAlpha, GeneralAlpha, GradientAlpha,
-                    SeparableAlpha, axial_alpha, constant_alpha,
-                    general_alpha, gradient_alpha, reciprocal_alpha,
-                    separable_alpha)
+from .alpha import (AlphaSpec, AxialAlpha, GradientAlpha, SeparableAlpha,
+                    axial_alpha, constant_alpha, gradient_alpha,
+                    reciprocal_alpha, separable_alpha)
 from .dirac import (DiracParams, PseudoscalarSplit, SpinorField,
                     apply_dirac, bq_to_spinor, equivalent_alpha,
                     free_plane_wave, intertwining_residual,
@@ -30,7 +29,7 @@ from .factorization import (AxialOperators, ClosedFormFamily, PotentialSet,
 from .grid import (BQField, Grid3, Norms, ie1_field, l2, laplacian,
                    laplacian_wide, linf, nabla, nabla_alpha, norms,
                    partial_deriv, reflect_x3, sample)
-from .physics import (EMField, MediumFields, beltrami_field, circular_wave,
+from .physics import (MediumFields, beltrami_field, circular_wave,
                       diagonalize_em, forcefree_split, medium_alpha,
                       static_maxwell_residual, undiagonalize_em)
 

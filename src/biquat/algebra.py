@@ -81,13 +81,6 @@ class Biquaternion:
         self._c = c
 
     @classmethod
-    def from_components(cls, components) -> "Biquaternion":
-        c = np.asarray(components, dtype=complex)
-        if c.shape != (4,):
-            raise ValueError(f"expected 4 components, got shape {c.shape}")
-        return cls(*c)
-
-    @classmethod
     def scalar(cls, value) -> "Biquaternion":
         return cls(value, 0.0, 0.0, 0.0)
 

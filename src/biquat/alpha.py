@@ -1,6 +1,8 @@
 """Coefficient vectors alpha for the first-order equation Df + f*alpha = 0.
 
-Four shapes cover everything the package needs:
+Alpha enters in one of two forms.  Known only by its samples, as the
+Dirac and Maxwell bridges return it, it is a ``grid.BQField``.  Known in
+closed form, it is one of three specs:
 
 * separable: alpha = a1(x1) e1 + a2(x2) e2 + a3(x3) e3, each factor a
   function of its own coordinate (constants included).  This is the shape
@@ -8,7 +10,6 @@ Four shapes cover everything the package needs:
   operators, and the only one with closed-form one-component solutions.
 * axial: alpha = a1(x1,x2,x3) e1 + a2 e2 + a3 e3 with constant a2, a3.
 * gradient: alpha = grad(phi)/phi for a given scalar phi.
-* general: arbitrary vector field, values only.
 
 Specs carry optional exact derivative/antiderivative callables.  Each
 spec is the one place that decides where its derivatives come from:
@@ -30,12 +31,10 @@ __all__ = [
     "SeparableAlpha",
     "AxialAlpha",
     "GradientAlpha",
-    "GeneralAlpha",
     "separable_alpha",
     "constant_alpha",
     "axial_alpha",
     "gradient_alpha",
-    "general_alpha",
     "reciprocal_alpha",
 ]
 
@@ -186,17 +185,6 @@ class GradientAlpha(AlphaSpec):
         return sample(grid, self.lap_phi) / self._phi_values(grid)
 
 
-class GeneralAlpha(AlphaSpec):
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def components(self, grid: Grid3):
-        x1, x2, x3 = grid.mesh()
-        out = tuple(sample(grid, a) for a in self.fn(x1, x2, x3))
-        _check_finite(out)
-        return out
-
-
 # --------------------------------------------------------------------------
 # constructors
 # --------------------------------------------------------------------------
@@ -237,10 +225,6 @@ def gradient_alpha(phi, grad_phi=None, lap_phi=None) -> GradientAlpha:
     spec satisfies the Riccati balance D(alpha) + alpha**2 = -v with
     v = lap(phi)/phi (see schrodinger_potential)."""
     return GradientAlpha(phi, grad_phi, lap_phi)
-
-
-def general_alpha(fn) -> GeneralAlpha:
-    return GeneralAlpha(fn)
 
 
 def reciprocal_alpha(b=(0.0, 0.0, 0.0)) -> SeparableAlpha:

@@ -1,13 +1,12 @@
 """Command-line entry point: run verification suites and write reports.
 
-Usage:  verify <suite> [--config FILE] [--grid N1,N2] [--out report.csv]
-                       [--seed S] [--json]
+Usage:  verify <suite> [--grid N1,N2] [--out report.csv] [--seed S] [--json]
 
-Exit code 0 when every check passes, 1 on any numerical failure (the
-report is still written), 2 on usage errors, a bad config or a report
-path that cannot be opened for writing.  A config file may set only
-suite, grids and seed; the tolerance, the order window and the fixtures
-are fixed (see biquat.harness).
+A run chooses only the suite, the grid pair and the seed; the tolerance,
+the order window and the fixtures are fixed (see biquat.harness).  Exit
+code 0 when every check passes, 1 on any numerical failure (the report is
+still written), 2 on usage errors (a bad grid pair or seed included) or a
+report path that cannot be opened for writing.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .harness import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -33,8 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="verify",
         description="Run the biquaternion-calculus verification suites.")
     p.add_argument("suite", choices=SUITE_NAMES, help="suite name")
-    p.add_argument("--config", metavar="FILE", default=None,
-                   help="JSON file with SuiteConfig fields")
     p.add_argument("--grid", metavar="N1,N2", type=_parse_grids, default=None,
                    help="override the convergence grid pair, e.g. 17,33")
     p.add_argument("--out", metavar="PATH", default="report.csv",
@@ -53,9 +49,8 @@ def main(argv=None) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     try:
-        cfg = SuiteConfig.from_json(args.config) if args.config else SuiteConfig()
-        cfg = replace(cfg, **overrides)
-    except (OSError, TypeError, ValueError) as err:
+        cfg = SuiteConfig(**overrides)
+    except ValueError as err:
         print(f"verify: bad config: {err}", file=sys.stderr)
         return 2
     # the report path is checked before any suite runs; appending creates

@@ -278,26 +278,35 @@ class RightInverseResult:
     solver_residual: float  # worst relative linear-system residual
 
 
-def _axis_operators(alpha: SeparableAlpha, grid: Grid3, variant: str):
-    """Per component k, the three 1-D interior operators
-    A_kj = -d^2/dx_j^2 + q_kj with zero Dirichlet ends, where
-    q_kj = ±s_kj a_j' + a_j**2 (+ for 'v', - for 'w').  Their Kronecker sum
-    A_k1 ⊕ A_k2 ⊕ A_k3 is -lap + v_k (or w_k) on the interior nodes."""
+def _axis_operators(alpha: SeparableAlpha, grid: Grid3):
+    """Per axis j, the two 1-D interior operators
+    A_j^σ = -d^2/dx_j^2 + σ a_j' + a_j**2 (σ = ±1) with zero Dirichlet
+    ends, as a dict keyed by σ.  Component k takes σ_j = ±s_kj on axis j
+    (+ for 'v', - for 'w'), and A_1^σ1 ⊕ A_2^σ2 ⊕ A_3^σ3 is then
+    -lap + v_k (or w_k) on the interior nodes."""
     comps = alpha.components(grid)
     derivs = alpha.deriv_components(grid)
-    sign = 1.0 if variant == "v" else -1.0
     ops = []
-    for s in INVOLUTION_SIGNS:
-        row = []
-        for j in range(3):
-            m, h = grid.shape[j] - 2, grid.spacing[j]
-            q = sign * s[j] * derivs[j].ravel()[1:-1] + comps[j].ravel()[1:-1] ** 2
+    for j in range(3):
+        m, h = grid.shape[j] - 2, grid.spacing[j]
+        lap = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / h ** 2
+        pair = {}
+        for sigma in (1, -1):
+            q = sigma * derivs[j].ravel()[1:-1] + comps[j].ravel()[1:-1] ** 2
             if not np.all(np.isfinite(q)):
                 raise ValueError("potential has invalid interior values")
-            lap = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / h ** 2
-            row.append(lap + np.diag(q))
-        ops.append(row)
+            pair[sigma] = lap + np.diag(q)
+        ops.append(pair)
     return ops
+
+
+def _diagonalize(a: np.ndarray):
+    """eig of a 1-D operator, A = V diag(lam) V^-1: (lam, V, cond(V), V^-1),
+    with V^-1 None when cond(V) alone exceeds _COND_LIMIT, since the
+    component's product of conditions then does too."""
+    lam, vec = np.linalg.eig(a)
+    cond = np.linalg.cond(vec)
+    return lam, vec, cond, np.linalg.inv(vec) if cond <= _COND_LIMIT else None
 
 
 def _along(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
@@ -319,8 +328,9 @@ def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v") -> RightInve
     first-order factors and the compact second-order operator.
 
     For separable alpha each p_k is a sum of 1-D functions, so -lap + p_k
-    is the Kronecker sum of three tridiagonal 1-D operators A_j.  Each is
-    diagonalized, A_j = V_j diag(lam_j) V_j^-1, and the solve is three
+    is the Kronecker sum of three tridiagonal 1-D operators A_j, each one
+    of the two an axis has (``_axis_operators``).  Each of the six is
+    diagonalized once, A_j = V_j diag(lam_j) V_j^-1, and the solve is three
     contractions with the V_j^-1, a division by lam_1 + lam_2 + lam_3 and
     three contractions with the V_j (Lynch, Rice & Thomas 1964).  A
     component whose eigenvector bases have cond(V_1) cond(V_2) cond(V_3)
@@ -334,12 +344,17 @@ def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v") -> RightInve
     if not isinstance(alpha, SeparableAlpha):
         raise ValueError("right inverse requires separable alpha: D(alpha^(k)) is not scalar otherwise")
     grid = f.grid
+    sign = 1 if variant == "v" else -1
+    axis_ops = _axis_operators(alpha, grid)
+    axis_eigs = [{sigma: _diagonalize(a) for sigma, a in pair.items()} for pair in axis_ops]
     inner = tuple(slice(1, -1) for _ in range(3))
     u = np.zeros((4, *grid.shape), dtype=complex)
     worst = 0.0
     fallback = {}
-    for k, ops in enumerate(_axis_operators(alpha, grid, variant)):
-        lams, vecs = zip(*(np.linalg.eig(a) for a in ops))
+    for k, s in enumerate(INVOLUTION_SIGNS):
+        sigmas = [sign * s_j for s_j in s]
+        ops = [axis_ops[j][sigma] for j, sigma in enumerate(sigmas)]
+        lams, vecs, conds, invs = zip(*(axis_eigs[j][sigma] for j, sigma in enumerate(sigmas)))
         total = lams[0][:, None, None] + lams[1][None, :, None] + lams[2][None, None, :]
         smallest, largest = np.abs(total).min(), np.abs(total).max()
         if smallest <= total.size * np.finfo(float).eps * largest:
@@ -347,11 +362,11 @@ def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v") -> RightInve
                 "discrete operator singular or near-singular: "
                 f"min |lam| {smallest:.3e}, max |lam| {largest:.3e}")
         rhs = f.data[k][inner]
-        cond = float(np.prod([np.linalg.cond(v) for v in vecs]))
+        cond = float(np.prod(conds))
         if cond <= _COND_LIMIT:
             sol = rhs
-            for j, v in enumerate(vecs):
-                sol = _along(np.linalg.inv(v), sol, j)
+            for j, v_inv in enumerate(invs):
+                sol = _along(v_inv, sol, j)
             sol = sol / total
             for j, v in enumerate(vecs):
                 sol = _along(v, sol, j)

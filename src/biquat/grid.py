@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import ROUNDING_TOL, Biquaternion, qmul
+from .algebra import Biquaternion, qmul
 
 __all__ = [
     "Grid3",
@@ -50,10 +50,12 @@ class Grid3:
     spacing: tuple[float, float, float]
 
     def __post_init__(self):
-        if len(self.shape) != 3:
-            raise ValueError("shape must have three entries")
+        if not len(self.shape) == len(self.origin) == len(self.spacing) == 3:
+            raise ValueError("shape, origin and spacing must have three entries")
         if any(int(n) < 5 for n in self.shape):
             raise ValueError(f"grid too small for interior stencils: {self.shape}")
+        if not np.all(np.isfinite((*self.origin, *self.spacing))):
+            raise ValueError("origin and spacing must be finite")
         if any(h <= 0 for h in self.spacing):
             raise ValueError("spacing must be positive")
 
@@ -68,12 +70,6 @@ class Grid3:
         n = np.broadcast_to(np.asarray(n, dtype=int), (3,))
         spacing = tuple((hi[k] - lo[k]) / (n[k] - 1) for k in range(3))
         return cls(shape=tuple(int(m) for m in n), origin=tuple(lo), spacing=spacing)
-
-    def refine(self) -> "Grid3":
-        """Same box with doubled resolution (n -> 2n - 1, h -> h/2)."""
-        n = tuple(2 * m - 1 for m in self.shape)
-        h = tuple(s / 2 for s in self.spacing)
-        return Grid3(shape=n, origin=self.origin, spacing=h)
 
     def axis(self, k: int) -> np.ndarray:
         return self.origin[k] + self.spacing[k] * np.arange(self.shape[k])
@@ -237,10 +233,6 @@ class BQField(Field4):
         out = self.data.copy()
         out[0] = 0.0
         return BQField(self.grid, out)
-
-    def is_vectorial(self) -> bool:
-        scale = max(1.0, float(np.nanmax(np.abs(self.data), initial=0.0)))
-        return float(np.nanmax(np.abs(self.data[0]), initial=0.0)) <= ROUNDING_TOL * scale
 
     # -- quaternion product ------------------------------------------------
     def __mul__(self, other):
@@ -433,17 +425,15 @@ def nabla(f: BQField) -> BQField:
 def alpha_arrays(alpha, grid: Grid3):
     """alpha as four arrays that broadcast against grid.shape, for qmul.
 
-    A BQField gives its data, a constant Biquaternion a (4, 1, 1, 1) stack,
-    an AlphaSpec (anything with components(grid)) a zero scalar part and
-    its three components (the 1-D lines of a separable alpha), and four
-    such arrays are returned as they are.
+    A BQField (alpha known by its samples) gives its data, an AlphaSpec
+    (anything with components(grid)) a zero scalar part and its three
+    components (the 1-D lines of a separable alpha), and four such arrays
+    are returned as they are.
     """
     if isinstance(alpha, BQField):
         if alpha.grid != grid:
             raise ValueError("fields live on different grids")
         return alpha.data
-    if isinstance(alpha, Biquaternion):
-        return alpha.components.reshape(4, 1, 1, 1)
     if isinstance(alpha, (tuple, np.ndarray)):
         return alpha
     return (np.zeros((1, 1, 1), dtype=complex), *alpha.components(grid))

@@ -10,7 +10,6 @@ the CSV contains no timing data.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
@@ -92,22 +91,6 @@ class SuiteConfig:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SuiteConfig":
-        known = {f_.name for f_ in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "grids" in d:
-            d["grids"] = tuple(d["grids"])
-        return cls(**d)
-
-    @classmethod
-    def from_json(cls, path) -> "SuiteConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
     def grid_pair(self, lo=LO, hi=HI):
         return tuple(Grid3.box(lo, hi, n) for n in self.grids)
@@ -204,11 +187,15 @@ def convergence_order(coarse, fine):
 # deterministic smooth random fields
 # --------------------------------------------------------------------------
 
-def _modes(rng, n_modes=3, kmax=2):
+# wavenumbers of the random Fourier modes lie in [-_KMAX, _KMAX]^3
+_KMAX = 2
+
+
+def _modes(rng, n_modes=3):
     """Frozen Fourier modes; evaluate on any grid for nested convergence."""
     out = []
     for _ in range(n_modes):
-        kv = rng.integers(-kmax, kmax + 1, size=3)
+        kv = rng.integers(-_KMAX, _KMAX + 1, size=3)
         c = complex(rng.normal(), rng.normal())
         out.append((kv.astype(float), c))
     return out
@@ -257,29 +244,21 @@ def _exact_field_row(suite, check, res: BQField, scale=1.0) -> CheckRow:
                       value_l2=res.l2())
 
 
-def _aligned_window_bounds(coarse: Grid3, frac: float):
-    """Observation-window bounds an integer number of coarse cells in from
-    the box faces.  Node-aligned on the coarse grid and on every nested
-    refinement, so the window's edge nodes sit at identical physical points
-    across the pair: otherwise the argmax node of a residual with strong
-    (but bounded) derivative growth toward the boundary creeps as h
-    shrinks and contaminates the measured order."""
-    bounds = []
-    for k in range(3):
-        j = max(1, round(frac * (coarse.shape[k] - 1)))
-        lo = coarse.origin[k] + j * coarse.spacing[k]
-        hi = coarse.origin[k] + (coarse.shape[k] - 1 - j) * coarse.spacing[k]
-        bounds.append((lo, hi))
-    return bounds
-
-
-def _windowed(field: BQField, bounds) -> BQField:
-    x = field.grid.mesh()
+def _windowed(field: BQField, coarse: Grid3, frac: float) -> BQField:
+    """field with NaN outside the observation window: along each axis the
+    nodes i with j r <= i <= n - 1 - j r are kept, where r = (n - 1) /
+    (n_c - 1) is the refinement over the coarse grid and j = max(1,
+    round(frac (n_c - 1))) coarse cells are cut from each face.  The window
+    is node-aligned on the coarse grid and on every nested refinement, so
+    its edge nodes sit at identical physical points across the pair:
+    otherwise the argmax node of a residual with strong (but bounded)
+    derivative growth toward the boundary creeps as h shrinks and
+    contaminates the measured order."""
     data = field.data.copy()
-    for k in range(3):
-        lo, hi = bounds[k]
-        mask = (x[k] < lo - 1e-12) | (x[k] > hi + 1e-12)
-        data[:, mask] = np.nan
+    for k, (n, n_c) in enumerate(zip(field.grid.shape, coarse.shape)):
+        edge = max(1, round(frac * (n_c - 1))) * (n - 1) / (n_c - 1)
+        i = np.arange(n)
+        data[(slice(None),) * (k + 1) + ((i < edge) | (i > n - 1 - edge),)] = np.nan
     return BQField(field.grid, data)
 
 
@@ -294,13 +273,12 @@ def _order_check(suite, check, grids, residual_at, window=None) -> CheckRow:
     the observed order lies in ORDER_WINDOW, or when both norms sit at
     the tolerance (EXACT_ORDER).
     """
-    bounds = None if window is None else _aligned_window_bounds(grids[0], window)
     norms = []
     for g in grids:
         res = residual_at(g)
         res, scale = res if isinstance(res, tuple) else (res, 1.0)
-        if bounds is not None:
-            res = _windowed(res, bounds)
+        if window is not None:
+            res = _windowed(res, grids[0], window)
         scale = max(scale, 1e-300)
         norms.append((g.hmax, res.linf() / scale, res.l2() / scale))
     (h1, linf1, _), (h2, linf2, l2_2) = norms

@@ -20,7 +20,6 @@ from .grid import (BQField, Grid3, ie1_field, linf, nabla, nabla_alpha,
 
 __all__ = [
     "MediumFields",
-    "EMField",
     "medium_alpha",
     "static_maxwell_residual",
     "diagonalize_em",
@@ -86,19 +85,6 @@ def medium_alpha(m: MediumFields, grid: Grid3, which: str = "eps") -> BQField:
     root = np.sqrt(w)
     comps = [partial_deriv(root, grid, k) / root for k in range(3)]
     return BQField.from_vector(grid, *comps)
-
-
-@dataclass(frozen=True)
-class EMField:
-    """A pair of purely vectorial fields (electric, magnetic)."""
-
-    e: BQField
-    h: BQField
-
-    def __post_init__(self):
-        for f in (self.e, self.h):
-            if not f.is_vectorial():
-                raise ValueError("EM fields must be purely vectorial (zero scalar part)")
 
 
 def static_maxwell_residual(scaled: BQField, m: MediumFields, which: str = "E",

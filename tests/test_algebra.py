@@ -65,7 +65,7 @@ def test_vec_square_rejects_scalar_part():
         vec_square(Biquaternion(1.0, 1.0, 0, 0))
 
 
-def test_vector_bq_is_vectorial():
+def test_vector_bq_has_no_scalar_part():
     v = Biquaternion.vector(1, 2j, 3)
     assert v.q0 == 0
     assert abs(vec_square(v) - (-(1 + (2j) ** 2 + 9))) <= TOL

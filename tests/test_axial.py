@@ -9,7 +9,8 @@ from biquat.alpha import AxialAlpha
 from biquat.factorization import (AxialOperators, c_map, j_map, pi_map, q_map,
                                   zero_divisor_reduction)
 from biquat.grid import BQField, Grid3, laplacian, linf
-from biquat.harness import _aligned_window_bounds, _windowed
+from biquat.harness import _windowed
+from smooth import smooth_field
 
 TOL = 1e-12
 
@@ -19,18 +20,6 @@ ONES = lambda *x: np.ones_like(x[0])
 
 def box(n=9):
     return Grid3.box(0.0, 1.0, n)
-
-
-def smooth_field(grid, seed=0):
-    rng = np.random.default_rng(seed)
-    x1, x2, x3 = grid.mesh()
-    data = np.zeros((4, *grid.shape), dtype=complex)
-    for comp in range(4):
-        for _ in range(3):
-            kv = rng.integers(-2, 3, size=3)
-            c = complex(rng.normal(), rng.normal())
-            data[comp] += c * np.exp(1j * (kv[0] * x1 + kv[1] * x2 + kv[2] * x3))
-    return BQField(grid, data)
 
 
 def alpha_x2():
@@ -169,7 +158,6 @@ def test_reduction_case_i_closes_exactly():
 
 
 def test_reduction_case_ii_closes_second_order():
-    bounds = _aligned_window_bounds(box(17), 0.15)
     errs = []
     for n in (17, 33):
         g = box(n)
@@ -177,7 +165,7 @@ def test_reduction_case_ii_closes_second_order():
         assert rep.case == "ii" and rep.unknown == "f"
         ops = AxialOperators(alpha_null(), g)
         v = null_direction_solution(g)
-        errs.append(_windowed(ops.schro(v, +1), bounds).linf()
+        errs.append(_windowed(ops.schro(v, +1), box(17), 0.15).linf()
                     / max(laplacian(v).linf(), 1.0))
     o = math.log(errs[0] / errs[1], 2)
     assert 1.7 <= o <= 2.3

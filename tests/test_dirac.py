@@ -12,6 +12,7 @@ from biquat.dirac import (DiracParams, SpinorField, apply_dirac,
                           spinor_to_bq)
 from biquat.grid import (BQField, Grid3, linf, nabla, nabla_alpha, reflect_x3,
                          sample)
+from smooth import smooth_field
 
 TOL = 1e-12
 
@@ -20,24 +21,12 @@ def sym_grid(n=9):
     return Grid3.box((1.0, 1.0, -0.5), (2.0, 2.0, 0.5), n)
 
 
-def smooth_spinor(grid, seed=0, modes=3):
-    rng = np.random.default_rng(seed)
-    x1, x2, x3 = grid.mesh()
-    data = np.zeros((4, *grid.shape), dtype=complex)
-    for comp in range(4):
-        for _ in range(modes):
-            kv = rng.integers(-2, 3, size=3)
-            c = complex(rng.normal(), rng.normal())
-            data[comp] += c * np.exp(1j * (kv[0] * x1 + kv[1] * x2 + kv[2] * x3))
-    return SpinorField(grid, data)
-
-
 def test_transform_roundtrip_and_linearity():
     g = sym_grid()
-    phi = smooth_spinor(g, 1)
-    psi = smooth_spinor(g, 2)
+    phi = smooth_field(g, 1, SpinorField)
+    psi = smooth_field(g, 2, SpinorField)
     assert (bq_to_spinor(spinor_to_bq(phi)) - phi).linf() <= TOL * phi.linf()
-    f = BQField(g, smooth_spinor(g, 3).data)
+    f = smooth_field(g, 3)
     assert (spinor_to_bq(bq_to_spinor(f)) - f).linf() <= TOL * f.linf()
     lhs = spinor_to_bq(2j * phi + psi)
     rhs = 2j * spinor_to_bq(phi) + spinor_to_bq(psi)
@@ -57,7 +46,7 @@ def test_transform_requires_symmetric_grid():
 
 def test_dirac_zero_potential_kinds_agree():
     g = sym_grid()
-    phi = smooth_spinor(g, 4)
+    phi = smooth_field(g, 4, SpinorField)
     base = dict(omega=0.7, m=1.3, phi=None)
     out_sc = apply_dirac(phi, DiracParams(kind="scalar", **base))
     out_el = apply_dirac(phi, DiracParams(kind="electric", **base))
@@ -98,7 +87,7 @@ def test_intertwining_residual_rounding_level(kind):
         params = DiracParams(omega=0.7, m=1.3, kind=kind, phi=given)
         worst = 0.0
         for seed in range(20):
-            phi = smooth_spinor(g, 100 + seed)
+            phi = smooth_field(g, 100 + seed, SpinorField)
             res, scale = intertwining_residual(phi, params)
             worst = max(worst, res.linf() / max(scale, 1.0))
         assert worst <= TOL
@@ -162,7 +151,7 @@ def test_pseudoscalar_split_of_unit_scalar():
 
 def test_pseudoscalar_operator_identity_exact():
     g = sym_grid()
-    f = BQField(g, smooth_spinor(g, 12).data)
+    f = smooth_field(g, 12)
     beta = Biquaternion.vector(-0.7j, -1.3, 0.0)
     x3 = g.mesh()[2]
     nu = 0.2 * x3 + 0.1j  # a genuine scalar field
@@ -198,7 +187,7 @@ def test_manufactured_solution_and_part_equations():
 
 def test_spinor_and_bq_fields_never_mix():
     g = sym_grid()
-    phi, f = smooth_spinor(g, 1), BQField(g, smooth_spinor(g, 2).data)
+    phi, f = smooth_field(g, 1, SpinorField), smooth_field(g, 2)
     for a, b in ((phi, f), (f, phi)):
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(TypeError):
@@ -216,7 +205,7 @@ def test_field_grid_mismatch_rejected(cls):
 @pytest.mark.parametrize("cls", [BQField, SpinorField])
 def test_reflect_x3_keeps_type(cls):
     g = sym_grid()
-    f = cls(g, smooth_spinor(g, 3).data)
+    f = smooth_field(g, 3, cls)
     out = reflect_x3(f)
     assert type(out) is cls
     assert np.array_equal(out.data, f.data[..., ::-1])

@@ -12,7 +12,7 @@ from biquat.factorization import (build_solution, factorization_residual,
                                   one_component_family, potentials,
                                   riccati_residual, right_inverse)
 from biquat.grid import BQField, Grid3, linf, nabla_alpha
-from biquat.harness import _aligned_window_bounds, _windowed
+from biquat.harness import _windowed
 
 TOL = 1e-12
 
@@ -254,13 +254,12 @@ def test_build_solution_from_family_reciprocals():
     # equation, so (D - M^alpha) g solves the first-order equation
     alf = reciprocal_alpha((0.0, 0.0, 0.0))
     fam = one_component_family(alf)
-    bounds = _aligned_window_bounds(box(17), 0.15)
     errs = []
     for n in (17, 33):
         g = box(n)
         gfield = BQField(g, np.stack([fam.phi_values(g, k) for k in range(4)]))
         f = build_solution(gfield, alf)
-        errs.append(_windowed(nabla_alpha(f, alf), bounds).linf()
+        errs.append(_windowed(nabla_alpha(f, alf), box(17), 0.15).linf()
                     / max(gfield.linf(), 1.0))
     order_between(errs)
 
@@ -332,6 +331,22 @@ def test_right_inverse_matches_direct_sparse_solve(alpha, variant, caplog):
     assert not caplog.records  # diagonalized, no LU fallback
     want = _direct_solve(f, alpha, variant)
     assert np.abs(out.u.data - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("variant", ["v", "w"])
+def test_right_inverse_decomposes_each_axis_operator_once(variant, monkeypatch):
+    # s_kj = ±1, so the four components share two operators per axis
+    calls = {"eig": 0, "inv": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(a, name=name, original=original):
+            calls[name] += 1
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    right_inverse(_complex_data(box(9)), reciprocal_alpha(), variant=variant)
+    assert calls == {"eig": 6, "inv": 6}
 
 
 def test_right_inverse_falls_back_to_lu_for_ill_conditioned_basis(caplog):

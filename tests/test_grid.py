@@ -22,13 +22,21 @@ def test_grid_validation():
         Grid3.box(0.0, 1.0, 4)
     with pytest.raises(ValueError):
         Grid3(shape=(9, 9, 9), origin=(0, 0, 0), spacing=(0.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="three entries"):
+        Grid3(shape=(9, 9, 9), origin=(0.0, 0.0), spacing=(0.1, 0.1, 0.1))
+    with pytest.raises(ValueError, match="three entries"):
+        Grid3(shape=(9, 9, 9), origin=(0, 0, 0), spacing=(0.1, 0.1, 0.1, 0.5))
 
 
-def test_grid_refine_nests():
-    g = box(9)
-    g2 = g.refine()
-    assert g2.shape == (17, 17, 17)
-    assert np.allclose(g2.axis(0)[::2], g.axis(0))
+@pytest.mark.parametrize("make", [
+    lambda: Grid3.box(0.0, (math.nan, 1.0, 1.0), 9),
+    lambda: Grid3.box(0.0, (1.0, math.inf, 1.0), 9),
+    lambda: Grid3.box((0.0, -math.inf, 0.0), 1.0, 9),
+    lambda: Grid3(shape=(9, 9, 9), origin=(math.nan, 0.0, 0.0), spacing=(0.1, 0.1, 0.1)),
+], ids=["nan_bound", "inf_bound", "minus_inf_bound", "nan_origin"])
+def test_grid_rejects_non_finite_box(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_x3_symmetry_flag():
@@ -120,21 +128,6 @@ def test_field_quaternion_products():
     # scalar-array multiplication acts componentwise from either side
     w = np.real(a.data[0])
     assert ((w * b).data == (b * w).data).all()
-
-
-def test_general_alpha_kind():
-    from biquat.alpha import general_alpha
-    g = box(9)
-    alf = general_alpha(lambda a, b, c: (b * c, a * c, a * b))
-    x1, x2, x3 = g.mesh()
-    assert linf(alf.vector_field(g).data[1] - x2 * x3) <= TOL
-    # no derivative callables, so D(alpha) is central differences: the curl
-    # of this gradient field is 0
-    assert not alf.has_exact_derivatives()
-    dal = alf.d_alpha(g)
-    assert linf(np.nan_to_num(dal.data[1:], nan=0.0)) <= 1e-10
-    f = BQField.from_scalar(g, lambda a, b, c: a + b)
-    assert np.isfinite(nabla_alpha(f, alf).linf())
 
 
 def test_field_conj():
@@ -240,7 +233,6 @@ def test_alpha_arrays_shapes():
     lines = alpha_arrays(reciprocal_alpha((0.0, 0.0, 0.0)), g)
     assert [a.shape for a in lines] == [(1, 1, 1), (6, 1, 1), (1, 6, 1), (1, 1, 6)]
     assert alpha_arrays(lines, g) is lines
-    assert alpha_arrays(Biquaternion(1, 2, 3, 4), g).shape == (4, 1, 1, 1)
     field = BQField.zeros(g)
     assert alpha_arrays(field, g) is field.data
     with pytest.raises(ValueError, match="different grids"):

@@ -94,15 +94,6 @@ def test_unknown_suite_rejected():
         run_suite(SuiteConfig(suite="bogus"))
 
 
-def test_config_round_trip_and_validation(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"suite": "algebra", "grids": [9, 17], "seed": 7}))
-    cfg = SuiteConfig.from_json(path)
-    assert cfg.suite == "algebra" and cfg.grids == (9, 17) and cfg.seed == 7
-    with pytest.raises(ValueError, match="unknown config"):
-        SuiteConfig.from_dict({"suite": "algebra", "bogus_key": 1})
-
-
 def test_report_deterministic_bytes(tmp_path):
     cfg = SuiteConfig(suite="forcefree", grids=(9, 17), seed=99)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -143,19 +134,6 @@ def test_cli_grid_and_seed_override(tmp_path):
     out = tmp_path / "rep.csv"
     assert cli_main(["forcefree", "--grid", "9,17", "--seed", "5",
                      "--out", str(out)]) == 0
-
-
-def test_cli_config_file(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grids": [9, 17], "seed": 3}))
-    out = tmp_path / "rep.csv"
-    assert cli_main(["forcefree", "--config", str(cfg), "--out", str(out)]) == 0
-
-
-def test_cli_bad_config(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    assert cli_main(["algebra", "--config", str(cfg)]) == 2
 
 
 def test_cli_unwritable_report_usage_error(tmp_path, monkeypatch, capsys):
@@ -255,22 +233,6 @@ def test_cli_rejects_bad_grids(tmp_path, grid):
 def test_cli_rejects_negative_seed(tmp_path):
     out = tmp_path / "rep.csv"
     assert cli_main(["forcefree", "--grid", "9,17", "--seed", "-1", "--out", str(out)]) == 2
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("entry", [
-    {"tol": float("nan")}, {"tol": -1.0},
-    {"order_window": [2.3, 1.7]}, {"order_window": 2.0},
-    {"grids": [17, 33, 65]}, {"suite": "bogus"},
-    {"lo": [2, 2, 2], "hi": [1, 1, 1]}, {"lo": [1, float("nan"), 1]}, {"lo": [1, 1]},
-    {"nu": float("nan")}, {"omega": 1.3, "m": 1.3},
-    {"b": [1.5, 1.5, 1.5]}, {"b": [1.51, 1.51, 1.51]},
-])
-def test_cli_rejects_bad_config_values(tmp_path, entry):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(entry))
-    out = tmp_path / "rep.csv"
-    assert cli_main(["forcefree", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
 
 

@@ -6,28 +6,16 @@ import pytest
 
 from biquat.algebra import Biquaternion
 from biquat.grid import BQField, Grid3, laplacian, linf, nabla
-from biquat.physics import (EMField, MediumFields, beltrami_field,
-                            circular_wave, diagonalize_em, forcefree_split,
-                            medium_alpha, static_maxwell_residual,
-                            undiagonalize_em)
+from biquat.physics import (MediumFields, beltrami_field, circular_wave,
+                            diagonalize_em, forcefree_split, medium_alpha,
+                            static_maxwell_residual, undiagonalize_em)
+from smooth import smooth_field
 
 TOL = 1e-12
 
 
 def box(n=9):
     return Grid3.box(1.0, 2.0, n)
-
-
-def smooth_field(grid, seed=0):
-    rng = np.random.default_rng(seed)
-    x1, x2, x3 = grid.mesh()
-    data = np.zeros((4, *grid.shape), dtype=complex)
-    for comp in range(4):
-        for _ in range(3):
-            kv = rng.integers(-2, 3, size=3)
-            c = complex(rng.normal(), rng.normal())
-            data[comp] += c * np.exp(1j * (kv[0] * x1 + kv[1] * x2 + kv[2] * x3))
-    return BQField(grid, data)
 
 
 def test_medium_alpha_constant_vanishes():
@@ -81,15 +69,6 @@ def test_medium_validation():
     # the closed form checks the factors before using them
     with pytest.raises(ValueError, match="separable"):
         medium_alpha(bad, g, "eps")
-
-
-def test_em_field_requires_vectorial():
-    g = box()
-    v = BQField.from_vector(g, 1.0, 0.0, 0.0)
-    s = BQField.from_scalar(g, 1.0)
-    EMField(e=v, h=v)
-    with pytest.raises(ValueError, match="vectorial"):
-        EMField(e=s, h=v)
 
 
 def test_static_residual_constant_field():
