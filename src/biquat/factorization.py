@@ -60,9 +60,15 @@ def riccati_residual(alpha: AlphaSpec, v, grid: Grid3) -> BQField:
     D(alpha) is exact when alpha.has_exact_derivatives(), central
     differences otherwise.
     """
+    return _riccati(alpha, sample(grid, v), grid)[0]
+
+
+def _riccati(alpha: AlphaSpec, v_arr: np.ndarray, grid: Grid3):
+    """(riccati_residual, alpha**2) for v already sampled on the grid."""
+    asq = alpha.alpha_sq(grid)
     res = alpha.d_alpha(grid)
-    res.data[0] += alpha.alpha_sq(grid) + sample(grid, v)
-    return res
+    res.data[0] += asq + v_arr
+    return res, asq
 
 
 def factored_product(u: BQField, alpha) -> BQField:
@@ -84,14 +90,14 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
     solve it for v within _RICCATI_TOL (relative).  Returns
     (residual BQField, scale).
     """
-    rres = riccati_residual(alpha, v, grid)
-    scale0 = max(1.0, linf(alpha.alpha_sq(grid)), linf(sample(grid, v)))
-    rel = rres.linf() / scale0
+    v_arr = sample(grid, v)
+    rres, asq = _riccati(alpha, v_arr, grid)
+    rel = rres.linf() / max(1.0, linf(asq), linf(v_arr))
+    del rres, asq  # a field-sized array and alpha**2, not needed past the check
     if rel > _RICCATI_TOL:
         raise ValueError(
             f"Riccati precondition violated: relative residual {rel:.3e} > {_RICCATI_TOL:.1e}")
     phi_field = BQField.from_scalar(grid, phi)
-    v_arr = sample(grid, v)
     lhs = -laplacian(phi_field) + v_arr * phi_field
     rhs = factored_product(phi_field, alpha)
     res = lhs - rhs

@@ -63,6 +63,35 @@ B = (0.0, 0.0, 0.0)
 DIRAC_BETA = Biquaternion.vector(-1j * OMEGA, -M, 0.0)
 
 
+def _zeros(*x):
+    return np.zeros_like(x[0])
+
+
+def _ones(*x):
+    return np.ones_like(x[0])
+
+
+# axial alphas with exact gradients: a1 = x2 (D a1 = e2, reduction case
+# iii); a1 = x2 + i x3, whose gradient is a null vector (case ii); and
+# a1 = tan(x2 + 0.2) with a2 = 1, for which i D a1 - alpha**2 is a zero
+# divisor (case i)
+ALPHA_X2 = axial_alpha(lambda a, b, c: b + 0j, 0.0, 0.0, grad_a1=(_zeros, _ones, _zeros))
+ALPHA_NULL = axial_alpha(lambda a, b, c: b + 1j * c, 0.0, 0.0,
+                         grad_a1=(_zeros, _ones, lambda *x: 1j * np.ones_like(x[0])))
+ALPHA_TAN = axial_alpha(lambda a, b, c: np.tan(b + 0.2) + 0j, 1.0, 0.0,
+                        grad_a1=(_zeros, lambda a, b, c: 1.0 / np.cos(b + 0.2) ** 2, _zeros))
+
+
+def null_direction_solution(grid: Grid3) -> BQField:
+    """v = (D a1) f = f (e2 + i e3), which solves the diagonal '+' equation
+    of ALPHA_NULL: f = exp(s**3/3 + t) with s = x2 + i x3, t = (x2 - i x3)/4."""
+    _, x2, x3 = grid.mesh()
+    s = x2 + 1j * x3
+    t = (x2 - 1j * x3) / 4.0
+    f = np.exp(s ** 3 / 3.0 + t)
+    return BQField.from_components(grid, 0.0, 0.0, f, 1j * f)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """What a run may choose: the suite, the grid pair and the seed.
@@ -70,7 +99,8 @@ class SuiteConfig:
     grids holds the node counts of the convergence pair (coarse, fine);
     the domain box is fixed while h halves, so the counts must nest:
     fine = 2*coarse - 1, as in (17, 33).  The gate (TOL, ORDER_WINDOW) and
-    the fixtures (LO, HI, OMEGA, M, NU, B) are module constants.
+    the fixtures (LO, HI, OMEGA, M, NU, B, DIRAC_BETA and the axial alphas)
+    are module constants.
     Construction rejects an unknown suite, a grid pair that is not two
     nested counts >= 5, and a seed that is not a non-negative integer.
     """
@@ -431,11 +461,7 @@ def check_algebra(cfg: SuiteConfig):
     grid = Grid3.box(0.0, 1.0, 5)
     rng2 = _rng(cfg, 2)
     u = _smooth_bq(grid, rng2)
-    alf = axial_alpha(lambda x1, x2, x3: x2 + 0j, 0.0, 0.0,
-                      grad_a1=(lambda *x: np.zeros_like(x[0]),
-                               lambda *x: np.ones_like(x[0]),
-                               lambda *x: np.zeros_like(x[0])))
-    ops = fz.AxialOperators(alf, grid)
+    ops = fz.AxialOperators(ALPHA_X2, grid)
     c_map, j_map, q_map = fz.c_map, fz.j_map, fz.q_map
     scale = u.linf()
     defect = max(
@@ -957,7 +983,7 @@ def check_right_inverse(cfg: SuiteConfig):
             solver_residuals.append(out.solver_residual)
             return nabla_alpha(out.field, alf) - f, f.linf()
         row = _order_check(s, name, grids, solved)
-        solver_ok = all(r <= 1e-10 for r in solver_residuals)
+        solver_ok = all(r <= fz._SOLVER_TOL for r in solver_residuals)
         rows.append(replace(row, passed=row.passed and solver_ok))
 
     # random smooth data on the coarse grid: bound max(5 h^2, 1e-8) on the
@@ -971,7 +997,7 @@ def check_right_inverse(cfg: SuiteConfig):
     rows.append(CheckRow(suite=s, check="random_rhs_bound", h=g_coarse.hmax,
                          linf=res.linf() / f.linf(), l2=rel,
                          expected_order=None, observed_order=None,
-                         passed=bool(rel <= bound and out.solver_residual <= 1e-10)))
+                         passed=bool(rel <= bound and out.solver_residual <= fz._SOLVER_TOL)))
 
     # mirrored variant: g = (D + M^alpha) u solves (D - M^alpha) g = f
     def mirrored(g):
@@ -994,13 +1020,8 @@ def check_axial(cfg: SuiteConfig):
     g_coarse = grids[0]
     rng = _rng(cfg, 70)
 
-    zeros = lambda *x: np.zeros_like(x[0])
-    ones = lambda *x: np.ones_like(x[0])
-
     # alpha1 = x2: D a1 = e2 and the diagonal '+' potential is x2^2 + i e2
-    alf_x2 = axial_alpha(lambda a, b, c: b + 0j, 0.0, 0.0,
-                         grad_a1=(zeros, ones, zeros))
-    ops = fz.AxialOperators(alf_x2, g_coarse)
+    ops = fz.AxialOperators(ALPHA_X2, g_coarse)
     u = _smooth_bq(g_coarse, rng)
 
     resid = ops.split_identity_residual(u)
@@ -1011,7 +1032,7 @@ def check_axial(cfg: SuiteConfig):
 
     # product identity: exact for constant a1 on quadratics (wide Laplacian)
     alf_c = axial_alpha(lambda a, b, c: (0.4 - 0.3j) * np.ones_like(a), 0.2, -0.1j,
-                        grad_a1=(zeros, zeros, zeros))
+                        grad_a1=(_zeros, _zeros, _zeros))
     ops_c = fz.AxialOperators(alf_c, g_coarse)
     quad = BQField.from_components(g_coarse,
                                    lambda a, b, c: a * b, lambda a, b, c: b * c,
@@ -1024,54 +1045,41 @@ def check_axial(cfg: SuiteConfig):
     bq_modes = _bq_modes(_modes(rng), _rng(cfg, 71))
     def factq_x2(g):
         ug = _eval_bq(g, bq_modes)
-        res, scale = fz.AxialOperators(alf_x2, g).factq_residual(ug, wide=False)
+        res, scale = fz.AxialOperators(ALPHA_X2, g).factq_residual(ug, wide=False)
         return res * (1.0 / scale)
     rows.append(_order_check(s, "factq_x2_order", grids, factq_x2))
 
-    # the printed diagonal '+' potential for a1 = x2
+    # the diagonal '+' potential -alpha**2 + i D a1 for a1 = x2, against
+    # its printed value
     x1, x2, x3 = g_coarse.mesh()
-    pot_field = BQField.from_components(
-        g_coarse, -ops.alpha_sq, 1j * np.zeros(g_coarse.shape),
-        1j * np.ones(g_coarse.shape), np.zeros(g_coarse.shape))
+    pot_field = BQField.from_scalar(g_coarse, -ops.alpha_sq) + 1j * ops.d_alpha1
     want = BQField.from_components(g_coarse, x2 ** 2, 0.0, 1j, 0.0)
     rows.append(_exact_field_row(s, "diagonal_plus_potential_value",
                                  pot_field - want, scale=want.linf()))
 
     # null-gradient closed form (case ii data) drives the involution maps:
     # v solves the '+' equation; i e1 v solves '-'; Pi v solves (A+BC)
-    a1_null = lambda a, b, c: b + 1j * c
-    alf_null = axial_alpha(a1_null, 0.0, 0.0,
-                           grad_a1=(zeros, ones, lambda *x: 1j * np.ones_like(x[0])))
-    def null_v(g):
-        x1g, x2g, x3g = g.mesh()
-        sdir = x2g + 1j * x3g
-        tdir = (x2g - 1j * x3g) / 4.0
-        fval = np.exp(sdir ** 3 / 3.0 + tdir)
-        return BQField.from_components(g, 0.0, 0.0, fval, 1j * fval)
     def pi_correspondence(g):
-        uu = fz.pi_map(null_v(g))
-        return fz.AxialOperators(alf_null, g).abc(uu), max(laplacian(uu).linf(), 1.0)
+        uu = fz.pi_map(null_direction_solution(g))
+        return fz.AxialOperators(ALPHA_NULL, g).abc(uu), max(laplacian(uu).linf(), 1.0)
     rows.append(_order_check(s, "pi_correspondence_order", grids, pi_correspondence,
                              window=0.15))
     def conjugate_pair(g):
-        w = fz.j_map(null_v(g))
-        return fz.AxialOperators(alf_null, g).schro(w, -1), max(laplacian(w).linf(), 1.0)
+        w = fz.j_map(null_direction_solution(g))
+        return fz.AxialOperators(ALPHA_NULL, g).schro(w, -1), max(laplacian(w).linf(), 1.0)
     rows.append(_order_check(s, "conjugate_pair_order", grids, conjugate_pair, window=0.15))
 
     # zero-divisor reduction: classification of the three cases
-    alf_tan = axial_alpha(lambda a, b, c: np.tan(b + 0.2) + 0j, 1.0, 0.0,
-                          grad_a1=(zeros, lambda a, b, c: 1.0 / np.cos(b + 0.2) ** 2,
-                                   zeros))
-    ok = (fz.zero_divisor_reduction(alf_tan, g_coarse).case == "i"
-          and fz.zero_divisor_reduction(alf_null, g_coarse).case == "ii"
-          and fz.zero_divisor_reduction(alf_x2, g_coarse).case == "iii"
+    ok = (fz.zero_divisor_reduction(ALPHA_TAN, g_coarse).case == "i"
+          and fz.zero_divisor_reduction(ALPHA_NULL, g_coarse).case == "ii"
+          and fz.zero_divisor_reduction(ALPHA_X2, g_coarse).case == "iii"
           and fz.zero_divisor_reduction(alf_c, g_coarse).case == "degenerate")
     flag = 0.0 if ok else 1.0
     rows.append(_exact_row(s, "reduction_classification", flag))
 
     # case i closes exactly: v = (-1 + i e2) (x1 x2) is harmonic and the
     # potential term annihilates it pointwise
-    ops_tan = fz.AxialOperators(alf_tan, g_coarse)
+    ops_tan = fz.AxialOperators(ALPHA_TAN, g_coarse)
     gharm = x1 * x2
     v_i = BQField.from_components(g_coarse, -gharm, 0.0, 1j * gharm, 0.0)
     res = ops_tan.schro(v_i, +1)
@@ -1080,15 +1088,15 @@ def check_axial(cfg: SuiteConfig):
 
     # case ii closes at O(h^2): v = (D a1) f with the null-direction f
     def case_ii(g):
-        v = null_v(g)
-        return fz.AxialOperators(alf_null, g).schro(v, +1), max(laplacian(v).linf(), 1.0)
+        v = null_direction_solution(g)
+        return fz.AxialOperators(ALPHA_NULL, g).schro(v, +1), max(laplacian(v).linf(), 1.0)
     rows.append(_order_check(s, "reduction_case_ii_order", grids, case_ii, window=0.15))
 
     # case iii closes at O(h^2): v = (beta0 - beta) exp(-x2^2/2), beta0 = 1
     def case_iii(g):
         fval = np.exp(-g.mesh()[1] ** 2 / 2.0)
         v3 = BQField.from_components(g, fval, 0.0, -1j * fval, 0.0)
-        return fz.AxialOperators(alf_x2, g).schro(v3, +1), max(laplacian(v3).linf(), 1.0)
+        return fz.AxialOperators(ALPHA_X2, g).schro(v3, +1), max(laplacian(v3).linf(), 1.0)
     rows.append(_order_check(s, "reduction_case_iii_order", grids, case_iii))
     return rows
 

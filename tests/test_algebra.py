@@ -4,8 +4,7 @@ import pytest
 from biquat.algebra import (BASIS, E0, E1, E2, E3, Biquaternion,
                             is_zero_divisor, qmul, right_projector,
                             split_projectors, vec_square)
-
-TOL = 1e-12
+from biquat.harness import TOL
 
 
 def test_multiplication_table():

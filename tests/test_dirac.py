@@ -1,8 +1,8 @@
-import math
 import operator
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from biquat.algebra import Biquaternion, E0
 from biquat.dirac import (DiracParams, SpinorField, apply_dirac,
@@ -12,9 +12,7 @@ from biquat.dirac import (DiracParams, SpinorField, apply_dirac,
                           spinor_to_bq)
 from biquat.grid import (BQField, Grid3, linf, nabla, nabla_alpha, reflect_x3,
                          sample)
-from smooth import smooth_field
-
-TOL = 1e-12
+from biquat.harness import TOL, _order_check, _smooth_bq, _smooth_spinor
 
 
 def sym_grid(n=9):
@@ -23,10 +21,10 @@ def sym_grid(n=9):
 
 def test_transform_roundtrip_and_linearity():
     g = sym_grid()
-    phi = smooth_field(g, 1, SpinorField)
-    psi = smooth_field(g, 2, SpinorField)
+    phi = _smooth_spinor(g, default_rng(1))
+    psi = _smooth_spinor(g, default_rng(2))
     assert (bq_to_spinor(spinor_to_bq(phi)) - phi).linf() <= TOL * phi.linf()
-    f = smooth_field(g, 3)
+    f = _smooth_bq(g, default_rng(3))
     assert (spinor_to_bq(bq_to_spinor(f)) - f).linf() <= TOL * f.linf()
     lhs = spinor_to_bq(2j * phi + psi)
     rhs = 2j * spinor_to_bq(phi) + spinor_to_bq(psi)
@@ -46,7 +44,7 @@ def test_transform_requires_symmetric_grid():
 
 def test_dirac_zero_potential_kinds_agree():
     g = sym_grid()
-    phi = smooth_field(g, 4, SpinorField)
+    phi = _smooth_spinor(g, default_rng(4))
     base = dict(omega=0.7, m=1.3, phi=None)
     out_sc = apply_dirac(phi, DiracParams(kind="scalar", **base))
     out_el = apply_dirac(phi, DiracParams(kind="electric", **base))
@@ -80,17 +78,16 @@ def test_equivalent_alpha_potential_enters_reflected():
 @pytest.mark.parametrize("kind", ["scalar", "electric"])
 def test_intertwining_residual_rounding_level(kind):
     g = sym_grid()
-    # x3-asymmetric potential so the reflection convention actually matters;
-    # given as its samples it must enter reflected just the same
-    pot = lambda a, b, c: np.cos(a) + 0.5 * c + 0.3 * c * b
-    for given in (pot, sample(g, pot)):
-        params = DiracParams(omega=0.7, m=1.3, kind=kind, phi=given)
-        worst = 0.0
-        for seed in range(20):
-            phi = smooth_field(g, 100 + seed, SpinorField)
-            res, scale = intertwining_residual(phi, params)
-            worst = max(worst, res.linf() / max(scale, 1.0))
-        assert worst <= TOL
+    # an x3-asymmetric potential given as its samples must enter reflected
+    # just as the dirac suite's callable potentials do
+    pot = sample(g, lambda a, b, c: np.cos(a) + 0.5 * c + 0.3 * c * b)
+    params = DiracParams(omega=0.7, m=1.3, kind=kind, phi=pot)
+    worst = 0.0
+    for seed in range(20):
+        phi = _smooth_spinor(g, default_rng(100 + seed))
+        res, scale = intertwining_residual(phi, params)
+        worst = max(worst, res.linf() / max(scale, 1.0))
+    assert worst <= TOL
 
 
 def test_pseudoscalar_array_potential_matches_callable():
@@ -151,7 +148,7 @@ def test_pseudoscalar_split_of_unit_scalar():
 
 def test_pseudoscalar_operator_identity_exact():
     g = sym_grid()
-    f = smooth_field(g, 12)
+    f = _smooth_bq(g, default_rng(12))
     beta = Biquaternion.vector(-0.7j, -1.3, 0.0)
     x3 = g.mesh()[2]
     nu = 0.2 * x3 + 0.1j  # a genuine scalar field
@@ -169,25 +166,28 @@ def test_pseudoscalar_split_rejects_zero_divisor_beta():
 def test_manufactured_solution_and_part_equations():
     beta = Biquaternion.vector(-0.7j, -1.3, 0.0)
     nu = 0.4 - 0.2j
-    errs = {key: {} for key in ((1, 1), (-1, 1), (1, -1), (-1, -1))}
-    full = {}
-    for n in (9, 17):
-        g = sym_grid(n)
+    grids = (sym_grid(9), sym_grid(17))
+    splits = {}
+
+    def full_equation(g):
         f = manufactured_split_solution(g, nu, beta)
-        res = nabla(f) + nu * f + f * beta
-        full[n] = res.linf() / f.linf()
         split = pseudoscalar_split(f, nu, beta)
         assert (split.recombined() - f).linf() <= TOL * f.linf()
-        for key in errs:
-            errs[key][n] = split.part_residual(*key).linf() / f.linf()
-    assert 1.7 <= math.log(full[9] / full[17], 2) <= 2.3
-    for key in errs:
-        assert 1.7 <= math.log(errs[key][9] / errs[key][17], 2) <= 2.3
+        splits[g] = split, f.linf()
+        return nabla(f) + nu * f + f * beta, f.linf()
+
+    rows = [_order_check("dirac", "full", grids, full_equation)]
+    for key in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        def part(g, key=key):
+            split, scale = splits[g]
+            return split.part_residual(*key), scale
+        rows.append(_order_check("dirac", f"part{key}", grids, part))
+    assert all(r.passed for r in rows), rows
 
 
 def test_spinor_and_bq_fields_never_mix():
     g = sym_grid()
-    phi, f = smooth_field(g, 1, SpinorField), smooth_field(g, 2)
+    phi, f = _smooth_spinor(g, default_rng(1)), _smooth_bq(g, default_rng(2))
     for a, b in ((phi, f), (f, phi)):
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(TypeError):
@@ -205,7 +205,7 @@ def test_field_grid_mismatch_rejected(cls):
 @pytest.mark.parametrize("cls", [BQField, SpinorField])
 def test_reflect_x3_keeps_type(cls):
     g = sym_grid()
-    f = smooth_field(g, 3, cls)
+    f = cls(g, _smooth_bq(g, default_rng(3)).data)
     out = reflect_x3(f)
     assert type(out) is cls
     assert np.array_equal(out.data, f.data[..., ::-1])

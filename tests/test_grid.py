@@ -9,8 +9,7 @@ from biquat.factorization import build_solution, factored_product, one_component
 from biquat.grid import (BQField, Grid3, alpha_arrays, l2, laplacian, laplacian_wide,
                          linf, nabla, nabla_alpha, norms, partial_deriv,
                          reflect_x3, sample)
-
-TOL = 1e-12
+from biquat.harness import TOL, _order_check
 
 
 def box(n=9, lo=1.0, hi=2.0):
@@ -68,13 +67,13 @@ def test_nabla_alpha_reciprocal_one_component_converges():
     # f = e0/((x1-b1)(x2-b2)(x3-b3)) solves the first-order equation exactly
     alf = reciprocal_alpha((0.0, 0.0, 0.0))
     fam = one_component_family(alf)
-    errs = {}
-    for n in (17, 33):
-        g = box(n)
-        f = BQField.from_scalar(g, fam.f_values(g, 0))
-        errs[n] = nabla_alpha(f, alf).linf() / linf(fam.f_values(g, 0))
-    ratio = errs[17] / errs[33]
-    assert 1.7 <= math.log(ratio, 2) <= 2.3
+
+    def residual(g):
+        f0 = fam.f_values(g, 0)
+        return nabla_alpha(BQField.from_scalar(g, f0), alf), linf(f0)
+
+    row = _order_check("t", "nabla_alpha", (box(17), box(33)), residual)
+    assert row.passed, row
 
 
 def test_alpha_pole_detection():

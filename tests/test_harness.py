@@ -81,12 +81,11 @@ def test_order_check_manufactured_residuals():
     assert row.passed and row.observed_order == EXACT_ORDER and row.linf == 0.0
 
 
-def test_run_suite_matches_benchmark_catalog():
+def test_run_suite_matches_benchmark_catalog(full_report):
     # the benchmark treats a renamed or reordered row as a wrong output
     path = Path(__file__).resolve().parents[1] / "perfbench" / "catalog.json"
     catalog = [tuple(entry) for entry in json.loads(path.read_text())]
-    rows = run_suite(SuiteConfig(suite="all", grids=(9, 17))).rows
-    assert [(r.suite, r.check) for r in rows] == catalog
+    assert [(r.suite, r.check) for r in full_report.rows] == catalog
 
 
 def test_unknown_suite_rejected():
