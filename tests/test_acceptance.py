@@ -12,7 +12,7 @@ from biquat.harness import SuiteConfig, run_suite
 
 # sha256 of the `verify all --seed 1234` CSV at the default grids: a change
 # that leaves the numerics alone keeps it; a change to any row updates it
-REPORT_SHA256 = "43b9586a3cf92dfadae3ebe26387370416b8155235da0641671f534a9e3ce02a"
+REPORT_SHA256 = "ad07560e0e696bb3bb6140f2624db7e0109a61caa386a04cbe59cd72bf216221"
 
 
 def _announce(criterion, report, max_seconds):

@@ -88,6 +88,17 @@ def test_run_suite_matches_benchmark_catalog(full_report):
     assert [(r.suite, r.check) for r in full_report.rows] == catalog
 
 
+def test_basis_rows_read_exactly_zero(full_report):
+    # multilinear identities proved on the basis, and the axial maps on
+    # Gaussian-integer data: no rounding, so each row reads exactly 0
+    exact = {"mul_table", "identity_element", "associativity", "conj_antihomomorphism",
+             "involution_identities", "norm_product", "p_projectors",
+             "axial_operator_identities"}
+    rows = [r for r in full_report.rows if r.suite == "algebra" and r.check in exact]
+    assert {r.check for r in rows} == exact
+    assert all(r.passed and r.linf == r.l2 == 0.0 for r in rows)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite(SuiteConfig(suite="bogus"))
