@@ -13,7 +13,9 @@ alpha-dependent operators in ``AxialOperators`` and the zero-divisor
 reductions to scalar equations.
 
 The factor D + M^alpha is ``grid.nabla_alpha``; D - M^alpha is
-``build_solution``.
+``build_solution``.  Both are grid's blocked first-order kernel, which
+adds or subtracts f*alpha block by block inside nabla's loop: a factor
+holds its output and no whole-field product.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from scipy import sparse
 from scipy.sparse import linalg as sla
 
 from .algebra import INVOLUTION_SIGNS, ROUNDING_TOL, qmul, right_projector
-from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha
-from .grid import (BQField, Grid3, alpha_arrays, laplacian, laplacian_wide,
-                   linf, nabla, nabla_alpha, sample)
+from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _check_finite
+from .grid import (BQField, Grid3, _first_order, alpha_arrays, laplacian,
+                   laplacian_wide, linf, nabla_alpha, sample)
 
 __all__ = [
     "riccati_residual",
@@ -86,22 +88,32 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
     """Residual of (-lap + v) phi = (D + M^alpha)(D - M^alpha) phi on a
     scalar function phi.
 
-    Checks the Riccati precondition first and raises when alpha does not
-    solve it for v within _RICCATI_TOL (relative).  Returns
-    (residual BQField, scale).
+    Raises when sampled v or phi is not finite, and when alpha does not
+    solve the Riccati precondition for v within _RICCATI_TOL (relative).
+    Returns (residual BQField, scale).
     """
     v_arr = sample(grid, v)
+    _check_finite([v_arr], "v")
     rres, asq = _riccati(alpha, v_arr, grid)
     rel = rres.linf() / max(1.0, linf(asq), linf(v_arr))
     del rres, asq  # a field-sized array and alpha**2, not needed past the check
-    if rel > _RICCATI_TOL:
+    if not rel <= _RICCATI_TOL:
         raise ValueError(
             f"Riccati precondition violated: relative residual {rel:.3e} > {_RICCATI_TOL:.1e}")
     phi_field = BQField.from_scalar(grid, phi)
-    lhs = -laplacian(phi_field) + v_arr * phi_field
-    rhs = factored_product(phi_field, alpha)
-    res = lhs - rhs
-    return res, max(lhs.linf(), rhs.linf(), 1e-300)
+    _check_finite([phi_field.scalar], "phi")
+    # -lap phi + v phi; phi, and so v phi, lives in the scalar slot only
+    lhs = laplacian(phi_field)
+    np.negative(lhs.data, out=lhs.data)
+    lhs.data[0] += v_arr * phi_field.scalar
+    a = alpha_arrays(alpha, grid)
+    first = build_solution(phi_field, a)
+    del phi_field
+    rhs = nabla_alpha(first, a)
+    del first
+    scale = max(lhs.linf(), rhs.linf(), 1e-300)
+    np.subtract(lhs.data, rhs.data, out=lhs.data)
+    return lhs, scale
 
 
 # --------------------------------------------------------------------------
@@ -158,9 +170,7 @@ def build_solution(g: BQField, alpha) -> BQField:
     conversely a solution f of that form forces the g_k to solve their
     Schrodinger equations.
     """
-    out = nabla(g)
-    out.data -= qmul(g.data, alpha_arrays(alpha, g.grid))
-    return out
+    return _first_order(g, alpha_arrays(alpha, g.grid), -1)
 
 
 # --------------------------------------------------------------------------
@@ -343,7 +353,9 @@ def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v") -> RightInve
     above _COND_LIMIT is solved by sparse LU on the same Kronecker sum
     instead, and the call logs the condition number once.  A ValueError is
     raised when min |lam_1 + lam_2 + lam_3| shows a singular operator, and
-    when the relative residual of any component solve exceeds _SOLVER_TOL.
+    when the relative residual of any component solve exceeds _SOLVER_TOL
+    or is NaN, and when a component of f is not finite at an interior node
+    (the boundary values are not used).
     """
     if variant not in ("v", "w"):
         raise ValueError("variant must be 'v' or 'w'")
@@ -358,6 +370,9 @@ def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v") -> RightInve
     worst = 0.0
     fallback = {}
     for k, s in enumerate(INVOLUTION_SIGNS):
+        rhs = f.data[k][inner]
+        if not np.isfinite(rhs).all():
+            raise ValueError(f"f component {k} is not finite at an interior node")
         sigmas = [sign * s_j for s_j in s]
         ops = [axis_ops[j][sigma] for j, sigma in enumerate(sigmas)]
         lams, vecs, conds, invs = zip(*(axis_eigs[j][sigma] for j, sigma in enumerate(sigmas)))
@@ -367,7 +382,6 @@ def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v") -> RightInve
             raise ValueError(
                 "discrete operator singular or near-singular: "
                 f"min |lam| {smallest:.3e}, max |lam| {largest:.3e}")
-        rhs = f.data[k][inner]
         cond = float(np.prod(conds))
         if cond <= _COND_LIMIT:
             sol = rhs
@@ -387,13 +401,14 @@ def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v") -> RightInve
             sol = lu.solve(rhs.ravel()).reshape(rhs.shape)
         applied = sum(_along(a, sol, j) for j, a in enumerate(ops))
         rhs_scale = max(float(np.abs(rhs).max(initial=0.0)), 1e-300)
-        worst = max(worst, float(np.abs(applied - rhs).max(initial=0.0)) / rhs_scale)
+        # np.maximum keeps a NaN, which Python's max would drop
+        worst = float(np.maximum(worst, np.abs(applied - rhs).max(initial=0.0) / rhs_scale))
         u[k][inner] = sol
     if fallback:
         _log.warning("right_inverse: eigenvector basis cond(V) up to %.3e > %.1e; "
                      "components %s solved by sparse LU",
                      max(fallback.values()), _COND_LIMIT, sorted(fallback))
-    if worst > _SOLVER_TOL:
+    if not worst <= _SOLVER_TOL:
         raise ValueError(f"linear solver residual {worst:.3e} exceeds {_SOLVER_TOL:.1e}")
     u_field = BQField(grid, u)
     out = build_solution(u_field, alpha) if variant == "v" else nabla_alpha(u_field, alpha)

@@ -398,12 +398,21 @@ _NABLA_TERMS = (
 )
 
 
-def nabla(f: BQField) -> BQField:
-    """First-order operator sum_k e_k d_k f.
+def _block_of(a: np.ndarray, sl: tuple) -> np.ndarray:
+    """The part of an array broadcasting against the grid that meets the
+    block sl: cut along its axes longer than 1 (trailing axes aligned, as
+    numpy broadcasts), so lines and constants still broadcast."""
+    return a[tuple(s if n > 1 else slice(None) for s, n in zip(sl[3 - a.ndim:], a.shape))]
 
-    Evaluated as (-div f_vec) + grad f0 + curl f_vec, term by term in that
-    order: the scalar part sums d1 f1 + d2 f2 + d3 f3 before negating, and
-    each vector component adds its curl pair first, then its gradient term.
+
+def _first_order(f: BQField, alpha=None, sign: int = 1) -> BQField:
+    """nabla(f), plus (sign +1) or minus (sign -1) the right product
+    f * alpha when alpha is given as four arrays from ``alpha_arrays``.
+
+    One block of x1-planes at a time: nabla's terms in the order ``nabla``
+    states, then ``qmul`` on the block's slices of f and of alpha added or
+    subtracted, node for node what the whole-field product would add.  The
+    NaN rim is left as it is.
     """
     g = f.grid
     n1, n2, n3 = g.shape
@@ -415,11 +424,25 @@ def nabla(f: BQField) -> BQField:
         for c, ((comp, axis), rest) in enumerate(_NABLA_TERMS):
             o = out[c][sl]
             _central_difference(f.data[comp], sl, axis, g.spacing[axis], o)
-            for sign, comp, axis in rest:
+            for sgn, comp, axis in rest:
                 _central_difference(f.data[comp], sl, axis, g.spacing[axis], t)
-                (np.add if sign > 0 else np.subtract)(o, t, out=o)
+                (np.add if sgn > 0 else np.subtract)(o, t, out=o)
         np.negative(out[0][sl], out=out[0][sl])
+        if alpha is not None:
+            o = out[(slice(None), *sl)]
+            prod = qmul(f.data[(slice(None), *sl)], [_block_of(a, sl) for a in alpha])
+            (np.add if sign > 0 else np.subtract)(o, prod, out=o)
     return BQField(g, out)
+
+
+def nabla(f: BQField) -> BQField:
+    """First-order operator sum_k e_k d_k f.
+
+    Evaluated as (-div f_vec) + grad f0 + curl f_vec, term by term in that
+    order: the scalar part sums d1 f1 + d2 f2 + d3 f3 before negating, and
+    each vector component adds its curl pair first, then its gradient term.
+    """
+    return _first_order(f)
 
 
 def alpha_arrays(alpha, grid: Grid3):
@@ -444,9 +467,7 @@ def nabla_alpha(f: BQField, alpha) -> BQField:
 
     alpha is anything ``alpha_arrays`` takes.
     """
-    out = nabla(f)
-    out.data += qmul(f.data, alpha_arrays(alpha, f.grid))
-    return out
+    return _first_order(f, alpha_arrays(alpha, f.grid))
 
 
 def ie1_field(grid: Grid3, c) -> BQField:

@@ -364,8 +364,18 @@ def check_algebra(cfg: SuiteConfig):
     basis_row("mul_table", 2, lambda p, q: [(p * q, _table_product(p, q))])
     basis_row("identity_element", 1, lambda q: [(one * q, q), (q * one, q)])
 
-    # zero-divisor criterion: q**2 = 2 q0 q on constructed zero divisors,
-    # and the classifier agreeing on both populations
+    # zero-divisor criterion: q**2 = 2 q0 q on constructed zero divisors
+    # zd; the classifier, the construction and that characterization
+    # agreeing on zd, on zd moved off the set to half and to twice the
+    # threshold, and on a random q
+    tol = 1e-9
+
+    def zd_distance(q):
+        # |q**2 - 2 q0 q| = |q0**2 - q_vec**2| relative to max(1, |q|**2);
+        # near the set |q|**2 is the classifier's |q0**2| + |q_vec**2|
+        size = max(1.0, float(np.sum(np.abs(q.components) ** 2)))
+        return (q * q - (2.0 * q.q0) * q).abs_max() / size
+
     rng = _rng(cfg, 1)
     worst = 0.0
     misclassified = 0
@@ -377,12 +387,15 @@ def check_algebra(cfg: SuiteConfig):
         lhs = zd * zd
         rhs = (2.0 * zd.q0) * zd
         worst = max(worst, (lhs - rhs).abs_max() / max(1.0, lhs.abs_max()))
-        if not algebra.is_zero_divisor(zd, tol=1e-9):
-            misclassified += 1
         q = Biquaternion(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        expect = abs(q.q0 ** 2 - (-(q.q1**2 + q.q2**2 + q.q3**2))) <= 1e-9
-        if algebra.is_zero_divisor(q, tol=1e-9) != expect:
-            misclassified += 1
+        # zd + delta has q0**2 - q_vec**2 = delta (2 zd.q0 + delta), so
+        # delta = r tol size / (2 zd.q0) puts it at distance r tol, up to
+        # the delta**2 term
+        size = max(1.0, 2.0 * abs(zd.q0) ** 2)
+        near, far = (zd + (r * tol * size / (2.0 * zd.q0)) * one for r in (0.5, 2.0))
+        for p, inside in ((zd, True), (near, True), (far, False), (q, zd_distance(q) <= tol)):
+            if not algebra.is_zero_divisor(p, tol=tol) == inside == (zd_distance(p) <= tol):
+                misclassified += 1
     row = _exact_row(s, "zero_divisor_criterion", worst)
     rows.append(replace(row, passed=row.passed and misclassified == 0))
 

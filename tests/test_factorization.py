@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse import linalg as sla
 
+from biquat import factorization
 from biquat.alpha import (axial_alpha, constant_alpha, gradient_alpha,
                           reciprocal_alpha, separable_alpha)
 from biquat.factorization import (build_solution, factorization_residual,
@@ -121,6 +122,19 @@ def test_factorization_checks_riccati_precondition():
     alf = reciprocal_alpha((0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="Riccati"):
         factorization_residual(alf, lambda a, b, c: a, 5.0, g)
+
+
+@pytest.mark.parametrize("bad, which", [(np.nan, "v"), (np.inf, "v"), (np.nan, "phi")])
+def test_factorization_rejects_non_finite_samples(bad, which):
+    # one bad node would otherwise read as a finite residual (NaN) or pass
+    # the Riccati check as a NaN relative residual (inf in v)
+    g = box(17)
+    alf = reciprocal_alpha()
+    x1 = g.mesh()[0]
+    arrays = {"v": np.zeros(g.shape), "phi": np.sin(x1)}
+    arrays[which][8, 7, 9] = bad
+    with pytest.raises(ValueError, match=f"^{which} .*non-finite"):
+        factorization_residual(alf, arrays["phi"], arrays["v"], g)
 
 
 # ------------------------------------------------------------------
@@ -277,6 +291,39 @@ def test_right_inverse_reports_singular_operator():
     f = BQField.from_scalar(g, lambda a, b, c: np.sin(a))
     with pytest.raises(ValueError):
         right_inverse(f, alf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_right_inverse_rejects_non_finite_interior_data(bad):
+    # a NaN used to leave solver_residual at rounding level and the
+    # returned field all NaN
+    f = _complex_data(box(17))
+    f.data[2, 8, 3, 11] = bad
+    with pytest.raises(ValueError, match="f component 2 is not finite"):
+        right_inverse(f, reciprocal_alpha())
+
+
+def test_right_inverse_solver_gate_fails_on_nan(monkeypatch):
+    # NaN eigenvalues make every solve NaN: the residual gate must see it
+    diagonalize = factorization._diagonalize
+
+    def poisoned(a):
+        lam, vec, cond, inv = diagonalize(a)
+        return lam * np.nan, vec, cond, inv
+
+    monkeypatch.setattr(factorization, "_diagonalize", poisoned)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="solver residual nan"):
+        right_inverse(_complex_data(box()), reciprocal_alpha())
+
+
+def test_right_inverse_ignores_an_invalid_rim():
+    # only the interior is solved for: a NaN-rimmed operator output is data
+    f = _complex_data(box())
+    rimmed = BQField(f.grid, f.data.copy())
+    rimmed.data[:, 0] = np.nan
+    rimmed.data[:, :, -1] = np.nan
+    alf = reciprocal_alpha()
+    assert np.array_equal(right_inverse(rimmed, alf).u.data, right_inverse(f, alf).u.data)
 
 
 def _direct_solve(f, alpha, variant):

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from biquat.algebra import Biquaternion
+from biquat.algebra import Biquaternion, qmul
 from biquat.alpha import AlphaSpec, constant_alpha, reciprocal_alpha
-from biquat.factorization import build_solution, factored_product, one_component_family
-from biquat.grid import (BQField, Grid3, alpha_arrays, l2, laplacian, laplacian_wide,
-                         linf, nabla, nabla_alpha, norms, partial_deriv,
-                         reflect_x3, sample)
+from biquat.factorization import (build_solution, factored_product,
+                                  factorization_residual, one_component_family)
+from biquat.grid import (BQField, Grid3, alpha_arrays, ie1_field, l2, laplacian,
+                         laplacian_wide, linf, nabla, nabla_alpha, norms,
+                         partial_deriv, reflect_x3, sample)
 from biquat.harness import TOL, _order_check
 
 
@@ -260,6 +262,67 @@ def test_separable_products_never_materialize_alpha(monkeypatch):
     }
     for name in want:
         assert _same(got[name].data, want[name].data), name
+
+
+def _kernel_alphas(g, seed):
+    """Every kind of alpha the first-order kernels get: the lines of a
+    separable alpha, a constant one, a sampled field, an i e1 multiplier
+    over a scalar array as the dirac and physics modules build it, and a
+    constant biquaternion as four (1, 1, 1) arrays."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(4, *g.shape)) + 1j * rng.normal(size=(4, *g.shape))
+    return {
+        "separable": reciprocal_alpha((0.0, -1.0, 0.0)),
+        "constant": constant_alpha(1j, 0.5, -2.0),
+        "field": BQField(g, data),
+        "ie1": -ie1_field(g, data[0].real + 0.5j),
+        "biquaternion": Biquaternion(0.5, -1j, 2.0, 0.25j).components.reshape(4, 1, 1, 1),
+    }
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_first_order_kernels_equal_whole_field_products(shape):
+    f = _kernel_field(shape, 15)
+    g = f.grid
+    for name, alpha in _kernel_alphas(g, 16).items():
+        a = alpha_arrays(alpha, g)
+        plus = nabla(f).data + qmul(f.data, a)
+        minus = nabla(f).data - qmul(f.data, a)
+        u = BQField(g, minus)
+        product = nabla(u).data + qmul(u.data, a)
+        assert _same(nabla_alpha(f, alpha).data, plus), name
+        assert _same(build_solution(f, alpha).data, minus), name
+        assert _same(factored_product(f, alpha).data, product), name
+
+
+def _traced_peak(call) -> int:
+    """Bytes call() holds at its peak, its result included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_order_calls_hold_few_fields():
+    # the product f * alpha is added per block, never as a whole field:
+    # a factor holds its output and a factorization residual three fields
+    g = Grid3.box(1.0, 2.0, 65)
+    rng = np.random.default_rng(17)
+    f = BQField(g, rng.normal(size=(4, *g.shape)) + 1j * rng.normal(size=(4, *g.shape)))
+    phi = np.sin(g.mesh()[0])
+    alf = reciprocal_alpha()
+    limits = {
+        "nabla_alpha": (lambda: nabla_alpha(f, alf), 1.5),
+        "build_solution": (lambda: build_solution(f, alf), 1.5),
+        "factored_product": (lambda: factored_product(f, alf), 2.5),
+        "factorization_residual": (lambda: factorization_residual(alf, phi, 0.0, g), 4.0),
+    }
+    for name, (call, fields) in limits.items():
+        peak = _traced_peak(call) / f.data.nbytes
+        assert peak <= fields, f"{name} held {peak:.2f} fields"
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -216,6 +216,18 @@ def test_zero_divisor_misclassification_fails_row_not_linf(monkeypatch):
     assert row.linf == row.l2 <= 1e-12
 
 
+@pytest.mark.parametrize("factor", [0.3, 3.0])
+def test_zero_divisor_row_pins_the_classifier_threshold(monkeypatch, factor):
+    # elements at half and at twice the threshold from the set catch a
+    # classifier whose threshold is off by a factor of 3 either way
+    cfg = SuiteConfig(suite="algebra")
+    assert _row(cfg, "zero_divisor_criterion").passed
+    exact = algebra.is_zero_divisor
+    monkeypatch.setattr(algebra, "is_zero_divisor",
+                        lambda q, tol=1e-12: exact(q, tol=factor * tol))
+    assert not _row(cfg, "zero_divisor_criterion").passed
+
+
 @pytest.mark.parametrize("kwargs", [
     {"suite": "bogus"},
     {"grids": (17,)},
