@@ -66,21 +66,16 @@ for _g in (G0, G1, G2, G3, G5):
 _VOLUME = G1 @ G2 @ G3
 
 # the two constant matrices of the transform, built for G0-G3 above; the
-# forward one carries the global factor 1/2 and the pair is mutually
-# inverse (asserted in tests)
+# forward one carries the global factor 1/2.  The rows of 2 _FWD are
+# orthogonal with squared norm 2, so _FWD (2 _FWD)^H = I: the inverse is
+# the conjugate transpose of 2 _FWD (round trips asserted in tests)
 _FWD = 0.5 * np.array([
     [0, -1, 1, 0],
     [1j, 0, 0, -1j],
     [-1, 0, 0, -1],
     [0, 1j, 1j, 0],
 ], dtype=complex)
-
-_INV = np.array([
-    [0, -1j, -1, 0],
-    [-1, 0, 0, -1j],
-    [1, 0, 0, -1j],
-    [0, 1j, -1, 0],
-], dtype=complex)
+_INV = (2.0 * _FWD).conj().T
 
 
 def _apply(m: np.ndarray, data: np.ndarray) -> np.ndarray:

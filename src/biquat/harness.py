@@ -264,16 +264,18 @@ def _rng(cfg: SuiteConfig, salt: int):
 # row builders
 # --------------------------------------------------------------------------
 
-def _exact_row(suite, check, value_linf, h=None, scale=1.0, value_l2=None) -> CheckRow:
-    return CheckRow(suite=suite, check=check, h=h,
+# the builders leave the suite empty: run_suite stamps the SUITES key on
+# every row that a suite returns
+def _exact_row(check, value_linf, h=None, scale=1.0, value_l2=None) -> CheckRow:
+    return CheckRow(suite="", check=check, h=h,
                     linf=value_linf,
                     l2=value_linf if value_l2 is None else value_l2,
                     expected_order=None, observed_order=None,
                     passed=bool(value_linf <= TOL * scale))
 
 
-def _exact_field_row(suite, check, res: BQField, scale=1.0) -> CheckRow:
-    return _exact_row(suite, check, res.linf(), h=res.grid.hmax, scale=scale,
+def _exact_field_row(check, res: BQField, scale=1.0) -> CheckRow:
+    return _exact_row(check, res.linf(), h=res.grid.hmax, scale=scale,
                       value_l2=res.l2())
 
 
@@ -295,7 +297,7 @@ def _windowed(field: BQField, coarse: Grid3, frac: float) -> BQField:
     return BQField(field.grid, data)
 
 
-def _order_check(suite, check, grids, residual_at, window=None) -> CheckRow:
+def _order_check(check, grids, residual_at, window=None) -> CheckRow:
     """Grid-halving convergence study of one residual.
 
     residual_at(g) builds the residual BQField on grid g, or returns
@@ -317,7 +319,7 @@ def _order_check(suite, check, grids, residual_at, window=None) -> CheckRow:
     (h1, linf1, _), (h2, linf2, l2_2) = norms
     order = convergence_order((h1, linf1), (h2, linf2))
     lo, hi = ORDER_WINDOW
-    return CheckRow(suite=suite, check=check, h=h2, linf=linf2, l2=l2_2,
+    return CheckRow(suite="", check=check, h=h2, linf=linf2, l2=l2_2,
                     expected_order=2.0, observed_order=order,
                     passed=bool(order == EXACT_ORDER or lo <= order <= hi))
 
@@ -335,9 +337,9 @@ def _basis_defect(identity, arity):
     and products of 0, ±1, ±i and ±0.5 are exact in float64, so a true
     identity reads exactly 0: a proof, not a sample.
     """
-    return max((lhs - rhs).abs_max()
-               for qs in itertools.product(algebra.BASIS, repeat=arity)
-               for lhs, rhs in identity(*qs))
+    return np.max([(lhs - rhs).abs_max()
+                   for qs in itertools.product(algebra.BASIS, repeat=arity)
+                   for lhs, rhs in identity(*qs)])
 
 
 def _table_product(p, q):
@@ -354,12 +356,11 @@ def _table_product(p, q):
 
 def check_algebra(cfg: SuiteConfig):
     rows = []
-    s = "algebra"
     one, basis = algebra.E0, algebra.BASIS
 
     def basis_row(check, arity, identity):
         # a multilinear identity, proved on the basis: passes only at 0
-        rows.append(_exact_row(s, check, _basis_defect(identity, arity), scale=0.0))
+        rows.append(_exact_row(check, _basis_defect(identity, arity), scale=0.0))
 
     basis_row("mul_table", 2, lambda p, q: [(p * q, _table_product(p, q))])
     basis_row("identity_element", 1, lambda q: [(one * q, q), (q * one, q)])
@@ -386,7 +387,7 @@ def check_algebra(cfg: SuiteConfig):
         zd = scale * (one + 1j * float(sign) * basis[k])
         lhs = zd * zd
         rhs = (2.0 * zd.q0) * zd
-        worst = max(worst, (lhs - rhs).abs_max() / max(1.0, lhs.abs_max()))
+        worst = np.maximum(worst, (lhs - rhs).abs_max() / max(1.0, lhs.abs_max()))
         q = Biquaternion(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
         # zd + delta has q0**2 - q_vec**2 = delta (2 zd.q0 + delta), so
         # delta = r tol size / (2 zd.q0) puts it at distance r tol, up to
@@ -396,7 +397,7 @@ def check_algebra(cfg: SuiteConfig):
         for p, inside in ((zd, True), (near, True), (far, False), (q, zd_distance(q) <= tol)):
             if not algebra.is_zero_divisor(p, tol=tol) == inside == (zd_distance(p) <= tol):
                 misclassified += 1
-    row = _exact_row(s, "zero_divisor_criterion", worst)
+    row = _exact_row("zero_divisor_criterion", worst)
     rows.append(replace(row, passed=row.passed and misclassified == 0))
 
     basis_row("associativity", 3, lambda p, q, r: [((p * q) * r, p * (q * r))])
@@ -429,17 +430,18 @@ def check_algebra(cfg: SuiteConfig):
             pair = algebra.split_projectors(beta)
         except ValueError:
             continue
-        worst = max(worst, (pair.plus + pair.minus - one).abs_max())
-        worst = max(worst, (pair.plus * pair.plus - pair.plus).abs_max())
-        worst = max(worst, (pair.plus * pair.minus).abs_max())
-        worst = max(worst, (pair.plus.conj() - pair.minus).abs_max())
-        if not (algebra.is_zero_divisor(pair.plus, 1e-9)
-                and algebra.is_zero_divisor(pair.minus, 1e-9)):
-            worst = max(worst, 1.0)
+        both_zd = (algebra.is_zero_divisor(pair.plus, 1e-9)
+                   and algebra.is_zero_divisor(pair.minus, 1e-9))
         check = (pair.lam * one + beta) * (pair.lam * one + beta) \
             - (2 * pair.lam) * (pair.lam * one + beta)
-        worst = max(worst, check.abs_max() / max(1.0, abs(pair.lam) ** 2))
-    rows.append(_exact_row(s, "s_projectors", worst))
+        worst = np.max([worst,
+                        (pair.plus + pair.minus - one).abs_max(),
+                        (pair.plus * pair.plus - pair.plus).abs_max(),
+                        (pair.plus * pair.minus).abs_max(),
+                        (pair.plus.conj() - pair.minus).abs_max(),
+                        0.0 if both_zd else 1.0,
+                        check.abs_max() / max(1.0, abs(pair.lam) ** 2)])
+    rows.append(_exact_row("s_projectors", worst))
 
     rejected = 0.0
     try:
@@ -447,7 +449,7 @@ def check_algebra(cfg: SuiteConfig):
         rejected = 1.0  # m = omega case must raise
     except ValueError:
         pass
-    rows.append(_exact_row(s, "s_rejects_zero_divisor", rejected))
+    rows.append(_exact_row("s_rejects_zero_divisor", rejected))
 
     # axial operator identities C, J, Q, Pi and Q B = B Q: the maps are
     # pointwise and linear, so on a field with Gaussian-integer components
@@ -459,7 +461,7 @@ def check_algebra(cfg: SuiteConfig):
                 + 1j * rng2.integers(-4, 5, size=(4, *grid.shape)))
     ops = fz.AxialOperators(ALPHA_X2, grid)
     c_map, j_map, q_map = fz.c_map, fz.j_map, fz.q_map
-    defect = max(
+    defect = np.max([
         (c_map(c_map(u)) - u).linf(),
         (j_map(j_map(u)) - u).linf(),
         (c_map(j_map(u)) - j_map(c_map(u))).linf(),
@@ -467,8 +469,8 @@ def check_algebra(cfg: SuiteConfig):
         (q_map(u, 1) + q_map(u, -1) - u).linf(),
         (fz.pi_map(fz.pi_map(u)) - u).linf(),
         (q_map(ops.b(u), 1) - ops.b(q_map(u, 1))).linf(),
-    )
-    rows.append(_exact_row(s, "axial_operator_identities", defect, scale=0.0))
+    ])
+    rows.append(_exact_row("axial_operator_identities", defect, scale=0.0))
     return rows
 
 
@@ -478,7 +480,6 @@ def check_algebra(cfg: SuiteConfig):
 
 def check_calculus(cfg: SuiteConfig):
     rows = []
-    s = "calculus"
     grids = cfg.grid_pair()
     g_coarse = grids[0]
     rng = _rng(cfg, 10)
@@ -490,23 +491,23 @@ def check_calculus(cfg: SuiteConfig):
     for k in (1, 2, 3):
         ek = algebra.BASIS[k]
         raw = raw + ek * BQField(g_coarse, partial_deriv(f.data, g_coarse, k - 1))
-    rows.append(_exact_field_row(s, "sc_vec_decomposition", df - raw, scale=df.linf()))
+    rows.append(_exact_field_row("sc_vec_decomposition", df - raw, scale=df.linf()))
 
     # exactness on linear fields
     x1 = BQField.from_scalar(g_coarse, lambda a, b, c: a)
     res = nabla(x1) - BQField.constant(g_coarse, algebra.E1)
-    rows.append(_exact_field_row(s, "gradient_of_linear", res))
+    rows.append(_exact_field_row("gradient_of_linear", res))
     xvec = BQField.from_vector(g_coarse, lambda a, b, c: a,
                                lambda a, b, c: b, lambda a, b, c: c)
     res = nabla(xvec) - BQField.constant(g_coarse, Biquaternion.scalar(-3.0))
-    rows.append(_exact_field_row(s, "divergence_of_linear", res))
+    rows.append(_exact_field_row("divergence_of_linear", res))
 
     # Laplacian on quadratics and a harmonic quadratic
     q = BQField.from_scalar(g_coarse, lambda a, b, c: a ** 2)
     res = laplacian(q) - BQField.constant(g_coarse, Biquaternion.scalar(2.0))
-    rows.append(_exact_field_row(s, "laplacian_quadratic", res))
+    rows.append(_exact_field_row("laplacian_quadratic", res))
     harm = BQField.from_scalar(g_coarse, lambda a, b, c: a ** 2 - b ** 2)
-    rows.append(_exact_field_row(s, "laplacian_harmonic", laplacian(harm)))
+    rows.append(_exact_field_row("laplacian_harmonic", laplacian(harm)))
 
     # D(D f) equals the doubled-spacing Laplacian on quadratics, exactly
     quad = BQField.from_components(g_coarse,
@@ -515,7 +516,7 @@ def check_calculus(cfg: SuiteConfig):
                                    lambda a, b, c: b * c,
                                    lambda a, b, c: c ** 2)
     res = nabla(nabla(quad)) + laplacian_wide(quad)
-    rows.append(_exact_field_row(s, "dd_vs_wide_laplacian_quadratic", res,
+    rows.append(_exact_field_row("dd_vs_wide_laplacian_quadratic", res,
                                  scale=laplacian_wide(quad).linf()))
 
     # order of || D^2 f + lap f || on a smooth field over the grid pair
@@ -523,13 +524,13 @@ def check_calculus(cfg: SuiteConfig):
     def dd_plus_laplacian(g):
         fg = _eval_bq(g, bq_modes)
         return nabla(nabla(fg)) + laplacian(fg)
-    rows.append(_order_check(s, "dd_plus_laplacian_order", grids, dd_plus_laplacian))
+    rows.append(_order_check("dd_plus_laplacian_order", grids, dd_plus_laplacian))
 
     # O(h^2) of the 7-point Laplacian on sin(x1)
     def laplacian_sin(g):
         f_sin = BQField.from_scalar(g, lambda a, b, c: np.sin(a))
         return laplacian(f_sin) + f_sin
-    rows.append(_order_check(s, "laplacian_sin_order", grids, laplacian_sin))
+    rows.append(_order_check("laplacian_sin_order", grids, laplacian_sin))
 
     # scalar one-component solution of the reciprocal family:
     # f = e0 / ((x1-b1)(x2-b2)(x3-b3)) has D f + f alpha = 0 exactly
@@ -538,7 +539,7 @@ def check_calculus(cfg: SuiteConfig):
     def alpha_residual(g):
         f0 = fam.f_values(g, 0)
         return nabla_alpha(BQField.from_scalar(g, f0), alf), linf(f0)
-    rows.append(_order_check(s, "alpha_residual_reciprocal_order", grids, alpha_residual,
+    rows.append(_order_check("alpha_residual_reciprocal_order", grids, alpha_residual,
                              window=0.15))
 
     # reflection: involutive, commutes with d1/d2, anticommutes with d3
@@ -550,8 +551,8 @@ def check_calculus(cfg: SuiteConfig):
         d_then_r = reflect_x3(BQField(gsym, partial_deriv(fsym.data, gsym, axis)))
         r_then_d = BQField(gsym, partial_deriv(reflect_x3(fsym).data, gsym, axis))
         sign = -1.0 if axis == 2 else 1.0
-        worst = max(worst, (r_then_d - sign * d_then_r).linf())
-    rows.append(_exact_row(s, "reflect_derivative_commutation", worst / max(scale, 1.0),
+        worst = np.maximum(worst, (r_then_d - sign * d_then_r).linf())
+    rows.append(_exact_row("reflect_derivative_commutation", worst / max(scale, 1.0),
                            h=gsym.hmax))
 
     # linearity of D + M^alpha in the field argument
@@ -560,12 +561,12 @@ def check_calculus(cfg: SuiteConfig):
     f2 = _smooth_bq(g_coarse, rng)
     lhs = nabla_alpha(f1 + 2j * f2, a_const)
     rhs = nabla_alpha(f1, a_const) + 2j * nabla_alpha(f2, a_const)
-    rows.append(_exact_field_row(s, "d_alpha_linearity", lhs - rhs, scale=lhs.linf()))
+    rows.append(_exact_field_row("d_alpha_linearity", lhs - rhs, scale=lhs.linf()))
 
     # constant field times constant alpha reproduces the table: e1 * e2 = e3
     fconst = BQField.constant(g_coarse, algebra.E1)
     res = nabla_alpha(fconst, constant_alpha(0, 1, 0)) - BQField.constant(g_coarse, algebra.E3)
-    rows.append(_exact_field_row(s, "d_alpha_constant_table", res))
+    rows.append(_exact_field_row("d_alpha_constant_table", res))
     return rows
 
 
@@ -575,7 +576,6 @@ def check_calculus(cfg: SuiteConfig):
 
 def check_dirac(cfg: SuiteConfig):
     rows = []
-    s = "dirac"
     grids = cfg.dirac_grid_pair()
     g_coarse = grids[0]
     rng = _rng(cfg, 20)
@@ -588,9 +588,9 @@ def check_dirac(cfg: SuiteConfig):
         for b_ in range(4):
             anti = gs[a] @ gs[b_] + gs[b_] @ gs[a]
             want = 2 * eye if a == b_ == 0 else (-2 * eye if a == b_ else 0 * eye)
-            worst = max(worst, float(np.abs(anti - want).max()))
-    worst = max(worst, float(np.abs(dirac.G5 - 1j * gs[0] @ gs[1] @ gs[2] @ gs[3]).max()))
-    rows.append(_exact_row(s, "gamma_relations", worst))
+            worst = np.maximum(worst, np.abs(anti - want).max())
+    worst = np.maximum(worst, np.abs(dirac.G5 - 1j * gs[0] @ gs[1] @ gs[2] @ gs[3]).max())
+    rows.append(_exact_row("gamma_relations", worst))
 
     # transform round trip, both orders
     phi = _smooth_spinor(g_coarse, rng)
@@ -598,14 +598,14 @@ def check_dirac(cfg: SuiteConfig):
     worst = (dirac.bq_to_spinor(fwd) - phi).linf() / max(phi.linf(), 1.0)
     fld = _smooth_bq(g_coarse, rng)
     back = dirac.spinor_to_bq(dirac.bq_to_spinor(fld))
-    worst = max(worst, (back - fld).linf() / max(fld.linf(), 1.0))
-    rows.append(_exact_row(s, "transform_roundtrip", worst, h=g_coarse.hmax))
+    worst = np.maximum(worst, (back - fld).linf() / max(fld.linf(), 1.0))
+    rows.append(_exact_row("transform_roundtrip", worst, h=g_coarse.hmax))
 
     # first column of the forward matrix
     unit = dirac.SpinorField.from_components(g_coarse, 1.0, 0.0, 0.0, 0.0)
     want = BQField.from_components(g_coarse, 0.0, 0.5j, -0.5, 0.0)
     res = dirac.spinor_to_bq(unit) - want
-    rows.append(_exact_field_row(s, "transform_unit_column", res))
+    rows.append(_exact_field_row("transform_unit_column", res))
 
     # intertwining for scalar and electric potentials, 20 random spinors
     for kind, name in (("scalar", "intertwining_scalar"),
@@ -621,21 +621,20 @@ def check_dirac(cfg: SuiteConfig):
         for _ in range(20):
             phi = _smooth_spinor(g_coarse, rng)
             res, scale = dirac.intertwining_residual(phi, params)
-            worst = max(worst, res.linf() / max(scale, 1.0))
-        rows.append(_exact_row(s, name, worst, h=g_coarse.hmax))
+            worst = np.maximum(worst, res.linf() / max(scale, 1.0))
+        rows.append(_exact_row(name, worst, h=g_coarse.hmax))
 
     # printed alpha formulas at omega = 1, m = 2, zero potential; nu sign
     p0 = dirac.DiracParams(omega=1.0, m=2.0, kind="scalar", phi=None)
-    af = dirac.equivalent_alpha(p0, g_coarse)
-    want = BQField.constant(g_coarse, Biquaternion.vector(-1j, -2.0, 0.0))
-    worst = (af - want).linf()
     pe = dirac.DiracParams(omega=1.0, m=2.0, kind="electric", phi=None)
-    worst = max(worst, (dirac.equivalent_alpha(pe, g_coarse) - want).linf())
     pps = dirac.DiracParams(omega=1.0, m=2.0, kind="pseudoscalar", phi=1.0)
+    want = BQField.constant(g_coarse, Biquaternion.vector(-1j, -2.0, 0.0))
     nu, beta = dirac.equivalent_alpha(pps, g_coarse)
-    worst = max(worst, float(np.abs(nu - (-1j)).max()))
-    worst = max(worst, (beta - Biquaternion.vector(-1j, -2.0, 0.0)).abs_max())
-    rows.append(_exact_row(s, "equivalent_alpha_formulas", worst))
+    worst = np.max([(dirac.equivalent_alpha(p0, g_coarse) - want).linf(),
+                    (dirac.equivalent_alpha(pe, g_coarse) - want).linf(),
+                    np.abs(nu - (-1j)).max(),
+                    (beta - Biquaternion.vector(-1j, -2.0, 0.0)).abs_max()])
+    rows.append(_exact_row("equivalent_alpha_formulas", worst))
 
     # pseudoscalar splitting: exact recombination and operator identity
     nu_c = 0.4 - 0.2j
@@ -643,9 +642,9 @@ def check_dirac(cfg: SuiteConfig):
     f = _smooth_bq(g_coarse, rng)
     split = dirac.pseudoscalar_split(f, nu_c, beta)
     res = split.recombined() - f
-    rows.append(_exact_field_row(s, "ps_recombination", res, scale=f.linf()))
+    rows.append(_exact_field_row("ps_recombination", res, scale=f.linf()))
     res, scale = dirac.pseudoscalar_identity_residual(f, nu_c, beta)
-    rows.append(_exact_field_row(s, "ps_operator_identity", res, scale=scale))
+    rows.append(_exact_field_row("ps_operator_identity", res, scale=scale))
 
     # manufactured constant-nu solution: per-part equation residuals O(h^2)
     splits, scales = {}, {}
@@ -654,7 +653,7 @@ def check_dirac(cfg: SuiteConfig):
         splits[g] = dirac.pseudoscalar_split(man, nu_c, beta)
         scales[g] = max(man.linf(), 1.0)
     # report the part with the largest fine-grid residual; pass only if all do
-    part_rows = [_order_check(s, "ps_part_equations_order", grids,
+    part_rows = [_order_check("ps_part_equations_order", grids,
                               lambda g, key=key: (splits[g].part_residual(*key), scales[g]))
                  for key in splits[g_coarse].parts]
     worst_row = max(part_rows, key=lambda r: r.linf)
@@ -664,7 +663,7 @@ def check_dirac(cfg: SuiteConfig):
     def plane_wave(g):
         wave, params = dirac.free_plane_wave(g, (1.0, 0.5, -0.8), M)
         return BQField(g, dirac.apply_dirac(wave, params).data)
-    rows.append(_order_check(s, "plane_wave_order", grids, plane_wave))
+    rows.append(_order_check("plane_wave_order", grids, plane_wave))
     return rows
 
 
@@ -674,7 +673,6 @@ def check_dirac(cfg: SuiteConfig):
 
 def check_maxwell(cfg: SuiteConfig):
     rows = []
-    s = "maxwell"
     grids = cfg.grid_pair()
     g_coarse = grids[0]
     rng = _rng(cfg, 30)
@@ -682,7 +680,7 @@ def check_maxwell(cfg: SuiteConfig):
     # constant medium: coefficient vector vanishes
     med_const = physics.MediumFields(eps=2.5, mu=1.0)
     av = physics.medium_alpha(med_const, g_coarse, "eps")
-    rows.append(_exact_field_row(s, "medium_alpha_constant", av))
+    rows.append(_exact_field_row("medium_alpha_constant", av))
 
     # separable closed form vs numeric gradient, exp(2 x1) permittivity;
     # the same medium without factors is the numeric reference
@@ -693,11 +691,11 @@ def check_maxwell(cfg: SuiteConfig):
                        (lambda x: np.ones_like(x), lambda x: np.zeros_like(x))))
     closed = physics.medium_alpha(med, g_coarse, "eps")
     want = BQField.constant(g_coarse, algebra.E1)
-    rows.append(_exact_field_row(s, "medium_alpha_exp_closed", closed - want))
+    rows.append(_exact_field_row("medium_alpha_exp_closed", closed - want))
     def closed_vs_numeric(g):
         return (physics.medium_alpha(replace(med, separable_eps=None), g, "eps")
                 - physics.medium_alpha(med, g, "eps"))
-    rows.append(_order_check(s, "medium_alpha_closed_vs_numeric_order", grids,
+    rows.append(_order_check("medium_alpha_closed_vs_numeric_order", grids,
                              closed_vs_numeric))
 
     # diagonalization round trip
@@ -705,8 +703,8 @@ def check_maxwell(cfg: SuiteConfig):
     h_f = _smooth_bq(g_coarse, rng).vector_part()
     phi, psi = physics.diagonalize_em(e_f, h_f)
     e2_, h2_ = physics.undiagonalize_em(phi, psi)
-    worst = max((e2_ - e_f).linf(), (h2_ - h_f).linf()) / max(e_f.linf(), h_f.linf(), 1.0)
-    rows.append(_exact_row(s, "diagonalization_roundtrip", worst, h=g_coarse.hmax))
+    worst = np.max([(e2_ - e_f).linf(), (h2_ - h_f).linf()]) / max(e_f.linf(), h_f.linf(), 1.0)
+    rows.append(_exact_row("diagonalization_roundtrip", worst, h=g_coarse.hmax))
 
     # slow-medium plane-wave pair: diagonal equations and Helmholtz, O(h^2)
     for sign, name in ((1, "diagonal_plus_order"), (-1, "diagonal_minus_order")):
@@ -715,16 +713,16 @@ def check_maxwell(cfg: SuiteConfig):
             phi, psi = physics.diagonalize_em(b, (-sign * 1j) * b)
             active = phi if sign == 1 else psi
             return nabla(active) - float(sign) * NU * active
-        rows.append(_order_check(s, name, grids, diagonal))
+        rows.append(_order_check(name, grids, diagonal))
     def helmholtz(g):
         b = physics.circular_wave(g, NU, -1)
         return laplacian(b) + NU ** 2 * b
-    rows.append(_order_check(s, "helmholtz_order", grids, helmholtz))
+    rows.append(_order_check("helmholtz_order", grids, helmholtz))
 
     # static system: constants, manufactured solution, manufactured source
     e_const = BQField.constant(g_coarse, Biquaternion.vector(1.0, -2.0, 0.5))
     res = physics.static_maxwell_residual(e_const, med_const, which="E")
-    rows.append(_exact_field_row(s, "static_constant", res))
+    rows.append(_exact_field_row("static_constant", res))
 
     med_sep = physics.MediumFields(
         eps=lambda a, b, c: (a * b * c) ** 2, mu=1.0,
@@ -735,7 +733,7 @@ def check_maxwell(cfg: SuiteConfig):
         e_man = BQField.from_vector(g, fam.f_values(g, 1), fam.f_values(g, 2),
                                     fam.f_values(g, 3))
         return physics.static_maxwell_residual(e_man, med_sep, which="E"), e_man.linf()
-    rows.append(_order_check(s, "static_manufactured_order", grids, static_manufactured,
+    rows.append(_order_check("static_manufactured_order", grids, static_manufactured,
                              window=0.15))
 
     e_smooth = _smooth_bq(g_coarse, rng).vector_part()
@@ -743,7 +741,7 @@ def check_maxwell(cfg: SuiteConfig):
     rho = -np.sqrt(med_const.eps_values(g_coarse)) * bare.scalar
     cancelled = physics.static_maxwell_residual(e_smooth, med_const, which="E", rho=rho)
     worst = linf(np.nan_to_num(cancelled.scalar, nan=0.0)) / max(bare.linf(), 1.0)
-    rows.append(_exact_row(s, "static_manufactured_source", worst, h=g_coarse.hmax))
+    rows.append(_exact_row("static_manufactured_source", worst, h=g_coarse.hmax))
     return rows
 
 
@@ -753,7 +751,6 @@ def check_maxwell(cfg: SuiteConfig):
 
 def check_forcefree(cfg: SuiteConfig):
     rows = []
-    s = "forcefree"
     grids = cfg.grid_pair()
     g_coarse = grids[0]
     rng = _rng(cfg, 40)
@@ -765,23 +762,23 @@ def check_forcefree(cfg: SuiteConfig):
         nu_modes = _modes(rng, n_modes=2)
         nu_arr = _eval_modes(g_coarse, nu_modes)
         _, _, resid = physics.forcefree_split(f, nu_arr)
-        worst = max(worst, resid)
-    rows.append(_exact_row(s, "split_identity_random", worst, h=g_coarse.hmax))
+        worst = np.maximum(worst, resid)
+    rows.append(_exact_row("split_identity_random", worst, h=g_coarse.hmax))
 
     # Beltrami fixture: div exactly zero, curl + nu B at O(h^2)
     b = physics.beltrami_field(g_coarse, NU)
     div_part = nabla(b).scalar
-    rows.append(_exact_row(s, "beltrami_divergence", linf(div_part), h=g_coarse.hmax))
+    rows.append(_exact_row("beltrami_divergence", linf(div_part), h=g_coarse.hmax))
     def beltrami(g):
         bg = physics.beltrami_field(g, NU)
         return nabla(bg) + NU * bg
-    rows.append(_order_check(s, "beltrami_residual_order", grids, beltrami))
+    rows.append(_order_check("beltrami_residual_order", grids, beltrami))
 
     # full biquaternion accepted: nonzero scalar part, identity still exact
     f = _smooth_bq(g_coarse, rng)
     assert linf(f.scalar) > 0
     _, _, resid = physics.forcefree_split(f, NU)
-    rows.append(_exact_row(s, "scalar_part_accepted", resid, h=g_coarse.hmax))
+    rows.append(_exact_row("scalar_part_accepted", resid, h=g_coarse.hmax))
     return rows
 
 
@@ -791,7 +788,6 @@ def check_forcefree(cfg: SuiteConfig):
 
 def check_factorization(cfg: SuiteConfig):
     rows = []
-    s = "factorization"
     grids = cfg.grid_pair()
     g_coarse = grids[0]
     rng = _rng(cfg, 50)
@@ -801,15 +797,15 @@ def check_factorization(cfg: SuiteConfig):
 
     # reciprocal family: vanishing zeroth potential, printed v_1..v_3
     pots = fz.potentials(alf, g_coarse)
-    rows.append(_exact_row(s, "reciprocal_zero_potential", linf(pots.v[0]),
+    rows.append(_exact_row("reciprocal_zero_potential", linf(pots.v[0]),
                            h=g_coarse.hmax, value_l2=l2(pots.v[0], g_coarse)))
     printed = (
         2.0 * (1.0 / (x2 - b2) ** 2 + 1.0 / (x3 - b3) ** 2),
         2.0 * (1.0 / (x1 - b1) ** 2 + 1.0 / (x3 - b3) ** 2),
         2.0 * (1.0 / (x1 - b1) ** 2 + 1.0 / (x2 - b2) ** 2),
     )
-    worst = max(linf(pots.v[k + 1] - printed[k]) for k in range(3))
-    rows.append(_exact_row(s, "reciprocal_printed_potentials", worst,
+    worst = np.max([linf(pots.v[k + 1] - printed[k]) for k in range(3)])
+    rows.append(_exact_row("reciprocal_printed_potentials", worst,
                            h=g_coarse.hmax, scale=max(linf(p) for p in printed)))
 
     # v_k + w_k = -2 alpha^2 for a generic separable alpha
@@ -821,19 +817,19 @@ def check_factorization(cfg: SuiteConfig):
                     lambda x: np.exp(0.3 * x) / 0.3, lambda x: (0.7 - 0.2j) * x))
     pots_gen = fz.potentials(alf_gen, g_coarse)
     defect = pots_gen.pairing_defect() / max(1.0, linf(pots_gen.alpha_sq))
-    rows.append(_exact_row(s, "potential_pairing", defect, h=g_coarse.hmax))
+    rows.append(_exact_row("potential_pairing", defect, h=g_coarse.hmax))
 
     # Riccati residuals with exact derivatives
     res = fz.riccati_residual(alf, 0.0, g_coarse)
     scale = max(1.0, linf(alf.alpha_sq(g_coarse)))
-    rows.append(_exact_field_row(s, "riccati_reciprocal", res, scale=scale))
+    rows.append(_exact_field_row("riccati_reciprocal", res, scale=scale))
     galf = gradient_alpha(lambda a, b, c: a,
                           grad_phi=(lambda a, b, c: np.ones_like(a),
                                     lambda a, b, c: np.zeros_like(a),
                                     lambda a, b, c: np.zeros_like(a)),
                           lap_phi=lambda a, b, c: np.zeros_like(a))
     res = fz.riccati_residual(galf, 0.0, g_coarse)
-    rows.append(_exact_field_row(s, "riccati_gradient_x1", res))
+    rows.append(_exact_field_row("riccati_gradient_x1", res))
 
     # gradient alpha from the product phi matches the reciprocal family
     phi0 = lambda a, b, c: (a - b1) * (b - b2) * (c - b3)
@@ -844,7 +840,7 @@ def check_factorization(cfg: SuiteConfig):
                   lambda a, b, c: (a - b1) * (b - b2)),
         lap_phi=lambda a, b, c: np.zeros_like(a))
     diff = galf2.vector_field(g_coarse) - alf.vector_field(g_coarse)
-    rows.append(_exact_field_row(s, "gradient_alpha_matches_reciprocal", diff,
+    rows.append(_exact_field_row("gradient_alpha_matches_reciprocal", diff,
                                  scale=alf.vector_field(g_coarse).linf()))
 
     # closed-form one-component solutions: first-order equation, both
@@ -854,35 +850,35 @@ def check_factorization(cfg: SuiteConfig):
     for _ in range(5):
         coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
         res, scale = fam.equation_residual_analytic(g_coarse, coeffs)
-        worst = max(worst, res.linf() / scale)
-    rows.append(_exact_row(s, "closed_form_first_order", worst, h=g_coarse.hmax))
+        worst = np.maximum(worst, res.linf() / scale)
+    rows.append(_exact_row("closed_form_first_order", worst, h=g_coarse.hmax))
     for which, name in (("v", "closed_form_schrodinger_v"),
                         ("w", "closed_form_schrodinger_w")):
         worst = 0.0
         for k in range(4):
             res, scale = fam.schrodinger_residual_analytic(g_coarse, k, which)
-            worst = max(worst, linf(res) / scale)
-        rows.append(_exact_row(s, name, worst, h=g_coarse.hmax))
+            worst = np.maximum(worst, linf(res) / scale)
+        rows.append(_exact_row(name, worst, h=g_coarse.hmax))
 
     # the same combination checked with grid derivatives converges at 2
     coeffs = (0.3 - 0.1j, 1.0, -0.7, 0.4 + 0.2j)
     def closed_form_grid(g):
         comb = fam.combination(g, coeffs)
         return nabla_alpha(comb, alf), comb.linf()
-    rows.append(_order_check(s, "closed_form_grid_order", grids, closed_form_grid,
+    rows.append(_order_check("closed_form_grid_order", grids, closed_form_grid,
                              window=0.15))
 
     # scalar factorization: exact for constant alpha on a quadratic
     alfc = constant_alpha(1j * M, 0.0, 0.0)
     res, scale = fz.factorization_residual(alfc, lambda a, b, c: a * b + c ** 2,
                                            -M ** 2, g_coarse)
-    rows.append(_exact_field_row(s, "scalar_factorization_quadratic", res, scale=scale))
+    rows.append(_exact_field_row("scalar_factorization_quadratic", res, scale=scale))
     # order 2 on a smooth function with the reciprocal alpha, v = 0
     modes = _modes(rng)
     def scalar_factorization(g):
         res, scale = fz.factorization_residual(alf, _eval_modes(g, modes), 0.0, g)
         return res * (1.0 / scale)
-    rows.append(_order_check(s, "scalar_factorization_order", grids, scalar_factorization))
+    rows.append(_order_check("scalar_factorization_order", grids, scalar_factorization))
 
     # componentwise factorization (fact): exact for constant alpha on
     # quadratics against the wide Laplacian; order 2 for the generic
@@ -894,32 +890,32 @@ def check_factorization(cfg: SuiteConfig):
                                    lambda a, b, c: a ** 2 - c ** 2)
     lhs = fz.factored_product(quad, alfc)
     rhs = _fact_rhs(quad, alfc, g_coarse, wide=True)
-    rows.append(_exact_field_row(s, "component_factorization_quadratic", lhs - rhs,
+    rows.append(_exact_field_row("component_factorization_quadratic", lhs - rhs,
                                  scale=max(lhs.linf(), rhs.linf())))
     bq_modes = _bq_modes(modes, _rng(cfg, 51))
     def component_factorization(g):
         u = _eval_bq(g, bq_modes)
         return fz.factored_product(u, alf_gen) - _fact_rhs(u, alf_gen, g, wide=False)
-    rows.append(_order_check(s, "component_factorization_order", grids,
+    rows.append(_order_check("component_factorization_order", grids,
                              component_factorization))
 
     # solutions built from harmonic/Schrodinger data
     def build_from_harmonic(g):
         gfield = BQField.from_scalar(g, lambda a, b, c: a)  # harmonic, v_0 = 0
-        return nabla_alpha(fz.build_solution(gfield, alf), alf)
-    rows.append(_order_check(s, "build_from_harmonic_order", grids, build_from_harmonic,
+        return fz.factored_product(gfield, alf)
+    rows.append(_order_check("build_from_harmonic_order", grids, build_from_harmonic,
                              window=0.15))
 
     # identity behind the converse: D_alpha (D - M^alpha) g equals the sum
     # of the componentwise Schrodinger operators, for arbitrary smooth g
     def converse_identity(g):
         gfield = _eval_bq(g, bq_modes)
-        lhs = nabla_alpha(fz.build_solution(gfield, alf), alf)
+        lhs = fz.factored_product(gfield, alf)
         v = fz.potentials(alf, g).v
         lap = laplacian(gfield)
         rhs = np.stack([-lap.data[k] + v[k] * gfield.data[k] for k in range(4)])
         return lhs - BQField(g, rhs)
-    rows.append(_order_check(s, "converse_identity_order", grids, converse_identity))
+    rows.append(_order_check("converse_identity_order", grids, converse_identity))
     return rows
 
 
@@ -957,7 +953,6 @@ def _compatible_rhs(grid: Grid3, pots):
 
 def check_right_inverse(cfg: SuiteConfig):
     rows = []
-    s = "right-inverse"
     grids = cfg.grid_pair()
     g_coarse = grids[0]
     rng = _rng(cfg, 60)
@@ -967,19 +962,16 @@ def check_right_inverse(cfg: SuiteConfig):
 
     # zero input
     out = fz.right_inverse(BQField.zeros(g_coarse), alf_const)
-    rows.append(_exact_field_row(s, "zero_input", out.field))
+    rows.append(_exact_field_row("zero_input", out.field))
 
+    # a component solve above _SOLVER_TOL makes right_inverse raise, which
+    # run_suite reports as this suite's one FAIL row
     for alf, name in ((alf_const, "constant_alpha_order"),
                       (alf_sep, "separable_alpha_order")):
-        solver_residuals = []
         def solved(g, alf=alf):
             f = _compatible_rhs(g, fz.potentials(alf, g))
-            out = fz.right_inverse(f, alf)
-            solver_residuals.append(out.solver_residual)
-            return nabla_alpha(out.field, alf) - f, f.linf()
-        row = _order_check(s, name, grids, solved)
-        solver_ok = all(r <= fz._SOLVER_TOL for r in solver_residuals)
-        rows.append(replace(row, passed=row.passed and solver_ok))
+            return nabla_alpha(fz.right_inverse(f, alf).field, alf) - f, f.linf()
+        rows.append(_order_check(name, grids, solved))
 
     # random smooth data on the coarse grid: bound max(5 h^2, 1e-8) on the
     # interior relative l2 residual (boundary-incompatible data limits the
@@ -989,17 +981,17 @@ def check_right_inverse(cfg: SuiteConfig):
     res = nabla_alpha(out.field, alf_const) - f
     rel = res.l2() / f.l2()
     bound = max(5.0 * g_coarse.hmax ** 2, 1e-8)
-    rows.append(CheckRow(suite=s, check="random_rhs_bound", h=g_coarse.hmax,
+    rows.append(CheckRow(suite="", check="random_rhs_bound", h=g_coarse.hmax,
                          linf=res.linf() / f.linf(), l2=rel,
                          expected_order=None, observed_order=None,
-                         passed=bool(rel <= bound and out.solver_residual <= fz._SOLVER_TOL)))
+                         passed=bool(rel <= bound)))
 
     # mirrored variant: g = (D + M^alpha) u solves (D - M^alpha) g = f
     def mirrored(g):
         f = _compatible_rhs(g, fz.potentials(alf_const, g))
         out = fz.right_inverse(f, alf_const, variant="w")
         return fz.build_solution(out.field, alf_const) - f, f.linf()
-    rows.append(_order_check(s, "mirrored_variant_order", grids, mirrored))
+    rows.append(_order_check("mirrored_variant_order", grids, mirrored))
     return rows
 
 
@@ -1009,7 +1001,6 @@ def check_right_inverse(cfg: SuiteConfig):
 
 def check_axial(cfg: SuiteConfig):
     rows = []
-    s = "axial"
     lo, hi = (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)
     grids = cfg.grid_pair(lo=lo, hi=hi)
     g_coarse = grids[0]
@@ -1020,10 +1011,10 @@ def check_axial(cfg: SuiteConfig):
     u = _smooth_bq(g_coarse, rng)
 
     resid = ops.split_identity_residual(u)
-    rows.append(_exact_row(s, "q_split_identity", resid, h=g_coarse.hmax))
+    rows.append(_exact_row("q_split_identity", resid, h=g_coarse.hmax))
 
     worst = (fz.pi_map(fz.pi_map(u)) - u).linf() / max(u.linf(), 1.0)
-    rows.append(_exact_row(s, "pi_involution", worst, h=g_coarse.hmax))
+    rows.append(_exact_row("pi_involution", worst, h=g_coarse.hmax))
 
     # product identity: exact for constant a1 on quadratics (wide Laplacian)
     alf_c = axial_alpha(lambda a, b, c: (0.4 - 0.3j) * np.ones_like(a), 0.2, -0.1j,
@@ -1034,7 +1025,7 @@ def check_axial(cfg: SuiteConfig):
                                    lambda a, b, c: a ** 2 - c ** 2,
                                    lambda a, b, c: c * a)
     res, scale = ops_c.factq_residual(quad, wide=True)
-    rows.append(_exact_field_row(s, "factq_constant_quadratic", res, scale=scale))
+    rows.append(_exact_field_row("factq_constant_quadratic", res, scale=scale))
 
     # varying a1 = x2: O(h^2) against the compact Laplacian
     bq_modes = _bq_modes(_modes(rng), _rng(cfg, 71))
@@ -1042,14 +1033,14 @@ def check_axial(cfg: SuiteConfig):
         ug = _eval_bq(g, bq_modes)
         res, scale = fz.AxialOperators(ALPHA_X2, g).factq_residual(ug, wide=False)
         return res * (1.0 / scale)
-    rows.append(_order_check(s, "factq_x2_order", grids, factq_x2))
+    rows.append(_order_check("factq_x2_order", grids, factq_x2))
 
     # the diagonal '+' potential -alpha**2 + i D a1 for a1 = x2, against
     # its printed value
     x1, x2, x3 = g_coarse.mesh()
     pot_field = BQField.from_scalar(g_coarse, -ops.alpha_sq) + 1j * ops.d_alpha1
     want = BQField.from_components(g_coarse, x2 ** 2, 0.0, 1j, 0.0)
-    rows.append(_exact_field_row(s, "diagonal_plus_potential_value",
+    rows.append(_exact_field_row("diagonal_plus_potential_value",
                                  pot_field - want, scale=want.linf()))
 
     # null-gradient closed form (case ii data) drives the involution maps:
@@ -1057,12 +1048,12 @@ def check_axial(cfg: SuiteConfig):
     def pi_correspondence(g):
         uu = fz.pi_map(null_direction_solution(g))
         return fz.AxialOperators(ALPHA_NULL, g).abc(uu), max(laplacian(uu).linf(), 1.0)
-    rows.append(_order_check(s, "pi_correspondence_order", grids, pi_correspondence,
+    rows.append(_order_check("pi_correspondence_order", grids, pi_correspondence,
                              window=0.15))
     def conjugate_pair(g):
         w = fz.j_map(null_direction_solution(g))
         return fz.AxialOperators(ALPHA_NULL, g).schro(w, -1), max(laplacian(w).linf(), 1.0)
-    rows.append(_order_check(s, "conjugate_pair_order", grids, conjugate_pair, window=0.15))
+    rows.append(_order_check("conjugate_pair_order", grids, conjugate_pair, window=0.15))
 
     # zero-divisor reduction: classification of the three cases
     ok = (fz.zero_divisor_reduction(ALPHA_TAN, g_coarse).case == "i"
@@ -1070,7 +1061,7 @@ def check_axial(cfg: SuiteConfig):
           and fz.zero_divisor_reduction(ALPHA_X2, g_coarse).case == "iii"
           and fz.zero_divisor_reduction(alf_c, g_coarse).case == "degenerate")
     flag = 0.0 if ok else 1.0
-    rows.append(_exact_row(s, "reduction_classification", flag))
+    rows.append(_exact_row("reduction_classification", flag))
 
     # case i closes exactly: v = (-1 + i e2) (x1 x2) is harmonic and the
     # potential term annihilates it pointwise
@@ -1078,21 +1069,21 @@ def check_axial(cfg: SuiteConfig):
     gharm = x1 * x2
     v_i = BQField.from_components(g_coarse, -gharm, 0.0, 1j * gharm, 0.0)
     res = ops_tan.schro(v_i, +1)
-    rows.append(_exact_field_row(s, "reduction_case_i_exact", res,
+    rows.append(_exact_field_row("reduction_case_i_exact", res,
                                  scale=max(linf(ops_tan.alpha_sq) * v_i.linf(), 1.0)))
 
     # case ii closes at O(h^2): v = (D a1) f with the null-direction f
     def case_ii(g):
         v = null_direction_solution(g)
         return fz.AxialOperators(ALPHA_NULL, g).schro(v, +1), max(laplacian(v).linf(), 1.0)
-    rows.append(_order_check(s, "reduction_case_ii_order", grids, case_ii, window=0.15))
+    rows.append(_order_check("reduction_case_ii_order", grids, case_ii, window=0.15))
 
     # case iii closes at O(h^2): v = (beta0 - beta) exp(-x2^2/2), beta0 = 1
     def case_iii(g):
         fval = np.exp(-g.mesh()[1] ** 2 / 2.0)
         v3 = BQField.from_components(g, fval, 0.0, -1j * fval, 0.0)
         return fz.AxialOperators(ALPHA_X2, g).schro(v3, +1), max(laplacian(v3).linf(), 1.0)
-    rows.append(_order_check(s, "reduction_case_iii_order", grids, case_iii))
+    rows.append(_order_check("reduction_case_iii_order", grids, case_iii))
     return rows
 
 
@@ -1131,9 +1122,9 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
         except (ArithmeticError, ValueError) as err:
             _log.error("suite %s raised %s: %s", name, type(err).__name__, err)
             nan = float("nan")
-            rows = [CheckRow(suite=name, check=f"raised_{type(err).__name__}", h=None,
+            rows = [CheckRow(suite="", check=f"raised_{type(err).__name__}", h=None,
                              linf=nan, l2=nan, expected_order=None,
                              observed_order=None, passed=False)]
-        report.rows.extend(rows)
+        report.rows.extend(replace(r, suite=name) for r in rows)
     report.wall_time = time.perf_counter() - t0
     return report

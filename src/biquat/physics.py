@@ -45,13 +45,13 @@ class MediumFields:
 
     def eps_values(self, grid: Grid3) -> np.ndarray:
         vals = np.real(sample(grid, self.eps))
-        if np.any(vals <= 0):
+        if not np.all(vals > 0):
             raise ValueError("permittivity must be positive at all nodes")
         return vals
 
     def mu_values(self, grid: Grid3) -> np.ndarray:
         vals = np.real(sample(grid, self.mu))
-        if np.any(vals <= 0):
+        if not np.all(vals > 0):
             raise ValueError("permeability must be positive at all nodes")
         return vals
 

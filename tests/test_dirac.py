@@ -176,12 +176,12 @@ def test_manufactured_solution_and_part_equations():
         splits[g] = split, f.linf()
         return nabla(f) + nu * f + f * beta, f.linf()
 
-    rows = [_order_check("dirac", "full", grids, full_equation)]
+    rows = [_order_check("full", grids, full_equation)]
     for key in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
         def part(g, key=key):
             split, scale = splits[g]
             return split.part_residual(*key), scale
-        rows.append(_order_check("dirac", f"part{key}", grids, part))
+        rows.append(_order_check(f"part{key}", grids, part))
     assert all(r.passed for r in rows), rows
 
 

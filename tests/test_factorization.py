@@ -102,7 +102,7 @@ def test_d_alpha_exact_or_numeric_for_every_kind():
             assert np.all(np.isfinite(d_exact.data))
             return d_numeric - d_exact
 
-        row = _order_check("t", "d_alpha", (box(33), box(65)), defect)
+        row = _order_check("d_alpha", (box(33), box(65)), defect)
         assert row.passed, row
 
 
@@ -259,7 +259,7 @@ def test_build_solution_from_family_reciprocals():
         gfield = BQField(g, np.stack([fam.phi_values(g, k) for k in range(4)]))
         return nabla_alpha(build_solution(gfield, alf), alf), max(gfield.linf(), 1.0)
 
-    row = _order_check("t", "build_solution", (box(17), box(33)), residual, window=0.15)
+    row = _order_check("build_solution", (box(17), box(33)), residual, window=0.15)
     assert row.passed, row
 
 

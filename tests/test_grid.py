@@ -74,7 +74,7 @@ def test_nabla_alpha_reciprocal_one_component_converges():
         f0 = fam.f_values(g, 0)
         return nabla_alpha(BQField.from_scalar(g, f0), alf), linf(f0)
 
-    row = _order_check("t", "nabla_alpha", (box(17), box(33)), residual)
+    row = _order_check("nabla_alpha", (box(17), box(33)), residual)
     assert row.passed, row
 
 

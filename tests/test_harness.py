@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import biquat
-from biquat import algebra, harness
+from biquat import algebra, dirac, factorization, harness
 from biquat.cli import main as cli_main
 from biquat.dirac import (PseudoscalarSplit, manufactured_split_solution,
                           pseudoscalar_split)
@@ -56,28 +56,28 @@ def _h2_residual(g, power=2, spike=False):
 def test_order_check_manufactured_residuals():
     cfg = SuiteConfig(grids=(9, 17))
     grids = cfg.grid_pair()
-    row = harness._order_check("t", "h2", grids, _h2_residual)
+    row = harness._order_check("h2", grids, _h2_residual)
     assert row.passed and abs(row.observed_order - 2.0) < 1e-12
     assert row.h == grids[1].hmax and row.expected_order == 2.0
     assert row.linf == 3.7 * grids[1].hmax ** 2
 
-    row = harness._order_check("t", "h1", grids, lambda g: _h2_residual(g, power=1))
+    row = harness._order_check("h1", grids, lambda g: _h2_residual(g, power=1))
     assert not row.passed and abs(row.observed_order - 1.0) < 1e-12
 
     # (field, scale): norms are taken relative to scale
-    scaled = harness._order_check("t", "scaled", grids,
+    scaled = harness._order_check("scaled", grids,
                                   lambda g: (_h2_residual(g) * 5.0, 5.0))
     assert scaled.passed and abs(scaled.observed_order - 2.0) < 1e-12
     assert abs(scaled.linf - 3.7 * grids[1].hmax ** 2) < 1e-15
 
     # a boundary spike stalls the order unless the window excludes it
     spiked = lambda g: _h2_residual(g, spike=True)
-    assert not harness._order_check("t", "spike", grids, spiked).passed
-    row = harness._order_check("t", "spike", grids, spiked, window=0.15)
+    assert not harness._order_check("spike", grids, spiked).passed
+    row = harness._order_check("spike", grids, spiked, window=0.15)
     assert row.passed and abs(row.observed_order - 2.0) < 1e-12
 
     # residuals at the tolerance report the EXACT_ORDER sentinel and pass
-    row = harness._order_check("t", "exact", grids, BQField.zeros)
+    row = harness._order_check("exact", grids, BQField.zeros)
     assert row.passed and row.observed_order == EXACT_ORDER and row.linf == 0.0
 
 
@@ -256,6 +256,36 @@ def test_cli_rejects_negative_seed(tmp_path):
     out = tmp_path / "rep.csv"
     assert cli_main(["forcefree", "--grid", "9,17", "--seed", "-1", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_nan_gamma_matrix_fails_gamma_relations(monkeypatch):
+    monkeypatch.setattr(dirac, "G5", np.full((4, 4), np.nan))
+    row = _row(SuiteConfig(suite="dirac", grids=(9, 17)), "gamma_relations")
+    assert not row.passed and math.isnan(row.linf)
+
+
+def test_nan_pseudoscalar_nu_fails_equivalent_alpha_formulas(monkeypatch):
+    original = dirac.equivalent_alpha
+
+    def nan_nu(params, grid):
+        out = original(params, grid)
+        if params.kind != "pseudoscalar":
+            return out
+        nu, beta = out
+        return np.full_like(nu, np.nan), beta
+
+    monkeypatch.setattr(dirac, "equivalent_alpha", nan_nu)
+    row = _row(SuiteConfig(suite="dirac", grids=(9, 17)), "equivalent_alpha_formulas")
+    assert not row.passed and math.isnan(row.linf)
+
+
+def test_solver_rejection_becomes_the_right_inverse_fail_row(monkeypatch):
+    # right_inverse raises on a component residual above _SOLVER_TOL; the
+    # suite then reports that one row
+    monkeypatch.setattr(factorization, "_SOLVER_TOL", 0.0)
+    rows = run_suite(SuiteConfig(suite="right-inverse", grids=(9, 17))).rows
+    assert [(r.suite, r.check, r.passed) for r in rows] == [
+        ("right-inverse", "raised_ValueError", False)]
 
 
 def test_suite_exception_becomes_fail_row(tmp_path, monkeypatch):

@@ -47,6 +47,21 @@ def test_medium_validation():
         medium_alpha(bad, g, "eps")
 
 
+def test_medium_rejects_nan_permittivity_and_permeability():
+    # NaN compares false with 0, so a test of "<= 0" would let it through
+    g = box()
+
+    def nan_at_center(a, b, c):
+        vals = np.ones_like(a)
+        vals[4, 4, 4] = np.nan
+        return vals
+
+    with pytest.raises(ValueError, match="permittivity must be positive"):
+        medium_alpha(MediumFields(eps=nan_at_center, mu=1.0), g, "eps")
+    with pytest.raises(ValueError, match="permeability must be positive"):
+        medium_alpha(MediumFields(eps=1.0, mu=nan_at_center), g, "mu")
+
+
 def test_static_residual_constant_field():
     g = box()
     med = MediumFields(eps=2.0, mu=1.5)
