@@ -1,6 +1,7 @@
 """Carrying first-order spinor operators to quaternionic form: the
-constant-matrix transform, the intertwining identity for scalar and
-electric potentials, and the four-way splitting for the pseudoscalar one."""
+constant-matrix transform, the intertwining identity for scalar, electric
+and pseudoscalar potentials, and the four-way splitting for the
+pseudoscalar one."""
 
 import numpy as np
 
@@ -21,10 +22,10 @@ print(f"inverse(forward(Phi)) == Phi to {roundtrip:.1e}")
 
 print("\n== intertwining: spinor operator vs right multiplication ==")
 pot = lambda x1, x2, x3: np.cos(x1) + 0.5 * x3
-for kind in ("scalar", "electric"):
+for kind in ("scalar", "electric", "pseudoscalar"):
     params = DiracParams(omega=0.7, m=1.3, kind=kind, phi=pot)
     res, scale = intertwining_residual(phi, params)
-    print(f"  {kind:9s}: relative residual {res.linf() / scale:.1e}")
+    print(f"  {kind:12s}: relative residual {res.linf() / scale:.1e}")
 
 print("\n== equivalent alpha for omega=1, m=2 ==")
 p = DiracParams(omega=1.0, m=2.0, kind="scalar", phi=None)

@@ -4,8 +4,8 @@ A four-component spinor field Phi is carried to a biquaternion field by a
 constant 4x4 matrix composed with the x3 reflection; under that transform
 the free operator with energy omega and mass m, plus a scalar, electric or
 pseudoscalar potential, becomes right multiplication by a constant-plus-
-potential vector alpha (or, in the pseudoscalar case, a scalar term nu and
-a constant beta whose splitting is handled by ``pseudoscalar_split``).
+potential alpha (in the pseudoscalar case a scalar term nu plus a constant
+vector beta, whose splitting is handled by ``pseudoscalar_split``).
 
 The transform matrix is built for one representation, the standard Dirac
 gamma matrices ``G0``-``G3`` and ``G5`` of this module, and every operator
@@ -77,6 +77,15 @@ _FWD = 0.5 * np.array([
 ], dtype=complex)
 _INV = (2.0 * _FWD).conj().T
 
+# each potential kind: the 4x4 matrix that phi multiplies in the Dirac
+# operator, and the biquaternion q the transform turns that term into, so
+# that alpha = -(i omega e1 + m e2) + phi~ q
+_KINDS = {
+    "scalar": (1j * np.eye(4), Biquaternion(0, 0, -1, 0)),
+    "electric": (1j * G0, Biquaternion(0, -1j, 0, 0)),
+    "pseudoscalar": (G5 @ G0, Biquaternion(-1j, 0, 0, 0)),
+}
+
 
 def _apply(m: np.ndarray, data: np.ndarray) -> np.ndarray:
     """The constant 4x4 matrix m applied at every node of a (4, ...) stack."""
@@ -92,7 +101,7 @@ class DiracParams:
     """Energy, mass and potential of a first-order Dirac-type operator.
 
     kind selects how the real potential phi enters: 'scalar' adds
-    i*phi*I, 'electric' adds i*phi*G0, 'pseudoscalar' adds phi*G0*G5.
+    i*phi*I, 'electric' adds i*phi*G0, 'pseudoscalar' adds phi*G5*G0.
     phi may be a callable of (x1, x2, x3), an array, a constant, or None
     (treated as zero).
     """
@@ -103,7 +112,7 @@ class DiracParams:
     phi: Callable | float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("scalar", "electric", "pseudoscalar"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
 
     def phi_values(self, grid: Grid3) -> np.ndarray:
@@ -139,47 +148,34 @@ def apply_dirac(phi: SpinorField, p: DiracParams) -> SpinorField:
     for k, gk in enumerate((G1, G2, G3)):
         out = out + _apply(gk, partial_deriv(phi.data, grid, k))
     if p.phi is not None:
-        pot = p.phi_values(grid)
-        if p.kind == "scalar":
-            out = out + 1j * pot * phi.data
-        elif p.kind == "electric":
-            out = out + 1j * pot * _apply(G0, phi.data)
-        else:  # pseudoscalar
-            out = out + pot * _apply(G0 @ G5, phi.data)
+        out = out + p.phi_values(grid) * _apply(_KINDS[p.kind][0], phi.data)
     return SpinorField(grid, out)
 
 
-def equivalent_alpha(p: DiracParams, grid: Grid3):
-    """The right-multiplication data equivalent to the Dirac operator.
+def equivalent_alpha(p: DiracParams, grid: Grid3) -> BQField:
+    """The right-multiplication field equivalent to the Dirac operator,
+
+        alpha = -(i*omega e1 + m e2) + phi~ q,
+
+    with q from the kind's row of ``_KINDS`` and phi~ the potential
+    reflected in x3:
 
     scalar:         alpha = -(i*omega e1 + (m + phi~) e2)
     electric:       alpha = -(i*(omega + phi~) e1 + m e2)
-    pseudoscalar:   (nu, beta) with nu = -i*phi~ samples and constant
-                    beta = -(i*omega e1 + m e2); requires m**2 != omega**2
-                    for the four-way splitting.
+    pseudoscalar:   alpha = nu + beta, the scalar nu = -i*phi~ and the
+                    constant vector beta = -(i*omega e1 + m e2); the
+                    four-way splitting of beta requires m**2 != omega**2.
 
-    For scalar/electric the return value is a BQField on the grid (the
-    potential reflected in x3); for pseudoscalar it is the (nu, beta) pair.
     Raises ValueError when the grid is not symmetric about x3 = 0.
     """
-    if p.kind == "scalar":
-        pot = p.phi_reflected(grid)
-        a2 = -(p.m + pot)
-        a1 = np.full(grid.shape, -1j * p.omega, dtype=complex)
-        return BQField.from_vector(grid, a1, a2, np.zeros(grid.shape, dtype=complex))
-    if p.kind == "electric":
-        pot = p.phi_reflected(grid)
-        a1 = -1j * (p.omega + pot)
-        a2 = np.full(grid.shape, -p.m, dtype=complex)
-        return BQField.from_vector(grid, a1, a2, np.zeros(grid.shape, dtype=complex))
-    # pseudoscalar
-    nu = -1j * p.phi_reflected(grid)
-    beta = Biquaternion.vector(-1j * p.omega, -p.m, 0.0)
-    return nu, beta
+    q = _KINDS[p.kind][1].components.reshape(4, 1, 1, 1)
+    out = p.phi_reflected(grid) * q
+    out += Biquaternion.vector(-1j * p.omega, -p.m, 0.0).components.reshape(4, 1, 1, 1)
+    return BQField(grid, out)
 
 
 def intertwining_residual(phi: SpinorField, p: DiracParams):
-    """Residual field of the transform identity for scalar/electric kinds:
+    """Residual field of the transform identity, for every potential kind:
 
         (D + M^alpha)(T Phi) - T(G1 G2 G3 Dirac Phi)
 
@@ -188,8 +184,6 @@ def intertwining_residual(phi: SpinorField, p: DiracParams):
     level.  Returns (residual BQField, scale) where scale is the larger
     L-inf norm of the two sides.
     """
-    if p.kind == "pseudoscalar":
-        raise ValueError("pseudoscalar kind is handled by pseudoscalar_split")
     grid = phi.grid
     alpha = equivalent_alpha(p, grid)
     f = spinor_to_bq(phi)

@@ -224,11 +224,6 @@ class BQField(Field4):
     def scalar(self) -> np.ndarray:
         return self.data[0]
 
-    @property
-    def vector(self) -> np.ndarray:
-        """The three vector component arrays, shape (3, n1, n2, n3)."""
-        return self.data[1:]
-
     def vector_part(self) -> "BQField":
         out = self.data.copy()
         out[0] = 0.0

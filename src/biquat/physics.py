@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import ROUNDING_TOL, right_projector
+from .alpha import SeparableAlpha
 from .grid import (BQField, Grid3, ie1_field, linf, nabla, nabla_alpha,
                    partial_deriv, sample)
 
@@ -70,17 +71,17 @@ def medium_alpha(m: MediumFields, grid: Grid3, which: str = "eps") -> BQField:
     """The coefficient vector grad(sqrt(w))/sqrt(w) for w = eps or mu.
 
     For eps with separable factors, after checking that they reproduce eps,
-    a_k = w_k'(x_k) / (2 w_k(x_k)) exactly; otherwise central differences
-    of sqrt(w) (invalid rim).
+    a_k = w_k'(x_k) / (2 w_k(x_k)) exactly, sampled as a ``SeparableAlpha``
+    (a non-finite quotient raises); otherwise central differences of
+    sqrt(w) (invalid rim).
     """
     if which not in ("eps", "mu"):
         raise ValueError("which must be 'eps' or 'mu'")
     if which == "eps" and m.separable_eps is not None:
         m.check_separable(grid)
-        comps = [grid.sample_axis(k, lambda x, fk=fk, dfk=dfk: np.asarray(dfk(x), dtype=complex)
-                                  / (2.0 * np.asarray(fk(x), dtype=complex)))
-                 for k, (fk, dfk) in enumerate(m.separable_eps)]
-        return BQField.from_vector(grid, *comps)
+        return SeparableAlpha([lambda x, fk=fk, dfk=dfk: np.asarray(dfk(x), dtype=complex)
+                               / (2.0 * np.asarray(fk(x), dtype=complex))
+                               for fk, dfk in m.separable_eps]).vector_field(grid)
     w = m.eps_values(grid) if which == "eps" else m.mu_values(grid)
     root = np.sqrt(w)
     comps = [partial_deriv(root, grid, k) / root for k in range(3)]

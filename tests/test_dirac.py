@@ -75,7 +75,7 @@ def test_equivalent_alpha_potential_enters_reflected():
     assert linf(af.data[2] - x3) <= TOL
 
 
-@pytest.mark.parametrize("kind", ["scalar", "electric"])
+@pytest.mark.parametrize("kind", ["scalar", "electric", "pseudoscalar"])
 def test_intertwining_residual_rounding_level(kind):
     g = sym_grid()
     # an x3-asymmetric potential given as its samples must enter reflected
@@ -95,10 +95,10 @@ def test_pseudoscalar_array_potential_matches_callable():
     # as its samples
     g = sym_grid()
     pot = lambda a, b, c: np.cos(a) + 0.5 * c + 0.3 * c * b
-    nu_callable, _ = equivalent_alpha(
-        DiracParams(omega=0.7, m=1.3, kind="pseudoscalar", phi=pot), g)
-    nu_array, _ = equivalent_alpha(
-        DiracParams(omega=0.7, m=1.3, kind="pseudoscalar", phi=sample(g, pot)), g)
+    nu_callable = equivalent_alpha(
+        DiracParams(omega=0.7, m=1.3, kind="pseudoscalar", phi=pot), g).scalar
+    nu_array = equivalent_alpha(
+        DiracParams(omega=0.7, m=1.3, kind="pseudoscalar", phi=sample(g, pot)), g).scalar
     assert np.array_equal(nu_array, nu_callable)
 
 
@@ -109,11 +109,9 @@ def test_intertwining_zero_field():
     assert res.linf() == 0.0
 
 
-def test_intertwining_rejects_pseudoscalar():
-    g = sym_grid()
-    with pytest.raises(ValueError, match="pseudoscalar"):
-        intertwining_residual(SpinorField.zeros(g),
-                              DiracParams(omega=0.7, m=1.3, kind="pseudoscalar", phi=None))
+def test_dirac_params_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown potential kind"):
+        DiracParams(omega=0.7, m=1.3, kind="vector")
 
 
 def test_solution_equivalence_through_transform():

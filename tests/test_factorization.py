@@ -169,6 +169,11 @@ def test_potentials_reject_non_separable():
     alf = axial_alpha(lambda a, b, c: b + 0j, 0.0, 0.0)
     with pytest.raises(ValueError, match="separable"):
         potentials(alf, g)
+    # so do the closed-form family and the right inverse
+    with pytest.raises(ValueError, match="separable"):
+        one_component_family(alf)
+    with pytest.raises(ValueError, match="separable"):
+        right_inverse(BQField.zeros(g), alf)
 
 
 # ------------------------------------------------------------------
@@ -214,6 +219,11 @@ def test_family_analytic_schrodinger_requires_derivatives():
         fam.schrodinger_residual_analytic(box(), 0, "v")
 
 
+def test_family_analytic_schrodinger_rejects_bad_which():
+    with pytest.raises(ValueError, match="which must be 'v' or 'w'"):
+        one_component_family(reciprocal_alpha()).schrodinger_residual_analytic(box(), 0, "x")
+
+
 def test_family_analytic_schrodinger_builds_no_potential_set(monkeypatch):
     # each call forms its one potential from the sampled derivative lines;
     # the full eight-array PotentialSet is never rebuilt
@@ -247,6 +257,14 @@ def test_gradient_alpha_of_constant_phi_vanishes():
                           grad_phi=(lambda a, b, c: np.zeros_like(a),) * 3,
                           lap_phi=lambda a, b, c: np.zeros_like(a))
     assert galf.vector_field(g).linf() == 0.0
+
+
+def test_gradient_alpha_rejects_zero_of_phi_and_missing_laplacian():
+    g = box()  # x1 = 1.5 is a node
+    with pytest.raises(ValueError, match="zero of phi"):
+        gradient_alpha(lambda a, b, c: a - 1.5).components(g)
+    with pytest.raises(ValueError, match="no Laplacian"):
+        gradient_alpha(lambda a, b, c: a).schrodinger_potential(g)
 
 
 def test_build_solution_from_family_reciprocals():

@@ -252,6 +252,14 @@ def test_cli_rejects_bad_grids(tmp_path, grid):
     assert not out.exists()
 
 
+def test_cli_rejects_non_integer_grid(tmp_path):
+    out = tmp_path / "rep.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["all", "--grid", "17,x", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_cli_rejects_negative_seed(tmp_path):
     out = tmp_path / "rep.csv"
     assert cli_main(["forcefree", "--grid", "9,17", "--seed", "-1", "--out", str(out)]) == 2
@@ -269,12 +277,26 @@ def test_nan_pseudoscalar_nu_fails_equivalent_alpha_formulas(monkeypatch):
 
     def nan_nu(params, grid):
         out = original(params, grid)
-        if params.kind != "pseudoscalar":
-            return out
-        nu, beta = out
-        return np.full_like(nu, np.nan), beta
+        if params.kind == "pseudoscalar":
+            out.data[0] = np.nan
+        return out
 
     monkeypatch.setattr(dirac, "equivalent_alpha", nan_nu)
+    row = _row(SuiteConfig(suite="dirac", grids=(9, 17)), "equivalent_alpha_formulas")
+    assert not row.passed and math.isnan(row.linf)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "electric"])
+def test_nan_node_of_alpha_fails_equivalent_alpha_formulas(monkeypatch, kind):
+    original = dirac.equivalent_alpha
+
+    def nan_node(params, grid):
+        out = original(params, grid)
+        if params.kind == kind:
+            out.data[2, 4, 4, 4] = np.nan
+        return out
+
+    monkeypatch.setattr(dirac, "equivalent_alpha", nan_node)
     row = _row(SuiteConfig(suite="dirac", grids=(9, 17)), "equivalent_alpha_formulas")
     assert not row.passed and math.isnan(row.linf)
 

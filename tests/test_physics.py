@@ -45,6 +45,25 @@ def test_medium_validation():
     # the closed form checks the factors before using them
     with pytest.raises(ValueError, match="separable"):
         medium_alpha(bad, g, "eps")
+    with pytest.raises(ValueError, match="no separable factorization"):
+        MediumFields(eps=1.0, mu=1.0).check_separable(g)
+    with pytest.raises(ValueError, match="which must be 'eps' or 'mu'"):
+        medium_alpha(MediumFields(eps=1.0, mu=1.0), g, "x")
+    with pytest.raises(ValueError, match="which must be 'E' or 'H'"):
+        static_maxwell_residual(BQField.zeros(g), MediumFields(eps=1.0, mu=1.0), which="x")
+
+
+def test_medium_alpha_rejects_non_finite_separable_factor():
+    # a derivative factor that is infinite at one node is a pole of the
+    # closed-form coefficient, not a valid alpha
+    g = box()
+    x = g.axis(0)
+    med = MediumFields(
+        eps=lambda a, b, c: np.exp(a), mu=1.0,
+        separable_eps=((np.exp, lambda t: np.where(t == x[4], np.inf, np.exp(t))),
+                       (np.ones_like, np.zeros_like), (np.ones_like, np.zeros_like)))
+    with pytest.raises(ValueError, match="pole on grid"):
+        medium_alpha(med, g, "eps")
 
 
 def test_medium_rejects_nan_permittivity_and_permeability():
