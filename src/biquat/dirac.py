@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .algebra import Biquaternion, qmul, right_projector, split_projectors
-from .grid import (BQField, Field4, Grid3, ie1_field, nabla, nabla_alpha,
-                   partial_deriv, reflect_x3, sample)
+from .grid import (BQField, Field4, Grid3, _reversed_x3, ie1_field, nabla,
+                   nabla_alpha, partial_deriv, reflect_x3, sample)
 
 __all__ = [
     "SpinorField",
@@ -123,9 +123,7 @@ class DiracParams:
     def phi_reflected(self, grid: Grid3) -> np.ndarray:
         """The potential at (x1, x2, -x3): the node reversal along x3 that
         ``reflect_x3`` applies, so the grid must be symmetric about x3 = 0."""
-        if not grid.x3_symmetric:
-            raise ValueError("reflection not node-exact: grid is not symmetric about x3 = 0")
-        return self.phi_values(grid)[..., ::-1]
+        return _reversed_x3(self.phi_values(grid), grid)
 
 
 def spinor_to_bq(phi: SpinorField) -> BQField:

@@ -289,7 +289,7 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RightInverseResult:
-    field: BQField          # T f  (variant 'v') or the preimage g (variant 'w')
+    field: BQField          # T f, with (D + M^alpha)(T f) = f
     u: BQField              # the four Schrodinger solves, zero on the boundary
     solver_residual: float  # worst relative linear-system residual
 
@@ -297,9 +297,10 @@ class RightInverseResult:
 def _axis_operators(alpha: SeparableAlpha, grid: Grid3):
     """Per axis j, the two 1-D interior operators
     A_j^σ = -d^2/dx_j^2 + σ a_j' + a_j**2 (σ = ±1) with zero Dirichlet
-    ends, as a dict keyed by σ.  Component k takes σ_j = ±s_kj on axis j
-    (+ for 'v', - for 'w'), and A_1^σ1 ⊕ A_2^σ2 ⊕ A_3^σ3 is then
-    -lap + v_k (or w_k) on the interior nodes."""
+    ends, each with its eigendecomposition: a dict keyed by σ of
+    (A_j^σ, lam, V, cond(V), V^-1) (see ``_diagonalize``).  Component k
+    takes σ_j = s_kj on axis j, and A_1^σ1 ⊕ A_2^σ2 ⊕ A_3^σ3 is then
+    -lap + v_k on the interior nodes."""
     comps = alpha.components(grid)
     derivs = alpha.deriv_components(grid)
     ops = []
@@ -311,7 +312,8 @@ def _axis_operators(alpha: SeparableAlpha, grid: Grid3):
             q = sigma * derivs[j].ravel()[1:-1] + comps[j].ravel()[1:-1] ** 2
             if not np.all(np.isfinite(q)):
                 raise ValueError("potential has invalid interior values")
-            pair[sigma] = lap + np.diag(q)
+            a = lap + np.diag(q)
+            pair[sigma] = (a, *_diagonalize(a))
         ops.append(pair)
     return ops
 
@@ -330,20 +332,17 @@ def _along(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(mat, x, axes=(1, axis)), 0, axis)
 
 
-def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v") -> RightInverseResult:
-    """Apply a discrete right inverse of D + M^alpha (variant 'v') or
-    produce a preimage under D - M^alpha (variant 'w').
+def right_inverse(f: BQField, alpha: AlphaSpec) -> RightInverseResult:
+    """Apply a discrete right inverse T of D + M^alpha.
 
-    Per component k, (-lap + p_k) u_k = f_k is solved with zero Dirichlet
-    boundary values (p = v for 'v', p = w for 'w'); then
+    Per component k, (-lap + v_k) u_k = f_k is solved with zero Dirichlet
+    boundary values; then T f = (D - M^alpha) u, with (D + M^alpha)(T f) = f
+    up to the O(h^2) defect between the product of the two discrete
+    first-order factors and the compact second-order operator.  Since
+    D - M^alpha = D + M^-alpha and w_k(alpha) = v_k(-alpha), a preimage
+    under D - M^alpha is ``right_inverse(f, -alpha).field``.
 
-        variant 'v':  T f = (D - M^alpha) u   with (D + M^alpha)(T f) = f,
-        variant 'w':  g   = (D + M^alpha) u   with (D - M^alpha) g   = f,
-
-    both up to the O(h^2) defect between the product of the two discrete
-    first-order factors and the compact second-order operator.
-
-    For separable alpha each p_k is a sum of 1-D functions, so -lap + p_k
+    For separable alpha each v_k is a sum of 1-D functions, so -lap + v_k
     is the Kronecker sum of three tridiagonal 1-D operators A_j, each one
     of the two an axis has (``_axis_operators``).  Each of the six is
     diagonalized once, A_j = V_j diag(lam_j) V_j^-1, and the solve is three
@@ -357,14 +356,10 @@ def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v") -> RightInve
     or is NaN, and when a component of f is not finite at an interior node
     (the boundary values are not used).
     """
-    if variant not in ("v", "w"):
-        raise ValueError("variant must be 'v' or 'w'")
     if not isinstance(alpha, SeparableAlpha):
         raise ValueError("right inverse requires separable alpha: D(alpha^(k)) is not scalar otherwise")
     grid = f.grid
-    sign = 1 if variant == "v" else -1
-    axis_ops = _axis_operators(alpha, grid)
-    axis_eigs = [{sigma: _diagonalize(a) for sigma, a in pair.items()} for pair in axis_ops]
+    axes = _axis_operators(alpha, grid)
     inner = tuple(slice(1, -1) for _ in range(3))
     u = np.zeros((4, *grid.shape), dtype=complex)
     worst = 0.0
@@ -373,9 +368,7 @@ def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v") -> RightInve
         rhs = f.data[k][inner]
         if not np.isfinite(rhs).all():
             raise ValueError(f"f component {k} is not finite at an interior node")
-        sigmas = [sign * s_j for s_j in s]
-        ops = [axis_ops[j][sigma] for j, sigma in enumerate(sigmas)]
-        lams, vecs, conds, invs = zip(*(axis_eigs[j][sigma] for j, sigma in enumerate(sigmas)))
+        ops, lams, vecs, conds, invs = zip(*(axes[j][s_j] for j, s_j in enumerate(s)))
         total = lams[0][:, None, None] + lams[1][None, :, None] + lams[2][None, None, :]
         smallest, largest = np.abs(total).min(), np.abs(total).max()
         if smallest <= total.size * np.finfo(float).eps * largest:
@@ -411,8 +404,8 @@ def right_inverse(f: BQField, alpha: AlphaSpec, variant: str = "v") -> RightInve
     if not worst <= _SOLVER_TOL:
         raise ValueError(f"linear solver residual {worst:.3e} exceeds {_SOLVER_TOL:.1e}")
     u_field = BQField(grid, u)
-    out = build_solution(u_field, alpha) if variant == "v" else nabla_alpha(u_field, alpha)
-    return RightInverseResult(field=out, u=u_field, solver_residual=worst)
+    return RightInverseResult(field=build_solution(u_field, alpha), u=u_field,
+                              solver_residual=worst)
 
 
 # --------------------------------------------------------------------------

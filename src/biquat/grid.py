@@ -52,7 +52,9 @@ class Grid3:
     def __post_init__(self):
         if not len(self.shape) == len(self.origin) == len(self.spacing) == 3:
             raise ValueError("shape, origin and spacing must have three entries")
-        if any(int(n) < 5 for n in self.shape):
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in self.shape):
+            raise ValueError(f"node counts must be integers, got {self.shape}")
+        if any(n < 5 for n in self.shape):
             raise ValueError(f"grid too small for interior stencils: {self.shape}")
         if not np.all(np.isfinite((*self.origin, *self.spacing))):
             raise ValueError("origin and spacing must be finite")
@@ -63,11 +65,14 @@ class Grid3:
     def box(cls, lo, hi, n) -> "Grid3":
         """Grid over the box [lo1,hi1] x [lo2,hi2] x [lo3,hi3].
 
-        lo, hi and n may be scalars (applied to all axes) or triples.
+        lo, hi and n may be scalars (applied to all axes) or triples; the
+        node counts n must be integers.
         """
         lo = np.broadcast_to(np.asarray(lo, dtype=float), (3,))
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (3,))
-        n = np.broadcast_to(np.asarray(n, dtype=int), (3,))
+        n = np.broadcast_to(np.asarray(n), (3,))
+        if not np.issubdtype(n.dtype, np.integer):
+            raise ValueError(f"node counts must be integers, got {n.tolist()}")
         spacing = tuple((hi[k] - lo[k]) / (n[k] - 1) for k in range(3))
         return cls(shape=tuple(int(m) for m in n), origin=tuple(lo), spacing=spacing)
 
@@ -507,9 +512,14 @@ def laplacian_wide(f: BQField) -> BQField:
     return _second_difference(f, 2)
 
 
+def _reversed_x3(a: np.ndarray, grid: Grid3) -> np.ndarray:
+    """a (x3 last) at (x1, x2, -x3): a view with its x3 nodes reversed."""
+    if not grid.x3_symmetric:
+        raise ValueError("reflection not node-exact: grid is not symmetric about x3 = 0")
+    return a[..., ::-1]
+
+
 def reflect_x3(f: Field4) -> Field4:
     """Pull back along x3 -> -x3 (an exact node permutation); involutive.
     Returns a field of the argument's type."""
-    if not f.grid.x3_symmetric:
-        raise ValueError("reflection not node-exact: grid is not symmetric about x3 = 0")
-    return type(f)(f.grid, f.data[..., ::-1].copy())
+    return type(f)(f.grid, _reversed_x3(f.data, f.grid).copy())

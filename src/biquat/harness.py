@@ -987,10 +987,11 @@ def check_right_inverse(cfg: SuiteConfig):
                          expected_order=None, observed_order=None,
                          passed=bool(rel <= bound)))
 
-    # mirrored variant: g = (D + M^alpha) u solves (D - M^alpha) g = f
+    # mirrored preimage: the right inverse for -alpha, g = (D + M^alpha) u,
+    # solves (D - M^alpha) g = f
     def mirrored(g):
         f = _compatible_rhs(g, fz.potentials(alf_const, g))
-        out = fz.right_inverse(f, alf_const, variant="w")
+        out = fz.right_inverse(f, constant_alpha(-1j, 0, 0))
         return fz.build_solution(out.field, alf_const) - f, f.linf()
     rows.append(_order_check("mirrored_variant_order", grids, mirrored))
     return rows

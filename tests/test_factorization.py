@@ -210,6 +210,8 @@ def test_family_requires_antiderivatives():
                           derivs=(lambda x: -1.0 / x ** 2, None, None))
     with pytest.raises(ValueError, match="antiderivative"):
         one_component_family(alf)
+    with pytest.raises(ValueError, match="antiderivative"):
+        alf.antideriv_components(box())
 
 
 def test_family_analytic_schrodinger_requires_derivatives():
@@ -292,11 +294,6 @@ def test_right_inverse_zero():
     assert out.solver_residual <= 1e-10
 
 
-def test_right_inverse_rejects_bad_variant():
-    with pytest.raises(ValueError, match="variant"):
-        right_inverse(BQField.zeros(box()), constant_alpha(1j, 0, 0), variant="x")
-
-
 def test_right_inverse_reports_singular_operator():
     # tune the constant potential onto the lowest Dirichlet eigenvalue of
     # the discrete interior Laplacian so the matrix is exactly singular
@@ -319,6 +316,12 @@ def test_right_inverse_rejects_non_finite_interior_data(bad):
     f.data[2, 8, 3, 11] = bad
     with pytest.raises(ValueError, match="f component 2 is not finite"):
         right_inverse(f, reciprocal_alpha())
+
+
+def test_right_inverse_rejects_an_overflowing_potential():
+    # a_1 = 1e200 is finite, but a_1**2 on the operator's diagonal is not
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="invalid interior values"):
+        right_inverse(BQField.zeros(box()), constant_alpha(1e200, 0, 0))
 
 
 def test_right_inverse_solver_gate_fails_on_nan(monkeypatch):
@@ -344,12 +347,11 @@ def test_right_inverse_ignores_an_invalid_rim():
     assert np.array_equal(right_inverse(rimmed, alf).u.data, right_inverse(f, alf).u.data)
 
 
-def _direct_solve(f, alpha, variant):
+def _direct_solve(f, alpha):
     """The four Dirichlet solves by spsolve on the assembled 3-D matrix
-    (7-point -lap plus the sampled potential), the reference for u."""
+    (7-point -lap plus the sampled potentials v_k), the reference for u."""
     g = f.grid
-    pots = potentials(alpha, g)
-    pot = pots.v if variant == "v" else pots.w
+    pot = potentials(alpha, g).v
     inner = (slice(1, -1),) * 3
     mats = [sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n - 2, n - 2)) / h ** 2
             for n, h in zip(g.shape, g.spacing)]
@@ -370,21 +372,28 @@ def _complex_data(g, seed=0):
     return BQField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-@pytest.mark.parametrize("variant", ["v", "w"])
-@pytest.mark.parametrize("alpha", [constant_alpha(1j, 0, 0), reciprocal_alpha()],
-                         ids=["constant_i_e1", "reciprocal"])
-def test_right_inverse_matches_direct_sparse_solve(alpha, variant, caplog):
+def _negated(alpha):
+    """-alpha for a separable alpha with derivative callables."""
+    neg = lambda fn: (lambda x: -fn(x))
+    return separable_alpha(*map(neg, alpha.funcs), derivs=tuple(map(neg, alpha.derivs)))
+
+
+# a "-w" case takes -alpha, whose v_k are the w_k of alpha: the solves
+# behind the mirrored preimage under D - M^alpha
+@pytest.mark.parametrize("alpha", [constant_alpha(1j, 0, 0), constant_alpha(-1j, 0, 0),
+                                   reciprocal_alpha(), _negated(reciprocal_alpha())],
+                         ids=["constant_i_e1-v", "constant_i_e1-w", "reciprocal-v", "reciprocal-w"])
+def test_right_inverse_matches_direct_sparse_solve(alpha, caplog):
     g = box(9)
     f = _complex_data(g)
     with caplog.at_level(logging.WARNING, logger="biquat"):
-        out = right_inverse(f, alpha, variant=variant)
+        out = right_inverse(f, alpha)
     assert not caplog.records  # diagonalized, no LU fallback
-    want = _direct_solve(f, alpha, variant)
+    want = _direct_solve(f, alpha)
     assert np.abs(out.u.data - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("variant", ["v", "w"])
-def test_right_inverse_decomposes_each_axis_operator_once(variant, monkeypatch):
+def test_right_inverse_decomposes_each_axis_operator_once(monkeypatch):
     # s_kj = ±1, so the four components share two operators per axis
     calls = {"eig": 0, "inv": 0}
     for name in calls:
@@ -395,7 +404,7 @@ def test_right_inverse_decomposes_each_axis_operator_once(variant, monkeypatch):
             return original(a)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    right_inverse(_complex_data(box(9)), reciprocal_alpha(), variant=variant)
+    right_inverse(_complex_data(box(9)), reciprocal_alpha())
     assert calls == {"eig": 6, "inv": 6}
 
 
@@ -415,6 +424,6 @@ def test_right_inverse_falls_back_to_lu_for_ill_conditioned_basis(caplog):
     assert len(records) == 1
     assert "cond(V)" in records[0].getMessage()
     assert "sparse LU" in records[0].getMessage()
-    want = _direct_solve(f, alf, "v")
+    want = _direct_solve(f, alf)
     assert np.abs(out.u.data - want).max() <= 1e-12 * np.abs(want).max()
     assert out.solver_residual <= 1e-10

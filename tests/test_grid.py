@@ -27,6 +27,11 @@ def test_grid_validation():
         Grid3(shape=(9, 9, 9), origin=(0.0, 0.0), spacing=(0.1, 0.1, 0.1))
     with pytest.raises(ValueError, match="three entries"):
         Grid3(shape=(9, 9, 9), origin=(0, 0, 0), spacing=(0.1, 0.1, 0.1, 0.5))
+    # a fractional node count is refused, not truncated or rounded
+    with pytest.raises(ValueError, match="integers"):
+        Grid3.box(0, 1, 17.9)
+    with pytest.raises(ValueError, match="integers"):
+        Grid3(shape=(9.5, 9, 9), origin=(0, 0, 0), spacing=(0.1, 0.1, 0.1))
 
 
 @pytest.mark.parametrize("make", [
@@ -214,6 +219,8 @@ def test_partial_deriv_matches_gradient_reference(shape):
         assert _same(partial_deriv(real, g, k), _ref_partial_deriv(real, g, k))
         line = g.sample_axis(k, lambda x: np.exp(1j * x) / x)
         assert _same(partial_deriv(line, g, k), _ref_partial_deriv(line, g, k))
+        ints = np.arange(np.prod(shape)).reshape(shape) % 7
+        assert _same(partial_deriv(ints, g, k), partial_deriv(ints.astype(float), g, k))
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)

@@ -216,6 +216,20 @@ def test_zero_divisor_misclassification_fails_row_not_linf(monkeypatch):
     assert row.linf == row.l2 <= 1e-12
 
 
+def test_accepted_zero_divisor_fails_its_row(monkeypatch):
+    # a splitting that accepts the zero divisor -(i e1 + e2), and only it
+    split = algebra.split_projectors
+    zero_divisor = algebra.Biquaternion.vector(-1j, -1.0, 0.0)
+
+    def accepting(beta):
+        if np.array_equal(beta.components, zero_divisor.components):
+            return algebra.ProjectorPair(lam=0.0, plus=beta, minus=beta)
+        return split(beta)
+
+    monkeypatch.setattr(algebra, "split_projectors", accepting)
+    assert not _row(SuiteConfig(suite="algebra"), "s_rejects_zero_divisor").passed
+
+
 @pytest.mark.parametrize("factor", [0.3, 3.0])
 def test_zero_divisor_row_pins_the_classifier_threshold(monkeypatch, factor):
     # elements at half and at twice the threshold from the set catch a

@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` times each suite by wrapping the ``SUITES``
 values, so a suite must stay a plain call that returns its rows; and
-``uninstall`` must put every patched name back.
+``uninstall`` must put every patched name back.  Its right-inverse hook
+reads ``RightInverseResult.u`` and ``.solver_residual``.
 """
 
 import sys
@@ -28,3 +29,6 @@ def test_tracer_times_each_layer_and_restores_the_originals():
         assert table[layer]["calls"] > 0 and table[layer]["s"] > 0
     assert grid.nabla is nabla and harness.SUITES["right-inverse"] is suite
     assert factorization.sla is sla
+    # the suite makes 8 right_inverse calls of 4 component solves each
+    assert tracer.component_solves == 32
+    assert 0 < tracer.solver_residual_max <= 1e-10
