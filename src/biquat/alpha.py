@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import BQField, Grid3, nabla, partial_deriv, sample
+from .grid import BQField, Grid3, _check_finite, nabla, partial_deriv, sample
 
 __all__ = [
     "AlphaSpec",
@@ -37,12 +37,6 @@ __all__ = [
     "gradient_alpha",
     "reciprocal_alpha",
 ]
-
-def _check_finite(arrays, what="alpha"):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"{what} pole on grid: non-finite values at sampled nodes")
-
 
 class AlphaSpec:
     """Base interface; concrete kinds implement components()."""
@@ -160,6 +154,7 @@ class GradientAlpha(AlphaSpec):
         p = self._phi_values(grid)
         if self.grad_phi is not None:
             g = tuple(sample(grid, f) for f in self.grad_phi)
+            _check_finite(g, "grad phi")
         else:
             g = tuple(partial_deriv(p, grid, k) for k in range(3))
         return tuple(gk / p for gk in g)
@@ -176,6 +171,7 @@ class GradientAlpha(AlphaSpec):
         g = tuple(sample(grid, f) for f in self.grad_phi)
         lp = sample(grid, self.lap_phi)
         d = -lp / p + (g[0] ** 2 + g[1] ** 2 + g[2] ** 2) / p ** 2
+        _check_finite([d], "alpha derivative")
         return BQField.from_scalar(grid, d)
 
     def schrodinger_potential(self, grid: Grid3) -> np.ndarray:

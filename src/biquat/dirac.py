@@ -27,8 +27,9 @@ from typing import Callable
 import numpy as np
 
 from .algebra import Biquaternion, qmul, right_projector, split_projectors
-from .grid import (BQField, Field4, Grid3, _reversed_x3, ie1_field, nabla,
-                   nabla_alpha, partial_deriv, reflect_x3, sample)
+from .grid import (BQField, Field4, Grid3, _check_finite, _reversed_x3,
+                   ie1_field, nabla, nabla_alpha, partial_deriv, reflect_x3,
+                   sample)
 
 __all__ = [
     "SpinorField",
@@ -89,7 +90,7 @@ _KINDS = {
 
 def _apply(m: np.ndarray, data: np.ndarray) -> np.ndarray:
     """The constant 4x4 matrix m applied at every node of a (4, ...) stack."""
-    return np.einsum("ab,b...->a...", m, data)
+    return (m @ data.reshape(4, -1)).reshape(data.shape)
 
 
 class SpinorField(Field4):
@@ -103,13 +104,13 @@ class DiracParams:
     kind selects how the real potential phi enters: 'scalar' adds
     i*phi*I, 'electric' adds i*phi*G0, 'pseudoscalar' adds phi*G5*G0.
     phi may be a callable of (x1, x2, x3), an array, a constant, or None
-    (treated as zero).
+    (treated as zero); its samples must be finite at every node.
     """
 
     omega: float
     m: float
     kind: str = "scalar"
-    phi: Callable | float | None = None
+    phi: Callable | np.ndarray | float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -118,7 +119,9 @@ class DiracParams:
     def phi_values(self, grid: Grid3) -> np.ndarray:
         if self.phi is None:
             return np.zeros(grid.shape, dtype=complex)
-        return sample(grid, self.phi)
+        vals = sample(grid, self.phi)
+        _check_finite([vals], "phi")
+        return vals
 
     def phi_reflected(self, grid: Grid3) -> np.ndarray:
         """The potential at (x1, x2, -x3): the node reversal along x3 that
@@ -228,11 +231,13 @@ def pseudoscalar_split(f: BQField, nu, beta: Biquaternion) -> PseudoscalarSplit:
     """Split f into the four parts P_1^± applied after S^±.
 
     beta must lie outside the zero-divisor set (for the Dirac case this is
-    m**2 != omega**2).  nu may be a constant, array or callable.
+    m**2 != omega**2).  nu may be a constant, array or callable, finite
+    at every node.
     """
     pair = split_projectors(beta)
     grid = f.grid
     nu_arr = sample(grid, nu)
+    _check_finite([nu_arr], "nu")
     p_plus, p_minus = right_projector(1, 1), right_projector(1, -1)
     f_p = f * pair.plus
     f_m = f * pair.minus
@@ -246,12 +251,13 @@ def pseudoscalar_identity_residual(f: BQField, nu, beta: Biquaternion):
 
         (D + nu + M^beta) f  =  sum_{a,b} S^b [ P_1^a (D + a M^{(nu+b*lam) i e1}) f ]
 
-    (projectors applied to the operator output, P first then S).  Returns
-    (residual BQField, scale).
+    (projectors applied to the operator output, P first then S).  nu must
+    be finite at every node.  Returns (residual BQField, scale).
     """
     pair = split_projectors(beta)
     grid = f.grid
     nu_arr = sample(grid, nu)
+    _check_finite([nu_arr], "nu")
     df = nabla(f)
     lhs = df + nu_arr * f + f * beta
     rhs = BQField.zeros(grid)

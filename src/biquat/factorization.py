@@ -28,9 +28,9 @@ from scipy import sparse
 from scipy.sparse import linalg as sla
 
 from .algebra import INVOLUTION_SIGNS, ROUNDING_TOL, qmul, right_projector
-from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _check_finite
-from .grid import (BQField, Grid3, _first_order, alpha_arrays, laplacian,
-                   laplacian_wide, linf, nabla_alpha, sample)
+from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha
+from .grid import (BQField, Grid3, _check_finite, _first_order, alpha_arrays,
+                   laplacian, laplacian_wide, linf, nabla_alpha, sample)
 
 __all__ = [
     "riccati_residual",
@@ -60,9 +60,11 @@ def riccati_residual(alpha: AlphaSpec, v, grid: Grid3) -> BQField:
     The scalar slot carries the Riccati balance; the vector slot carries
     curl(alpha), whose vanishing is what forces alpha to be a gradient.
     D(alpha) is exact when alpha.has_exact_derivatives(), central
-    differences otherwise.
+    differences otherwise.  Raises ValueError when sampled v is not finite.
     """
-    return _riccati(alpha, sample(grid, v), grid)[0]
+    v_arr = sample(grid, v)
+    _check_finite([v_arr], "v")
+    return _riccati(alpha, v_arr, grid)[0]
 
 
 def _riccati(alpha: AlphaSpec, v_arr: np.ndarray, grid: Grid3):

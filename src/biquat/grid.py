@@ -127,6 +127,16 @@ def sample(grid: Grid3, fn) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn, dtype=complex), grid.shape).astype(complex)
 
 
+def _check_finite(arrays, what="alpha"):
+    """Raise ValueError unless each sampled coefficient array is finite at
+    every node.  Only operator outputs carry the invalid rim; norms skip a
+    NaN node, so a NaN coefficient would let its residual read at
+    rounding level."""
+    for a in arrays:
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{what} pole on grid: non-finite values at sampled nodes")
+
+
 class Field4:
     """Four complex components sampled on a Grid3; data shape (4, n1, n2, n3).
 

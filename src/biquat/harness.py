@@ -233,14 +233,18 @@ def _modes(rng, n_modes=3):
         out.append((kv.astype(float), c))
     return out
 
-def _eval_modes_xyz(x1, x2, x3, modes):
-    acc = np.zeros(np.broadcast(x1, x2, x3).shape, dtype=complex)
+def _eval_modes(grid, modes, out=None):
+    """The sum of the modes c exp(i k.x) on the grid, added into out (a
+    fresh zero array when None).  Each mode is the outer product of three
+    1-D exponentials, so no mesh and no n^3 complex exp is formed."""
+    if out is None:
+        out = np.zeros(grid.shape, dtype=complex)
+    x1, x2, x3 = grid.axes
     for kv, c in modes:
-        acc = acc + c * np.exp(1j * (kv[0] * x1 + kv[1] * x2 + kv[2] * x3))
-    return acc
-
-def _eval_modes(grid, modes):
-    return _eval_modes_xyz(*grid.mesh(), modes)
+        out += (c * np.exp(1j * kv[0] * x1)[:, None, None]
+                * np.exp(1j * kv[1] * x2)[None, :, None]
+                * np.exp(1j * kv[2] * x3)[None, None, :])
+    return out
 
 def _bq_modes(modes, rng):
     """Frozen modes of a four-component field: modes for component 0,
@@ -248,7 +252,10 @@ def _bq_modes(modes, rng):
     return [modes] + [_modes(rng) for _ in range(3)]
 
 def _eval_bq(grid, bq_modes):
-    return BQField(grid, np.stack([_eval_modes(grid, m) for m in bq_modes]))
+    data = np.zeros((4, *grid.shape), dtype=complex)
+    for comp, modes in zip(data, bq_modes):
+        _eval_modes(grid, modes, out=comp)
+    return BQField(grid, data)
 
 def _smooth_bq(grid, rng):
     return _eval_bq(grid, [_modes(rng) for _ in range(4)])
@@ -615,7 +622,7 @@ def check_dirac(cfg: SuiteConfig):
         # potential constant in x3 would leave the reflection untested
         if all(kv[2] == 0 for kv, _ in pot_modes):
             pot_modes[0][0][2] = 1.0
-        pot = lambda a, b, c, mm=pot_modes: np.real(_eval_modes_xyz(a, b, c, mm))
+        pot = np.real(_eval_modes(g_coarse, pot_modes))
         params = dirac.DiracParams(omega=OMEGA, m=M, kind=kind, phi=pot)
         worst = 0.0
         for _ in range(20):

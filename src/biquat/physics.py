@@ -16,8 +16,8 @@ import numpy as np
 
 from .algebra import ROUNDING_TOL, right_projector
 from .alpha import SeparableAlpha
-from .grid import (BQField, Grid3, ie1_field, linf, nabla, nabla_alpha,
-                   partial_deriv, sample)
+from .grid import (BQField, Grid3, _check_finite, ie1_field, linf, nabla,
+                   nabla_alpha, partial_deriv, sample)
 
 __all__ = [
     "MediumFields",
@@ -133,10 +133,12 @@ def forcefree_split(f: BQField, nu):
 
         (D + nu) f = (D + M^{i nu e1}) f_+  +  (D - M^{i nu e1}) f_-,
 
-    valid for any biquaternion field and any scalar factor nu(x).
+    valid for any biquaternion field and any scalar factor nu(x).  Raises
+    ValueError when nu is not finite at every node.
     """
     grid = f.grid
     nu_arr = sample(grid, nu)
+    _check_finite([nu_arr], "nu")
     f_plus = f * right_projector(1, 1)
     f_minus = f * right_projector(1, -1)
     mult = ie1_field(grid, nu_arr)

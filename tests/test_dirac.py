@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from biquat import dirac
 from biquat.algebra import Biquaternion, E0
-from biquat.dirac import (DiracParams, SpinorField, apply_dirac,
-                          bq_to_spinor, equivalent_alpha, free_plane_wave,
-                          intertwining_residual, manufactured_split_solution,
+from biquat.dirac import (G0, G1, G2, G3, G5, DiracParams, SpinorField,
+                          apply_dirac, bq_to_spinor, equivalent_alpha,
+                          free_plane_wave, intertwining_residual,
+                          manufactured_split_solution,
                           pseudoscalar_identity_residual, pseudoscalar_split,
                           spinor_to_bq)
 from biquat.grid import (BQField, Grid3, linf, nabla, nabla_alpha, reflect_x3,
@@ -78,8 +80,8 @@ def test_equivalent_alpha_potential_enters_reflected():
 @pytest.mark.parametrize("kind", ["scalar", "electric", "pseudoscalar"])
 def test_intertwining_residual_rounding_level(kind):
     g = sym_grid()
-    # an x3-asymmetric potential given as its samples must enter reflected
-    # just as the dirac suite's callable potentials do
+    # an x3-asymmetric potential given as its samples, as the dirac suite
+    # gives its potentials, must enter reflected
     pot = sample(g, lambda a, b, c: np.cos(a) + 0.5 * c + 0.3 * c * b)
     params = DiracParams(omega=0.7, m=1.3, kind=kind, phi=pot)
     worst = 0.0
@@ -112,6 +114,55 @@ def test_intertwining_zero_field():
 def test_dirac_params_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown potential kind"):
         DiracParams(omega=0.7, m=1.3, kind="vector")
+
+
+def _nan_node(g, value=0.4 - 0.2j):
+    # a coefficient that is NaN at one interior node; norms would skip that
+    # node as the invalid rim and read a rounding-level residual
+    vals = np.full(g.shape, value)
+    vals[4, 4, 4] = np.nan
+    return vals
+
+
+def test_phi_values_rejects_nan_potential_node():
+    g = sym_grid()
+    params = DiracParams(omega=0.7, m=1.3, kind="scalar", phi=_nan_node(g, 0.3))
+    with pytest.raises(ValueError, match="^phi .*non-finite"):
+        params.phi_values(g)
+    with pytest.raises(ValueError, match="^phi .*non-finite"):
+        intertwining_residual(_smooth_spinor(g, default_rng(5)), params)
+
+
+def test_pseudoscalar_split_rejects_nan_nu_node():
+    g = sym_grid()
+    f = _smooth_bq(g, default_rng(6))
+    with pytest.raises(ValueError, match="^nu .*non-finite"):
+        pseudoscalar_split(f, _nan_node(g), Biquaternion.vector(-0.7j, -1.3, 0.0))
+
+
+def test_pseudoscalar_identity_residual_rejects_nan_nu_node():
+    g = sym_grid()
+    f = _smooth_bq(g, default_rng(7))
+    with pytest.raises(ValueError, match="^nu .*non-finite"):
+        pseudoscalar_identity_residual(f, _nan_node(g),
+                                       Biquaternion.vector(-0.7j, -1.3, 0.0))
+
+
+def test_apply_matches_einsum_bitwise():
+    # every constant matrix the module applies, on data with a NaN rim
+    g = sym_grid()
+    data = _smooth_spinor(g, default_rng(8)).data
+    for axis in (1, 2, 3):
+        rim = [slice(None)] * 4
+        rim[axis] = [0, -1]
+        data[tuple(rim)] = np.nan
+    matrices = [G0, G1, G2, G3, G5, dirac._FWD, dirac._INV, dirac._VOLUME,
+                *(m for m, _ in dirac._KINDS.values())]
+    assert len(matrices) == 11
+    for m in matrices:
+        want = np.einsum("ab,b...->a...", m, data)
+        got = dirac._apply(m, data)
+        assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
 
 
 def test_solution_equivalence_through_transform():

@@ -54,6 +54,33 @@ def test_riccati_gradient_pairs_with_laplacian_quotient():
     assert riccati_residual(alf, v, g).linf() <= TOL * max(1.0, linf(alf.alpha_sq(g)))
 
 
+def _nan_at_center(a, b, c):
+    # one NaN interior node; norms would skip it as the invalid rim
+    vals = np.zeros_like(a)
+    vals[4, 4, 4] = np.nan
+    return vals
+
+
+def test_riccati_rejects_nan_v_node():
+    with pytest.raises(ValueError, match="^v .*non-finite"):
+        riccati_residual(reciprocal_alpha(), _nan_at_center(*box().mesh()), box())
+
+
+def test_gradient_alpha_rejects_nan_derivative_node():
+    g = box()
+    one = lambda a, b, c: np.ones_like(a)
+    zero = lambda a, b, c: np.zeros_like(a)
+    x1 = lambda a, b, c: a
+    bad_grad = gradient_alpha(x1, grad_phi=(one, _nan_at_center, zero), lap_phi=zero)
+    with pytest.raises(ValueError, match="^grad phi .*non-finite"):
+        bad_grad.components(g)
+    with pytest.raises(ValueError, match="^alpha derivative .*non-finite"):
+        bad_grad.d_alpha(g)
+    bad_lap = gradient_alpha(x1, grad_phi=(one, zero, zero), lap_phi=_nan_at_center)
+    with pytest.raises(ValueError, match="^alpha derivative .*non-finite"):
+        bad_lap.d_alpha(g)
+
+
 def test_riccati_vector_part_is_curl():
     g = box()
     # curl(x2 e2) = 0 even though alpha is not constant; central differences

@@ -81,6 +81,20 @@ def test_order_check_manufactured_residuals():
     assert row.passed and row.observed_order == EXACT_ORDER and row.linf == 0.0
 
 
+def test_eval_modes_matches_exp_of_sum():
+    # a different spacing on each axis and every |k_j| = 2, so a swapped
+    # axis or a flipped sign in the 1-D factors shows
+    g = Grid3.box((0.0, -1.0, 0.5), (1.0, 2.0, 2.5), 9)
+    modes = [(np.array([2.0, -2.0, 2.0]), 0.3 - 1.1j),
+             (np.array([-2.0, 2.0, 2.0]), -0.7 + 0.4j),
+             (np.array([2.0, 2.0, -2.0]), 1.2 + 0.5j)]
+    x1, x2, x3 = g.mesh()
+    want = sum(c * np.exp(1j * (k[0] * x1 + k[1] * x2 + k[2] * x3))
+               for k, c in modes)
+    got = harness._eval_modes(g, modes)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_run_suite_matches_benchmark_catalog(full_report):
     # the benchmark treats a renamed or reordered row as a wrong output
     path = Path(__file__).resolve().parents[1] / "perfbench" / "catalog.json"

@@ -150,6 +150,16 @@ def test_forcefree_split_identity_random():
     assert (fp + fm - f).linf() <= TOL * f.linf()
 
 
+def test_forcefree_split_rejects_nan_nu_node():
+    # norms skip a NaN node as the invalid rim, so the identity residual
+    # would read at rounding level
+    g = box()
+    nu = np.full(g.shape, 1.5)
+    nu[4, 4, 4] = np.nan
+    with pytest.raises(ValueError, match="^nu .*non-finite"):
+        forcefree_split(_smooth_bq(g, default_rng(4)), nu)
+
+
 def test_beltrami_fixture():
     # div part is exactly zero: the components vary along x1 only.  The
     # forcefree suite checks this on the coarse grid; here on the fine one.
