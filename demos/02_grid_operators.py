@@ -5,9 +5,8 @@ import math
 
 import numpy as np
 
-from biquat import (BQField, Biquaternion, Grid3, laplacian, nabla,
-                    nabla_alpha, reciprocal_alpha, reflect_x3)
-from biquat.factorization import one_component_family
+from biquat import (BQField, Biquaternion, ClosedFormFamily, Grid3, laplacian,
+                    nabla, nabla_alpha, reciprocal_alpha, reflect_x3)
 
 grid = Grid3.box(1.0, 2.0, 17)
 print(f"grid {grid.shape}, spacing {grid.spacing[0]:.4f}")
@@ -34,7 +33,7 @@ print(f"  observed order: {math.log(errs[17] / errs[33], 2):.2f}")
 
 print("\n== a closed-form null solution of D f + f alpha = 0 ==")
 alpha = reciprocal_alpha((0.0, 0.0, 0.0))  # components 1/x_k
-family = one_component_family(alpha)
+family = ClosedFormFamily(alpha)
 for n in (17, 33):
     g = Grid3.box(1.0, 2.0, n)
     f0 = BQField.from_scalar(g, family.f_values(g, 0))  # 1/(x1 x2 x3)

@@ -3,17 +3,16 @@ three reduce to the same first-order quaternionic equation."""
 
 import numpy as np
 
-from biquat import (BQField, Grid3, MediumFields, beltrami_field,
+from biquat import (BQField, ClosedFormFamily, Grid3, MediumFields,
                     circular_wave, diagonalize_em, forcefree_split, laplacian,
                     medium_alpha, nabla, reciprocal_alpha,
                     static_maxwell_residual, undiagonalize_em)
-from biquat.factorization import one_component_family
 
 grid = Grid3.box(1.0, 2.0, 17)
 nu = 1.5
 
 print("== force-free (Beltrami) fields ==")
-b = beltrami_field(grid, nu)
+b = circular_wave(grid, nu, -1)
 res = nabla(b) + nu * b
 print(f"(D + nu) B residual for the classic fixture: {res.linf():.3e}")
 fp, fm, identity = forcefree_split(b, nu)
@@ -38,7 +37,7 @@ avec = medium_alpha(med, grid, "eps")
 print("closed-form coefficient vector at a node:", avec.data[1:, 4, 4, 4].real)
 
 alpha = reciprocal_alpha((0.0, 0.0, 0.0))   # equals grad(sqrt eps)/sqrt(eps)
-family = one_component_family(alpha)
+family = ClosedFormFamily(alpha)
 e_static = BQField.from_vector(grid, family.f_values(grid, 1),
                                family.f_values(grid, 2), family.f_values(grid, 3))
 res = static_maxwell_residual(e_static, med, which="E")

@@ -5,29 +5,28 @@ axial quaternionic potentials."""
 
 import numpy as np
 
-from biquat import (AxialOperators, BQField, E1, Grid3, axial_alpha,
-                    build_solution, c_map, constant_alpha,
-                    factorization_residual, gradient_alpha, j_map,
-                    nabla_alpha, one_component_family, pi_map, potentials,
-                    q_map, reciprocal_alpha, riccati_residual, right_inverse,
-                    zero_divisor_reduction)
+from biquat import (AxialAlpha, AxialOperators, BQField, ClosedFormFamily, E1,
+                    GradientAlpha, Grid3, SeparableAlpha, build_solution,
+                    c_map, factorization_residual, j_map, nabla_alpha,
+                    pi_map, potentials, q_map, reciprocal_alpha,
+                    riccati_residual, right_inverse, zero_divisor_reduction)
 
 grid = Grid3.box(1.0, 2.0, 17)
 alpha = reciprocal_alpha((0.0, 0.0, 0.0))  # components 1/x_k
 
 print("== the Riccati balance D(alpha) + alpha^2 = -v ==")
 print(f"reciprocal family balances v = 0: {riccati_residual(alpha, 0.0, grid).linf():.1e}")
-galf = gradient_alpha(lambda a, b, c: np.exp(a) * np.cos(b),
-                      grad_phi=(lambda a, b, c: np.exp(a) * np.cos(b),
-                                lambda a, b, c: -np.exp(a) * np.sin(b),
-                                lambda a, b, c: np.zeros_like(a)),
-                      lap_phi=lambda a, b, c: np.zeros_like(a))
+galf = GradientAlpha(lambda a, b, c: np.exp(a) * np.cos(b),
+                     grad_phi=(lambda a, b, c: np.exp(a) * np.cos(b),
+                               lambda a, b, c: -np.exp(a) * np.sin(b),
+                               lambda a, b, c: np.zeros_like(a)),
+                     lap_phi=lambda a, b, c: np.zeros_like(a))
 v = galf.schrodinger_potential(grid)
 print(f"any gradient alpha balances v = lap(phi)/phi: "
       f"{riccati_residual(galf, v, grid).linf():.1e}")
 
 print("\n== factorization of the scalar operator ==")
-res, scale = factorization_residual(constant_alpha(1.3j, 0, 0),
+res, scale = factorization_residual(SeparableAlpha((1.3j, 0, 0)),
                                     lambda a, b, c: a * b + c ** 2, -1.69, grid)
 print(f"constant alpha on a quadratic: exact, {res.linf() / scale:.1e}")
 res, scale = factorization_residual(alpha, lambda a, b, c: np.cos(a + b), 0.0, grid)
@@ -42,7 +41,7 @@ print(f"v_1 = 2(1/x2^2 + 1/x3^2): "
 print(f"v_k + w_k + 2 alpha^2 = 0: {pots.pairing_defect():.1e}")
 
 print("\n== closed-form solutions from antiderivatives ==")
-family = one_component_family(alpha)
+family = ClosedFormFamily(alpha)
 res, scale = family.equation_residual_analytic(grid, (1.0, 0.5, -0.25, 0.75j))
 print(f"combination solves the first-order equation: {res.linf() / scale:.1e}")
 res, scale = family.schrodinger_residual_analytic(grid, 1, "v")
@@ -56,16 +55,17 @@ print("\n== a right inverse from four per-axis diagonalized Dirichlet solves =="
 rhs = BQField.from_scalar(grid, lambda a, b, c:
                           np.sin(np.pi * (a - 1)) * np.sin(np.pi * (b - 1))
                           * np.sin(np.pi * (c - 1)))
-out = right_inverse(rhs, constant_alpha(1j, 0, 0))
-res = nabla_alpha(out.field, constant_alpha(1j, 0, 0)) - rhs
+alf_const = SeparableAlpha((1j, 0, 0))
+out = right_inverse(rhs, alf_const)
+res = nabla_alpha(out.field, alf_const) - rhs
 print(f"(D + M^alpha) T f = f to {res.linf() / rhs.linf():.2e} "
       f"(solver residual {out.solver_residual:.1e})")
 
 print("\n== axial alpha: quaternionic potentials ==")
-alf = axial_alpha(lambda a, b, c: b + 0j, 0.0, 0.0,
-                  grad_a1=(lambda *x: np.zeros_like(x[0]),
-                           lambda *x: np.ones_like(x[0]),
-                           lambda *x: np.zeros_like(x[0])))
+alf = AxialAlpha(lambda a, b, c: b + 0j,
+                 grad_a1=(lambda *x: np.zeros_like(x[0]),
+                          lambda *x: np.ones_like(x[0]),
+                          lambda *x: np.zeros_like(x[0])))
 ops = AxialOperators(alf, grid)  # A, B and their combinations for this alpha
 u = BQField.from_components(grid, lambda a, b, c: np.sin(a + b), 1.0,
                             lambda a, b, c: np.cos(c), 0.0)

@@ -12,8 +12,7 @@ from .algebra import (BASIS, E0, E1, E2, E3, Biquaternion, ProjectorPair,
                       is_zero_divisor, qmul, right_projector, split_projectors,
                       vec_square)
 from .alpha import (AlphaSpec, AxialAlpha, GradientAlpha, SeparableAlpha,
-                    axial_alpha, constant_alpha, gradient_alpha,
-                    reciprocal_alpha, separable_alpha)
+                    reciprocal_alpha)
 from .dirac import (DiracParams, PseudoscalarSplit, SpinorField,
                     apply_dirac, bq_to_spinor, equivalent_alpha,
                     free_plane_wave, intertwining_residual,
@@ -23,14 +22,14 @@ from .dirac import (DiracParams, PseudoscalarSplit, SpinorField,
 from .factorization import (AxialOperators, ClosedFormFamily, PotentialSet,
                             ReductionReport, RightInverseResult,
                             build_solution, c_map, factorization_residual,
-                            j_map, one_component_family, pi_map, potentials,
-                            q_map, riccati_residual, right_inverse,
+                            j_map, pi_map, potentials, q_map,
+                            riccati_residual, right_inverse,
                             zero_divisor_reduction)
 from .grid import (BQField, Grid3, Norms, ie1_field, l2, laplacian,
                    laplacian_wide, linf, nabla, nabla_alpha, norms,
                    partial_deriv, reflect_x3, sample)
-from .physics import (MediumFields, beltrami_field, circular_wave,
-                      diagonalize_em, forcefree_split, medium_alpha,
-                      static_maxwell_residual, undiagonalize_em)
+from .physics import (MediumFields, circular_wave, diagonalize_em,
+                      forcefree_split, medium_alpha, static_maxwell_residual,
+                      undiagonalize_em)
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 
 Alpha enters in one of two forms.  Known only by its samples, as the
 Dirac and Maxwell bridges return it, it is a ``grid.BQField``.  Known in
-closed form, it is one of three specs:
+closed form, it is one of three specs, each built by its class alone:
 
 * separable: alpha = a1(x1) e1 + a2(x2) e2 + a3(x3) e3, each factor a
   function of its own coordinate (constants included).  This is the shape
@@ -31,10 +31,6 @@ __all__ = [
     "SeparableAlpha",
     "AxialAlpha",
     "GradientAlpha",
-    "separable_alpha",
-    "constant_alpha",
-    "axial_alpha",
-    "gradient_alpha",
     "reciprocal_alpha",
 ]
 
@@ -66,10 +62,28 @@ class AlphaSpec:
 
 
 class SeparableAlpha(AlphaSpec):
+    """alpha = a1(x1) e1 + a2(x2) e2 + a3(x3) e3; each factor a_k is a
+    callable of x_k or a complex constant.
+
+    A constant factor c gets the exact derivative 0 and the antiderivative
+    c*x unless the caller supplies one; a callable factor keeps whatever is
+    supplied.  So ``SeparableAlpha((c1, c2, c3))`` is a constant alpha with
+    exact derivatives and antiderivatives.
+    """
+
     def __init__(self, funcs, derivs=None, antiderivs=None):
         self.funcs = tuple(funcs)
-        self.derivs = tuple(derivs) if derivs is not None else (None, None, None)
-        self.antiderivs = tuple(antiderivs) if antiderivs is not None else (None, None, None)
+        derivs = list(derivs) if derivs is not None else [None] * 3
+        antiderivs = list(antiderivs) if antiderivs is not None else [None] * 3
+        for k, f in enumerate(self.funcs):
+            if not callable(f):
+                c = complex(f)
+                if derivs[k] is None:
+                    derivs[k] = lambda x: np.zeros_like(x, dtype=complex)
+                if antiderivs[k] is None:
+                    antiderivs[k] = lambda x, c=c: c * x
+        self.derivs = tuple(derivs)
+        self.antiderivs = tuple(antiderivs)
 
     def components(self, grid: Grid3):
         out = tuple(grid.sample_axis(k, fn) for k, fn in enumerate(self.funcs))
@@ -106,7 +120,10 @@ class SeparableAlpha(AlphaSpec):
 
 
 class AxialAlpha(AlphaSpec):
-    def __init__(self, a1: Callable, a2: complex, a3: complex, grad_a1=None):
+    """alpha = a1(x1,x2,x3) e1 + a2 e2 + a3 e3 with constant a2, a3 (0 by
+    default); grad_a1 optionally supplies the three exact d_k a1."""
+
+    def __init__(self, a1: Callable, a2: complex = 0.0, a3: complex = 0.0, grad_a1=None):
         self.a1 = a1
         self.a2 = complex(a2)
         self.a3 = complex(a3)
@@ -133,12 +150,22 @@ class AxialAlpha(AlphaSpec):
         return tuple(partial_deriv(a1, grid, k) for k in range(3))
 
     def d_alpha(self, grid: Grid3) -> BQField:
-        # D(a1 e1) = (D a1) e1; a numeric gradient carries an invalid rim
-        g1, g2, g3 = self.grad_a1_components(grid)
-        return BQField.from_components(grid, -g1, 0.0, g3, -g2)
+        # a numeric gradient carries an invalid rim
+        return _d_a1_e1(grid, *self.grad_a1_components(grid))
+
+
+def _d_a1_e1(grid: Grid3, g1, g2, g3) -> BQField:
+    """D(a1 e1) = (D a1) e1 = -g1 + g3 e2 - g2 e3 from the sampled gradient
+    (g1, g2, g3) of a1."""
+    return BQField.from_components(grid, -g1, 0.0, g3, -g2)
 
 
 class GradientAlpha(AlphaSpec):
+    """alpha = grad(phi)/phi for a scalar callable phi, with optional exact
+    grad_phi and lap_phi callables.  When phi also has a Laplacian callable,
+    the spec satisfies the Riccati balance D(alpha) + alpha**2 = -v with
+    v = lap(phi)/phi (see schrodinger_potential)."""
+
     def __init__(self, phi: Callable, grad_phi=None, lap_phi=None):
         self.phi = phi
         self.grad_phi = tuple(grad_phi) if grad_phi is not None else None
@@ -179,48 +206,6 @@ class GradientAlpha(AlphaSpec):
         if self.lap_phi is None:
             raise ValueError("gradient alpha has no Laplacian callable")
         return sample(grid, self.lap_phi) / self._phi_values(grid)
-
-
-# --------------------------------------------------------------------------
-# constructors
-# --------------------------------------------------------------------------
-
-def separable_alpha(a1, a2, a3, derivs=None, antiderivs=None) -> SeparableAlpha:
-    """Separable spec; each a_k is a callable of x_k or a complex constant.
-
-    Constants get exact derivative (zero) and antiderivative (c*x) filled in
-    automatically; callable factors keep whatever is supplied.
-    """
-    funcs = (a1, a2, a3)
-    if derivs is None:
-        derivs = [None] * 3
-    if antiderivs is None:
-        antiderivs = [None] * 3
-    derivs = list(derivs)
-    antiderivs = list(antiderivs)
-    for k, f in enumerate(funcs):
-        if not callable(f):
-            c = complex(f)
-            if derivs[k] is None:
-                derivs[k] = lambda x: np.zeros_like(x, dtype=complex)
-            if antiderivs[k] is None:
-                antiderivs[k] = (lambda cc: (lambda x: cc * x))(c)
-    return SeparableAlpha(funcs, derivs, antiderivs)
-
-
-def constant_alpha(c1, c2, c3) -> SeparableAlpha:
-    return separable_alpha(complex(c1), complex(c2), complex(c3))
-
-
-def axial_alpha(a1, a2=0.0, a3=0.0, grad_a1=None) -> AxialAlpha:
-    return AxialAlpha(a1, a2, a3, grad_a1)
-
-
-def gradient_alpha(phi, grad_phi=None, lap_phi=None) -> GradientAlpha:
-    """alpha = grad(phi)/phi.  When phi also has a Laplacian callable, the
-    spec satisfies the Riccati balance D(alpha) + alpha**2 = -v with
-    v = lap(phi)/phi (see schrodinger_potential)."""
-    return GradientAlpha(phi, grad_phi, lap_phi)
 
 
 def reciprocal_alpha(b=(0.0, 0.0, 0.0)) -> SeparableAlpha:

@@ -28,7 +28,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sla
 
 from .algebra import INVOLUTION_SIGNS, ROUNDING_TOL, qmul, right_projector
-from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha
+from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _d_a1_e1
 from .grid import (BQField, Grid3, _check_finite, _first_order, alpha_arrays,
                    laplacian, laplacian_wide, linf, nabla_alpha, sample)
 
@@ -41,7 +41,6 @@ __all__ = [
     "potentials",
     "build_solution",
     "ClosedFormFamily",
-    "one_component_family",
     "RightInverseResult",
     "right_inverse",
     "AxialOperators",
@@ -192,10 +191,17 @@ class ClosedFormFamily:
     Each f_k has log-gradient -alpha^(k); the reciprocals phi_k = 1/f_k
     solve (-lap + v_k) phi_k = 0 and the f_k themselves solve
     (-lap + w_k) f_k = 0.  Any combination sum_k c_k f_k e_k solves the
-    first-order equation.
+    first-order equation.  Raises ValueError unless alpha is separable with
+    antiderivatives.
     """
 
     alpha: SeparableAlpha
+
+    def __post_init__(self):
+        if not isinstance(self.alpha, SeparableAlpha):
+            raise ValueError("one-component closed forms require separable alpha")
+        if not self.alpha.has_antiderivatives():
+            raise ValueError("missing antiderivative for separable alpha")
 
     def f_values(self, grid: Grid3, k: int) -> np.ndarray:
         l1, l2, l3 = self.alpha.antideriv_components(grid)
@@ -261,14 +267,6 @@ class ClosedFormFamily:
         gross = sum(np.abs(da[j]) + np.abs(a[j]) ** 2 for j in range(3)) * np.abs(vals)
         scale = max(linf(gross), linf(np.abs(pot) * np.abs(vals)), 1e-300)
         return res, scale
-
-
-def one_component_family(alpha: AlphaSpec) -> ClosedFormFamily:
-    if not isinstance(alpha, SeparableAlpha):
-        raise ValueError("one-component closed forms require separable alpha")
-    if not alpha.has_antiderivatives():
-        raise ValueError("missing antiderivative for separable alpha")
-    return ClosedFormFamily(alpha=alpha)
 
 
 # --------------------------------------------------------------------------
@@ -462,10 +460,9 @@ class AxialOperators:
         self.grid = grid
         self.alpha_sq = alpha.alpha_sq(grid)
         # grad a1, sampled once for both multipliers
-        g1, g2, g3 = alpha.grad_a1_components(grid)
-        self.d_alpha1 = BQField.from_vector(grid, g1, g2, g3)
-        # -(D alpha) = -(D a1) e1 = g1 - g3 e2 + g2 e3
-        self.b_mult = BQField.from_components(grid, g1, 0.0, -g3, g2)
+        grad = alpha.grad_a1_components(grid)
+        self.d_alpha1 = BQField.from_vector(grid, *grad)
+        self.b_mult = -_d_a1_e1(grid, *grad)  # -(D alpha)
 
     def a(self, u: BQField, wide: bool = False) -> BQField:
         lap = laplacian_wide(u) if wide else laplacian(u)

@@ -26,7 +26,6 @@ __all__ = [
     "diagonalize_em",
     "undiagonalize_em",
     "forcefree_split",
-    "beltrami_field",
 ]
 
 
@@ -95,19 +94,26 @@ def static_maxwell_residual(scaled: BQField, m: MediumFields, which: str = "E",
     For which='E' (scaled = sqrt(eps)*E):  (D + M^eps_vec) E_s + rho/sqrt(eps),
     the source stored in the scalar slot.  For which='H'
     (scaled = sqrt(mu)*H):  (D + M^mu_vec) H_s - sqrt(mu)*j with the vector
-    current j subtracted componentwise.  Zero for exact solutions.
+    current j subtracted componentwise.  Zero for exact solutions.  Raises
+    ValueError when the source used is not finite at an interior node; the
+    rim is not checked, since the residual is NaN there.
     """
     if which not in ("E", "H"):
         raise ValueError("which must be 'E' or 'H'")
     grid = scaled.grid
     res = nabla_alpha(scaled, medium_alpha(m, grid, "eps" if which == "E" else "mu"))
+    inner = (slice(1, -1),) * 3
     # the sources are added in place: res is a fresh field
     if which == "E" and rho is not None:
-        res.data[0] += sample(grid, rho) / np.sqrt(m.eps_values(grid))
+        rho_arr = sample(grid, rho)
+        _check_finite([rho_arr[inner]], "rho")
+        res.data[0] += rho_arr / np.sqrt(m.eps_values(grid))
     if which == "H" and current is not None:
         root = np.sqrt(m.mu_values(grid))
         for k in range(3):
-            res.data[k + 1] -= root * sample(grid, current[k])
+            j_k = sample(grid, current[k])
+            _check_finite([j_k[inner]], "current")
+            res.data[k + 1] -= root * j_k
     return res
 
 
@@ -149,20 +155,16 @@ def forcefree_split(f: BQField, nu):
     return f_plus, f_minus, residual
 
 
-def beltrami_field(grid: Grid3, nu: float) -> BQField:
-    """The classic constant-factor force-free fixture
-    B = (0, sin(nu x1), -cos(nu x1)): div B = 0 and curl B + nu B = 0."""
-    return circular_wave(grid, nu, -1)
-
-
 def circular_wave(grid: Grid3, nu: float, sign: int) -> BQField:
     """Circularly polarized transverse wave B with (D - sign*nu) B = 0.
 
-    sign=-1 is ``beltrami_field``; sign=+1 the mirrored helicity
-    (0, sin(nu x1), +cos(nu x1)).  Pairing E = B with H = -sign*i*B gives
-    an exact solution of the sourceless slow-medium system
-    D E = i nu H, D H = -i nu E; the diagonal combinations E +- iH then
-    solve (D -+ nu)(.) = 0 and each field solves (lap + nu**2)(.) = 0.
+    sign=-1 is the classic constant-factor force-free (Beltrami) field
+    B = (0, sin(nu x1), -cos(nu x1)), with div B = 0 and curl B + nu B = 0;
+    sign=+1 the mirrored helicity (0, sin(nu x1), +cos(nu x1)).  Pairing
+    E = B with H = -sign*i*B gives an exact solution of the sourceless
+    slow-medium system D E = i nu H, D H = -i nu E; the diagonal
+    combinations E +- iH then solve (D -+ nu)(.) = 0 and each field solves
+    (lap + nu**2)(.) = 0.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")

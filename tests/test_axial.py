@@ -3,7 +3,7 @@ import pytest
 from numpy.random import default_rng
 
 from biquat.algebra import Biquaternion, E0, E1
-from biquat.alpha import AxialAlpha, axial_alpha, constant_alpha
+from biquat.alpha import AxialAlpha, SeparableAlpha
 from biquat.factorization import (AxialOperators, c_map, j_map, pi_map, q_map,
                                   zero_divisor_reduction)
 from biquat.grid import BQField, Grid3, linf
@@ -44,9 +44,9 @@ def test_jc_is_right_multiplication_by_ie1():
 
 def test_requires_axial_alpha():
     with pytest.raises(ValueError, match="axial"):
-        AxialOperators(constant_alpha(1, 0, 0), box())
+        AxialOperators(SeparableAlpha((1, 0, 0)), box())
     with pytest.raises(ValueError, match="axial"):
-        zero_divisor_reduction(constant_alpha(1, 0, 0), box())
+        zero_divisor_reduction(SeparableAlpha((1, 0, 0)), box())
 
 
 def test_pi_involution_and_unit_value():
@@ -72,7 +72,7 @@ def test_bundle_samples_the_gradient_once(monkeypatch):
 
     monkeypatch.setattr(AxialAlpha, "grad_a1_components", counted)
     g = box()
-    for alf in (ALPHA_X2, axial_alpha(lambda a, b, c: np.sin(a * b) + 0j, 0.3, 0.0)):
+    for alf in (ALPHA_X2, AxialAlpha(lambda a, b, c: np.sin(a * b) + 0j, 0.3, 0.0)):
         calls.clear()
         ops = AxialOperators(alf, g)
         assert len(calls) == 1
@@ -108,8 +108,8 @@ def test_zero_divisor_reduction_classification():
 
 def test_reduction_degenerate_has_no_multiplier():
     g = box()
-    const = axial_alpha(lambda a, b, c: 0.7 * np.ones_like(a), 0.0, 0.0,
-                        grad_a1=(_zeros, _zeros, _zeros))
+    const = AxialAlpha(lambda a, b, c: 0.7 * np.ones_like(a), 0.0, 0.0,
+                       grad_a1=(_zeros, _zeros, _zeros))
     rep = zero_divisor_reduction(const, g)
     assert rep.case == "degenerate"
     assert rep.multiplier is None and rep.potential is None

@@ -1,6 +1,8 @@
-"""Each narrative script in demos/ runs to completion against the library."""
+"""Each narrative script in demos/ and each fenced ``python`` block of the
+README runs to completion against the library."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,18 @@ import pytest
 
 import biquat
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _run(args, cwd):
+    # the child imports biquat from wherever this process found it
+    src = os.path.dirname(os.path.dirname(biquat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, *args], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_demos_found():
@@ -18,10 +31,12 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    # the child imports biquat from wherever this process found it
-    src = os.path.dirname(os.path.dirname(biquat.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _run([str(demo)], tmp_path)
+
+
+def test_readme_python_blocks_run(tmp_path):
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for code in blocks:
+        _run(["-c", code], tmp_path)

@@ -6,10 +6,9 @@ from scipy import sparse
 from scipy.sparse import linalg as sla
 
 from biquat import factorization
-from biquat.alpha import (axial_alpha, constant_alpha, gradient_alpha,
-                          reciprocal_alpha, separable_alpha)
-from biquat.factorization import (build_solution, factorization_residual,
-                                  one_component_family, potentials,
+from biquat.alpha import AxialAlpha, GradientAlpha, SeparableAlpha, reciprocal_alpha
+from biquat.factorization import (ClosedFormFamily, build_solution,
+                                  factorization_residual, potentials,
                                   riccati_residual, right_inverse)
 from biquat.grid import BQField, Grid3, linf, nabla_alpha
 from biquat.harness import TOL, _order_check
@@ -25,17 +24,17 @@ def box(n=9):
 
 def test_riccati_zero_alpha():
     g = box()
-    res = riccati_residual(constant_alpha(0, 0, 0), 0.0, g)
+    res = riccati_residual(SeparableAlpha((0, 0, 0)), 0.0, g)
     assert res.linf() == 0.0
 
 
 def test_riccati_gradient_of_x1():
     g = box()
-    alf = gradient_alpha(lambda a, b, c: a,
-                         grad_phi=(lambda a, b, c: np.ones_like(a),
-                                   lambda a, b, c: np.zeros_like(a),
-                                   lambda a, b, c: np.zeros_like(a)),
-                         lap_phi=lambda a, b, c: np.zeros_like(a))
+    alf = GradientAlpha(lambda a, b, c: a,
+                        grad_phi=(lambda a, b, c: np.ones_like(a),
+                                  lambda a, b, c: np.zeros_like(a),
+                                  lambda a, b, c: np.zeros_like(a)),
+                        lap_phi=lambda a, b, c: np.zeros_like(a))
     # alpha = e1/x1 solves the balance with v = 0
     x1 = g.mesh()[0]
     assert linf(alf.vector_field(g).data[1] - 1.0 / x1) <= TOL
@@ -44,7 +43,7 @@ def test_riccati_gradient_of_x1():
 def test_riccati_gradient_pairs_with_laplacian_quotient():
     g = box()
     phi = lambda a, b, c: np.exp(a) * np.cos(b)
-    alf = gradient_alpha(
+    alf = GradientAlpha(
         phi,
         grad_phi=(lambda a, b, c: np.exp(a) * np.cos(b),
                   lambda a, b, c: -np.exp(a) * np.sin(b),
@@ -71,12 +70,12 @@ def test_gradient_alpha_rejects_nan_derivative_node():
     one = lambda a, b, c: np.ones_like(a)
     zero = lambda a, b, c: np.zeros_like(a)
     x1 = lambda a, b, c: a
-    bad_grad = gradient_alpha(x1, grad_phi=(one, _nan_at_center, zero), lap_phi=zero)
+    bad_grad = GradientAlpha(x1, grad_phi=(one, _nan_at_center, zero), lap_phi=zero)
     with pytest.raises(ValueError, match="^grad phi .*non-finite"):
         bad_grad.components(g)
     with pytest.raises(ValueError, match="^alpha derivative .*non-finite"):
         bad_grad.d_alpha(g)
-    bad_lap = gradient_alpha(x1, grad_phi=(one, zero, zero), lap_phi=_nan_at_center)
+    bad_lap = GradientAlpha(x1, grad_phi=(one, zero, zero), lap_phi=_nan_at_center)
     with pytest.raises(ValueError, match="^alpha derivative .*non-finite"):
         bad_lap.d_alpha(g)
 
@@ -86,18 +85,18 @@ def test_riccati_vector_part_is_curl():
     # curl(x2 e2) = 0 even though alpha is not constant; central differences
     # are exact on the linear factor, so the spec without derivative
     # callables agrees with the one that has them
-    alf = separable_alpha(0.0, lambda x: x, 0.0,
-                          derivs=(None, lambda x: np.ones_like(x), None))
-    alf_numeric = separable_alpha(0.0, lambda x: x, 0.0)
+    alf = SeparableAlpha((0.0, lambda x: x, 0.0),
+                         derivs=(None, lambda x: np.ones_like(x), None))
+    alf_numeric = SeparableAlpha((0.0, lambda x: x, 0.0))
     assert alf.has_exact_derivatives() and not alf_numeric.has_exact_derivatives()
     numeric = riccati_residual(alf_numeric, 0.0, g)
     analytic = riccati_residual(alf, 0.0, g)
     assert (numeric - analytic).linf() <= TOL
     # a non-gradient alpha has curl in the vector slot of the residual
-    alf2 = axial_alpha(lambda a, b, c: b + 0j, 0.0, 0.0,
-                       grad_a1=(lambda *x: np.zeros_like(x[0]),
-                                lambda *x: np.ones_like(x[0]),
-                                lambda *x: np.zeros_like(x[0])))
+    alf2 = AxialAlpha(lambda a, b, c: b + 0j, 0.0, 0.0,
+                      grad_a1=(lambda *x: np.zeros_like(x[0]),
+                               lambda *x: np.ones_like(x[0]),
+                               lambda *x: np.zeros_like(x[0])))
     res2 = riccati_residual(alf2, 0.0, g)
     # D(x2 e1) = -e3: curl part nonzero, so the residual vector slot is too
     assert linf(res2.data[3] + 1.0) <= TOL
@@ -109,16 +108,16 @@ def test_d_alpha_exact_or_numeric_for_every_kind():
     # that agree with it at O(h^2) on the interior
     zeros = lambda *x: np.zeros_like(x[0])
     pairs = (
-        (reciprocal_alpha(), separable_alpha(*reciprocal_alpha().funcs)),
-        (axial_alpha(lambda a, b, c: np.sin(b) * c + 0j, 0.5, 0.0,
-                     grad_a1=(zeros, lambda a, b, c: np.cos(b) * c,
-                              lambda a, b, c: np.sin(b))),
-         axial_alpha(lambda a, b, c: np.sin(b) * c + 0j, 0.5, 0.0)),
-        (gradient_alpha(lambda a, b, c: np.exp(a) * np.cos(b / 2),
-                        grad_phi=(lambda a, b, c: np.exp(a) * np.cos(b / 2),
-                                  lambda a, b, c: -0.5 * np.exp(a) * np.sin(b / 2), zeros),
-                        lap_phi=lambda a, b, c: 0.75 * np.exp(a) * np.cos(b / 2)),
-         gradient_alpha(lambda a, b, c: np.exp(a) * np.cos(b / 2))),
+        (reciprocal_alpha(), SeparableAlpha(reciprocal_alpha().funcs)),
+        (AxialAlpha(lambda a, b, c: np.sin(b) * c + 0j, 0.5, 0.0,
+                    grad_a1=(zeros, lambda a, b, c: np.cos(b) * c,
+                             lambda a, b, c: np.sin(b))),
+         AxialAlpha(lambda a, b, c: np.sin(b) * c + 0j, 0.5, 0.0)),
+        (GradientAlpha(lambda a, b, c: np.exp(a) * np.cos(b / 2),
+                       grad_phi=(lambda a, b, c: np.exp(a) * np.cos(b / 2),
+                                 lambda a, b, c: -0.5 * np.exp(a) * np.sin(b / 2), zeros),
+                       lap_phi=lambda a, b, c: 0.75 * np.exp(a) * np.cos(b / 2)),
+         GradientAlpha(lambda a, b, c: np.exp(a) * np.cos(b / 2))),
     )
     for exact, numeric in pairs:
         assert exact.has_exact_derivatives() and not numeric.has_exact_derivatives()
@@ -139,7 +138,7 @@ def test_d_alpha_exact_or_numeric_for_every_kind():
 
 def test_factorization_zero_function():
     g = box()
-    alf = constant_alpha(1j, 0.0, 0.0)
+    alf = SeparableAlpha((1j, 0.0, 0.0))
     res, _ = factorization_residual(alf, 0.0, -1.0, g)
     assert res.linf() == 0.0
 
@@ -176,7 +175,7 @@ def test_potentials_reciprocal_pairing():
 
 def test_potentials_zero_alpha():
     g = box()
-    pots = potentials(constant_alpha(0, 0, 0), g)
+    pots = potentials(SeparableAlpha((0, 0, 0)), g)
     for k in range(4):
         assert linf(pots.v[k]) == 0.0
         assert linf(pots.w[k]) == 0.0
@@ -185,7 +184,7 @@ def test_potentials_zero_alpha():
 def test_potentials_constant_imaginary_alpha():
     g = box()
     m = 2.0
-    pots = potentials(constant_alpha(1j * m, 0.0, 0.0), g)
+    pots = potentials(SeparableAlpha((1j * m, 0.0, 0.0)), g)
     for k in range(4):
         assert linf(pots.v[k] + m ** 2) <= TOL * m ** 2
         assert linf(pots.w[k] + m ** 2) <= TOL * m ** 2
@@ -193,12 +192,12 @@ def test_potentials_constant_imaginary_alpha():
 
 def test_potentials_reject_non_separable():
     g = box()
-    alf = axial_alpha(lambda a, b, c: b + 0j, 0.0, 0.0)
+    alf = AxialAlpha(lambda a, b, c: b + 0j, 0.0, 0.0)
     with pytest.raises(ValueError, match="separable"):
         potentials(alf, g)
     # so do the closed-form family and the right inverse
     with pytest.raises(ValueError, match="separable"):
-        one_component_family(alf)
+        ClosedFormFamily(alf)
     with pytest.raises(ValueError, match="separable"):
         right_inverse(BQField.zeros(g), alf)
 
@@ -210,7 +209,7 @@ def test_potentials_reject_non_separable():
 def test_family_reciprocal_printed_solutions():
     g = box()
     alf = reciprocal_alpha((0.0, 0.0, 0.0))
-    fam = one_component_family(alf)
+    fam = ClosedFormFamily(alf)
     x1, x2, x3 = g.mesh()
     assert linf(fam.f_values(g, 0) - 1.0 / (x1 * x2 * x3)) <= TOL * 10
     assert linf(fam.f_values(g, 1) - x2 * x3 / x1) <= TOL * 10
@@ -222,35 +221,54 @@ def test_family_reciprocal_printed_solutions():
 
 def test_family_trivial_and_constant_alpha():
     g = box()
-    fam0 = one_component_family(constant_alpha(0, 0, 0))
+    fam0 = ClosedFormFamily(SeparableAlpha((0, 0, 0)))
     for k in range(4):
         assert linf(fam0.f_values(g, k) - 1.0) <= TOL
     a = (0.3, -0.2, 0.5)
-    fam = one_component_family(constant_alpha(*a))
+    fam = ClosedFormFamily(SeparableAlpha(a))
     x1, x2, x3 = g.mesh()
     want = np.exp(-(a[0] * x1 + a[1] * x2 + a[2] * x3))
     assert linf(fam.f_values(g, 0) - want) <= TOL * 10
 
 
+def test_constant_factor_is_completed_by_the_class():
+    # a constant factor gets the exact derivative 0 and antiderivative c*x:
+    # no central-difference rim in the potentials, and a closed-form family
+    g = box()
+    alf = SeparableAlpha((0.3, 0, 0))
+    assert alf.has_exact_derivatives() and alf.has_antiderivatives()
+    pots = potentials(alf, g)
+    assert all(np.isfinite(p).all() for p in (*pots.v, *pots.w))
+    x1 = g.mesh()[0]
+    assert linf(ClosedFormFamily(alf).f_values(g, 0) - np.exp(-0.3 * x1)) <= TOL
+
+
+def test_axial_alpha_constant_parts_default_to_zero():
+    alf = AxialAlpha(lambda a, b, c: a + 0j)
+    assert alf.a2 == alf.a3 == 0.0
+    _, a2, a3 = alf.components(box())
+    assert not a2.any() and not a3.any()
+
+
 def test_family_requires_antiderivatives():
-    alf = separable_alpha(lambda x: 1.0 / x, 0.0, 0.0,
-                          derivs=(lambda x: -1.0 / x ** 2, None, None))
+    alf = SeparableAlpha((lambda x: 1.0 / x, 0.0, 0.0),
+                         derivs=(lambda x: -1.0 / x ** 2, None, None))
     with pytest.raises(ValueError, match="antiderivative"):
-        one_component_family(alf)
+        ClosedFormFamily(alf)
     with pytest.raises(ValueError, match="antiderivative"):
         alf.antideriv_components(box())
 
 
 def test_family_analytic_schrodinger_requires_derivatives():
     rec = reciprocal_alpha()
-    fam = one_component_family(separable_alpha(*rec.funcs, antiderivs=rec.antiderivs))
+    fam = ClosedFormFamily(SeparableAlpha(rec.funcs, antiderivs=rec.antiderivs))
     with pytest.raises(ValueError, match="derivative"):
         fam.schrodinger_residual_analytic(box(), 0, "v")
 
 
 def test_family_analytic_schrodinger_rejects_bad_which():
     with pytest.raises(ValueError, match="which must be 'v' or 'w'"):
-        one_component_family(reciprocal_alpha()).schrodinger_residual_analytic(box(), 0, "x")
+        ClosedFormFamily(reciprocal_alpha()).schrodinger_residual_analytic(box(), 0, "x")
 
 
 def test_family_analytic_schrodinger_builds_no_potential_set(monkeypatch):
@@ -262,7 +280,7 @@ def test_family_analytic_schrodinger_builds_no_potential_set(monkeypatch):
         raise AssertionError("potentials() called")
 
     monkeypatch.setattr(factorization, "potentials", refuse)
-    fam = one_component_family(reciprocal_alpha())
+    fam = ClosedFormFamily(reciprocal_alpha())
     for k in range(4):
         for which in ("v", "w"):
             res, scale = fam.schrodinger_residual_analytic(box(), k, which)
@@ -282,25 +300,25 @@ def test_build_solution_zero():
 
 def test_gradient_alpha_of_constant_phi_vanishes():
     g = box()
-    galf = gradient_alpha(lambda a, b, c: np.ones_like(a),
-                          grad_phi=(lambda a, b, c: np.zeros_like(a),) * 3,
-                          lap_phi=lambda a, b, c: np.zeros_like(a))
+    galf = GradientAlpha(lambda a, b, c: np.ones_like(a),
+                         grad_phi=(lambda a, b, c: np.zeros_like(a),) * 3,
+                         lap_phi=lambda a, b, c: np.zeros_like(a))
     assert galf.vector_field(g).linf() == 0.0
 
 
 def test_gradient_alpha_rejects_zero_of_phi_and_missing_laplacian():
     g = box()  # x1 = 1.5 is a node
     with pytest.raises(ValueError, match="zero of phi"):
-        gradient_alpha(lambda a, b, c: a - 1.5).components(g)
+        GradientAlpha(lambda a, b, c: a - 1.5).components(g)
     with pytest.raises(ValueError, match="no Laplacian"):
-        gradient_alpha(lambda a, b, c: a).schrodinger_potential(g)
+        GradientAlpha(lambda a, b, c: a).schrodinger_potential(g)
 
 
 def test_build_solution_from_family_reciprocals():
     # g = sum_k phi_k e_k has every component solving its Schrodinger
     # equation, so (D - M^alpha) g solves the first-order equation
     alf = reciprocal_alpha((0.0, 0.0, 0.0))
-    fam = one_component_family(alf)
+    fam = ClosedFormFamily(alf)
 
     def residual(g):
         gfield = BQField(g, np.stack([fam.phi_values(g, k) for k in range(4)]))
@@ -316,7 +334,7 @@ def test_build_solution_from_family_reciprocals():
 
 def test_right_inverse_zero():
     g = box()
-    out = right_inverse(BQField.zeros(g), constant_alpha(1j, 0, 0))
+    out = right_inverse(BQField.zeros(g), SeparableAlpha((1j, 0, 0)))
     assert out.field.linf() == 0.0
     assert out.solver_residual <= 1e-10
 
@@ -329,7 +347,7 @@ def test_right_inverse_reports_singular_operator():
     h = g.spacing[0]
     nin = n - 2
     lam1 = 3.0 * (2.0 - 2.0 * np.cos(np.pi / (nin + 1))) / h ** 2
-    alf = constant_alpha(1j * np.sqrt(lam1), 0.0, 0.0)  # v_k = -lam1 exactly
+    alf = SeparableAlpha((1j * np.sqrt(lam1), 0.0, 0.0))  # v_k = -lam1 exactly
     f = BQField.from_scalar(g, lambda a, b, c: np.sin(a))
     with pytest.raises(ValueError):
         right_inverse(f, alf)
@@ -348,7 +366,7 @@ def test_right_inverse_rejects_non_finite_interior_data(bad):
 def test_right_inverse_rejects_an_overflowing_potential():
     # a_1 = 1e200 is finite, but a_1**2 on the operator's diagonal is not
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="invalid interior values"):
-        right_inverse(BQField.zeros(box()), constant_alpha(1e200, 0, 0))
+        right_inverse(BQField.zeros(box()), SeparableAlpha((1e200, 0, 0)))
 
 
 def test_right_inverse_solver_gate_fails_on_nan(monkeypatch):
@@ -402,12 +420,12 @@ def _complex_data(g, seed=0):
 def _negated(alpha):
     """-alpha for a separable alpha with derivative callables."""
     neg = lambda fn: (lambda x: -fn(x))
-    return separable_alpha(*map(neg, alpha.funcs), derivs=tuple(map(neg, alpha.derivs)))
+    return SeparableAlpha(map(neg, alpha.funcs), derivs=tuple(map(neg, alpha.derivs)))
 
 
 # a "-w" case takes -alpha, whose v_k are the w_k of alpha: the solves
 # behind the mirrored preimage under D - M^alpha
-@pytest.mark.parametrize("alpha", [constant_alpha(1j, 0, 0), constant_alpha(-1j, 0, 0),
+@pytest.mark.parametrize("alpha", [SeparableAlpha((1j, 0, 0)), SeparableAlpha((-1j, 0, 0)),
                                    reciprocal_alpha(), _negated(reciprocal_alpha())],
                          ids=["constant_i_e1-v", "constant_i_e1-w", "reciprocal-v", "reciprocal-w"])
 def test_right_inverse_matches_direct_sparse_solve(alpha, caplog):
@@ -442,7 +460,7 @@ def test_right_inverse_falls_back_to_lu_for_ill_conditioned_basis(caplog):
     root = np.sqrt(1j * c)
     a = lambda x: root * np.sqrt(x + 0j)
     da = lambda x: root / (2.0 * np.sqrt(x + 0j))
-    alf = separable_alpha(a, a, a, derivs=(da, da, da))
+    alf = SeparableAlpha((a, a, a), derivs=(da, da, da))
     g = box(17)
     f = _complex_data(g)
     with caplog.at_level(logging.WARNING, logger="biquat"):

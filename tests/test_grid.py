@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from biquat.algebra import Biquaternion, qmul
-from biquat.alpha import AlphaSpec, constant_alpha, reciprocal_alpha
-from biquat.factorization import (build_solution, factored_product,
-                                  factorization_residual, one_component_family)
+from biquat.alpha import AlphaSpec, SeparableAlpha, reciprocal_alpha
+from biquat.factorization import (ClosedFormFamily, build_solution,
+                                  factored_product, factorization_residual)
 from biquat.grid import (BQField, Grid3, alpha_arrays, ie1_field, l2, laplacian,
                          laplacian_wide, linf, nabla, nabla_alpha, norms,
                          partial_deriv, reflect_x3, sample)
@@ -66,14 +66,14 @@ def test_nabla_alpha_zero_alpha_is_nabla():
     g = box(9)
     rng = np.random.default_rng(1)
     f = BQField(g, rng.normal(size=(4, 9, 9, 9)))
-    a0 = constant_alpha(0, 0, 0)
+    a0 = SeparableAlpha((0, 0, 0))
     assert (nabla_alpha(f, a0) - nabla(f)).linf() <= TOL
 
 
 def test_nabla_alpha_reciprocal_one_component_converges():
     # f = e0/((x1-b1)(x2-b2)(x3-b3)) solves the first-order equation exactly
     alf = reciprocal_alpha((0.0, 0.0, 0.0))
-    fam = one_component_family(alf)
+    fam = ClosedFormFamily(alf)
 
     def residual(g):
         f0 = fam.f_values(g, 0)
@@ -280,7 +280,7 @@ def _kernel_alphas(g, seed):
     data = rng.normal(size=(4, *g.shape)) + 1j * rng.normal(size=(4, *g.shape))
     return {
         "separable": reciprocal_alpha((0.0, -1.0, 0.0)),
-        "constant": constant_alpha(1j, 0.5, -2.0),
+        "constant": SeparableAlpha((1j, 0.5, -2.0)),
         "field": BQField(g, data),
         "ie1": -ie1_field(g, data[0].real + 0.5j),
         "biquaternion": Biquaternion(0.5, -1j, 2.0, 0.25j).components.reshape(4, 1, 1, 1),
