@@ -26,6 +26,7 @@ __all__ = [
     "E3",
     "BASIS",
     "INVOLUTION_SIGNS",
+    "QMUL_TERMS",
     "ROUNDING_TOL",
     "qmul",
     "vec_square",
@@ -40,8 +41,8 @@ def qmul(p, q):
 
     Works on anything broadcastable: single quaternions as shape-(4,)
     arrays, or whole fields as (4, n1, n2, n3).  Bilinear over complex
-    scalars; this is the single implementation of the multiplication
-    table used everywhere in the package.
+    scalars; this is the multiplication table the package uses, and
+    ``QMUL_TERMS`` lists its terms for code that sums them itself.
     """
     p0, p1, p2, p3 = p
     q0, q1, q2, q3 = q
@@ -54,6 +55,19 @@ def qmul(p, q):
     out[2] = p0 * q2 + p2 * q0 + p3 * q1 - p1 * q3
     out[3] = p0 * q3 + p3 * q0 + p1 * q2 - p2 * q1
     return out
+
+
+# qmul's terms as (sign, i, j) for the term sign * p_i * q_j: row k lists
+# component k's four terms in the order qmul sums them, each row starting
+# with a + term.  The blocked first-order kernel sums the product from
+# this table; qmul keeps its expression form, which is faster on single
+# quaternions and whole fields.
+QMUL_TERMS = (
+    ((+1, 0, 0), (-1, 1, 1), (-1, 2, 2), (-1, 3, 3)),
+    ((+1, 0, 1), (+1, 1, 0), (+1, 2, 3), (-1, 3, 2)),
+    ((+1, 0, 2), (+1, 2, 0), (+1, 3, 1), (-1, 1, 3)),
+    ((+1, 0, 3), (+1, 3, 0), (+1, 1, 2), (-1, 2, 1)),
+)
 
 
 # sign pattern of the involutions: row k gives the signs that q^(k) applies

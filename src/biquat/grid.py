@@ -9,12 +9,14 @@ over the interior on which the discrete operators are actually defined.
 
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Biquaternion, qmul
+from .algebra import QMUL_TERMS, Biquaternion, qmul
 
 __all__ = [
     "Grid3",
@@ -328,11 +330,92 @@ def norms(a, grid: Grid3 | None = None) -> Norms:
 # cache.  At n = 129 a complex plane is 266 kB.
 _BLOCK_PLANES = 8
 
+# Interior nodes (per component) each run must get for a call to be split
+# across CPUs.  At 17^3 two runs took twice as long as one, at 33^3 they
+# saved a fifth; this keeps n <= 52 inline, so the (17, 33) grid pair runs
+# as on one CPU, and bounds the runs, and with them the temporaries, that
+# one call makes at any CPU count: at most 3 at 65^3.
+_RUN_NODES = 2 ** 16
 
-def _blocks(lo: int, hi: int):
-    """The plane ranges [i0, i1) of at most _BLOCK_PLANES covering [lo, hi)."""
-    for i0 in range(lo, hi, _BLOCK_PLANES):
-        yield i0, min(i0 + _BLOCK_PLANES, hi)
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask outside Linux
+        return os.cpu_count() or 1
+
+
+# The threads that run a split call's other runs: made by the first call
+# that splits, and dropped in a forked child, which inherits the executor
+# but none of its threads and would wait on them forever.  Two threads
+# splitting their first calls at once may each make one; the one that
+# loses serves its call and is then collected.
+_pool = None
+
+
+def _drop_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _executor():
+    """This process's ThreadPoolExecutor: one thread per CPU besides the
+    caller's, each started when first needed."""
+    global _pool
+    pool = _pool
+    if pool is None:
+        # imported here: a process that never splits a call never needs it
+        from concurrent.futures import ThreadPoolExecutor
+
+        threads = max(_cpus() - 1, 1)  # the mask may have shrunk since the caller read it
+        pool = _pool = ThreadPoolExecutor(threads, thread_name_prefix="biquat-blocks")
+    return pool
+
+
+def _run(block, region, blocks, temps) -> None:
+    _, r1, r2 = region
+    for i0, i1 in blocks:
+        block((slice(i0, i1), r1, r2), *[t[:i1 - i0] for t in temps])
+
+
+def _run_blocks(block, region: tuple, temps: int = 0) -> None:
+    """Call block(sl, *temporaries) for the blocks sl of at most
+    _BLOCK_PLANES x1-planes that cover region, three slices with steps
+    of 1.
+
+    The blocks are dealt into one contiguous run per CPU, each run with
+    its own `temps` complex arrays of one block's shape, allocated here.
+    The calling thread takes the first run and the pool the others, each
+    under a copy of the caller's context, so numpy's error state holds.
+    A call runs inline, as one run, unless each run gets _RUN_NODES
+    interior nodes.  Blocks must write disjoint planes; then the output
+    does not depend on which thread writes a block.
+    """
+    r0, r1, r2 = region
+    blocks = [(i0, min(i0 + _BLOCK_PLANES, r0.stop))
+              for i0 in range(r0.start, r0.stop, _BLOCK_PLANES)]
+    planes = r0.stop - r0.start
+    shape = (min(_BLOCK_PLANES, planes), r1.stop - r1.start, r2.stop - r2.start)
+    runs = min(len(blocks), planes * shape[1] * shape[2] // _RUN_NODES)
+    if runs < 2 or (runs := min(runs, _cpus())) < 2:
+        _run(block, region, blocks, [np.empty(shape, dtype=complex) for _ in range(temps)])
+        return
+    parts = [blocks[r * len(blocks) // runs:(r + 1) * len(blocks) // runs]
+             for r in range(runs)]
+    tmp = [[np.empty(shape, dtype=complex) for _ in range(temps)] for _ in parts]
+    pool = _executor()
+    futures = [pool.submit(contextvars.copy_context().run, _run, block, region, part, t)
+               for part, t in zip(parts[1:], tmp[1:])]
+    try:
+        _run(block, region, parts[0], tmp[0])
+    finally:
+        for fut in futures:
+            fut.result()
 
 
 def _nan_rimmed(shape, axes, width: int, dtype=complex) -> np.ndarray:
@@ -389,10 +472,12 @@ def partial_deriv(arr: np.ndarray, grid: Grid3, axis: int) -> np.ndarray:
     src, dst = a.reshape(-1, *spatial), out.reshape(-1, *spatial)
     region = [slice(0, n) for n in spatial]
     region[axis] = slice(1, spatial[axis] - 1)
-    for i0, i1 in _blocks(region[0].start, region[0].stop):
-        sl = (slice(i0, i1), region[1], region[2])
+
+    def block(sl):
         for c in range(src.shape[0]):
             _central_difference(src[c], sl, axis, grid.spacing[axis], dst[c][sl])
+
+    _run_blocks(block, tuple(region))
     return out
 
 
@@ -419,18 +504,20 @@ def _first_order(f: BQField, alpha=None, sign: int = 1) -> BQField:
     """nabla(f), plus (sign +1) or minus (sign -1) the right product
     f * alpha when alpha is given as four arrays from ``alpha_arrays``.
 
-    One block of x1-planes at a time: nabla's terms in the order ``nabla``
-    states, then ``qmul`` on the block's slices of f and of alpha added or
-    subtracted, node for node what the whole-field product would add.  The
-    NaN rim is left as it is.
+    One block of x1-planes at a time, the blocks split across CPUs by
+    ``_run_blocks``: nabla's terms in the order ``nabla`` states, then for
+    each component the four terms of f * alpha that ``QMUL_TERMS`` lists,
+    summed in qmul's order over the block's slices of f and of alpha into
+    one temporary, which is added or subtracted.  Node for node this is
+    what adding the whole-field ``qmul`` product would give, with no
+    product field and no allocation per block.  The NaN rim is left as
+    it is.
     """
     g = f.grid
-    n1, n2, n3 = g.shape
     out = _nan_rimmed((4, *g.shape), (1, 2, 3), 1)
-    tmp = np.empty((min(_BLOCK_PLANES, n1 - 2), n2 - 2, n3 - 2), dtype=complex)
-    for i0, i1 in _blocks(1, n1 - 1):
-        sl = (slice(i0, i1), slice(1, n2 - 1), slice(1, n3 - 1))
-        t = tmp[:i1 - i0]
+    combine = np.add if sign > 0 else np.subtract
+
+    def block(sl, t, acc=None):
         for c, ((comp, axis), rest) in enumerate(_NABLA_TERMS):
             o = out[c][sl]
             _central_difference(f.data[comp], sl, axis, g.spacing[axis], o)
@@ -438,10 +525,19 @@ def _first_order(f: BQField, alpha=None, sign: int = 1) -> BQField:
                 _central_difference(f.data[comp], sl, axis, g.spacing[axis], t)
                 (np.add if sgn > 0 else np.subtract)(o, t, out=o)
         np.negative(out[0][sl], out=out[0][sl])
-        if alpha is not None:
-            o = out[(slice(None), *sl)]
-            prod = qmul(f.data[(slice(None), *sl)], [_block_of(a, sl) for a in alpha])
-            (np.add if sign > 0 else np.subtract)(o, prod, out=o)
+        if alpha is None:
+            return
+        p = [fc[sl] for fc in f.data]
+        q = [_block_of(a, sl) for a in alpha]
+        for out_c, ((_, i, j), *rest) in zip(out, QMUL_TERMS):
+            np.multiply(p[i], q[j], out=acc)
+            for sgn, i, j in rest:
+                np.multiply(p[i], q[j], out=t)
+                (np.add if sgn > 0 else np.subtract)(acc, t, out=acc)
+            o = out_c[sl]
+            combine(o, acc, out=o)
+
+    _run_blocks(block, tuple(slice(1, n - 1) for n in g.shape), 1 if alpha is None else 2)
     return BQField(g, out)
 
 
@@ -491,13 +587,9 @@ def _second_difference(f: BQField, step: int) -> BQField:
     """Componentwise sum over the axes of (f[i+step] - 2 f[i] + f[i-step])
     / (step*h)**2; a rim of step nodes invalidated."""
     g = f.grid
-    n1, n2, n3 = g.shape
     out = _nan_rimmed((4, *g.shape), (1, 2, 3), step)
-    shape = (min(_BLOCK_PLANES, n1 - 2 * step), n2 - 2 * step, n3 - 2 * step)
-    twice, tmp = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    for i0, i1 in _blocks(step, n1 - step):
-        sl = (slice(i0, i1), slice(step, n2 - step), slice(step, n3 - step))
-        t2, t = twice[:i1 - i0], tmp[:i1 - i0]
+
+    def block(sl, t2, t):
         for a, out_c in zip(f.data, out):
             o = out_c[sl]
             np.multiply(2, a[sl], out=t2)
@@ -508,6 +600,8 @@ def _second_difference(f: BQField, step: int) -> BQField:
                 _divide(d, (step * h) ** 2)
                 if axis:
                     np.add(o, d, out=o)
+
+    _run_blocks(block, tuple(slice(step, n - step) for n in g.shape), 2)
     return BQField(g, out)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biquat.algebra import (BASIS, E0, E1, E2, E3, Biquaternion,
+from biquat.algebra import (BASIS, E0, E1, E2, E3, QMUL_TERMS, Biquaternion,
                             is_zero_divisor, qmul, right_projector,
                             split_projectors, vec_square)
 from biquat.harness import TOL
@@ -170,3 +170,14 @@ def test_qmul_matches_stacked_formula(kind):
     got, want = qmul(p, q), _qmul_stacked(p, q)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def test_qmul_terms_table_matches_qmul_on_the_basis():
+    # each row of the table is qmul's component k on every basis pair, and
+    # starts with a + term, which the blocked kernel writes without a sign
+    basis = np.eye(4, dtype=complex)
+    for a in range(4):
+        for b in range(4):
+            want = [sum(s for s, i, j in row if (i, j) == (a, b)) for row in QMUL_TERMS]
+            assert np.array_equal(qmul(basis[a], basis[b]), want), (a, b)
+    assert all(row[0][0] == 1 for row in QMUL_TERMS)

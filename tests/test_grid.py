@@ -1,9 +1,14 @@
 import math
+import os
+import signal
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from biquat import grid
 from biquat.algebra import Biquaternion, qmul
 from biquat.alpha import AlphaSpec, SeparableAlpha, reciprocal_alpha
 from biquat.factorization import (ClosedFormFamily, build_solution,
@@ -194,9 +199,17 @@ def _same(a, b):
     return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
 
 
-# node counts below, at and across the block height, and a non-cubic box
-# with a different spacing per axis
-KERNEL_SHAPES = [(5, 5, 5), (6, 6, 6), (17, 17, 17), (18, 18, 18), (5, 9, 18)]
+# node counts below, at and across the block height, a non-cubic box with
+# a different spacing per axis, and one long in x1 (five blocks)
+KERNEL_SHAPES = [(5, 5, 5), (6, 6, 6), (17, 17, 17), (18, 18, 18), (5, 9, 18),
+                 (41, 6, 5)]
+
+
+def _split_in_two(monkeypatch):
+    """Split every kernel call of two or more blocks into two runs, on any
+    host."""
+    monkeypatch.setattr(grid, "_cpus", lambda: 2)
+    monkeypatch.setattr(grid, "_RUN_NODES", 1)
 
 
 def _kernel_field(shape, seed):
@@ -302,6 +315,67 @@ def test_first_order_kernels_equal_whole_field_products(shape):
         assert _same(factored_product(f, alpha).data, product), name
 
 
+@pytest.mark.parametrize("check", [
+    test_partial_deriv_matches_gradient_reference,
+    test_nabla_matches_reference,
+    test_laplacians_match_reference,
+    test_first_order_kernels_equal_whole_field_products,
+], ids=["partial_deriv", "nabla", "laplacians", "first_order"])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_split_kernels_match_references(shape, check, monkeypatch):
+    # the checks above, every call of two or more blocks split in two runs
+    _split_in_two(monkeypatch)
+    check(shape)
+
+
+def test_split_runs_cover_the_blocks_on_two_threads(monkeypatch):
+    _split_in_two(monkeypatch)
+    seen = []
+    run = grid._run
+
+    def spy(block, region, blocks, temps):
+        seen.append((threading.get_ident(), blocks))
+        run(block, region, blocks, temps)
+
+    monkeypatch.setattr(grid, "_run", spy)
+    nabla(_kernel_field((41, 6, 5), 18))
+    assert len({thread for thread, _ in seen}) == 2
+    assert [b for _, blocks in seen for b in blocks] == [(1, 9), (9, 17), (17, 25), (25, 33),
+                                                         (33, 40)]
+
+
+def test_split_runs_keep_the_callers_error_state(monkeypatch):
+    # inf - inf in d1 f1 on the planes of the second run only
+    _split_in_two(monkeypatch)
+    f = _kernel_field((41, 6, 5), 19)
+    f.data[1, 30:] = np.inf
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        nabla(f)
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(nabla(f).data[0, 35, 2, 2])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_split_kernels(monkeypatch):
+    # the child inherits the parent's pool object but not its thread
+    _split_in_two(monkeypatch)
+    f = _kernel_field((41, 6, 5), 20)
+    want = nabla(f).data
+    assert grid._pool is not None
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(20)
+            code = 0 if _same(nabla(f).data, want) else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
 def _traced_peak(call) -> int:
     """Bytes call() holds at its peak, its result included."""
     tracemalloc.start()
@@ -313,9 +387,11 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_first_order_calls_hold_few_fields():
+def test_first_order_calls_hold_few_fields(monkeypatch):
     # the product f * alpha is added per block, never as a whole field:
-    # a factor holds its output and a factorization residual three fields
+    # a factor holds its output and a factorization residual three fields,
+    # with the calls split in two runs, each with its own temporaries
+    monkeypatch.setattr(grid, "_cpus", lambda: 2)
     g = Grid3.box(1.0, 2.0, 65)
     rng = np.random.default_rng(17)
     f = BQField(g, rng.normal(size=(4, *g.shape)) + 1j * rng.normal(size=(4, *g.shape)))
@@ -326,6 +402,8 @@ def test_first_order_calls_hold_few_fields():
         "build_solution": (lambda: build_solution(f, alf), 1.5),
         "factored_product": (lambda: factored_product(f, alf), 2.5),
         "factorization_residual": (lambda: factorization_residual(alf, phi, 0.0, g), 4.0),
+        "laplacian": (lambda: laplacian(f), 1.5),
+        "laplacian_wide": (lambda: laplacian_wide(f), 1.5),
     }
     for name, (call, fields) in limits.items():
         peak = _traced_peak(call) / f.data.nbytes
