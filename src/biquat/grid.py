@@ -346,37 +346,6 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The threads that run a split call's other runs: made by the first call
-# that splits, and dropped in a forked child, which inherits the executor
-# but none of its threads and would wait on them forever.  Two threads
-# splitting their first calls at once may each make one; the one that
-# loses serves its call and is then collected.
-_pool = None
-
-
-def _drop_pool() -> None:
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _executor():
-    """This process's ThreadPoolExecutor: one thread per CPU besides the
-    caller's, each started when first needed."""
-    global _pool
-    pool = _pool
-    if pool is None:
-        # imported here: a process that never splits a call never needs it
-        from concurrent.futures import ThreadPoolExecutor
-
-        threads = max(_cpus() - 1, 1)  # the mask may have shrunk since the caller read it
-        pool = _pool = ThreadPoolExecutor(threads, thread_name_prefix="biquat-blocks")
-    return pool
-
-
 def _run(block, region, blocks, temps) -> None:
     _, r1, r2 = region
     for i0, i1 in blocks:
@@ -390,11 +359,12 @@ def _run_blocks(block, region: tuple, temps: int = 0) -> None:
 
     The blocks are dealt into one contiguous run per CPU, each run with
     its own `temps` complex arrays of one block's shape, allocated here.
-    The calling thread takes the first run and the pool the others, each
-    under a copy of the caller's context, so numpy's error state holds.
-    A call runs inline, as one run, unless each run gets _RUN_NODES
-    interior nodes.  Blocks must write disjoint planes; then the output
-    does not depend on which thread writes a block.
+    The calling thread takes the first run.  Each other run gets a thread
+    of its own, started for this call and joined before it returns, and
+    runs under a copy of the caller's context, so numpy's error state
+    holds.  A call runs inline, as one run, unless each run gets
+    _RUN_NODES interior nodes.  Blocks must write disjoint planes; then
+    the output does not depend on which thread writes a block.
     """
     r0, r1, r2 = region
     blocks = [(i0, min(i0 + _BLOCK_PLANES, r0.stop))
@@ -408,14 +378,17 @@ def _run_blocks(block, region: tuple, temps: int = 0) -> None:
     parts = [blocks[r * len(blocks) // runs:(r + 1) * len(blocks) // runs]
              for r in range(runs)]
     tmp = [[np.empty(shape, dtype=complex) for _ in range(temps)] for _ in parts]
-    pool = _executor()
-    futures = [pool.submit(contextvars.copy_context().run, _run, block, region, part, t)
-               for part, t in zip(parts[1:], tmp[1:])]
-    try:
-        _run(block, region, parts[0], tmp[0])
-    finally:
-        for fut in futures:
-            fut.result()
+    # imported here: a process that never splits a call never needs it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(runs - 1, thread_name_prefix="biquat-blocks") as pool:
+        futures = [pool.submit(contextvars.copy_context().run, _run, block, region, part, t)
+                   for part, t in zip(parts[1:], tmp[1:])]
+        try:
+            _run(block, region, parts[0], tmp[0])
+        finally:
+            for fut in futures:
+                fut.result()
 
 
 def _nan_rimmed(shape, axes, width: int, dtype=complex) -> np.ndarray:
@@ -461,8 +434,10 @@ def partial_deriv(arr: np.ndarray, grid: Grid3, axis: int) -> np.ndarray:
 
     arr may be a scalar array (grid.shape), a component stack
     (4, *grid.shape) or a line that is 1 along the other axes; the two
-    boundary slabs along the axis are invalidated.
+    boundary slabs along the axis are invalidated.  axis is 0, 1 or 2.
     """
+    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or axis not in (0, 1, 2):
+        raise ValueError(f"axis must be the integer 0, 1 or 2, got {axis!r}")
     a = np.asarray(arr)
     if not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(float)

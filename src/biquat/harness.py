@@ -920,7 +920,9 @@ def check_factorization(cfg: SuiteConfig):
         lhs = fz.factored_product(gfield, alf)
         v = fz.potentials(alf, g).v
         lap = laplacian(gfield)
-        rhs = np.stack([-lap.data[k] + v[k] * gfield.data[k] for k in range(4)])
+        rhs = np.empty_like(gfield.data)
+        for k in range(4):
+            rhs[k] = -lap.data[k] + v[k] * gfield.data[k]
         return lhs - BQField(g, rhs)
     rows.append(_order_check("converse_identity_order", grids, converse_identity))
     return rows
@@ -946,16 +948,17 @@ def _compatible_rhs(grid: Grid3, pots):
     """f = (-lap + v) u* for a closed-form u* vanishing on the box boundary;
     keeps the continuous solution smooth up to the boundary so the
     second-order defect of the factored operators converges cleanly."""
-    x1, x2, x3 = grid.mesh()
+    x1, x2, x3 = grid.axes
     spans = [HI[k] - LO[k] for k in range(3)]
-    base = (np.sin(np.pi * (x1 - LO[0]) / spans[0])
-            * np.sin(np.pi * (x2 - LO[1]) / spans[1])
-            * np.sin(np.pi * (x3 - LO[2]) / spans[2]))
+    base = (np.sin(np.pi * (x1 - LO[0]) / spans[0])[:, None, None]
+            * np.sin(np.pi * (x2 - LO[1]) / spans[1])[None, :, None]
+            * np.sin(np.pi * (x3 - LO[2]) / spans[2])[None, None, :])
     lap_base = -(np.pi ** 2) * (1.0 / spans[0] ** 2 + 1.0 / spans[1] ** 2
                                 + 1.0 / spans[2] ** 2) * base
-    data = np.stack([(-lap_base + pots.v[k] * base) * (0.5 + 0.25 * k)
-                     for k in range(4)])
-    return BQField(grid, data.astype(complex))
+    data = np.empty((4, *grid.shape), dtype=complex)
+    for k in range(4):
+        data[k] = (-lap_base + pots.v[k] * base) * (0.5 + 0.25 * k)
+    return BQField(grid, data)
 
 
 def check_right_inverse(cfg: SuiteConfig):

@@ -236,6 +236,16 @@ def test_partial_deriv_matches_gradient_reference(shape):
         assert _same(partial_deriv(ints, g, k), partial_deriv(ints.astype(float), g, k))
 
 
+def test_partial_deriv_takes_only_axes_0_1_2():
+    # a negative axis would put the rim on another axis and leave the x3
+    # slabs uninitialized
+    f = _kernel_field((5, 9, 18), 22)
+    for axis in (-1, -3, 3, 1.0, True):
+        with pytest.raises(ValueError, match="axis"):
+            partial_deriv(f.data, f.grid, axis)
+    assert _same(partial_deriv(f.data, f.grid, np.int64(2)), partial_deriv(f.data, f.grid, 2))
+
+
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
 def test_nabla_matches_reference(shape):
     f = _kernel_field(shape, 12)
@@ -340,8 +350,32 @@ def test_split_runs_cover_the_blocks_on_two_threads(monkeypatch):
     monkeypatch.setattr(grid, "_run", spy)
     nabla(_kernel_field((41, 6, 5), 18))
     assert len({thread for thread, _ in seen}) == 2
-    assert [b for _, blocks in seen for b in blocks] == [(1, 9), (9, 17), (17, 25), (25, 33),
-                                                         (33, 40)]
+    # each block exactly once, in whichever order the threads record them
+    assert sorted(b for _, blocks in seen for b in blocks) == [(1, 9), (9, 17), (17, 25),
+                                                               (25, 33), (33, 40)]
+    for _, blocks in seen:  # one contiguous run per thread
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+
+
+def test_split_runs_get_one_thread_each_after_the_cpus_grow(monkeypatch):
+    # every run of a call is on its own thread at once, also when the
+    # CPUs have grown since an earlier call split
+    _split_in_two(monkeypatch)
+    f = _kernel_field((41, 6, 5), 21)
+    nabla(f)
+    monkeypatch.setattr(grid, "_cpus", lambda: 4)
+    barrier = threading.Barrier(4, timeout=10)
+    seen = set()
+    run = grid._run
+
+    def spy(block, region, blocks, temps):
+        seen.add(threading.get_ident())
+        barrier.wait()
+        run(block, region, blocks, temps)
+
+    monkeypatch.setattr(grid, "_run", spy)
+    nabla(f)
+    assert len(seen) == 4
 
 
 def test_split_runs_keep_the_callers_error_state(monkeypatch):
@@ -356,13 +390,21 @@ def test_split_runs_keep_the_callers_error_state(monkeypatch):
         assert np.isnan(nabla(f).data[0, 35, 2, 2])
 
 
+def test_split_call_that_raises_leaves_no_thread(monkeypatch):
+    _split_in_two(monkeypatch)
+    f = _kernel_field((41, 6, 5), 19)
+    f.data[1, 30:] = np.inf
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        nabla(f)
+    assert not [t for t in threading.enumerate() if t.name.startswith("biquat-blocks")]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_runs_split_kernels(monkeypatch):
-    # the child inherits the parent's pool object but not its thread
+    # the parent has split a call before it forks
     _split_in_two(monkeypatch)
     f = _kernel_field((41, 6, 5), 20)
     want = nabla(f).data
-    assert grid._pool is not None
     pid = os.fork()
     if pid == 0:
         code = 1
