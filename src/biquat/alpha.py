@@ -38,7 +38,7 @@ class AlphaSpec:
     """Base interface; concrete kinds implement components()."""
 
     def components(self, grid: Grid3):
-        """Three complex arrays (a1, a2, a3) sampled on the grid."""
+        """Three complex arrays (a1, a2, a3) broadcasting to grid.shape."""
         raise NotImplementedError
 
     def vector_field(self, grid: Grid3) -> BQField:
@@ -75,6 +75,9 @@ class SeparableAlpha(AlphaSpec):
         self.funcs = tuple(funcs)
         derivs = list(derivs) if derivs is not None else [None] * 3
         antiderivs = list(antiderivs) if antiderivs is not None else [None] * 3
+        if not len(self.funcs) == len(derivs) == len(antiderivs) == 3:
+            raise ValueError("separable alpha takes three factors, and three "
+                             "derivatives and antiderivatives when given")
         for k, f in enumerate(self.funcs):
             if not callable(f):
                 c = complex(f)
@@ -130,10 +133,9 @@ class AxialAlpha(AlphaSpec):
         self.grad_a1 = tuple(grad_a1) if grad_a1 is not None else None
 
     def components(self, grid: Grid3):
-        a1 = sample(grid, self.a1)
-        out = (a1,
-               np.full(grid.shape, self.a2, dtype=complex),
-               np.full(grid.shape, self.a3, dtype=complex))
+        out = (sample(grid, self.a1),
+               np.full((1, 1, 1), self.a2, dtype=complex),
+               np.full((1, 1, 1), self.a3, dtype=complex))
         _check_finite(out)
         return out
 

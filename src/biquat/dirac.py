@@ -294,8 +294,8 @@ def manufactured_split_solution(grid: Grid3, nu: complex, beta: Biquaternion) ->
     for s_mult, cc, (w_p, w_m) in (
             (pair.plus, nu + pair.lam, (a, b)),
             (pair.minus, nu - pair.lam, (c, d))):
-        branch = (w_p * np.exp(-1j * cc * x1)[np.newaxis] * p_plus
-                  + w_m * np.exp(1j * cc * x1)[np.newaxis] * p_minus)
+        branch = (w_p * np.exp(-1j * cc * x1) * p_plus
+                  + w_m * np.exp(1j * cc * x1) * p_minus)
         out = out + qmul(branch, s_mult.components.reshape(4, 1, 1, 1))
     return BQField(grid, out)
 
@@ -319,5 +319,5 @@ def free_plane_wave(grid: Grid3, kvec, m: float):
     amp = vh[-1].conj()
     x1, x2, x3 = grid.mesh()
     phase = np.exp(1j * (kvec[0] * x1 + kvec[1] * x2 + kvec[2] * x3))
-    data = amp.reshape(4, 1, 1, 1) * phase[np.newaxis]
+    data = amp.reshape(4, 1, 1, 1) * phase
     return SpinorField(grid, data), DiracParams(omega=omega, m=m, kind="scalar", phi=None)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sla
 
-from .algebra import INVOLUTION_SIGNS, ROUNDING_TOL, qmul, right_projector
+from .algebra import INVOLUTION_SIGNS, QMUL_TERMS, ROUNDING_TOL, qmul, right_projector
 from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _d_a1_e1
 from .grid import (BQField, Grid3, _check_finite, _first_order, alpha_arrays,
                    laplacian, laplacian_wide, linf, nabla_alpha, sample)
@@ -218,22 +218,18 @@ class ClosedFormFamily:
     def equation_residual_analytic(self, grid: Grid3, coeffs):
         """D f + f*alpha evaluated with exact derivatives of the family,
         for f = sum_k c_k f_k e_k.  Returns (residual BQField, scale)."""
-        cs = np.asarray(coeffs, dtype=complex)
+        f = self.combination(grid, coeffs)
         alpha = alpha_arrays(self.alpha, grid)
         a = alpha[1:]
-        basis = np.eye(4, dtype=complex)
-        acc = np.zeros((4, *grid.shape), dtype=complex)
-        fdata = np.zeros((4, *grid.shape), dtype=complex)
-        for k in range(4):
-            fk = cs[k] * self.f_values(grid, k)
-            fdata[k] = fk
-            s = _FAMILY_SIGNS[k]
-            for j in range(3):
-                ej_ek = qmul(basis[j + 1], basis[k])  # constant quaternion e_j e_k
-                dj_fk = s[j] * a[j] * fk
-                acc += ej_ek.reshape(4, 1, 1, 1) * dj_fk[np.newaxis]
-        f = BQField(grid, fdata)
-        acc += qmul(fdata, alpha)
+        # D f from the terms sign * d_(i-1) f_j that QMUL_TERMS gives it,
+        # with d_(i-1) f_j = s_j[i-1] a_(i-1) f_j, summed in the order of j
+        acc = np.zeros_like(f.data)
+        for acc_c, terms in zip(acc, QMUL_TERMS):
+            for sgn, i, j in sorted(terms, key=lambda t: t[2]):
+                if i:
+                    d = _FAMILY_SIGNS[j][i - 1] * a[i - 1] * f.data[j]
+                    (np.add if sgn > 0 else np.subtract)(acc_c, d, out=acc_c)
+        acc += qmul(f.data, alpha)
         total = BQField(grid, acc)
         scale = max(f.linf() * max(1.0, *map(linf, a)), 1e-300)
         return total, scale

@@ -86,13 +86,16 @@ class Grid3:
         return self.axis(0), self.axis(1), self.axis(2)
 
     def mesh(self):
-        return np.meshgrid(*self.axes, indexing="ij")
+        """The open mesh (x1, x2, x3), as numpy's ogrid gives it: x_k holds
+        axis k's nodes along axis k and is 1 along the others, so an
+        expression in them is evaluated only along the axes it reads."""
+        return np.meshgrid(*self.axes, indexing="ij", sparse=True)
 
     def sample_axis(self, k: int, fn) -> np.ndarray:
-        """Evaluate fn(x_k) (or a constant) on axis k as a complex line:
-        length n_k along axis k and 1 along the others, so it broadcasts
-        against full grid arrays without being copied to the grid."""
-        x = self.axis(k)
+        """Evaluate fn(x_k) (or a constant) on x_k of the open mesh as a
+        complex line of its shape, so it broadcasts against full grid
+        arrays without being copied to the grid."""
+        x = self.mesh()[k]
         if callable(fn):
             # poles are reported by the callers' finiteness checks, not by
             # numpy noise
@@ -100,9 +103,7 @@ class Grid3:
                 vals = np.asarray(fn(x), dtype=complex)
         else:
             vals = complex(fn)
-        shape = [1, 1, 1]
-        shape[k] = self.shape[k]
-        return np.broadcast_to(vals, x.shape).reshape(shape)
+        return np.broadcast_to(vals, x.shape)
 
     @property
     def cell_volume(self) -> float:
@@ -121,12 +122,11 @@ class Grid3:
 
 
 def sample(grid: Grid3, fn) -> np.ndarray:
-    """Evaluate fn(X1, X2, X3) on the grid; constants broadcast."""
-    if callable(fn):
-        x1, x2, x3 = grid.mesh()
-        out = np.asarray(fn(x1, x2, x3), dtype=complex)
-        return np.broadcast_to(out, grid.shape).astype(complex)
-    return np.broadcast_to(np.asarray(fn, dtype=complex), grid.shape).astype(complex)
+    """fn on the grid as a complex array of grid.shape.  A callable gets
+    the open mesh (x1, x2, x3) of ``Grid3.mesh`` and may return anything
+    that broadcasts to grid.shape; a constant or array broadcasts."""
+    out = fn(*grid.mesh()) if callable(fn) else fn
+    return np.broadcast_to(np.asarray(out, dtype=complex), grid.shape).astype(complex)
 
 
 def _check_finite(arrays, what="alpha"):
@@ -163,16 +163,11 @@ class Field4:
     @classmethod
     def from_components(cls, grid: Grid3, c0=0.0, c1=0.0, c2=0.0, c3=0.0):
         """Each component a constant, an array broadcasting to grid.shape
-        or a callable of (X1, X2, X3), as ``sample`` takes it; written once
-        into the field."""
+        or a callable of the open mesh (x1, x2, x3), as ``sample`` takes
+        it; written once into the field."""
         data = np.empty((4, *grid.shape), dtype=complex)
-        mesh = None
         for k, c in enumerate((c0, c1, c2, c3)):
-            if callable(c):
-                if mesh is None:
-                    mesh = grid.mesh()
-                c = c(*mesh)
-            data[k] = np.asarray(c, dtype=complex)
+            data[k] = np.asarray(c(*grid.mesh()) if callable(c) else c, dtype=complex)
         return cls(grid, data)
 
     def _same_grid(self, other: "Field4") -> None:
@@ -423,9 +418,10 @@ def _shift(sl: tuple, axis: int, by: int) -> tuple:
 
 
 def _central_difference(a: np.ndarray, sl: tuple, axis: int, h: float,
-                        out: np.ndarray) -> None:
-    """out = (a[i+1] - a[i-1]) / (2h) along axis over the 3-D block sl of a."""
-    np.subtract(a[_shift(sl, axis, 1)], a[_shift(sl, axis, -1)], out=out)
+                        out: np.ndarray, sign: int = 1) -> None:
+    """out = sign (a[i+1] - a[i-1]) / (2h) along axis over the 3-D block
+    sl of a; sign -1 swaps the operands, which negates exactly."""
+    np.subtract(a[_shift(sl, axis, sign)], a[_shift(sl, axis, -sign)], out=out)
     _divide(out, 2.0 * h)
 
 
@@ -456,16 +452,13 @@ def partial_deriv(arr: np.ndarray, grid: Grid3, axis: int) -> np.ndarray:
     return out
 
 
-# nabla's components as the terms of (-div f_vec) + grad f0 + curl f_vec,
-# each d_axis f_comp: (comp, axis) of the first term, then (sign, comp,
-# axis) of the terms added or subtracted in turn; the scalar part is
-# negated at the end
-_NABLA_TERMS = (
-    ((1, 0), ((+1, 2, 1), (+1, 3, 2))),
-    ((3, 1), ((-1, 2, 2), (+1, 0, 0))),
-    ((1, 2), ((-1, 3, 0), (+1, 0, 1))),
-    ((2, 0), ((-1, 1, 1), (+1, 0, 2))),
-)
+# D f is the left product of the symbol (0, d1, d2, d3) with f, so
+# component c of D f has a term sign * d_(i-1) f_j for each term
+# (sign, i, j) of QMUL_TERMS[c] with i > 0; listed here as (sign, axis,
+# comp), curl terms (j > 0) first, then the gradient term
+_D_TERMS = tuple(
+    tuple((sgn, i - 1, j) for sgn, i, j in sorted(terms, key=lambda t: t[2] == 0) if i)
+    for terms in QMUL_TERMS)
 
 
 def _block_of(a: np.ndarray, sl: tuple) -> np.ndarray:
@@ -480,8 +473,8 @@ def _first_order(f: BQField, alpha=None, sign: int = 1) -> BQField:
     f * alpha when alpha is given as four arrays from ``alpha_arrays``.
 
     One block of x1-planes at a time, the blocks split across CPUs by
-    ``_run_blocks``: nabla's terms in the order ``nabla`` states, then for
-    each component the four terms of f * alpha that ``QMUL_TERMS`` lists,
+    ``_run_blocks``: D's terms from ``QMUL_TERMS`` (``_D_TERMS``), then
+    for each component the four terms of f * alpha that it lists,
     summed in qmul's order over the block's slices of f and of alpha into
     one temporary, which is added or subtracted.  Node for node this is
     what adding the whole-field ``qmul`` product would give, with no
@@ -493,13 +486,13 @@ def _first_order(f: BQField, alpha=None, sign: int = 1) -> BQField:
     combine = np.add if sign > 0 else np.subtract
 
     def block(sl, t, acc=None):
-        for c, ((comp, axis), rest) in enumerate(_NABLA_TERMS):
-            o = out[c][sl]
-            _central_difference(f.data[comp], sl, axis, g.spacing[axis], o)
-            for sgn, comp, axis in rest:
-                _central_difference(f.data[comp], sl, axis, g.spacing[axis], t)
-                (np.add if sgn > 0 else np.subtract)(o, t, out=o)
-        np.negative(out[0][sl], out=out[0][sl])
+        for out_c, terms in zip(out, _D_TERMS):
+            o = out_c[sl]
+            for n, (sgn, axis, comp) in enumerate(terms):
+                d = o if n == 0 else t
+                _central_difference(f.data[comp], sl, axis, g.spacing[axis], d, sgn)
+                if n:
+                    np.add(o, t, out=o)
         if alpha is None:
             return
         p = [fc[sl] for fc in f.data]
@@ -519,9 +512,10 @@ def _first_order(f: BQField, alpha=None, sign: int = 1) -> BQField:
 def nabla(f: BQField) -> BQField:
     """First-order operator sum_k e_k d_k f.
 
-    Evaluated as (-div f_vec) + grad f0 + curl f_vec, term by term in that
-    order: the scalar part sums d1 f1 + d2 f2 + d3 f3 before negating, and
-    each vector component adds its curl pair first, then its gradient term.
+    Its terms are those ``QMUL_TERMS`` gives the left product of the
+    symbol (0, d1, d2, d3) with f, summed as (-div f_vec) + grad f0 +
+    curl f_vec: the scalar part sums -d1 f1 - d2 f2 - d3 f3, and each
+    vector component adds its curl pair first, then its gradient term.
     """
     return _first_order(f)
 
@@ -532,13 +526,17 @@ def alpha_arrays(alpha, grid: Grid3):
     A BQField (alpha known by its samples) gives its data, an AlphaSpec
     (anything with components(grid)) a zero scalar part and its three
     components (the 1-D lines of a separable alpha), and four such arrays
-    are returned as they are.
+    are returned as they are; other arrays, or a field on another grid,
+    raise ValueError.
     """
     if isinstance(alpha, BQField):
         if alpha.grid != grid:
             raise ValueError("fields live on different grids")
         return alpha.data
     if isinstance(alpha, (tuple, np.ndarray)):
+        if len(alpha) != 4 or not all(isinstance(a, np.ndarray) and a.ndim <= 3 and all(
+                n in (1, m) for n, m in zip(a.shape[::-1], grid.shape[::-1])) for a in alpha):
+            raise ValueError(f"alpha must be four arrays broadcasting to the grid {grid.shape}")
         return alpha
     return (np.zeros((1, 1, 1), dtype=complex), *alpha.components(grid))
 

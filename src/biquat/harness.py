@@ -234,15 +234,14 @@ def _modes(rng, n_modes=3):
 
 def _eval_modes(grid, modes, out=None):
     """The sum of the modes c exp(i k.x) on the grid, added into out (a
-    fresh zero array when None).  Each mode is the outer product of three
-    1-D exponentials, so no mesh and no n^3 complex exp is formed."""
+    fresh zero array when None).  Each mode is the product of three 1-D
+    exponentials on the open mesh, so no n^3 complex exp is formed."""
     if out is None:
         out = np.zeros(grid.shape, dtype=complex)
-    x1, x2, x3 = grid.axes
+    x1, x2, x3 = grid.mesh()
     for kv, c in modes:
-        out += (c * np.exp(1j * kv[0] * x1)[:, None, None]
-                * np.exp(1j * kv[1] * x2)[None, :, None]
-                * np.exp(1j * kv[2] * x3)[None, None, :])
+        out += (c * np.exp(1j * kv[0] * x1) * np.exp(1j * kv[1] * x2)
+                * np.exp(1j * kv[2] * x3))
     return out
 
 def _bq_modes(modes, rng):
@@ -948,11 +947,11 @@ def _compatible_rhs(grid: Grid3, pots):
     """f = (-lap + v) u* for a closed-form u* vanishing on the box boundary;
     keeps the continuous solution smooth up to the boundary so the
     second-order defect of the factored operators converges cleanly."""
-    x1, x2, x3 = grid.axes
+    x1, x2, x3 = grid.mesh()
     spans = [HI[k] - LO[k] for k in range(3)]
-    base = (np.sin(np.pi * (x1 - LO[0]) / spans[0])[:, None, None]
-            * np.sin(np.pi * (x2 - LO[1]) / spans[1])[None, :, None]
-            * np.sin(np.pi * (x3 - LO[2]) / spans[2])[None, None, :])
+    base = (np.sin(np.pi * (x1 - LO[0]) / spans[0])
+            * np.sin(np.pi * (x2 - LO[1]) / spans[1])
+            * np.sin(np.pi * (x3 - LO[2]) / spans[2]))
     lap_base = -(np.pi ** 2) * (1.0 / spans[0] ** 2 + 1.0 / spans[1] ** 2
                                 + 1.0 / spans[2] ** 2) * base
     data = np.empty((4, *grid.shape), dtype=complex)

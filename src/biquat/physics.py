@@ -169,5 +169,4 @@ def circular_wave(grid: Grid3, nu: float, sign: int) -> BQField:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     x1, _, _ = grid.mesh()
-    return BQField.from_vector(grid, np.zeros(grid.shape, dtype=complex),
-                               np.sin(nu * x1), float(sign) * np.cos(nu * x1))
+    return BQField.from_vector(grid, 0.0, np.sin(nu * x1), float(sign) * np.cos(nu * x1))

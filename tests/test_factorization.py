@@ -6,11 +6,12 @@ from scipy import sparse
 from scipy.sparse import linalg as sla
 
 from biquat import factorization
+from biquat.algebra import qmul
 from biquat.alpha import AxialAlpha, GradientAlpha, SeparableAlpha, reciprocal_alpha
 from biquat.factorization import (ClosedFormFamily, build_solution,
                                   factorization_residual, potentials,
                                   riccati_residual, right_inverse)
-from biquat.grid import BQField, Grid3, linf, nabla_alpha
+from biquat.grid import BQField, Grid3, alpha_arrays, linf, nabla_alpha
 from biquat.harness import TOL, _order_check
 
 
@@ -55,7 +56,7 @@ def test_riccati_gradient_pairs_with_laplacian_quotient():
 
 def _nan_at_center(a, b, c):
     # one NaN interior node; norms would skip it as the invalid rim
-    vals = np.zeros_like(a)
+    vals = np.zeros(np.broadcast(a, b, c).shape)
     vals[4, 4, 4] = np.nan
     return vals
 
@@ -157,7 +158,7 @@ def test_factorization_rejects_non_finite_samples(bad, which):
     g = box(17)
     alf = reciprocal_alpha()
     x1 = g.mesh()[0]
-    arrays = {"v": np.zeros(g.shape), "phi": np.sin(x1)}
+    arrays = {"v": np.zeros(g.shape), "phi": np.sin(x1) * np.ones(g.shape)}
     arrays[which][8, 7, 9] = bad
     with pytest.raises(ValueError, match=f"^{which} .*non-finite"):
         factorization_residual(alf, arrays["phi"], arrays["v"], g)
@@ -206,6 +207,27 @@ def test_potentials_reject_non_separable():
 # closed-form family
 # ------------------------------------------------------------------
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_family_analytic_residual_equals_basis_products(seed):
+    # reference: D f as the sum over k, then j, of the constant products
+    # (e_j e_k) d_j f_k, then f * alpha added as the whole-field qmul
+    g = Grid3.box((1.0, -0.5, 0.25), (2.0, 0.75, 3.0), (5, 9, 18))
+    fam = ClosedFormFamily(reciprocal_alpha((0.1, -1.0, -0.2)))
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+    a = alpha_arrays(fam.alpha, g)
+    f = fam.combination(g, coeffs).data
+    basis = np.eye(4, dtype=complex)
+    want = np.zeros_like(f)
+    for k in range(4):
+        for j in range(3):
+            d_j_fk = factorization._FAMILY_SIGNS[k][j] * a[j + 1] * f[k]
+            want += qmul(basis[j + 1], basis[k]).reshape(4, 1, 1, 1) * d_j_fk
+    want += qmul(f, a)
+    res, _ = fam.equation_residual_analytic(g, coeffs)
+    assert np.array_equal(res.data, want)
+
+
 def test_family_reciprocal_printed_solutions():
     g = box()
     alf = reciprocal_alpha((0.0, 0.0, 0.0))
@@ -248,6 +270,20 @@ def test_axial_alpha_constant_parts_default_to_zero():
     assert alf.a2 == alf.a3 == 0.0
     _, a2, a3 = alf.components(box())
     assert not a2.any() and not a3.any()
+
+
+_RECIPROCAL = reciprocal_alpha()
+
+
+@pytest.mark.parametrize("args", [
+    ((1.0, 2.0),),
+    ((1.0, 2.0, 3.0, 4.0),),
+    (_RECIPROCAL.funcs, _RECIPROCAL.derivs[:2]),
+    (_RECIPROCAL.funcs, _RECIPROCAL.derivs, _RECIPROCAL.antiderivs[:2]),
+], ids=["two_factors", "four_factors", "two_derivs", "two_antiderivs"])
+def test_separable_alpha_takes_three_of_each(args):
+    with pytest.raises(ValueError, match="three factors"):
+        SeparableAlpha(*args)
 
 
 def test_family_requires_antiderivatives():

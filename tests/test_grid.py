@@ -149,6 +149,57 @@ def test_field_conj():
     assert linf(c.data[1] + f.data[1]) == 0.0
 
 
+def _open_mesh_grid():
+    # non-cubic, with a different spacing per axis
+    return Grid3.box((1.0, -0.5, 0.25), (2.0, 0.75, 3.0), (5, 9, 18))
+
+
+OPEN_SHAPES = [(5, 1, 1), (1, 9, 1), (1, 1, 18)]
+
+
+def _transcendental(a, b, c):
+    return np.sin(a) * np.exp(b) + np.log(c) * a * b - 1j * np.cos(b + c)
+
+
+def test_mesh_is_the_open_mesh():
+    g = _open_mesh_grid()
+    mesh = g.mesh()
+    assert [x.shape for x in mesh] == OPEN_SHAPES
+    for k, x in enumerate(mesh):
+        assert np.array_equal(x.ravel(), g.axis(k))
+
+
+def test_callables_get_the_open_mesh_and_match_the_full_mesh():
+    g = _open_mesh_grid()
+    seen = []
+
+    def fn(a, b, c):
+        seen.append([x.shape for x in (a, b, c)])
+        return _transcendental(a, b, c)
+
+    want = np.asarray(_transcendental(*np.meshgrid(*g.axes, indexing="ij")), dtype=complex)
+    assert want.shape == g.shape
+    got = sample(g, fn)
+    assert got.shape == g.shape and np.array_equal(got, want)
+    field = BQField.from_components(g, fn, 0.5, fn, fn)
+    for k in (0, 2, 3):
+        assert np.array_equal(field.data[k], want)
+    assert seen == [OPEN_SHAPES] * 4
+    # a callable reading one coordinate is evaluated on a line and
+    # broadcast to the grid
+    one = sample(g, lambda a, b, c: np.exp(1j * b))
+    assert np.array_equal(one, np.exp(1j * np.meshgrid(*g.axes, indexing="ij")[1]))
+
+
+def test_sample_axis_lines_keep_their_shapes():
+    g = _open_mesh_grid()
+    for k, shape in enumerate(OPEN_SHAPES):
+        line = g.sample_axis(k, np.sin)
+        assert line.shape == shape and line.dtype == complex
+        assert np.array_equal(line.ravel(), np.sin(g.axis(k)))
+        assert g.sample_axis(k, 2.0 - 1j).shape == shape
+
+
 def test_sample_constant_broadcast():
     g = box(5)
     arr = sample(g, 2.5 - 1j)
@@ -268,6 +319,17 @@ def test_alpha_arrays_shapes():
     assert alpha_arrays(field, g) is field.data
     with pytest.raises(ValueError, match="different grids"):
         alpha_arrays(field, box(7))
+
+
+@pytest.mark.parametrize("alpha", [
+    np.ones((4, 17, 17, 17), dtype=complex),
+    tuple(np.ones((9, 9, 9), dtype=complex) for _ in range(3)),
+    (*(np.ones((9, 9, 9), dtype=complex) for _ in range(3)), np.ones((9, 9, 2))),
+], ids=["other_grid", "three_arrays", "one_off_the_grid"])
+def test_alpha_arrays_rejects_arrays_that_do_not_fit_the_grid(alpha):
+    f = BQField.constant(box(), Biquaternion.vector(1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="four arrays"):
+        nabla_alpha(f, alpha)
 
 
 def test_separable_products_never_materialize_alpha(monkeypatch):

@@ -71,7 +71,7 @@ def test_medium_rejects_nan_permittivity_and_permeability():
     g = box()
 
     def nan_at_center(a, b, c):
-        vals = np.ones_like(a)
+        vals = np.ones(np.broadcast(a, b, c).shape)
         vals[4, 4, 4] = np.nan
         return vals
 
@@ -111,7 +111,7 @@ def test_static_current_term():
 
 def _nan_at_center(a, b, c):
     # one NaN interior node of a 9^3 box; norms would skip it as the rim
-    vals = np.zeros_like(a)
+    vals = np.zeros(np.broadcast(a, b, c).shape)
     vals[4, 4, 4] = np.nan
     return vals
 
