@@ -15,9 +15,10 @@ print("== force-free (Beltrami) fields ==")
 b = circular_wave(grid, nu, -1)
 res = nabla(b) + nu * b
 print(f"(D + nu) B residual for the classic fixture: {res.linf():.3e}")
-fp, fm, identity = forcefree_split(b, nu)
-print(f"P_1^± split identity defect: {identity:.1e}")
-print(f"parts recombine: {(fp + fm - b).linf():.1e}")
+split = forcefree_split(b, nu)                 # a RightSplit keyed ±1
+res, scale = split.identity_residual()
+print(f"P_1^± split identity defect: {res.linf() / scale:.1e}")
+print(f"parts recombine: {(split.recombined() - b).linf():.1e}")
 
 print("\n== slowly varying media ==")
 wave = circular_wave(grid, nu, -1)

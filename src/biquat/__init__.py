@@ -13,11 +13,9 @@ from .algebra import (BASIS, E0, E1, E2, E3, Biquaternion, ProjectorPair,
                       vec_square)
 from .alpha import (AlphaSpec, AxialAlpha, GradientAlpha, SeparableAlpha,
                     reciprocal_alpha)
-from .dirac import (DiracParams, PseudoscalarSplit, SpinorField,
-                    apply_dirac, bq_to_spinor, equivalent_alpha,
-                    free_plane_wave, intertwining_residual,
-                    manufactured_split_solution,
-                    pseudoscalar_identity_residual, pseudoscalar_split,
+from .dirac import (DiracParams, SpinorField, apply_dirac, bq_to_spinor,
+                    equivalent_alpha, free_plane_wave, intertwining_residual,
+                    manufactured_split_solution, pseudoscalar_split,
                     spinor_to_bq)
 from .factorization import (AxialOperators, ClosedFormFamily, PotentialSet,
                             ReductionReport, RightInverseResult,
@@ -25,7 +23,7 @@ from .factorization import (AxialOperators, ClosedFormFamily, PotentialSet,
                             j_map, pi_map, potentials, q_map,
                             riccati_residual, right_inverse,
                             zero_divisor_reduction)
-from .grid import (BQField, Grid3, Norms, ie1_field, l2, laplacian,
+from .grid import (BQField, Grid3, Norms, RightSplit, l2, laplacian,
                    laplacian_wide, linf, nabla, nabla_alpha, norms,
                    partial_deriv, reflect_x3, sample)
 from .physics import (MediumFields, circular_wave, diagonalize_em,

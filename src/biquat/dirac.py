@@ -5,7 +5,8 @@ constant 4x4 matrix composed with the x3 reflection; under that transform
 the free operator with energy omega and mass m, plus a scalar, electric or
 pseudoscalar potential, becomes right multiplication by a constant-plus-
 potential alpha (in the pseudoscalar case a scalar term nu plus a constant
-vector beta, whose splitting is handled by ``pseudoscalar_split``).
+vector beta, which ``pseudoscalar_split`` diagonalizes into a
+``grid.RightSplit`` of four parts).
 
 The transform matrix is built for one representation, the standard Dirac
 gamma matrices ``G0``-``G3`` and ``G5`` of this module, and every operator
@@ -27,9 +28,9 @@ from typing import Callable
 import numpy as np
 
 from .algebra import Biquaternion, qmul, right_projector, split_projectors
-from .grid import (BQField, Field4, Grid3, _check_finite, _reversed_x3,
-                   ie1_field, nabla, nabla_alpha, partial_deriv, reflect_x3,
-                   sample)
+from .grid import (BQField, Field4, Grid3, RightSplit, _check_finite, _on_mesh,
+                   _reversed_x3, nabla_alpha, partial_deriv, reflect_x3, sample)
+from .physics import forcefree_split
 
 __all__ = [
     "SpinorField",
@@ -44,9 +45,7 @@ __all__ = [
     "apply_dirac",
     "equivalent_alpha",
     "intertwining_residual",
-    "PseudoscalarSplit",
     "pseudoscalar_split",
-    "pseudoscalar_identity_residual",
     "manufactured_split_solution",
     "free_plane_wave",
 ]
@@ -199,76 +198,27 @@ def intertwining_residual(phi: SpinorField, p: DiracParams):
 # pseudoscalar four-way splitting
 # --------------------------------------------------------------------------
 
-@dataclass
-class PseudoscalarSplit:
-    """The four projections f * s_b * p_a (the beta splitting applied
-    first, then the e1 projector).
+def pseudoscalar_split(f: BQField, nu, beta: Biquaternion) -> RightSplit:
+    """The four-way split of (D + nu + M^beta) f, whose alpha is nu + beta.
 
-    ``parts`` maps the sign pair (P-sign, S-sign) to its part; the parts
-    sum to f exactly.  When f solves (D + nu + M^beta) f = 0, the part
-    with signs (a, b) solves (D + a * M^{(nu + b*lam) i e1}) part = 0.
-    The two projector families do not commute when beta has components
-    orthogonal to e1; the composition order here is the one under which
-    the four diagonal equations hold.
-    """
-
-    parts: dict
-    lam: complex
-    nu: np.ndarray
-
-    def recombined(self) -> BQField:
-        pp, mp, pm, mm = self.parts.values()
-        return pp + mp + pm + mm
-
-    def part_residual(self, p_sign: int, s_sign: int) -> BQField:
-        """(D + p_sign * M^{(nu + s_sign*lam) i e1}) applied to the part."""
-        part = self.parts[(p_sign, s_sign)]
-        mult = ie1_field(part.grid, p_sign * (self.nu + s_sign * self.lam))
-        return nabla_alpha(part, mult)
-
-
-def pseudoscalar_split(f: BQField, nu, beta: Biquaternion) -> PseudoscalarSplit:
-    """Split f into the four parts P_1^± applied after S^±.
+    S^b from ``split_projectors`` commutes with M^beta, which is b*lam on
+    its range, so ``forcefree_split(f S^b, nu + b*lam)`` gives the parts
+    (f S^b) P_1^a, filed under (a, b).  When f solves (D + nu + M^beta)
+    f = 0, each part solves (D + a M^{(nu + b*lam) i e1}) part = 0; the
+    projector families do not commute when beta has components orthogonal
+    to e1, and this composition order is the one under which they hold.
 
     beta must lie outside the zero-divisor set (for the Dirac case this is
     m**2 != omega**2).  nu may be a constant, array or callable, finite
     at every node.
     """
     pair = split_projectors(beta)
-    grid = f.grid
-    nu_arr = sample(grid, nu)
-    _check_finite([nu_arr], "nu")
-    p_plus, p_minus = right_projector(1, 1), right_projector(1, -1)
-    f_p = f * pair.plus
-    f_m = f * pair.minus
-    parts = {(1, 1): f_p * p_plus, (-1, 1): f_p * p_minus,
-             (1, -1): f_m * p_plus, (-1, -1): f_m * p_minus}
-    return PseudoscalarSplit(parts=parts, lam=pair.lam, nu=nu_arr)
-
-
-def pseudoscalar_identity_residual(f: BQField, nu, beta: Biquaternion):
-    """Exact four-term operator identity on an arbitrary field f:
-
-        (D + nu + M^beta) f  =  sum_{a,b} S^b [ P_1^a (D + a M^{(nu+b*lam) i e1}) f ]
-
-    (projectors applied to the operator output, P first then S).  nu must
-    be finite at every node.  Returns (residual BQField, scale).
-    """
-    pair = split_projectors(beta)
-    grid = f.grid
-    nu_arr = sample(grid, nu)
-    _check_finite([nu_arr], "nu")
-    df = nabla(f)
-    lhs = df + nu_arr * f + f * beta
-    rhs = BQField.zeros(grid)
-    for a in (1, -1):
-        p_mult = right_projector(1, a)
-        for b, s_mult in ((1, pair.plus), (-1, pair.minus)):
-            c_field = ie1_field(grid, nu_arr + b * pair.lam)
-            term = df + float(a) * (f * c_field)
-            rhs = rhs + (term * p_mult) * s_mult
-    res = lhs - rhs
-    return res, max(lhs.linf(), rhs.linf())
+    nu_arr = _on_mesh(f.grid, nu)
+    halves = [(b, forcefree_split(f * s_mult, nu_arr + b * pair.lam))
+              for b, s_mult in ((1, pair.plus), (-1, pair.minus))]
+    return RightSplit(field=f, alpha=(nu_arr, *beta.components[1:].reshape(3, 1, 1, 1)),
+                      parts={(a, b): h.parts[a] for b, h in halves for a in h.parts},
+                      alphas={(a, b): h.alphas[a] for b, h in halves for a in h.alphas})
 
 
 # weights of the four exponentials of manufactured_split_solution
@@ -283,8 +233,10 @@ def manufactured_split_solution(grid: Grid3, nu: complex, beta: Biquaternion) ->
     exp(-i c x1) (1 + i e1)/2 and exp(+i c x1) (1 - i e1)/2 solve
     (D + c)(.) = 0, and pushing a combination for each lam branch through
     S^± assembles a full solution, the four exponentials weighted by
-    _SPLIT_WEIGHTS.
+    _SPLIT_WEIGHTS.  Raises ValueError unless nu is a finite scalar.
     """
+    if np.ndim(nu) != 0 or not np.isfinite(nu):
+        raise ValueError(f"nu must be a finite scalar, got {nu!r}")
     pair = split_projectors(beta)
     x1, _, _ = grid.mesh()
     p_plus = right_projector(1, 1).components.reshape(4, 1, 1, 1)
@@ -306,9 +258,13 @@ def free_plane_wave(grid: Grid3, kvec, m: float):
     Solves the 4x4 symbol equation numerically: omega is set on the
     positive-energy shell, omega = sqrt(<k,k> + m^2), and the amplitude is
     the singular vector of the symbol matrix with smallest singular value.
-    Returns (SpinorField, DiracParams).
+    Returns (SpinorField, DiracParams).  Raises ValueError unless kvec
+    has three finite entries and m is finite.
     """
     kvec = np.asarray(kvec, dtype=float)
+    if kvec.shape != (3,) or not np.all(np.isfinite(kvec)) or not np.isfinite(m):
+        raise ValueError(f"need three finite kvec entries and a finite m, "
+                         f"got {kvec.tolist()} and {m!r}")
     omega = float(np.sqrt(kvec @ kvec + m ** 2))
     symbol = 1j * omega * G0 + 1j * m * np.eye(4)
     for kk, gk in zip(kvec, (G1, G2, G3)):

@@ -10,8 +10,10 @@ over the interior on which the discrete operators are actually defined.
 from __future__ import annotations
 
 import contextvars
+import operator
 import os
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +30,7 @@ __all__ = [
     "nabla",
     "alpha_arrays",
     "nabla_alpha",
-    "ie1_field",
+    "RightSplit",
     "laplacian",
     "laplacian_wide",
     "reflect_x3",
@@ -121,12 +123,21 @@ class Grid3:
         return abs(center) <= 1e-12 * max(1.0, abs(self.origin[2]))
 
 
+def _on_mesh(grid: Grid3, fn) -> np.ndarray:
+    """fn as ``sample`` takes it, as a complex 3-D array that broadcasts
+    against grid.shape without being copied to it: a constant stays
+    (1, 1, 1) and a callable of x1 alone an x1 line."""
+    out = np.asarray(fn(*grid.mesh()) if callable(fn) else fn, dtype=complex)
+    if out.ndim > 3 or any(n not in (1, m) for n, m in zip(out.shape[::-1], grid.shape[::-1])):
+        raise ValueError(f"values of shape {out.shape} do not broadcast to the grid {grid.shape}")
+    return out.reshape((1,) * (3 - out.ndim) + out.shape)
+
+
 def sample(grid: Grid3, fn) -> np.ndarray:
     """fn on the grid as a complex array of grid.shape.  A callable gets
     the open mesh (x1, x2, x3) of ``Grid3.mesh`` and may return anything
     that broadcasts to grid.shape; a constant or array broadcasts."""
-    out = fn(*grid.mesh()) if callable(fn) else fn
-    return np.broadcast_to(np.asarray(out, dtype=complex), grid.shape).astype(complex)
+    return np.broadcast_to(_on_mesh(grid, fn), grid.shape).astype(complex)
 
 
 def _check_finite(arrays, what="alpha"):
@@ -549,11 +560,38 @@ def nabla_alpha(f: BQField, alpha) -> BQField:
     return _first_order(f, alpha_arrays(alpha, f.grid))
 
 
-def ie1_field(grid: Grid3, c) -> BQField:
-    """The multiplier field c * i e1 for a complex scalar (array or constant) c."""
-    data = np.zeros((4, *grid.shape), dtype=complex)
-    data[1] = 1j * c
-    return BQField(grid, data)
+@dataclass(frozen=True)
+class RightSplit:
+    """A field f split by constant right projectors X that sum to 1, each
+    commuting with D and turning M^alpha into a reduced M^{c_X}, so that
+    for every f
+
+        (D + M^alpha) f  =  sum_X (D + M^{c_X}) (f X).
+
+    parts maps each key to f X and alphas to its c_X; alpha and each c_X
+    are four arrays, as ``alpha_arrays`` takes them, so constant zero
+    components stay (1, 1, 1).  Built by ``physics.forcefree_split`` and
+    ``dirac.pseudoscalar_split``.
+    """
+
+    field: BQField
+    alpha: tuple
+    parts: dict
+    alphas: dict
+
+    def recombined(self) -> BQField:
+        """The parts summed in key order: f up to rounding."""
+        return reduce(operator.add, self.parts.values())
+
+    def part_residual(self, key) -> BQField:
+        return nabla_alpha(self.parts[key], self.alphas[key])
+
+    def identity_residual(self):
+        """(D + M^alpha) f minus the summed part residuals, at rounding
+        level for any f, and the L-inf norm of (D + M^alpha) f."""
+        lhs = nabla_alpha(self.field, self.alpha)
+        rhs = reduce(operator.add, map(self.part_residual, self.parts))
+        return lhs - rhs, lhs.linf()
 
 
 def _second_difference(f: BQField, step: int) -> BQField:

@@ -4,7 +4,8 @@ Covers: the medium coefficient vectors grad(sqrt(eps))/sqrt(eps) and
 grad(sqrt(mu))/sqrt(mu), residuals of the static Maxwell pair, the
 diagonalization E +- iH of the sourceless slow-medium system, and the
 P_1^± splitting of force-free (Beltrami) fields with nonconstant
-proportionality factor.
+proportionality factor (a ``grid.RightSplit``, also the inner split of
+the Dirac pseudoscalar reduction).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .algebra import ROUNDING_TOL, right_projector
 from .alpha import SeparableAlpha
-from .grid import (BQField, Grid3, _check_finite, ie1_field, linf, nabla,
+from .grid import (BQField, Grid3, RightSplit, _check_finite, _on_mesh, linf,
                    nabla_alpha, partial_deriv, sample)
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "diagonalize_em",
     "undiagonalize_em",
     "forcefree_split",
+    "circular_wave",
 ]
 
 
@@ -130,29 +132,23 @@ def undiagonalize_em(phi: BQField, psi: BQField):
     return e, h
 
 
-def forcefree_split(f: BQField, nu):
-    """Split (D + nu) f into the P_1^± pieces.
-
-    Returns (f_plus, f_minus, identity_residual): f_± = f * (1 ± i e1)/2 and
-    the residual is the relative L-inf mismatch of the exact algebraic
-    identity
+def forcefree_split(f: BQField, nu) -> RightSplit:
+    """The P_1^± split of (D + nu) f for a scalar factor nu(x):
 
         (D + nu) f = (D + M^{i nu e1}) f_+  +  (D - M^{i nu e1}) f_-,
 
-    valid for any biquaternion field and any scalar factor nu(x).  Raises
-    ValueError when nu is not finite at every node.
+    with f_± = f P_1^± = f (1 ± i e1)/2, filed under the keys ±1 with the
+    reduced alphas ±nu i e1.  The identity is exact for any biquaternion
+    field f.  nu may be a constant, an array or a callable, kept in the
+    shape it broadcasts from, so a constant nu costs no grid array; raises
+    ValueError when it is not finite at every node.
     """
-    grid = f.grid
-    nu_arr = sample(grid, nu)
+    nu_arr = _on_mesh(f.grid, nu)
     _check_finite([nu_arr], "nu")
-    f_plus = f * right_projector(1, 1)
-    f_minus = f * right_projector(1, -1)
-    mult = ie1_field(grid, nu_arr)
-    lhs = nabla(f) + nu_arr * f
-    rhs = nabla_alpha(f_plus, mult) + nabla_alpha(f_minus, -mult)
-    scale = max(lhs.linf(), 1e-300)
-    residual = (lhs - rhs).linf() / scale
-    return f_plus, f_minus, residual
+    zero = np.zeros((1, 1, 1), dtype=complex)
+    return RightSplit(field=f, alpha=(nu_arr, zero, zero, zero),
+                      parts={a: f * right_projector(1, a) for a in (1, -1)},
+                      alphas={a: (zero, 1j * (a * nu_arr), zero, zero) for a in (1, -1)})
 
 
 def circular_wave(grid: Grid3, nu: float, sign: int) -> BQField:

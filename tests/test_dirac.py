@@ -5,15 +5,15 @@ import pytest
 from numpy.random import default_rng
 
 from biquat import dirac
-from biquat.algebra import Biquaternion, E0
+from biquat.algebra import E0, Biquaternion, right_projector, split_projectors
 from biquat.dirac import (G0, G1, G2, G3, G5, DiracParams, SpinorField,
                           apply_dirac, bq_to_spinor, equivalent_alpha,
                           free_plane_wave, intertwining_residual,
-                          manufactured_split_solution,
-                          pseudoscalar_identity_residual, pseudoscalar_split,
+                          manufactured_split_solution, pseudoscalar_split,
                           spinor_to_bq)
 from biquat.grid import (BQField, Grid3, linf, nabla, nabla_alpha, reflect_x3,
                          sample)
+from biquat.physics import forcefree_split
 from biquat.harness import TOL, _order_check, _smooth_bq, _smooth_spinor
 
 
@@ -140,12 +140,21 @@ def test_pseudoscalar_split_rejects_nan_nu_node():
         pseudoscalar_split(f, _nan_node(g), Biquaternion.vector(-0.7j, -1.3, 0.0))
 
 
-def test_pseudoscalar_identity_residual_rejects_nan_nu_node():
-    g = sym_grid()
-    f = _smooth_bq(g, default_rng(7))
-    with pytest.raises(ValueError, match="^nu .*non-finite"):
-        pseudoscalar_identity_residual(f, _nan_node(g),
-                                       Biquaternion.vector(-0.7j, -1.3, 0.0))
+@pytest.mark.parametrize("kvec, m", [
+    ((1.0, 0.5), 1.3),
+    ((1.0, 0.5, -0.8, 0.2), 1.3),
+    ((1.0, np.nan, -0.8), 1.3),
+    ((1.0, 0.5, -0.8), np.nan),
+])
+def test_free_plane_wave_rejects_bad_input(kvec, m):
+    with pytest.raises(ValueError, match="three finite kvec entries and a finite m"):
+        free_plane_wave(sym_grid(), kvec, m)
+
+
+@pytest.mark.parametrize("nu", [np.full(sym_grid().shape, 0.4 - 0.2j), np.nan, complex("nan+1j")])
+def test_manufactured_split_solution_requires_finite_scalar_nu(nu):
+    with pytest.raises(ValueError, match="finite scalar"):
+        manufactured_split_solution(sym_grid(), nu, Biquaternion.vector(-0.7j, -1.3, 0.0))
 
 
 def test_apply_matches_einsum_bitwise():
@@ -188,7 +197,6 @@ def test_pseudoscalar_split_of_unit_scalar():
     beta = Biquaternion.vector(-0.7j, -1.3, 0.0)
     split = pseudoscalar_split(f, 0.1, beta)
     # parts are e0 times the quarter multipliers s_b * p_a
-    from biquat.algebra import split_projectors
     pair = split_projectors(beta)
     p_plus = Biquaternion(0.5, 0.5j, 0, 0)
     want = pair.plus * p_plus
@@ -201,8 +209,38 @@ def test_pseudoscalar_operator_identity_exact():
     beta = Biquaternion.vector(-0.7j, -1.3, 0.0)
     x3 = g.mesh()[2]
     nu = 0.2 * x3 + 0.1j  # a genuine scalar field
-    res, scale = pseudoscalar_identity_residual(f, nu, beta)
+    res, scale = pseudoscalar_split(f, nu, beta).identity_residual()
     assert res.linf() <= TOL * scale
+
+
+def test_right_projectors_commute_with_the_operator():
+    # the per-part commutation the split rests on, with a varying complex
+    # nu:  (D + nu + M^beta)(h S^b) = ((D + nu + b lam) h) S^b  and
+    # (D + nu')(g P_1^a) = ((D + a M^{nu' i e1}) g) P_1^a
+    from biquat.harness import DIRAC_BETA
+    g = sym_grid()
+    h = _smooth_bq(g, default_rng(13))
+    nu = sample(g, lambda a, b, c: 0.3 * np.sin(3 * a) - 0.4j * np.cos(b) + 0.1j * c)
+    pair = split_projectors(DIRAC_BETA)
+    zero = np.zeros((1, 1, 1), dtype=complex)
+
+    def rel(a, b):
+        return (a - b).linf() / max(a.linf(), b.linf())
+
+    full = (nu, *DIRAC_BETA.components[1:].reshape(3, 1, 1, 1))
+    for b, s_mult in ((1, pair.plus), (-1, pair.minus)):
+        nu_b = nu + b * pair.lam
+        lhs = nabla_alpha(h * s_mult, full)
+        rhs = nabla_alpha(h, (nu_b, zero, zero, zero)) * s_mult
+        assert rel(lhs, rhs) <= 1e-12
+        for a in (1, -1):
+            p_mult = right_projector(1, a)
+            lhs = nabla_alpha(h * p_mult, (nu_b, zero, zero, zero))
+            rhs = nabla_alpha(h, (zero, 1j * a * nu_b, zero, zero)) * p_mult
+            assert rel(lhs, rhs) <= 1e-12
+    for split in (pseudoscalar_split(h, nu, DIRAC_BETA), forcefree_split(h, nu)):
+        res, scale = split.identity_residual()
+        assert res.linf() <= TOL * scale
 
 
 def test_pseudoscalar_split_rejects_zero_divisor_beta():
@@ -229,7 +267,7 @@ def test_manufactured_solution_and_part_equations():
     for key in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
         def part(g, key=key):
             split, scale = splits[g]
-            return split.part_residual(*key), scale
+            return split.part_residual(key), scale
         rows.append(_order_check(f"part{key}", grids, part))
     assert all(r.passed for r in rows), rows
 

@@ -13,7 +13,7 @@ from biquat.algebra import Biquaternion, qmul
 from biquat.alpha import AlphaSpec, SeparableAlpha, reciprocal_alpha
 from biquat.factorization import (ClosedFormFamily, build_solution,
                                   factored_product, factorization_residual)
-from biquat.grid import (BQField, Grid3, alpha_arrays, ie1_field, l2, laplacian,
+from biquat.grid import (BQField, Grid3, alpha_arrays, l2, laplacian,
                          laplacian_wide, linf, nabla, nabla_alpha, norms,
                          partial_deriv, reflect_x3, sample)
 from biquat.harness import TOL, _order_check
@@ -359,15 +359,16 @@ def test_separable_products_never_materialize_alpha(monkeypatch):
 def _kernel_alphas(g, seed):
     """Every kind of alpha the first-order kernels get: the lines of a
     separable alpha, a constant one, a sampled field, an i e1 multiplier
-    over a scalar array as the dirac and physics modules build it, and a
-    constant biquaternion as four (1, 1, 1) arrays."""
+    over a scalar array with (1, 1, 1) zeros as ``forcefree_split`` builds
+    it, and a constant biquaternion as four (1, 1, 1) arrays."""
     rng = np.random.default_rng(seed)
     data = rng.normal(size=(4, *g.shape)) + 1j * rng.normal(size=(4, *g.shape))
+    zero = np.zeros((1, 1, 1), dtype=complex)
     return {
         "separable": reciprocal_alpha((0.0, -1.0, 0.0)),
         "constant": SeparableAlpha((1j, 0.5, -2.0)),
         "field": BQField(g, data),
-        "ie1": -ie1_field(g, data[0].real + 0.5j),
+        "ie1": (zero, -1j * (data[0].real + 0.5j), zero, zero),
         "biquaternion": Biquaternion(0.5, -1j, 2.0, 0.25j).components.reshape(4, 1, 1, 1),
     }
 

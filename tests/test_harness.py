@@ -11,9 +11,8 @@ import pytest
 import biquat
 from biquat import algebra, dirac, factorization, harness
 from biquat.cli import main as cli_main
-from biquat.dirac import (PseudoscalarSplit, manufactured_split_solution,
-                          pseudoscalar_split)
-from biquat.grid import BQField, Grid3
+from biquat.dirac import manufactured_split_solution, pseudoscalar_split
+from biquat.grid import BQField, Grid3, RightSplit
 from biquat.harness import (CSV_COLUMNS, EXACT_ORDER, SuiteConfig,
                             convergence_order, run_suite)
 
@@ -203,7 +202,7 @@ def test_ps_part_equations_order_reports_worst_part(monkeypatch):
     nu, beta = 0.4 - 0.2j, harness.DIRAC_BETA
     man = manufactured_split_solution(g, nu, beta)
     split = pseudoscalar_split(man, nu, beta)
-    fine = {key: split.part_residual(*key).linf() / max(man.linf(), 1.0)
+    fine = {key: split.part_residual(key).linf() / max(man.linf(), 1.0)
             for key in split.parts}
     worst = max(fine.values())
     assert worst > fine[(1, 1)]
@@ -211,14 +210,14 @@ def test_ps_part_equations_order_reports_worst_part(monkeypatch):
     assert row.passed and row.linf == worst
 
     # a failing part that is not the worst still fails the row
-    original = PseudoscalarSplit.part_residual
+    original = RightSplit.part_residual
 
-    def degraded(self, p_sign, s_sign):
-        res = original(self, p_sign, s_sign)
+    def degraded(self, key):
+        res = original(self, key)
         fine_grid = res.grid.shape[0] == 33
-        return 2.0 * res if (p_sign, s_sign) == (1, 1) and fine_grid else res
+        return 2.0 * res if key == (1, 1) and fine_grid else res
 
-    monkeypatch.setattr(PseudoscalarSplit, "part_residual", degraded)
+    monkeypatch.setattr(RightSplit, "part_residual", degraded)
     row = _row(cfg, "ps_part_equations_order")
     assert not row.passed and row.linf == worst
 

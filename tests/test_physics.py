@@ -175,8 +175,20 @@ def test_forcefree_split_identity_random():
     f = _smooth_bq(g, default_rng(4))
     x1 = g.mesh()[0]
     nu = np.sin(x1) + 0.2j * x1
-    fp, fm, _ = forcefree_split(f, nu)
+    split = forcefree_split(f, nu)
+    fp, fm = split.parts[1], split.parts[-1]
     assert (fp + fm - f).linf() <= TOL * f.linf()
+
+
+def test_forcefree_split_keeps_a_constant_nu_unexpanded():
+    # the split holds its parts and no grid-size array for a constant nu
+    g = box()
+    f = _smooth_bq(g, default_rng(5))
+    split = forcefree_split(f, 1.5)
+    arrays = [*split.alpha, *(a for c in split.alphas.values() for a in c)]
+    assert all(a.shape == (1, 1, 1) for a in arrays)
+    res, scale = split.identity_residual()
+    assert res.linf() <= TOL * scale
 
 
 def test_forcefree_split_rejects_nan_nu_node():
