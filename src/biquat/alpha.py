@@ -149,6 +149,7 @@ class AxialAlpha(AlphaSpec):
             _check_finite(out, "alpha derivative")
             return out
         a1 = sample(grid, self.a1)
+        _check_finite([a1])
         return tuple(partial_deriv(a1, grid, k) for k in range(3))
 
     def d_alpha(self, grid: Grid3) -> BQField:

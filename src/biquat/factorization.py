@@ -29,8 +29,9 @@ from scipy.sparse import linalg as sla
 
 from .algebra import INVOLUTION_SIGNS, QMUL_TERMS, ROUNDING_TOL, qmul, right_projector
 from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _d_a1_e1
-from .grid import (BQField, Grid3, _check_finite, _first_order, alpha_arrays,
-                   laplacian, laplacian_wide, linf, nabla_alpha, sample)
+from .grid import (BQField, Grid3, _block_of, _check_finite, _first_order, _linf_of,
+                   _nan_rimmed, _second_difference, alpha_arrays, laplacian,
+                   laplacian_wide, linf, nabla_alpha, partial_deriv, sample)
 
 __all__ = [
     "riccati_residual",
@@ -89,9 +90,11 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
     """Residual of (-lap + v) phi = (D + M^alpha)(D - M^alpha) phi on a
     scalar function phi.
 
-    Raises when sampled v or phi is not finite, and when alpha does not
-    solve the Riccati precondition for v within _RICCATI_TOL (relative).
-    Returns (residual BQField, scale).
+    The operators act on the one component phi occupies, but the residual
+    is, node for node and NaN rim included, -laplacian(phi e0) + v phi e0
+    minus factored_product(phi e0, alpha).  Raises when sampled v or phi
+    is not finite, and when alpha does not solve the Riccati precondition
+    for v within _RICCATI_TOL (relative).  Returns (residual BQField, scale).
     """
     v_arr = sample(grid, v)
     _check_finite([v_arr], "v")
@@ -101,20 +104,33 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
     if not rel <= _RICCATI_TOL:
         raise ValueError(
             f"Riccati precondition violated: relative residual {rel:.3e} > {_RICCATI_TOL:.1e}")
-    phi_field = BQField.from_scalar(grid, phi)
-    _check_finite([phi_field.scalar], "phi")
-    # -lap phi + v phi; phi, and so v phi, lives in the scalar slot only
-    lhs = laplacian(phi_field)
-    np.negative(lhs.data, out=lhs.data)
-    lhs.data[0] += v_arr * phi_field.scalar
+    # phi is a scalar, so each factor is taken on the one component phi
+    # occupies: -lap phi + v phi
+    phi_arr = sample(grid, phi)
+    _check_finite([phi_arr], "phi")
+    lhs = _second_difference(phi_arr[np.newaxis], grid, 1)[0]
+    np.negative(lhs, out=lhs)
+    lhs += v_arr * phi_arr
+    del v_arr
+    # (D - M^alpha) phi = grad phi - phi alpha, all vector: alpha has no
+    # scalar part.  Written inside the NaN rim build_solution leaves, which
+    # the nodes of nabla_alpha next to it read.
     a = alpha_arrays(alpha, grid)
-    first = build_solution(phi_field, a)
-    del phi_field
-    rhs = nabla_alpha(first, a)
+    first = _nan_rimmed((4, *grid.shape), (1, 2, 3), 1)
+    inner = (slice(1, -1),) * 3
+    first[0][inner] = 0.0
+    for k in (1, 2, 3):
+        fk = first[k][inner]
+        np.multiply(phi_arr[inner], _block_of(a[k], inner), out=fk)
+        np.subtract(partial_deriv(phi_arr, grid, k - 1)[inner], fk, out=fk)
+    del phi_arr, fk
+    res = nabla_alpha(BQField(grid, first), a)
     del first
-    scale = max(lhs.linf(), rhs.linf(), 1e-300)
-    np.subtract(lhs.data, rhs.data, out=lhs.data)
-    return lhs, scale
+    scale = max(linf(lhs), res.linf(), 1e-300)
+    # lhs - rhs: -rhs, with lhs in the scalar slot (x - y is x + (-y))
+    np.negative(res.data, out=res.data)
+    res.data[0] += lhs
+    return res, scale
 
 
 # --------------------------------------------------------------------------
@@ -135,17 +151,29 @@ class PotentialSet:
 
     def pairing_defect(self) -> float:
         """max_k || v_k + w_k + 2*alpha**2 ||_inf (zero to rounding)."""
+        shape = np.broadcast_shapes(*(a.shape for a in (*self.v, *self.w, self.alpha_sq)))
+        twice = 2.0 * self.alpha_sq
+        total = np.empty(shape, dtype=complex)
+        mag = np.empty(shape)
         worst = 0.0
         for vk, wk in zip(self.v, self.w):
-            worst = max(worst, linf(vk + wk + 2.0 * self.alpha_sq))
+            np.add(vk, wk, out=total)
+            np.add(total, twice, out=total)
+            worst = max(worst, _linf_of(np.abs(total, out=mag)))
         return worst
+
+
+def _signed_line_sum(derivs, k: int) -> np.ndarray:
+    """sum_j s_j a_j' = -D(alpha^(k)) from the derivative arrays a_j'(x_j)
+    of a separable alpha and the involution signs s of k."""
+    s = INVOLUTION_SIGNS[k]
+    return s[0] * derivs[0] + s[1] * derivs[1] + s[2] * derivs[2]
 
 
 def d_alpha_involution(derivs, k: int) -> np.ndarray:
     """The scalar field D(alpha^(k)) = -sum_j s_j a_j' of a separable alpha,
     from its three derivative arrays a_j'(x_j) and the involution signs s."""
-    s = INVOLUTION_SIGNS[k]
-    return -(s[0] * derivs[0] + s[1] * derivs[1] + s[2] * derivs[2])
+    return -_signed_line_sum(derivs, k)
 
 
 def potentials(alpha: AlphaSpec, grid: Grid3) -> PotentialSet:
@@ -157,9 +185,12 @@ def potentials(alpha: AlphaSpec, grid: Grid3) -> PotentialSet:
     asq = alpha.alpha_sq(grid)
     v, w = [], []
     for k in range(4):
-        d_inv = d_alpha_involution(derivs, k)
-        v.append(-d_inv - asq)
-        w.append(d_inv - asq)
+        # v_k = X_k - alpha**2 and w_k = (-X_k) - alpha**2, for
+        # X_k = -D(alpha^(k)); w_k is written over X_k
+        x = _signed_line_sum(derivs, k)
+        v.append(x - asq)
+        np.negative(x, out=x)
+        w.append(np.subtract(x, asq, out=x))
     return PotentialSet(v=tuple(v), w=tuple(w), alpha_sq=asq)
 
 

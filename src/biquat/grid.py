@@ -594,17 +594,17 @@ class RightSplit:
         return lhs - rhs, lhs.linf()
 
 
-def _second_difference(f: BQField, step: int) -> BQField:
-    """Componentwise sum over the axes of (f[i+step] - 2 f[i] + f[i-step])
-    / (step*h)**2; a rim of step nodes invalidated."""
-    g = f.grid
-    out = _nan_rimmed((4, *g.shape), (1, 2, 3), step)
+def _second_difference(data: np.ndarray, grid: Grid3, step: int) -> np.ndarray:
+    """Per component of the stack data (c, *grid.shape), the sum over the
+    axes of (a[i+step] - 2 a[i] + a[i-step]) / (step*h)**2; a rim of step
+    nodes invalidated."""
+    out = _nan_rimmed(data.shape, (1, 2, 3), step)
 
     def block(sl, t2, t):
-        for a, out_c in zip(f.data, out):
+        for a, out_c in zip(data, out):
             o = out_c[sl]
             np.multiply(2, a[sl], out=t2)
-            for axis, h in enumerate(g.spacing):
+            for axis, h in enumerate(grid.spacing):
                 d = o if axis == 0 else t
                 np.subtract(a[_shift(sl, axis, step)], t2, out=d)
                 np.add(d, a[_shift(sl, axis, -step)], out=d)
@@ -612,19 +612,19 @@ def _second_difference(f: BQField, step: int) -> BQField:
                 if axis:
                     np.add(o, d, out=o)
 
-    _run_blocks(block, tuple(slice(step, n - step) for n in g.shape), 2)
-    return BQField(g, out)
+    _run_blocks(block, tuple(slice(step, n - step) for n in grid.shape), 2)
+    return out
 
 
 def laplacian(f: BQField) -> BQField:
     """Componentwise 7-point Laplacian; one-node rim invalidated."""
-    return _second_difference(f, 1)
+    return BQField(f.grid, _second_difference(f.data, f.grid, 1))
 
 
 def laplacian_wide(f: BQField) -> BQField:
     """Laplacian on the doubled-spacing stencil (what nabla(nabla(.)) sees
     on the diagonal); two-node rim invalidated."""
-    return _second_difference(f, 2)
+    return BQField(f.grid, _second_difference(f.data, f.grid, 2))
 
 
 def _reversed_x3(a: np.ndarray, grid: Grid3) -> np.ndarray:

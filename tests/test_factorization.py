@@ -6,12 +6,13 @@ from scipy import sparse
 from scipy.sparse import linalg as sla
 
 from biquat import factorization
-from biquat.algebra import qmul
+from biquat.algebra import INVOLUTION_SIGNS, qmul
 from biquat.alpha import AxialAlpha, GradientAlpha, SeparableAlpha, reciprocal_alpha
-from biquat.factorization import (ClosedFormFamily, build_solution,
-                                  factorization_residual, potentials,
+from biquat.factorization import (ClosedFormFamily, build_solution, d_alpha_involution,
+                                  factored_product, factorization_residual, potentials,
                                   riccati_residual, right_inverse)
-from biquat.grid import BQField, Grid3, alpha_arrays, linf, nabla_alpha
+from biquat.grid import (BQField, Grid3, alpha_arrays, laplacian, linf, nabla_alpha,
+                         sample)
 from biquat.harness import TOL, _order_check
 
 
@@ -79,6 +80,15 @@ def test_gradient_alpha_rejects_nan_derivative_node():
     bad_lap = GradientAlpha(x1, grad_phi=(one, zero, zero), lap_phi=_nan_at_center)
     with pytest.raises(ValueError, match="^alpha derivative .*non-finite"):
         bad_lap.d_alpha(g)
+
+
+def test_axial_alpha_numeric_gradient_rejects_nan_a1_node():
+    # without grad_a1 the gradient is taken from the sampled a1, which must
+    # be checked as components() checks it: norms skip the NaN it spreads
+    alf = AxialAlpha(lambda a, b, c: a * b + _nan_at_center(a, b, c), 0.3)
+    for call in (alf.components, alf.grad_a1_components, alf.d_alpha):
+        with pytest.raises(ValueError, match="^alpha pole on grid"):
+            call(box())
 
 
 def test_riccati_vector_part_is_curl():
@@ -164,9 +174,69 @@ def test_factorization_rejects_non_finite_samples(bad, which):
         factorization_residual(alf, arrays["phi"], arrays["v"], g)
 
 
+_REFERENCE_GRIDS = {"9": box(9), "17": box(17),
+                    "7x9x12": Grid3.box((1.0, 1.1, 0.9), (2.0, 2.3, 1.7), (7, 9, 12))}
+
+# alphas with the v of their Riccati balance: constant, reciprocal, and one
+# with central-difference derivatives (exact on its linear factors)
+_RICCATI_PAIRS = {
+    "constant": (SeparableAlpha((1.3j, 0.0, 0.0)), -1.69),
+    "reciprocal": (reciprocal_alpha(), 0.0),
+    "numeric": (SeparableAlpha((lambda x: x, 0.5, lambda x: 1j * x)),
+                lambda a, b, c: 1.25 + 1j + a ** 2 - c ** 2),
+}
+
+
+def _same_magnitudes(a, b) -> bool:
+    # equal values and NaN rims; negation and x - (-y) = x + y are exact,
+    # so only the sign of a zero may differ
+    return np.array_equal(np.abs(a), np.abs(b), equal_nan=True)
+
+
+@pytest.mark.parametrize("grid_name", _REFERENCE_GRIDS)
+@pytest.mark.parametrize("alpha_name", _RICCATI_PAIRS)
+def test_factorization_residual_equals_four_component_composition(grid_name, alpha_name):
+    # the residual on phi's one component, node for node the composition
+    # on the four-component field phi e0
+    g = _REFERENCE_GRIDS[grid_name]
+    alf, v = _RICCATI_PAIRS[alpha_name]
+    phi = lambda a, b, c: np.sin(a + 2 * b) * np.exp(1j * c) + 0.3 * a * c
+    res, scale = factorization_residual(alf, phi, v, g)
+    phi_field = BQField.from_scalar(g, phi)
+    lhs = -laplacian(phi_field)
+    lhs.data[0] += sample(g, v) * phi_field.scalar
+    rhs = factored_product(phi_field, alf)
+    assert _same_magnitudes(res.data, (lhs - rhs).data)
+    assert scale == max(lhs.linf(), rhs.linf(), 1e-300)
+
+
 # ------------------------------------------------------------------
 # potentials
 # ------------------------------------------------------------------
+
+def _d_alpha_involution_reference(derivs, k):
+    # the sum in its own order: a potential summed otherwise rounds otherwise
+    s = INVOLUTION_SIGNS[k]
+    return -(s[0] * derivs[0] + s[1] * derivs[1] + s[2] * derivs[2])
+
+
+@pytest.mark.parametrize("grid_name", _REFERENCE_GRIDS)
+@pytest.mark.parametrize("alpha_name", _RICCATI_PAIRS)
+def test_potentials_equal_signed_involution_reference(grid_name, alpha_name):
+    g = _REFERENCE_GRIDS[grid_name]
+    alf = _RICCATI_PAIRS[alpha_name][0]
+    pots = potentials(alf, g)
+    derivs = alf.deriv_components(g)
+    asq = alf.alpha_sq(g)
+    assert np.array_equal(pots.alpha_sq, asq)
+    for k in range(4):
+        d_inv = _d_alpha_involution_reference(derivs, k)
+        assert np.array_equal(d_alpha_involution(derivs, k), d_inv, equal_nan=True)
+        assert _same_magnitudes(pots.v[k], -d_inv - asq)
+        assert _same_magnitudes(pots.w[k], d_inv - asq)
+    assert pots.pairing_defect() == max(
+        linf(vk + wk + 2.0 * asq) for vk, wk in zip(pots.v, pots.w))
+
 
 def test_potentials_reciprocal_pairing():
     g = box()

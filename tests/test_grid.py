@@ -12,7 +12,7 @@ from biquat import grid
 from biquat.algebra import Biquaternion, qmul
 from biquat.alpha import AlphaSpec, SeparableAlpha, reciprocal_alpha
 from biquat.factorization import (ClosedFormFamily, build_solution,
-                                  factored_product, factorization_residual)
+                                  factored_product, factorization_residual, potentials)
 from biquat.grid import (BQField, Grid3, alpha_arrays, l2, laplacian,
                          laplacian_wide, linf, nabla, nabla_alpha, norms,
                          partial_deriv, reflect_x3, sample)
@@ -494,8 +494,10 @@ def _traced_peak(call) -> int:
 
 def test_first_order_calls_hold_few_fields(monkeypatch):
     # the product f * alpha is added per block, never as a whole field:
-    # a factor holds its output and a factorization residual three fields,
-    # with the calls split in two runs, each with its own temporaries
+    # a factor holds its output; a factorization residual holds its
+    # factor's input and output beside scalar arrays, and the potentials
+    # little more than their nine scalar outputs; with the calls split in
+    # two runs, each with its own temporaries
     monkeypatch.setattr(grid, "_cpus", lambda: 2)
     g = Grid3.box(1.0, 2.0, 65)
     rng = np.random.default_rng(17)
@@ -506,7 +508,8 @@ def test_first_order_calls_hold_few_fields(monkeypatch):
         "nabla_alpha": (lambda: nabla_alpha(f, alf), 1.5),
         "build_solution": (lambda: build_solution(f, alf), 1.5),
         "factored_product": (lambda: factored_product(f, alf), 2.5),
-        "factorization_residual": (lambda: factorization_residual(alf, phi, 0.0, g), 4.0),
+        "factorization_residual": (lambda: factorization_residual(alf, phi, 0.0, g), 2.75),
+        "potentials": (lambda: potentials(alf, g), 2.3),
         "laplacian": (lambda: laplacian(f), 1.5),
         "laplacian_wide": (lambda: laplacian_wide(f), 1.5),
     }
