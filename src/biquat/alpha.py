@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from .algebra import E1
 from .grid import BQField, Grid3, _check_finite, nabla, partial_deriv, sample
 
 __all__ = [
@@ -153,14 +154,8 @@ class AxialAlpha(AlphaSpec):
         return tuple(partial_deriv(a1, grid, k) for k in range(3))
 
     def d_alpha(self, grid: Grid3) -> BQField:
-        # a numeric gradient carries an invalid rim
-        return _d_a1_e1(grid, *self.grad_a1_components(grid))
-
-
-def _d_a1_e1(grid: Grid3, g1, g2, g3) -> BQField:
-    """D(a1 e1) = (D a1) e1 = -g1 + g3 e2 - g2 e3 from the sampled gradient
-    (g1, g2, g3) of a1."""
-    return BQField.from_components(grid, -g1, 0.0, g3, -g2)
+        # D(a1 e1) = (D a1) e1; a numeric gradient carries an invalid rim
+        return BQField.from_vector(grid, *self.grad_a1_components(grid)) * E1
 
 
 class GradientAlpha(AlphaSpec):
@@ -205,10 +200,13 @@ class GradientAlpha(AlphaSpec):
         return BQField.from_scalar(grid, d)
 
     def schrodinger_potential(self, grid: Grid3) -> np.ndarray:
-        """The scalar v = lap(phi)/phi the Riccati balance pairs with."""
+        """The scalar v = lap(phi)/phi the Riccati balance pairs with.
+        Raises ValueError when it is not finite at a node."""
         if self.lap_phi is None:
             raise ValueError("gradient alpha has no Laplacian callable")
-        return sample(grid, self.lap_phi) / self._phi_values(grid)
+        v = sample(grid, self.lap_phi) / self._phi_values(grid)
+        _check_finite([v], "v")
+        return v
 
 
 def reciprocal_alpha(b=(0.0, 0.0, 0.0)) -> SeparableAlpha:

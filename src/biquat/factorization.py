@@ -27,11 +27,11 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sla
 
-from .algebra import INVOLUTION_SIGNS, QMUL_TERMS, ROUNDING_TOL, qmul, right_projector
-from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _d_a1_e1
+from .algebra import E1, INVOLUTION_SIGNS, QMUL_TERMS, ROUNDING_TOL, qmul, right_projector
+from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha
 from .grid import (BQField, Grid3, _block_of, _check_finite, _first_order, _linf_of,
-                   _nan_rimmed, _second_difference, alpha_arrays, laplacian,
-                   laplacian_wide, linf, nabla_alpha, partial_deriv, sample)
+                   _nan_rimmed, _on_mesh, _schrodinger, alpha_arrays, linf,
+                   nabla_alpha, partial_deriv, sample)
 
 __all__ = [
     "riccati_residual",
@@ -62,7 +62,7 @@ def riccati_residual(alpha: AlphaSpec, v, grid: Grid3) -> BQField:
     D(alpha) is exact when alpha.has_exact_derivatives(), central
     differences otherwise.  Raises ValueError when sampled v is not finite.
     """
-    v_arr = sample(grid, v)
+    v_arr = _on_mesh(grid, v)
     _check_finite([v_arr], "v")
     return _riccati(alpha, v_arr, grid)[0]
 
@@ -96,7 +96,7 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
     is not finite, and when alpha does not solve the Riccati precondition
     for v within _RICCATI_TOL (relative).  Returns (residual BQField, scale).
     """
-    v_arr = sample(grid, v)
+    v_arr = _on_mesh(grid, v)
     _check_finite([v_arr], "v")
     rres, asq = _riccati(alpha, v_arr, grid)
     rel = rres.linf() / max(1.0, linf(asq), linf(v_arr))
@@ -108,9 +108,7 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
     # occupies: -lap phi + v phi
     phi_arr = sample(grid, phi)
     _check_finite([phi_arr], "phi")
-    lhs = _second_difference(phi_arr[np.newaxis], grid, 1)[0]
-    np.negative(lhs, out=lhs)
-    lhs += v_arr * phi_arr
+    lhs = _schrodinger(phi_arr[np.newaxis], (v_arr,), grid)[0]
     del v_arr
     # (D - M^alpha) phi = grad phi - phi alpha, all vector: alpha has no
     # scalar part.  Written inside the NaN rim build_solution leaves, which
@@ -451,8 +449,7 @@ def c_map(u: BQField) -> BQField:
 
 def j_map(u: BQField) -> BQField:
     """J u = i e1 u (left multiplication)."""
-    u0, u1, u2, u3 = u.data
-    return BQField(u.grid, np.stack([-1j * u1, 1j * u0, -1j * u3, 1j * u2]))
+    return (1j * E1) * u
 
 
 def q_map(u: BQField, sign: int) -> BQField:
@@ -474,7 +471,8 @@ def pi_map(u: BQField) -> BQField:
 class AxialOperators:
     """The alpha-dependent operators for alpha = a1(x) e1 + a2 e2 + a3 e3.
 
-    A u = -lap u - alpha**2 u, B u = -(D alpha) u (left multiplication),
+    A u = (-lap + v) u with v = -alpha**2 on every component (compact, or
+    wide for ``a(u, wide=True)``), B u = -(D alpha) u (left multiplication),
     the second-order factor product D_alpha D_{-alpha} = A + BC and the
     diagonal pair A ± BJ, with C, J and Q^± the module-level maps
     ``c_map``, ``j_map`` and ``q_map``.
@@ -487,13 +485,12 @@ class AxialOperators:
         self.grid = grid
         self.alpha_sq = alpha.alpha_sq(grid)
         # grad a1, sampled once for both multipliers
-        grad = alpha.grad_a1_components(grid)
-        self.d_alpha1 = BQField.from_vector(grid, *grad)
-        self.b_mult = -_d_a1_e1(grid, *grad)  # -(D alpha)
+        self.d_alpha1 = BQField.from_vector(grid, *alpha.grad_a1_components(grid))
+        self.b_mult = -(self.d_alpha1 * E1)  # -(D alpha) = -(D a1) e1
 
     def a(self, u: BQField, wide: bool = False) -> BQField:
-        lap = laplacian_wide(u) if wide else laplacian(u)
-        return -lap - self.alpha_sq * u
+        v = -self.alpha_sq
+        return BQField(self.grid, _schrodinger(u.data, (v,) * 4, self.grid, 2 if wide else 1))
 
     def b(self, u: BQField) -> BQField:
         return self.b_mult * u

@@ -14,6 +14,7 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import reduce
+from numbers import Number
 from typing import NamedTuple
 
 import numpy as np
@@ -178,7 +179,7 @@ class Field4:
         it; written once into the field."""
         data = np.empty((4, *grid.shape), dtype=complex)
         for k, c in enumerate((c0, c1, c2, c3)):
-            data[k] = np.asarray(c(*grid.mesh()) if callable(c) else c, dtype=complex)
+            data[k] = _on_mesh(grid, c)
         return cls(grid, data)
 
     def _same_grid(self, other: "Field4") -> None:
@@ -201,14 +202,14 @@ class Field4:
         return type(self)(self.grid, -self.data)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, Number):
             return type(self)(self.grid, self.data * other)
         if isinstance(other, np.ndarray):
             return type(self)(self.grid, self.data * other[np.newaxis])
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, Number):
             return type(self)(self.grid, other * self.data)
         if isinstance(other, np.ndarray):
             return type(self)(self.grid, other[np.newaxis] * self.data)
@@ -613,6 +614,19 @@ def _second_difference(data: np.ndarray, grid: Grid3, step: int) -> np.ndarray:
                     np.add(o, d, out=o)
 
     _run_blocks(block, tuple(slice(step, n - step) for n in grid.shape), 2)
+    return out
+
+
+def _schrodinger(data: np.ndarray, v, grid: Grid3, step: int = 1) -> np.ndarray:
+    """The Schrodinger operator -lap_h + v_c on each component c of the
+    stack data (c, *grid.shape): v holds one potential per component, each
+    an array broadcasting against the grid.  lap_h is
+    ``_second_difference`` at step (1 compact, 2 wide), negated in place,
+    then v_c data_c is added; its rim of step nodes stays NaN."""
+    out = _second_difference(data, grid, step)
+    np.negative(out, out=out)
+    for out_c, v_c, data_c in zip(out, v, data, strict=True):
+        out_c += v_c * data_c
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import algebra, dirac, factorization as fz, physics
 from .algebra import Biquaternion
 from .alpha import AxialAlpha, GradientAlpha, SeparableAlpha, reciprocal_alpha
-from .grid import (BQField, Grid3, l2, laplacian, laplacian_wide, linf,
+from .grid import (BQField, Grid3, _schrodinger, l2, laplacian, laplacian_wide, linf,
                    nabla, nabla_alpha, partial_deriv, reflect_x3)
 
 __all__ = [
@@ -896,13 +896,13 @@ def check_factorization(cfg: SuiteConfig):
                                    lambda a, b, c: b * c,
                                    lambda a, b, c: a ** 2 - c ** 2)
     lhs = fz.factored_product(quad, alfc)
-    rhs = _fact_rhs(quad, alfc, g_coarse, wide=True)
+    rhs = _schrodinger_field(quad, alfc, step=2)
     rows.append(_exact_field_row("component_factorization_quadratic", lhs - rhs,
                                  scale=max(lhs.linf(), rhs.linf())))
     bq_modes = _bq_modes(modes, _rng(cfg, 51))
     def component_factorization(g):
         u = _eval_bq(g, bq_modes)
-        return fz.factored_product(u, alf_gen) - _fact_rhs(u, alf_gen, g, wide=False)
+        return fz.factored_product(u, alf_gen) - _schrodinger_field(u, alf_gen)
     rows.append(_order_check("component_factorization_order", grids,
                              component_factorization))
 
@@ -917,27 +917,15 @@ def check_factorization(cfg: SuiteConfig):
     # of the componentwise Schrodinger operators, for arbitrary smooth g
     def converse_identity(g):
         gfield = _eval_bq(g, bq_modes)
-        lhs = fz.factored_product(gfield, alf)
-        v = fz.potentials(alf, g).v
-        lap = laplacian(gfield)
-        rhs = np.empty_like(gfield.data)
-        for k in range(4):
-            rhs[k] = -lap.data[k] + v[k] * gfield.data[k]
-        return lhs - BQField(g, rhs)
+        return fz.factored_product(gfield, alf) - _schrodinger_field(gfield, alf)
     rows.append(_order_check("converse_identity_order", grids, converse_identity))
     return rows
 
 
-def _fact_rhs(u: BQField, alpha, grid: Grid3, wide: bool) -> BQField:
-    """sum_k (-lap u_k - alpha^2 u_k - D(alpha^(k)) u_k) e_k."""
-    asq = alpha.alpha_sq(grid)
-    lap = laplacian_wide(u) if wide else laplacian(u)
-    derivs = alpha.deriv_components(grid)
-    data = np.empty_like(u.data)
-    for k in range(4):
-        dk = fz.d_alpha_involution(derivs, k)
-        data[k] = -lap.data[k] - asq * u.data[k] - dk * u.data[k]
-    return BQField(grid, data)
+def _schrodinger_field(u: BQField, alpha: SeparableAlpha, step: int = 1) -> BQField:
+    """sum_k (-lap_h + v_k) u_k e_k with the potentials v_k of alpha,
+    on the compact (step 1) or wide (step 2) stencil."""
+    return BQField(u.grid, _schrodinger(u.data, fz.potentials(alpha, u.grid).v, u.grid, step))
 
 
 # --------------------------------------------------------------------------

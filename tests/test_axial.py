@@ -6,7 +6,7 @@ from biquat.algebra import Biquaternion, E0, E1
 from biquat.alpha import AxialAlpha, SeparableAlpha
 from biquat.factorization import (AxialOperators, c_map, j_map, pi_map, q_map,
                                   zero_divisor_reduction)
-from biquat.grid import BQField, Grid3, linf
+from biquat.grid import BQField, Grid3, laplacian, laplacian_wide, linf
 from biquat.harness import ALPHA_NULL, ALPHA_TAN, ALPHA_X2, TOL, _smooth_bq, _zeros
 
 
@@ -40,6 +40,18 @@ def test_jc_is_right_multiplication_by_ie1():
     u = _smooth_bq(g, default_rng(3))
     rhs = u * Biquaternion(0, 1j, 0, 0)
     assert (j_map(c_map(u)) - rhs).linf() <= TOL * u.linf()
+
+
+@pytest.mark.parametrize("shape", [(9, 9, 9), (7, 9, 12)])
+def test_a_equals_negated_laplacian_minus_alpha_squared(shape):
+    # bit for bit, NaN rim included: (-lap) + ((-alpha**2) u) rounds as
+    # (-lap) - (alpha**2 u), since negation is exact
+    g = Grid3.box(0.0, 1.0, shape)
+    ops = AxialOperators(ALPHA_X2, g)
+    u = _smooth_bq(g, default_rng(6))
+    for wide, lap in ((False, laplacian), (True, laplacian_wide)):
+        want = (-lap(u) - ops.alpha_sq * u).data
+        assert np.array_equal(ops.a(u, wide).data, want, equal_nan=True)
 
 
 def test_requires_axial_alpha():

@@ -82,6 +82,17 @@ def test_gradient_alpha_rejects_nan_derivative_node():
         bad_lap.d_alpha(g)
 
 
+def test_schrodinger_potential_rejects_nan_laplacian_node():
+    # d_alpha of the same spec raises; the potential must not return the
+    # NaN node for norms to skip
+    g = box()
+    zero = lambda a, b, c: np.zeros_like(a)
+    alf = GradientAlpha(lambda a, b, c: a, grad_phi=(lambda a, b, c: np.ones_like(a), zero, zero),
+                        lap_phi=_nan_at_center)
+    with pytest.raises(ValueError, match="^v .*non-finite"):
+        alf.schrodinger_potential(g)
+
+
 def test_axial_alpha_numeric_gradient_rejects_nan_a1_node():
     # without grad_a1 the gradient is taken from the sampled a1, which must
     # be checked as components() checks it: norms skip the NaN it spreads

@@ -11,8 +11,8 @@ import pytest
 from biquat import grid
 from biquat.algebra import Biquaternion, qmul
 from biquat.alpha import AlphaSpec, SeparableAlpha, reciprocal_alpha
-from biquat.factorization import (ClosedFormFamily, build_solution,
-                                  factored_product, factorization_residual, potentials)
+from biquat.factorization import (ClosedFormFamily, build_solution, factored_product,
+                                  factorization_residual, potentials, riccati_residual)
 from biquat.grid import (BQField, Grid3, alpha_arrays, l2, laplacian,
                          laplacian_wide, linf, nabla, nabla_alpha, norms,
                          partial_deriv, reflect_x3, sample)
@@ -139,6 +139,14 @@ def test_field_quaternion_products():
     # scalar-array multiplication acts componentwise from either side
     w = np.real(a.data[0])
     assert ((w * b).data == (b * w).data).all()
+
+
+@pytest.mark.parametrize("scalar", [np.int64(2), np.float32(2), np.complex64(2)],
+                         ids=["int64", "float32", "complex64"])
+def test_field_scales_by_numpy_scalars(scalar):
+    f = _kernel_field((5, 5, 5), 3)
+    want = (2 * f).data
+    assert _same((scalar * f).data, want) and _same((f * scalar).data, want)
 
 
 def test_field_conj():
@@ -308,6 +316,31 @@ def test_laplacians_match_reference(shape):
     f = _kernel_field(shape, 13)
     assert _same(laplacian(f).data, _ref_second_difference(f.data, f.grid, 1))
     assert _same(laplacian_wide(f).data, _ref_second_difference(f.data, f.grid, 2))
+
+
+def _potential(kind, g, seed):
+    """A constant, an x2 line or a full array of potential values."""
+    rng = np.random.default_rng(seed)
+    shape = {"constant": (1, 1, 1), "line": (1, g.shape[1], 1), "full": g.shape}[kind]
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("kind", ["constant", "line", "full"])
+@pytest.mark.parametrize("shape", [(9, 9, 9), (7, 9, 12)])
+def test_schrodinger_equals_negated_laplacian_plus_potential(shape, kind):
+    # bit for bit, NaN rim included, on magnitudes over several decades,
+    # so that a reordered sum rounds differently
+    f = _kernel_field(shape, 31)
+    f = f * np.exp(3.0 * np.random.default_rng(32).normal(size=shape))
+    g = f.grid
+    v = _potential(kind, g, 33)
+    for step, lap in ((1, laplacian), (2, laplacian_wide)):
+        assert _same(grid._schrodinger(f.data, (v,) * 4, g, step), (-lap(f) + v * f).data)
+    # one potential per component, each on its own component
+    vs = [_potential(kind, g, 40 + c) for c in range(4)]
+    lap = laplacian(f).data
+    want = np.stack([-lap[c] + vs[c] * f.data[c] for c in range(4)])
+    assert _same(grid._schrodinger(f.data, vs, g), want)
 
 
 def test_alpha_arrays_shapes():
@@ -508,6 +541,7 @@ def test_first_order_calls_hold_few_fields(monkeypatch):
         "nabla_alpha": (lambda: nabla_alpha(f, alf), 1.5),
         "build_solution": (lambda: build_solution(f, alf), 1.5),
         "factored_product": (lambda: factored_product(f, alf), 2.5),
+        "riccati_residual": (lambda: riccati_residual(alf, 0.0, g), 1.6),
         "factorization_residual": (lambda: factorization_residual(alf, phi, 0.0, g), 2.75),
         "potentials": (lambda: potentials(alf, g), 2.3),
         "laplacian": (lambda: laplacian(f), 1.5),
