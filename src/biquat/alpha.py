@@ -35,6 +35,14 @@ __all__ = [
     "reciprocal_alpha",
 ]
 
+def _negated_sum(x1, x2, x3, out=None) -> np.ndarray:
+    """-((x1 + x2) + x3), into out when given: alpha**2 from the squared
+    components of a vector alpha, and the scalar D(alpha) from the three
+    derivative lines a_k' of a separable one."""
+    total = np.add(x1 + x2, x3, out=out)
+    return np.negative(total, out=total)
+
+
 class AlphaSpec:
     """Base interface; concrete kinds implement components()."""
 
@@ -49,7 +57,7 @@ class AlphaSpec:
     def alpha_sq(self, grid: Grid3) -> np.ndarray:
         """The scalar field alpha**2 = -(a1**2 + a2**2 + a3**2)."""
         a1, a2, a3 = self.components(grid)
-        return -(a1 ** 2 + a2 ** 2 + a3 ** 2)
+        return _negated_sum(a1 ** 2, a2 ** 2, a3 ** 2)
 
     def d_alpha(self, grid: Grid3) -> BQField:
         """D(alpha): scalar part -div, vector part curl.  Exact when
@@ -109,8 +117,7 @@ class SeparableAlpha(AlphaSpec):
 
     def d_alpha(self, grid: Grid3) -> BQField:
         # D(alpha) of a separable alpha is the scalar -sum_k a_k'(x_k)
-        d1, d2, d3 = self.deriv_components(grid)
-        return BQField.from_scalar(grid, -(d1 + d2 + d3))
+        return BQField.from_scalar(grid, _negated_sum(*self.deriv_components(grid)))
 
     def has_antiderivatives(self) -> bool:
         return all(a is not None for a in self.antiderivs)

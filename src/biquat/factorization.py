@@ -15,7 +15,13 @@ reductions to scalar equations.
 The factor D + M^alpha is ``grid.nabla_alpha``; D - M^alpha is
 ``build_solution``.  Both are grid's blocked first-order kernel, which
 adds or subtracts f*alpha block by block inside nabla's loop: a factor
-holds its output and no whole-field product.
+holds its output and no whole-field product.  The factorization's own
+passes run block by block through ``grid._run_blocks`` too, split across
+CPUs with each node's arithmetic unchanged: ``potentials``,
+``PotentialSet.pairing_defect``, and in ``factorization_residual`` the
+Riccati check of a separable alpha (its scalar slot alone), the first
+factor grad phi - phi a_k and the last pass, which forms lhs - rhs and
+the norm of rhs.
 """
 
 from __future__ import annotations
@@ -28,10 +34,10 @@ from scipy import sparse
 from scipy.sparse import linalg as sla
 
 from .algebra import E1, INVOLUTION_SIGNS, QMUL_TERMS, ROUNDING_TOL, qmul, right_projector
-from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha
-from .grid import (BQField, Grid3, _block_of, _check_finite, _first_order, _linf_of,
-                   _nan_rimmed, _on_mesh, _schrodinger, alpha_arrays, linf,
-                   nabla_alpha, partial_deriv, sample)
+from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _negated_sum
+from .grid import (BQField, Grid3, _block_of, _central_difference, _check_finite, _first_order,
+                   _linf_of_tops, _nan_rimmed, _on_mesh, _run_blocks, _schrodinger, _top,
+                   alpha_arrays, linf, nabla_alpha, sample)
 
 __all__ = [
     "riccati_residual",
@@ -75,6 +81,31 @@ def _riccati(alpha: AlphaSpec, v_arr: np.ndarray, grid: Grid3):
     return res, asq
 
 
+def _separable_riccati_norms(alpha: SeparableAlpha, v_arr: np.ndarray, grid: Grid3):
+    """The L-inf norms of riccati_residual and of alpha**2 for a separable
+    alpha, block by block.  D(alpha) = -(a1' + a2' + a3') is a scalar, so
+    only the scalar slot D(alpha) + (alpha**2 + v) is formed; the vector
+    slots are zero at every node.  Both terms are ``_negated_sum`` on the
+    block, as ``SeparableAlpha.d_alpha`` and ``AlphaSpec.alpha_sq`` form
+    them on the whole grid, so both norms are those of the whole fields."""
+    comps = alpha.components(grid)
+    derivs = alpha.deriv_components(grid)
+    res_tops, asq_tops = [], []
+
+    def block(sl, r, q, mag):
+        _negated_sum(*(_block_of(c, sl) ** 2 for c in comps), out=q)
+        asq_tops.append(_top(np.abs(q, out=mag)))
+        _negated_sum(*(_block_of(c, sl) for c in derivs), out=r)
+        # D(alpha) + (alpha**2 + v), as _riccati adds them
+        np.add(q, _block_of(v_arr, sl), out=q)
+        np.add(r, q, out=r)
+        res_tops.append(_top(np.abs(r, out=mag)))
+
+    _run_blocks(block, tuple(slice(0, n) for n in grid.shape), (complex, complex, float))
+    # the vector slots add a top of 0, finite
+    return _linf_of_tops([*res_tops, (0.0, True)]), _linf_of_tops(asq_tops)
+
+
 def factored_product(u: BQField, alpha) -> BQField:
     """(D + M^alpha)(D - M^alpha) u with the discrete first-order operator;
     alpha is anything ``alpha_arrays`` takes; it is sampled once."""
@@ -98,9 +129,13 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
     """
     v_arr = _on_mesh(grid, v)
     _check_finite([v_arr], "v")
-    rres, asq = _riccati(alpha, v_arr, grid)
-    rel = rres.linf() / max(1.0, linf(asq), linf(v_arr))
-    del rres, asq  # a field-sized array and alpha**2, not needed past the check
+    if isinstance(alpha, SeparableAlpha):
+        res_norm, asq_norm = _separable_riccati_norms(alpha, v_arr, grid)
+    else:
+        rres, asq = _riccati(alpha, v_arr, grid)
+        res_norm, asq_norm = rres.linf(), linf(asq)
+        del rres, asq  # a field-sized array and alpha**2, not needed past the check
+    rel = res_norm / max(1.0, asq_norm, linf(v_arr))
     if not rel <= _RICCATI_TOL:
         raise ValueError(
             f"Riccati precondition violated: relative residual {rel:.3e} > {_RICCATI_TOL:.1e}")
@@ -111,24 +146,34 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
     lhs = _schrodinger(phi_arr[np.newaxis], (v_arr,), grid)[0]
     del v_arr
     # (D - M^alpha) phi = grad phi - phi alpha, all vector: alpha has no
-    # scalar part.  Written inside the NaN rim build_solution leaves, which
-    # the nodes of nabla_alpha next to it read.
+    # scalar part.  Written block by block inside the NaN rim build_solution
+    # leaves, which the nodes of nabla_alpha next to it read.
     a = alpha_arrays(alpha, grid)
     first = _nan_rimmed((4, *grid.shape), (1, 2, 3), 1)
-    inner = (slice(1, -1),) * 3
-    first[0][inner] = 0.0
-    for k in (1, 2, 3):
-        fk = first[k][inner]
-        np.multiply(phi_arr[inner], _block_of(a[k], inner), out=fk)
-        np.subtract(partial_deriv(phi_arr, grid, k - 1)[inner], fk, out=fk)
-    del phi_arr, fk
+
+    def block(sl, t):
+        first[0][sl] = 0.0
+        for axis in range(3):
+            fk = first[axis + 1][sl]
+            np.multiply(phi_arr[sl], _block_of(a[axis + 1], sl), out=fk)
+            _central_difference(phi_arr, sl, axis, grid.spacing[axis], t)
+            np.subtract(t, fk, out=fk)
+
+    _run_blocks(block, tuple(slice(1, n - 1) for n in grid.shape), (complex,))
+    del phi_arr
     res = nabla_alpha(BQField(grid, first), a)
     del first
-    scale = max(linf(lhs), res.linf(), 1e-300)
-    # lhs - rhs: -rhs, with lhs in the scalar slot (x - y is x + (-y))
-    np.negative(res.data, out=res.data)
-    res.data[0] += lhs
-    return res, scale
+    rhs_tops = []
+
+    def finish(sl, mag):
+        # lhs - rhs: -rhs, with lhs in the scalar slot (x - y is x + (-y))
+        for rc in res.data:
+            rhs_tops.append(_top(np.abs(rc[sl], out=mag)))
+            np.negative(rc[sl], out=rc[sl])
+        res.data[0][sl] += lhs[sl]
+
+    _run_blocks(finish, tuple(slice(0, n) for n in grid.shape), (float,))
+    return res, max(linf(lhs), _linf_of_tops(rhs_tops), 1e-300)
 
 
 # --------------------------------------------------------------------------
@@ -148,24 +193,32 @@ class PotentialSet:
     alpha_sq: np.ndarray
 
     def pairing_defect(self) -> float:
-        """max_k || v_k + w_k + 2*alpha**2 ||_inf (zero to rounding)."""
+        """max_k || v_k + w_k + 2*alpha**2 ||_inf (zero to rounding), block
+        by block; the arrays broadcast to at most three axes."""
         shape = np.broadcast_shapes(*(a.shape for a in (*self.v, *self.w, self.alpha_sq)))
-        twice = 2.0 * self.alpha_sq
-        total = np.empty(shape, dtype=complex)
-        mag = np.empty(shape)
+        tops = [[] for _ in self.v]
+
+        def block(sl, total, twice, mag):
+            np.multiply(2.0, _block_of(self.alpha_sq, sl), out=twice)
+            for vk, wk, top in zip(self.v, self.w, tops):
+                np.add(_block_of(vk, sl), _block_of(wk, sl), out=total)
+                np.add(total, twice, out=total)
+                top.append(_top(np.abs(total, out=mag)))
+
+        region = tuple(slice(0, n) for n in (1,) * (3 - len(shape)) + shape)
+        _run_blocks(block, region, (complex, complex, float))
         worst = 0.0
-        for vk, wk in zip(self.v, self.w):
-            np.add(vk, wk, out=total)
-            np.add(total, twice, out=total)
-            worst = max(worst, _linf_of(np.abs(total, out=mag)))
+        for top in tops:
+            worst = max(worst, _linf_of_tops(top))
         return worst
 
 
-def _signed_line_sum(derivs, k: int) -> np.ndarray:
+def _signed_line_sum(derivs, k: int, out=None) -> np.ndarray:
     """sum_j s_j a_j' = -D(alpha^(k)) from the derivative arrays a_j'(x_j)
-    of a separable alpha and the involution signs s of k."""
+    of a separable alpha and the involution signs s of k, into out when
+    given."""
     s = INVOLUTION_SIGNS[k]
-    return s[0] * derivs[0] + s[1] * derivs[1] + s[2] * derivs[2]
+    return np.add(s[0] * derivs[0] + s[1] * derivs[1], s[2] * derivs[2], out=out)
 
 
 def d_alpha_involution(derivs, k: int) -> np.ndarray:
@@ -180,15 +233,24 @@ def potentials(alpha: AlphaSpec, grid: Grid3) -> PotentialSet:
     if not isinstance(alpha, SeparableAlpha):
         raise ValueError("potentials require separable alpha: D(alpha^(k)) is not scalar otherwise")
     derivs = alpha.deriv_components(grid)
-    asq = alpha.alpha_sq(grid)
-    v, w = [], []
-    for k in range(4):
-        # v_k = X_k - alpha**2 and w_k = (-X_k) - alpha**2, for
-        # X_k = -D(alpha^(k)); w_k is written over X_k
-        x = _signed_line_sum(derivs, k)
-        v.append(x - asq)
-        np.negative(x, out=x)
-        w.append(np.subtract(x, asq, out=x))
+    comps = alpha.components(grid)
+    asq = np.empty(grid.shape, dtype=complex)
+    v, w = ([np.empty(grid.shape, dtype=complex) for _ in range(4)] for _ in "vw")
+
+    def block(sl):
+        # alpha**2 as AlphaSpec.alpha_sq forms it
+        a = _negated_sum(*(_block_of(c, sl) ** 2 for c in comps), out=asq[sl])
+        d = [_block_of(dj, sl) for dj in derivs]
+        for k in range(4):
+            # v_k = X_k - alpha**2 and w_k = (-X_k) - alpha**2, for
+            # X_k = -D(alpha^(k)) on the block, written into v_k
+            vk, wk = v[k][sl], w[k][sl]
+            _signed_line_sum(d, k, out=vk)
+            np.negative(vk, out=wk)
+            np.subtract(vk, a, out=vk)
+            np.subtract(wk, a, out=wk)
+
+    _run_blocks(block, tuple(slice(0, n) for n in grid.shape))
     return PotentialSet(v=tuple(v), w=tuple(w), alpha_sq=asq)
 
 

@@ -287,12 +287,27 @@ def _abs_values(a, grid: Grid3 | None):
     return np.abs(np.asarray(a)), grid
 
 
-def _linf_of(m: np.ndarray) -> float:
-    # fmax skips NaN: the reduction np.nanmax makes, without its temporaries
+def _top(m: np.ndarray) -> tuple:
+    """What the L-inf norm reads of the magnitudes m: their largest entry
+    by fmax, which skips NaN as np.nanmax does without its temporaries,
+    and whether some entry is finite.  The tops of blocks of an array
+    combine into its norm (``_linf_of_tops``)."""
     top = np.fmax.reduce(m, axis=None)
-    if np.isnan(top) or (np.isinf(top) and not np.any(np.isfinite(m))):
+    return top, bool(np.isfinite(top) or (np.isinf(top) and np.any(np.isfinite(m))))
+
+
+def _linf_of_tops(tops) -> float:
+    """The L-inf norm of an array from the ``_top`` of each of its blocks:
+    fmax is exact, so this is the top of the whole array in any block
+    order.  Raises ValueError when no entry is finite."""
+    top = np.fmax.reduce([t for t, _ in tops])
+    if not any(finite for _, finite in tops):
         raise ValueError("no valid nodes to take a norm over")
     return float(top)
+
+
+def _linf_of(m: np.ndarray) -> float:
+    return _linf_of_tops([_top(m)])
 
 
 def _l2_of(m: np.ndarray, grid: Grid3 | None) -> float:
@@ -359,13 +374,14 @@ def _run(block, region, blocks, temps) -> None:
         block((slice(i0, i1), r1, r2), *[t[:i1 - i0] for t in temps])
 
 
-def _run_blocks(block, region: tuple, temps: int = 0) -> None:
+def _run_blocks(block, region: tuple, temps: tuple = ()) -> None:
     """Call block(sl, *temporaries) for the blocks sl of at most
     _BLOCK_PLANES x1-planes that cover region, three slices with steps
     of 1.
 
     The blocks are dealt into one contiguous run per CPU, each run with
-    its own `temps` complex arrays of one block's shape, allocated here.
+    its own temporaries of one block's shape, one per dtype in temps,
+    allocated here.
     The calling thread takes the first run.  Each other run gets a thread
     of its own, started for this call and joined before it returns, and
     runs under a copy of the caller's context, so numpy's error state
@@ -380,11 +396,11 @@ def _run_blocks(block, region: tuple, temps: int = 0) -> None:
     shape = (min(_BLOCK_PLANES, planes), r1.stop - r1.start, r2.stop - r2.start)
     runs = min(len(blocks), planes * shape[1] * shape[2] // _RUN_NODES)
     if runs < 2 or (runs := min(runs, _cpus())) < 2:
-        _run(block, region, blocks, [np.empty(shape, dtype=complex) for _ in range(temps)])
+        _run(block, region, blocks, [np.empty(shape, dtype=t) for t in temps])
         return
     parts = [blocks[r * len(blocks) // runs:(r + 1) * len(blocks) // runs]
              for r in range(runs)]
-    tmp = [[np.empty(shape, dtype=complex) for _ in range(temps)] for _ in parts]
+    tmp = [[np.empty(shape, dtype=t) for t in temps] for _ in parts]
     # imported here: a process that never splits a call never needs it
     from concurrent.futures import ThreadPoolExecutor
 
@@ -517,7 +533,8 @@ def _first_order(f: BQField, alpha=None, sign: int = 1) -> BQField:
             o = out_c[sl]
             combine(o, acc, out=o)
 
-    _run_blocks(block, tuple(slice(1, n - 1) for n in g.shape), 1 if alpha is None else 2)
+    _run_blocks(block, tuple(slice(1, n - 1) for n in g.shape),
+                (complex,) if alpha is None else (complex, complex))
     return BQField(g, out)
 
 
@@ -613,7 +630,7 @@ def _second_difference(data: np.ndarray, grid: Grid3, step: int) -> np.ndarray:
                 if axis:
                     np.add(o, d, out=o)
 
-    _run_blocks(block, tuple(slice(step, n - step) for n in grid.shape), 2)
+    _run_blocks(block, tuple(slice(step, n - step) for n in grid.shape), (complex, complex))
     return out
 
 

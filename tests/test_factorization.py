@@ -1,18 +1,19 @@
 import logging
+import re
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse import linalg as sla
 
-from biquat import factorization
+from biquat import factorization, grid
 from biquat.algebra import INVOLUTION_SIGNS, qmul
 from biquat.alpha import AxialAlpha, GradientAlpha, SeparableAlpha, reciprocal_alpha
-from biquat.factorization import (ClosedFormFamily, build_solution, d_alpha_involution,
-                                  factored_product, factorization_residual, potentials,
-                                  riccati_residual, right_inverse)
-from biquat.grid import (BQField, Grid3, alpha_arrays, laplacian, linf, nabla_alpha,
-                         sample)
+from biquat.factorization import (ClosedFormFamily, PotentialSet, build_solution,
+                                  d_alpha_involution, factored_product, factorization_residual,
+                                  potentials, riccati_residual, right_inverse)
+from biquat.grid import (BQField, Grid3, _on_mesh, alpha_arrays, laplacian, linf, nabla_alpha,
+                         partial_deriv, sample)
 from biquat.harness import TOL, _order_check
 
 
@@ -185,8 +186,15 @@ def test_factorization_rejects_non_finite_samples(bad, which):
         factorization_residual(alf, arrays["phi"], arrays["v"], g)
 
 
+# 65^3 is large enough for the blocked calls to split in two runs on two
+# CPUs (``_two_cpus``); the smaller grids run inline
 _REFERENCE_GRIDS = {"9": box(9), "17": box(17),
-                    "7x9x12": Grid3.box((1.0, 1.1, 0.9), (2.0, 2.3, 1.7), (7, 9, 12))}
+                    "7x9x12": Grid3.box((1.0, 1.1, 0.9), (2.0, 2.3, 1.7), (7, 9, 12)),
+                    "65": box(65)}
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(grid, "_cpus", lambda: 2)
 
 # alphas with the v of their Riccati balance: constant, reciprocal, and one
 # with central-difference derivatives (exact on its linear factors)
@@ -204,21 +212,64 @@ def _same_magnitudes(a, b) -> bool:
     return np.array_equal(np.abs(a), np.abs(b), equal_nan=True)
 
 
+def _phi(a, b, c):
+    return np.sin(a + 2 * b) * np.exp(1j * c) + 0.3 * a * c
+
+
+def _whole_field_residual(alpha, phi, v, g):
+    """The one-component residual from whole-field arrays: -lap phi + v phi
+    minus nabla_alpha of grad phi - phi a_k, with the first factor written
+    inside a one-node NaN rim.  Returns (residual, scale)."""
+    phi_arr = sample(g, phi)
+    lhs = -laplacian(BQField.from_scalar(g, phi_arr)).scalar + sample(g, v) * phi_arr
+    a = alpha_arrays(alpha, g)
+    inner = (slice(1, -1),) * 3
+    first = np.full((4, *g.shape), np.nan, dtype=complex)
+    first[0][inner] = 0.0
+    for k in (1, 2, 3):
+        first[k][inner] = (partial_deriv(phi_arr, g, k - 1) - phi_arr * a[k])[inner]
+    rhs = nabla_alpha(BQField(g, first), a)
+    res = -rhs
+    res.data[0] += lhs
+    return res, max(linf(lhs), rhs.linf(), 1e-300)
+
+
 @pytest.mark.parametrize("grid_name", _REFERENCE_GRIDS)
 @pytest.mark.parametrize("alpha_name", _RICCATI_PAIRS)
-def test_factorization_residual_equals_four_component_composition(grid_name, alpha_name):
+def test_factorization_residual_equals_four_component_composition(grid_name, alpha_name,
+                                                                  monkeypatch):
     # the residual on phi's one component, node for node the composition
-    # on the four-component field phi e0
+    # on the four-component field phi e0, and bit for bit the whole-field
+    # arrays; so is the Riccati check's norm of D(alpha) + alpha**2 + v
+    _two_cpus(monkeypatch)
     g = _REFERENCE_GRIDS[grid_name]
     alf, v = _RICCATI_PAIRS[alpha_name]
-    phi = lambda a, b, c: np.sin(a + 2 * b) * np.exp(1j * c) + 0.3 * a * c
-    res, scale = factorization_residual(alf, phi, v, g)
-    phi_field = BQField.from_scalar(g, phi)
+    res, scale = factorization_residual(alf, _phi, v, g)
+    phi_field = BQField.from_scalar(g, _phi)
     lhs = -laplacian(phi_field)
     lhs.data[0] += sample(g, v) * phi_field.scalar
     rhs = factored_product(phi_field, alf)
     assert _same_magnitudes(res.data, (lhs - rhs).data)
     assert scale == max(lhs.linf(), rhs.linf(), 1e-300)
+    want, want_scale = _whole_field_residual(alf, _phi, v, g)
+    assert np.array_equal(res.data, want.data, equal_nan=True)
+    assert scale == want_scale
+    assert factorization._separable_riccati_norms(alf, _on_mesh(g, v), g) == (
+        riccati_residual(alf, v, g).linf(), linf(alf.alpha_sq(g)))
+
+
+def test_split_calls_keep_their_raise_paths(monkeypatch):
+    # the blocked norms raise as the whole-field ones do, with the same value
+    _two_cpus(monkeypatch)
+    g = box(65)
+    nan = np.full(g.shape, np.nan, dtype=complex)
+    with pytest.raises(ValueError, match="^no valid nodes to take a norm over$"):
+        PotentialSet(v=(nan,) * 4, w=(nan,) * 4, alpha_sq=nan).pairing_defect()
+    alf = reciprocal_alpha()
+    rel = riccati_residual(alf, 5.0, g).linf() / max(1.0, linf(alf.alpha_sq(g)), 5.0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"Riccati precondition violated: relative residual {rel:.3e} > ")):
+        factorization_residual(alf, _phi, 5.0, g)
 
 
 # ------------------------------------------------------------------
@@ -233,18 +284,20 @@ def _d_alpha_involution_reference(derivs, k):
 
 @pytest.mark.parametrize("grid_name", _REFERENCE_GRIDS)
 @pytest.mark.parametrize("alpha_name", _RICCATI_PAIRS)
-def test_potentials_equal_signed_involution_reference(grid_name, alpha_name):
+def test_potentials_equal_signed_involution_reference(grid_name, alpha_name, monkeypatch):
+    _two_cpus(monkeypatch)
     g = _REFERENCE_GRIDS[grid_name]
     alf = _RICCATI_PAIRS[alpha_name][0]
     pots = potentials(alf, g)
     derivs = alf.deriv_components(g)
-    asq = alf.alpha_sq(g)
+    a1, a2, a3 = alf.components(g)
+    asq = -(a1 ** 2 + a2 ** 2 + a3 ** 2)
     assert np.array_equal(pots.alpha_sq, asq)
     for k in range(4):
         d_inv = _d_alpha_involution_reference(derivs, k)
         assert np.array_equal(d_alpha_involution(derivs, k), d_inv, equal_nan=True)
-        assert _same_magnitudes(pots.v[k], -d_inv - asq)
-        assert _same_magnitudes(pots.w[k], d_inv - asq)
+        assert np.array_equal(pots.v[k], -d_inv - asq, equal_nan=True)
+        assert np.array_equal(pots.w[k], d_inv - asq, equal_nan=True)
     assert pots.pairing_defect() == max(
         linf(vk + wk + 2.0 * asq) for vk, wk in zip(pots.v, pots.w))
 

@@ -528,15 +528,17 @@ def _traced_peak(call) -> int:
 def test_first_order_calls_hold_few_fields(monkeypatch):
     # the product f * alpha is added per block, never as a whole field:
     # a factor holds its output; a factorization residual holds its
-    # factor's input and output beside scalar arrays, and the potentials
-    # little more than their nine scalar outputs; with the calls split in
-    # two runs, each with its own temporaries
+    # factor's input and output beside scalar arrays, the potentials
+    # little more than their nine scalar outputs, and their pairing defect
+    # block temporaries; with the calls split in two runs, each with its
+    # own temporaries
     monkeypatch.setattr(grid, "_cpus", lambda: 2)
     g = Grid3.box(1.0, 2.0, 65)
     rng = np.random.default_rng(17)
     f = BQField(g, rng.normal(size=(4, *g.shape)) + 1j * rng.normal(size=(4, *g.shape)))
     phi = np.sin(g.mesh()[0])
     alf = reciprocal_alpha()
+    pots = potentials(alf, g)
     limits = {
         "nabla_alpha": (lambda: nabla_alpha(f, alf), 1.5),
         "build_solution": (lambda: build_solution(f, alf), 1.5),
@@ -544,6 +546,7 @@ def test_first_order_calls_hold_few_fields(monkeypatch):
         "riccati_residual": (lambda: riccati_residual(alf, 0.0, g), 1.6),
         "factorization_residual": (lambda: factorization_residual(alf, phi, 0.0, g), 2.75),
         "potentials": (lambda: potentials(alf, g), 2.3),
+        "pairing_defect": (pots.pairing_defect, 0.3),
         "laplacian": (lambda: laplacian(f), 1.5),
         "laplacian_wide": (lambda: laplacian_wide(f), 1.5),
     }
