@@ -60,8 +60,11 @@ def qmul(p, q):
 # qmul's terms as (sign, i, j) for the term sign * p_i * q_j: row k lists
 # component k's four terms in the order qmul sums them, each row starting
 # with a + term.  The blocked first-order kernel sums the product from
-# this table; qmul keeps its expression form, which is faster on single
-# quaternions and whole fields.
+# this table.  qmul keeps its expression form, which suits single
+# quaternions and small stacks; on whole fields it is the slower form: the
+# same product summed from this table per block of x1-planes through
+# grid._run_blocks, bit for bit equal, took 9 ms against 22 ms at 65^3 and
+# 95 ms against 325 ms at 129^3 (2 vCPU, one BLAS thread).
 QMUL_TERMS = (
     ((+1, 0, 0), (-1, 1, 1), (-1, 2, 2), (-1, 3, 3)),
     ((+1, 0, 1), (+1, 1, 0), (+1, 2, 3), (-1, 3, 2)),

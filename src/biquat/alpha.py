@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import E1
-from .grid import BQField, Grid3, _check_finite, nabla, partial_deriv, sample
+from .grid import BQField, Grid3, _check_finite, _negate, nabla, partial_deriv, sample
 
 __all__ = [
     "AlphaSpec",
@@ -39,8 +39,7 @@ def _negated_sum(x1, x2, x3, out=None) -> np.ndarray:
     """-((x1 + x2) + x3), into out when given: alpha**2 from the squared
     components of a vector alpha, and the scalar D(alpha) from the three
     derivative lines a_k' of a separable one."""
-    total = np.add(x1 + x2, x3, out=out)
-    return np.negative(total, out=total)
+    return _negate(np.add(x1 + x2, x3, out=out))
 
 
 class AlphaSpec:

@@ -17,8 +17,10 @@ The factor D + M^alpha is ``grid.nabla_alpha``; D - M^alpha is
 adds or subtracts f*alpha block by block inside nabla's loop: a factor
 holds its output and no whole-field product.  The factorization's own
 passes run block by block through ``grid._run_blocks`` too, split across
-CPUs with each node's arithmetic unchanged: ``potentials``,
-``PotentialSet.pairing_defect``, and in ``factorization_residual`` the
+CPUs with each node's arithmetic unchanged: ``potentials``, whose
+``PotentialSet`` holds the four v_k and alpha's 1-D lines, the w_k and
+alpha**2 it forms from those lines on access, its pairing defect, and in
+``factorization_residual`` the
 Riccati check of a separable alpha (its scalar slot alone), the first
 factor grad phi - phi a_k and the last pass, which forms lhs - rhs and
 the norm of rhs.
@@ -36,7 +38,7 @@ from scipy.sparse import linalg as sla
 from .algebra import E1, INVOLUTION_SIGNS, QMUL_TERMS, ROUNDING_TOL, qmul, right_projector
 from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _negated_sum
 from .grid import (BQField, Grid3, _block_of, _central_difference, _check_finite, _first_order,
-                   _linf_of_tops, _nan_rimmed, _on_mesh, _run_blocks, _schrodinger, _top,
+                   _linf_of_tops, _nan_rimmed, _negate, _on_mesh, _run_blocks, _schrodinger, _top,
                    alpha_arrays, linf, nabla_alpha, sample)
 
 __all__ = [
@@ -93,7 +95,7 @@ def _separable_riccati_norms(alpha: SeparableAlpha, v_arr: np.ndarray, grid: Gri
     res_tops, asq_tops = [], []
 
     def block(sl, r, q, mag):
-        _negated_sum(*(_block_of(c, sl) ** 2 for c in comps), out=q)
+        _alpha_sq_block(comps, sl, q)
         asq_tops.append(_top(np.abs(q, out=mag)))
         _negated_sum(*(_block_of(c, sl) for c in derivs), out=r)
         # D(alpha) + (alpha**2 + v), as _riccati adds them
@@ -149,9 +151,10 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
     # scalar part.  Written block by block inside the NaN rim build_solution
     # leaves, which the nodes of nabla_alpha next to it read.
     a = alpha_arrays(alpha, grid)
-    first = _nan_rimmed((4, *grid.shape), (1, 2, 3), 1)
+    first, rim = _nan_rimmed((4, *grid.shape), (0, 1, 2), 1)
 
     def block(sl, t):
+        rim(sl)
         first[0][sl] = 0.0
         for axis in range(3):
             fk = first[axis + 1][sl]
@@ -169,7 +172,7 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
         # lhs - rhs: -rhs, with lhs in the scalar slot (x - y is x + (-y))
         for rc in res.data:
             rhs_tops.append(_top(np.abs(rc[sl], out=mag)))
-            np.negative(rc[sl], out=rc[sl])
+            _negate(rc[sl])
         res.data[0][sl] += lhs[sl]
 
     _run_blocks(finish, tuple(slice(0, n) for n in grid.shape), (float,))
@@ -183,34 +186,81 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
 @dataclass(frozen=True)
 class PotentialSet:
     """The scalar potentials v_k = -D(alpha^(k)) - alpha**2 and
-    w_k = +D(alpha^(k)) - alpha**2, k = 0..3.
+    w_k = +D(alpha^(k)) - alpha**2, k = 0..3, of a separable alpha.
 
-    Their sum is -2*alpha**2 at every node: the derivative parts cancel.
+    Only the four v_k are held as grid arrays.  alpha**2 and the w_k are
+    sums of functions of x1, x2 and x3 alone, so the set holds alpha's
+    component lines a_j and derivative lines a_j' instead: ``alpha_sq``
+    and ``w`` form a new array on each access, block by block, node for
+    node as ``potentials`` forms them.  v_k + w_k is -2*alpha**2 at every
+    node: the derivative parts cancel.
     """
 
     v: tuple
-    w: tuple
-    alpha_sq: np.ndarray
+    components: tuple
+    deriv_components: tuple
+
+    def _region(self) -> tuple:
+        """The blocks' region: the arrays broadcast to at most three axes."""
+        shape = np.broadcast_shapes(
+            *(a.shape for a in (*self.v, *self.components, *self.deriv_components)))
+        return tuple(slice(0, n) for n in (1,) * (3 - len(shape)) + shape)
+
+    @property
+    def alpha_sq(self) -> np.ndarray:
+        """alpha**2 = -(a1**2 + a2**2 + a3**2), a new array."""
+        region = self._region()
+        out = np.empty(tuple(r.stop for r in region), dtype=complex)
+        _run_blocks(lambda sl: _alpha_sq_block(self.components, sl, out[sl]), region)
+        return out
+
+    @property
+    def w(self) -> tuple:
+        """The four w_k, new arrays."""
+        region = self._region()
+        w = tuple(np.empty(tuple(r.stop for r in region), dtype=complex) for _ in range(4))
+
+        def block(sl, a):
+            _alpha_sq_block(self.components, sl, a)
+            d = [_block_of(dj, sl) for dj in self.deriv_components]
+            for k, wk in enumerate(w):
+                # w_k = (-X_k) - alpha**2, for X_k = -D(alpha^(k)) on the block
+                o = _signed_line_sum(d, k, out=wk[sl])
+                np.subtract(_negate(o), a, out=o)
+
+        _run_blocks(block, region, (complex,))
+        return w
 
     def pairing_defect(self) -> float:
-        """max_k || v_k + w_k + 2*alpha**2 ||_inf (zero to rounding), block
-        by block; the arrays broadcast to at most three axes."""
-        shape = np.broadcast_shapes(*(a.shape for a in (*self.v, *self.w, self.alpha_sq)))
+        """max_k || v_k + w_k + 2*alpha**2 ||_inf (zero to rounding), with
+        w_k and alpha**2 formed block by block from the lines."""
         tops = [[] for _ in self.v]
 
-        def block(sl, total, twice, mag):
-            np.multiply(2.0, _block_of(self.alpha_sq, sl), out=twice)
-            for vk, wk, top in zip(self.v, self.w, tops):
-                np.add(_block_of(vk, sl), _block_of(wk, sl), out=total)
+        def block(sl, a, twice, total, mag):
+            _alpha_sq_block(self.components, sl, a)
+            np.multiply(2.0, a, out=twice)
+            d = [_block_of(dj, sl) for dj in self.deriv_components]
+            for k, (vk, top) in enumerate(zip(self.v, tops)):
+                # v_k + w_k as v_k - (X_k + alpha**2): w_k = (-X_k) - alpha**2
+                # is -(X_k + alpha**2) to the bit but for the sign of a
+                # zero, so every |.| is the one v_k + w_k gives
+                _signed_line_sum(d, k, out=total)
+                np.add(total, a, out=total)
+                np.subtract(_block_of(vk, sl), total, out=total)
                 np.add(total, twice, out=total)
                 top.append(_top(np.abs(total, out=mag)))
 
-        region = tuple(slice(0, n) for n in (1,) * (3 - len(shape)) + shape)
-        _run_blocks(block, region, (complex, complex, float))
+        _run_blocks(block, self._region(), (complex, complex, complex, float))
         worst = 0.0
         for top in tops:
             worst = max(worst, _linf_of_tops(top))
         return worst
+
+
+def _alpha_sq_block(comps, sl, out) -> np.ndarray:
+    """alpha**2 on the block sl from the component lines, into out, as
+    ``AlphaSpec.alpha_sq`` sums it on the whole grid."""
+    return _negated_sum(*(_block_of(c, sl) ** 2 for c in comps), out=out)
 
 
 def _signed_line_sum(derivs, k: int, out=None) -> np.ndarray:
@@ -234,24 +284,18 @@ def potentials(alpha: AlphaSpec, grid: Grid3) -> PotentialSet:
         raise ValueError("potentials require separable alpha: D(alpha^(k)) is not scalar otherwise")
     derivs = alpha.deriv_components(grid)
     comps = alpha.components(grid)
-    asq = np.empty(grid.shape, dtype=complex)
-    v, w = ([np.empty(grid.shape, dtype=complex) for _ in range(4)] for _ in "vw")
+    v = tuple(np.empty(grid.shape, dtype=complex) for _ in range(4))
 
-    def block(sl):
-        # alpha**2 as AlphaSpec.alpha_sq forms it
-        a = _negated_sum(*(_block_of(c, sl) ** 2 for c in comps), out=asq[sl])
+    def block(sl, a):
+        _alpha_sq_block(comps, sl, a)
         d = [_block_of(dj, sl) for dj in derivs]
-        for k in range(4):
-            # v_k = X_k - alpha**2 and w_k = (-X_k) - alpha**2, for
-            # X_k = -D(alpha^(k)) on the block, written into v_k
-            vk, wk = v[k][sl], w[k][sl]
-            _signed_line_sum(d, k, out=vk)
-            np.negative(vk, out=wk)
-            np.subtract(vk, a, out=vk)
-            np.subtract(wk, a, out=wk)
+        for k, vk in enumerate(v):
+            # v_k = X_k - alpha**2, for X_k = -D(alpha^(k)) on the block
+            _signed_line_sum(d, k, out=vk[sl])
+            np.subtract(vk[sl], a, out=vk[sl])
 
-    _run_blocks(block, tuple(slice(0, n) for n in grid.shape))
-    return PotentialSet(v=tuple(v), w=tuple(w), alpha_sq=asq)
+    _run_blocks(block, tuple(slice(0, n) for n in grid.shape), (complex,))
+    return PotentialSet(v=v, components=comps, deriv_components=derivs)
 
 
 def build_solution(g: BQField, alpha) -> BQField:

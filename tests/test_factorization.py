@@ -263,8 +263,9 @@ def test_split_calls_keep_their_raise_paths(monkeypatch):
     _two_cpus(monkeypatch)
     g = box(65)
     nan = np.full(g.shape, np.nan, dtype=complex)
+    lines = tuple(g.sample_axis(j, np.nan) for j in range(3))
     with pytest.raises(ValueError, match="^no valid nodes to take a norm over$"):
-        PotentialSet(v=(nan,) * 4, w=(nan,) * 4, alpha_sq=nan).pairing_defect()
+        PotentialSet(v=(nan,) * 4, components=lines, deriv_components=lines).pairing_defect()
     alf = reciprocal_alpha()
     rel = riccati_residual(alf, 5.0, g).linf() / max(1.0, linf(alf.alpha_sq(g)), 5.0)
     with pytest.raises(ValueError, match=re.escape(
@@ -293,13 +294,14 @@ def test_potentials_equal_signed_involution_reference(grid_name, alpha_name, mon
     a1, a2, a3 = alf.components(g)
     asq = -(a1 ** 2 + a2 ** 2 + a3 ** 2)
     assert np.array_equal(pots.alpha_sq, asq)
+    w = pots.w
     for k in range(4):
         d_inv = _d_alpha_involution_reference(derivs, k)
         assert np.array_equal(d_alpha_involution(derivs, k), d_inv, equal_nan=True)
         assert np.array_equal(pots.v[k], -d_inv - asq, equal_nan=True)
-        assert np.array_equal(pots.w[k], d_inv - asq, equal_nan=True)
+        assert np.array_equal(w[k], d_inv - asq, equal_nan=True)
     assert pots.pairing_defect() == max(
-        linf(vk + wk + 2.0 * asq) for vk, wk in zip(pots.v, pots.w))
+        linf(vk + wk + 2.0 * asq) for vk, wk in zip(pots.v, w))
 
 
 def test_potentials_reciprocal_pairing():

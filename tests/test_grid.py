@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import signal
@@ -528,10 +529,11 @@ def _traced_peak(call) -> int:
 def test_first_order_calls_hold_few_fields(monkeypatch):
     # the product f * alpha is added per block, never as a whole field:
     # a factor holds its output; a factorization residual holds its
-    # factor's input and output beside scalar arrays, the potentials
-    # little more than their nine scalar outputs, and their pairing defect
-    # block temporaries; with the calls split in two runs, each with its
-    # own temporaries
+    # factor's input and output beside scalar arrays; the potentials hold
+    # the four v_k and alpha's lines, and w, alpha**2 and the pairing
+    # defect are formed from them with block temporaries beside their
+    # outputs; with the calls split in two runs, each with its own
+    # temporaries
     monkeypatch.setattr(grid, "_cpus", lambda: 2)
     g = Grid3.box(1.0, 2.0, 65)
     rng = np.random.default_rng(17)
@@ -545,7 +547,9 @@ def test_first_order_calls_hold_few_fields(monkeypatch):
         "factored_product": (lambda: factored_product(f, alf), 2.5),
         "riccati_residual": (lambda: riccati_residual(alf, 0.0, g), 1.6),
         "factorization_residual": (lambda: factorization_residual(alf, phi, 0.0, g), 2.75),
-        "potentials": (lambda: potentials(alf, g), 2.3),
+        "potentials": (lambda: potentials(alf, g), 1.15),
+        "alpha_sq": (lambda: pots.alpha_sq, 0.3),
+        "w": (lambda: pots.w, 1.1),
         "pairing_defect": (pots.pairing_defect, 0.3),
         "laplacian": (lambda: laplacian(f), 1.5),
         "laplacian_wide": (lambda: laplacian_wide(f), 1.5),
@@ -553,6 +557,10 @@ def test_first_order_calls_hold_few_fields(monkeypatch):
     for name, (call, fields) in limits.items():
         peak = _traced_peak(call) / f.data.nbytes
         assert peak <= fields, f"{name} held {peak:.2f} fields"
+    # of grid arrays, the potential set holds the four v_k alone
+    lines = sum(a.nbytes for a in (*pots.components, *pots.deriv_components))
+    held = sum(a.nbytes for fld in dataclasses.fields(pots) for a in getattr(pots, fld.name))
+    assert held <= f.data.nbytes + lines and lines < 0.01 * f.data.nbytes
 
 
 @pytest.mark.parametrize("seed", range(8))
