@@ -5,8 +5,8 @@ D(alpha) + alpha**2 = -v, the scalar factorization
 (-lap + v) = (D + M^alpha)(D - M^alpha) on scalar functions, its
 componentwise diagonalization for separable alpha (potentials v_k, w_k),
 closed-form one-component solution families, a right inverse of
-D + M^alpha built from four Dirichlet solves by per-axis diagonalization
-(sparse LU only for an ill-conditioned eigenvector basis), and the
+D + M^alpha built from four Dirichlet solves by a per-axis unitary
+(eigh or Schur) form of the 1-D operators, and the
 quaternionic-potential machinery for axial alpha: the alpha-free pointwise
 maps C, J, Q^± and Pi (``c_map``, ``j_map``, ``q_map``, ``pi_map``), the
 alpha-dependent operators in ``AxialOperators`` and the zero-divisor
@@ -28,12 +28,12 @@ the norm of rhs.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sla
+from scipy.linalg import lapack, schur
+# not called here: the benchmark tracer patches this name to time scipy's sparse solvers
+from scipy.sparse import linalg as sla  # noqa: F401
 
 from .algebra import E1, INVOLUTION_SIGNS, QMUL_TERMS, ROUNDING_TOL, qmul, right_projector
 from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _negated_sum
@@ -401,21 +401,14 @@ class ClosedFormFamily:
 
 
 # --------------------------------------------------------------------------
-# right inverse via four Dirichlet solves by fast diagonalization
+# right inverse via four Dirichlet solves in per-axis unitary forms
 # --------------------------------------------------------------------------
-
-# The diagonalized solve loses relative accuracy in proportion to the
-# condition number of the 3-D eigenvector basis,
-# cond(V1 ⊗ V2 ⊗ V3) = cond(V1) cond(V2) cond(V3): about 1e-18 times it
-# for -d^2 + i c x (2e-13 at 1.4e5, 2e-9 at 2e9).  Below this limit even
-# eps times it is 2e-12, two orders inside _SOLVER_TOL; above it the
-# component is solved by sparse LU on the same operator.
-_COND_LIMIT = 1e4
 
 # relative residual of a component solve above which right_inverse raises
 _SOLVER_TOL = 1e-10
 
-_log = logging.getLogger(__name__)
+# planes of the back-substitution whose trailing update is one matrix product
+_PLANE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -423,15 +416,15 @@ class RightInverseResult:
     field: BQField          # T f, with (D + M^alpha)(T f) = f
     u: BQField              # the four Schrodinger solves, zero on the boundary
     solver_residual: float  # worst relative linear-system residual
+    condition: float        # worst max|lam| / min|lam| of a component operator
 
 
 def _axis_operators(alpha: SeparableAlpha, grid: Grid3):
     """Per axis j, the two 1-D interior operators
     A_j^σ = -d^2/dx_j^2 + σ a_j' + a_j**2 (σ = ±1) with zero Dirichlet
-    ends, each with its eigendecomposition: a dict keyed by σ of
-    (A_j^σ, lam, V, cond(V), V^-1) (see ``_diagonalize``).  Component k
-    takes σ_j = s_kj on axis j, and A_1^σ1 ⊕ A_2^σ2 ⊕ A_3^σ3 is then
-    -lap + v_k on the interior nodes."""
+    ends, each with its unitary form: a dict keyed by σ of (A_j^σ, (T, Q))
+    (see ``_diagonalize``).  Component k takes σ_j = s_kj on axis j, and
+    A_1^σ1 ⊕ A_2^σ2 ⊕ A_3^σ3 is then -lap + v_k on the interior nodes."""
     comps = alpha.components(grid)
     derivs = alpha.deriv_components(grid)
     ops = []
@@ -444,23 +437,78 @@ def _axis_operators(alpha: SeparableAlpha, grid: Grid3):
             if not np.all(np.isfinite(q)):
                 raise ValueError("potential has invalid interior values")
             a = lap + np.diag(q)
-            pair[sigma] = (a, *_diagonalize(a))
+            pair[sigma] = (a, _diagonalize(a))
         ops.append(pair)
     return ops
 
 
 def _diagonalize(a: np.ndarray):
-    """eig of a 1-D operator, A = V diag(lam) V^-1: (lam, V, cond(V), V^-1),
-    with V^-1 None when cond(V) alone exceeds _COND_LIMIT, since the
-    component's product of conditions then does too."""
-    lam, vec = np.linalg.eig(a)
-    cond = np.linalg.cond(vec)
-    return lam, vec, cond, np.linalg.inv(vec) if cond <= _COND_LIMIT else None
+    """A unitary form A = Q T Q^H of a 1-D operator: (T, Q).  An operator
+    with real values is symmetric, -d^2 + diag(q), so eigh gives T diagonal,
+    held as the 1-D array of its eigenvalues, and Q orthogonal; any other
+    takes the complex Schur form, T upper triangular."""
+    if not a.imag.any():
+        return np.linalg.eigh(a.real)
+    return schur(a, output="complex")
 
 
 def _along(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     """Apply the matrix mat along one axis of the 3-D array x."""
     return np.moveaxis(np.tensordot(mat, x, axes=(1, axis)), 0, axis)
+
+
+def _plane_solve(shift, rhs: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
+    """Solve (shift + T_2 ⊕ T_3) z = rhs on one plane: a division when both
+    T are diagonal (1-D), else the Sylvester equation
+    (T_2 + shift) z + z T_3^T = rhs by LAPACK trsyl, with T_3^T passed as
+    conj(T_3)^H since complex trsyl has no plain transpose."""
+    if t2.ndim == 1:
+        return rhs / (shift + t2[:, None] + t3[None, :])
+    b = np.diag(t3) if t3.ndim == 1 else t3
+    z, scale, info = lapack.ztrsyl(t2 + shift * np.eye(len(t2)), b.conj(), rhs, tranb="C")
+    if info != 0 or scale != 1.0:
+        raise ValueError(f"discrete operator singular or near-singular: trsyl info {info}, "
+                         f"scale {scale:.3e}")
+    return z
+
+
+def _triangular_solve(y: np.ndarray, t1: np.ndarray, t2: np.ndarray,
+                      t3: np.ndarray) -> np.ndarray:
+    """Solve (T_1 ⊕ T_2 ⊕ T_3) z = y for upper triangular T_1, by
+    back-substitution over its planes z[i].  The planes of a block of
+    _PLANE_BLOCK take their update from the solved planes after the block
+    in one matrix product, and from those inside it one at a time."""
+    m = len(t1)
+    rest = y.reshape(m, -1)
+    z = np.empty((m, rest.shape[1]), dtype=complex)
+    for stop in range(m, 0, -_PLANE_BLOCK):
+        start = max(stop - _PLANE_BLOCK, 0)
+        block = rest[start:stop] - t1[start:stop, stop:] @ z[stop:]
+        for i in range(stop - 1, start - 1, -1):
+            plane = block[i - start] - t1[i, i + 1:stop] @ z[i + 1:stop]
+            z[i] = _plane_solve(t1[i, i], plane.reshape(y.shape[1:]), t2, t3).ravel()
+    return z.reshape(y.shape)
+
+
+def _component_solve(rhs: np.ndarray, forms, total: np.ndarray) -> np.ndarray:
+    """Solve (A_1 ⊕ A_2 ⊕ A_3) u = rhs given each A_j = Q_j T_j Q_j^H and
+    the sums of their eigenvalues, ``total``: contract with the Q_j^H,
+    solve with T_1 ⊕ T_2 ⊕ T_3, contract with the Q_j."""
+    y = rhs
+    for j, (_, q) in enumerate(forms):
+        y = _along(q.conj().T, y, j)
+    if all(t.ndim == 1 for t, _ in forms):
+        y = y / total
+    else:
+        # triangular axes first, so the back-substitution runs along one of
+        # them and a plane is triangular only where a Sylvester solve is due
+        order = sorted(range(3), key=lambda j: -forms[j][0].ndim)
+        y = np.ascontiguousarray(np.transpose(y, order))
+        y = _triangular_solve(y, *(forms[j][0] for j in order))
+        y = np.transpose(y, np.argsort(order))
+    for j, (_, q) in enumerate(forms):
+        y = _along(q, y, j)
+    return y
 
 
 def right_inverse(f: BQField, alpha: AlphaSpec) -> RightInverseResult:
@@ -475,17 +523,20 @@ def right_inverse(f: BQField, alpha: AlphaSpec) -> RightInverseResult:
 
     For separable alpha each v_k is a sum of 1-D functions, so -lap + v_k
     is the Kronecker sum of three tridiagonal 1-D operators A_j, each one
-    of the two an axis has (``_axis_operators``).  Each of the six is
-    diagonalized once, A_j = V_j diag(lam_j) V_j^-1, and the solve is three
-    contractions with the V_j^-1, a division by lam_1 + lam_2 + lam_3 and
-    three contractions with the V_j (Lynch, Rice & Thomas 1964).  A
-    component whose eigenvector bases have cond(V_1) cond(V_2) cond(V_3)
-    above _COND_LIMIT is solved by sparse LU on the same Kronecker sum
-    instead, and the call logs the condition number once.  A ValueError is
-    raised when min |lam_1 + lam_2 + lam_3| shows a singular operator, and
-    when the relative residual of any component solve exceeds _SOLVER_TOL
-    or is NaN, and when a component of f is not finite at an interior node
-    (the boundary values are not used).
+    of the two an axis has (``_axis_operators``).  Each of the six is put
+    once in a unitary form A_j = Q_j T_j Q_j^H: by eigh when its values are
+    real, T_j then diagonal, and by complex Schur otherwise, T_j upper
+    triangular.  The solve is three contractions with the Q_j^H, a solve
+    with T_1 ⊕ T_2 ⊕ T_3 and three contractions with the Q_j (Bartels &
+    Stewart 1972).  With every T_j diagonal the middle step is a division
+    by the eigenvalue sums lam_1 + lam_2 + lam_3, fast diagonalization
+    (Lynch, Rice & Thomas 1964); else it back-substitutes along a
+    triangular axis, each plane a division or one LAPACK trsyl.  A
+    ValueError is raised when min |lam_1 + lam_2 + lam_3| shows a singular
+    operator, and when the relative residual of any component solve
+    exceeds _SOLVER_TOL or is NaN, and when a component of f is not finite
+    at an interior node (the boundary values are not used).  ``condition``
+    is the worst max |lam| / min |lam| over the four components.
     """
     if not isinstance(alpha, SeparableAlpha):
         raise ValueError("right inverse requires separable alpha: D(alpha^(k)) is not scalar otherwise")
@@ -494,49 +545,31 @@ def right_inverse(f: BQField, alpha: AlphaSpec) -> RightInverseResult:
     inner = tuple(slice(1, -1) for _ in range(3))
     u = np.zeros((4, *grid.shape), dtype=complex)
     worst = 0.0
-    fallback = {}
+    condition = 0.0
     for k, s in enumerate(INVOLUTION_SIGNS):
         rhs = f.data[k][inner]
         if not np.isfinite(rhs).all():
             raise ValueError(f"f component {k} is not finite at an interior node")
-        ops, lams, vecs, conds, invs = zip(*(axes[j][s_j] for j, s_j in enumerate(s)))
+        ops, forms = zip(*(axes[j][s_j] for j, s_j in enumerate(s)))
+        lams = [t if t.ndim == 1 else np.diagonal(t) for t, _ in forms]
         total = lams[0][:, None, None] + lams[1][None, :, None] + lams[2][None, None, :]
         smallest, largest = np.abs(total).min(), np.abs(total).max()
         if smallest <= total.size * np.finfo(float).eps * largest:
             raise ValueError(
                 "discrete operator singular or near-singular: "
                 f"min |lam| {smallest:.3e}, max |lam| {largest:.3e}")
-        cond = float(np.prod(conds))
-        if cond <= _COND_LIMIT:
-            sol = rhs
-            for j, v_inv in enumerate(invs):
-                sol = _along(v_inv, sol, j)
-            sol = sol / total
-            for j, v in enumerate(vecs):
-                sol = _along(v, sol, j)
-        else:
-            fallback[k] = cond
-            mats = [sparse.csr_matrix(a) for a in ops]
-            mat = sparse.kronsum(sparse.kronsum(mats[2], mats[1]), mats[0], format="csc")
-            try:
-                lu = sla.splu(mat, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as err:
-                raise ValueError(f"discrete operator singular: {err}") from err
-            sol = lu.solve(rhs.ravel()).reshape(rhs.shape)
+        condition = float(np.maximum(condition, largest / smallest))
+        sol = _component_solve(rhs, forms, total)
         applied = sum(_along(a, sol, j) for j, a in enumerate(ops))
         rhs_scale = max(float(np.abs(rhs).max(initial=0.0)), 1e-300)
         # np.maximum keeps a NaN, which Python's max would drop
         worst = float(np.maximum(worst, np.abs(applied - rhs).max(initial=0.0) / rhs_scale))
         u[k][inner] = sol
-    if fallback:
-        _log.warning("right_inverse: eigenvector basis cond(V) up to %.3e > %.1e; "
-                     "components %s solved by sparse LU",
-                     max(fallback.values()), _COND_LIMIT, sorted(fallback))
     if not worst <= _SOLVER_TOL:
         raise ValueError(f"linear solver residual {worst:.3e} exceeds {_SOLVER_TOL:.1e}")
     u_field = BQField(grid, u)
     return RightInverseResult(field=build_solution(u_field, alpha), u=u_field,
-                              solver_residual=worst)
+                              solver_residual=worst, condition=condition)
 
 
 # --------------------------------------------------------------------------

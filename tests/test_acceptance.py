@@ -12,7 +12,7 @@ from biquat.harness import SuiteConfig, run_suite
 
 # sha256 of the `verify all --seed 1234` CSV at the default grids: a change
 # that leaves the numerics alone keeps it; a change to any row updates it
-REPORT_SHA256 = "a0615debccfe7647115cd12acf623052488d9c21dec016f0ec0305f8d3d229de"
+REPORT_SHA256 = "639f76a9ea691e22552afaee98338b6e51ea950846e444193ce2ca6ba3bab55d"
 
 
 def _announce(criterion, report, max_seconds):

@@ -546,8 +546,8 @@ def test_right_inverse_solver_gate_fails_on_nan(monkeypatch):
     diagonalize = factorization._diagonalize
 
     def poisoned(a):
-        lam, vec, cond, inv = diagonalize(a)
-        return lam * np.nan, vec, cond, inv
+        t, q = diagonalize(a)
+        return t * np.nan, q
 
     monkeypatch.setattr(factorization, "_diagonalize", poisoned)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="solver residual nan"):
@@ -595,52 +595,85 @@ def _negated(alpha):
     return SeparableAlpha(map(neg, alpha.funcs), derivs=tuple(map(neg, alpha.derivs)))
 
 
+def _complex_axis_alpha():
+    """nu(x1) i e1 with nu = 1 + 0.5 sin 3x1: a_1' = i nu' makes axis 1's
+    operators complex, so they take the Schur form; axes 2 and 3 are real."""
+    zero = lambda x: np.zeros_like(x)
+    return SeparableAlpha((lambda x: 1j * (1.0 + 0.5 * np.sin(3.0 * x)), 0, 0),
+                          derivs=(lambda x: 1.5j * np.cos(3.0 * x), zero, zero))
+
+
+def _sqrt_alpha(c):
+    """a_j = sqrt(i c x_j), each 1-D operator about -d^2 + i c x: complex on
+    every axis, with an eigenvector basis whose condition grows with c."""
+    root = np.sqrt(1j * c)
+    a = lambda x: root * np.sqrt(x + 0j)
+    da = lambda x: root / (2.0 * np.sqrt(x + 0j))
+    return SeparableAlpha((a, a, a), derivs=(da, da, da))
+
+
 # a "-w" case takes -alpha, whose v_k are the w_k of alpha: the solves
 # behind the mirrored preimage under D - M^alpha
 @pytest.mark.parametrize("alpha", [SeparableAlpha((1j, 0, 0)), SeparableAlpha((-1j, 0, 0)),
-                                   reciprocal_alpha(), _negated(reciprocal_alpha())],
-                         ids=["constant_i_e1-v", "constant_i_e1-w", "reciprocal-v", "reciprocal-w"])
-def test_right_inverse_matches_direct_sparse_solve(alpha, caplog):
+                                   reciprocal_alpha(), _negated(reciprocal_alpha()),
+                                   _complex_axis_alpha()],
+                         ids=["constant_i_e1-v", "constant_i_e1-w", "reciprocal-v", "reciprocal-w",
+                              "nu_i_e1-v"])
+def test_right_inverse_matches_direct_sparse_solve(alpha):
     g = box(9)
     f = _complex_data(g)
-    with caplog.at_level(logging.WARNING, logger="biquat"):
-        out = right_inverse(f, alpha)
-    assert not caplog.records  # diagonalized, no LU fallback
+    out = right_inverse(f, alpha)
     want = _direct_solve(f, alpha)
     assert np.abs(out.u.data - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_right_inverse_decomposes_each_axis_operator_once(monkeypatch):
-    # s_kj = ±1, so the four components share two operators per axis
-    calls = {"eig": 0, "inv": 0}
+    # s_kj = ±1, so the four components share two operators per axis; the
+    # reciprocal alpha's are real, so each is one eigh
+    calls = {"eigh": 0, "eig": 0, "inv": 0, "cond": 0}
     for name in calls:
         original = getattr(np.linalg, name)
 
-        def counted(a, name=name, original=original):
+        def counted(*args, name=name, original=original, **kwargs):
             calls[name] += 1
-            return original(a)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     right_inverse(_complex_data(box(9)), reciprocal_alpha())
-    assert calls == {"eig": 6, "inv": 6}
+    assert calls == {"eigh": 6, "eig": 0, "inv": 0, "cond": 0}
 
 
-def test_right_inverse_falls_back_to_lu_for_ill_conditioned_basis(caplog):
-    # a_j = sqrt(i c x_j) makes each 1-D operator about -d^2 + i c x, whose
-    # eigenvector basis on 15 interior nodes has cond(V) ~ 1.3e3 per axis
-    c = 1e3
-    root = np.sqrt(1j * c)
-    a = lambda x: root * np.sqrt(x + 0j)
-    da = lambda x: root / (2.0 * np.sqrt(x + 0j))
-    alf = SeparableAlpha((a, a, a), derivs=(da, da, da))
+def test_right_inverse_schur_path_for_ill_conditioned_basis(caplog):
+    # each axis operator is complex, so every component solve runs the
+    # Schur back-substitution with a trsyl per plane
+    alf = _sqrt_alpha(1e3)
     g = box(17)
     f = _complex_data(g)
-    with caplog.at_level(logging.WARNING, logger="biquat"):
+    with caplog.at_level(logging.DEBUG):
         out = right_inverse(f, alf)
-    records = [r for r in caplog.records if r.name.startswith("biquat")]
-    assert len(records) == 1
-    assert "cond(V)" in records[0].getMessage()
-    assert "sparse LU" in records[0].getMessage()
+    assert not caplog.records
     want = _direct_solve(f, alf)
     assert np.abs(out.u.data - want).max() <= 1e-12 * np.abs(want).max()
     assert out.solver_residual <= 1e-10
+
+
+def test_right_inverse_solves_a_strongly_non_normal_operator_at_65():
+    # c = 1e4 on 65^3: a 3-D sparse LU of this operator runs out of memory
+    out = right_inverse(_complex_data(box(65)), _sqrt_alpha(1e4))
+    assert out.solver_residual <= 1e-10
+
+
+def test_right_inverse_condition_of_the_dirichlet_laplacian():
+    # alpha = i e1 gives -lap_h - 1 on every component, whose eigenvalues
+    # are sum_j 4/h^2 sin^2(k_j pi / 2(m+1)) - 1, k_j = 1..m
+    g = box(9)
+    m, h = g.shape[0] - 2, g.spacing[0]
+    line = 4.0 / h ** 2 * np.sin(np.arange(1, m + 1) * np.pi / (2 * (m + 1))) ** 2
+    lam = line[:, None, None] + line[None, :, None] + line[None, None, :] - 1.0
+    alf = SeparableAlpha((1j, 0, 0))
+    for j, pair in enumerate(factorization._axis_operators(alf, g)):
+        for _, (t, _) in pair.values():
+            assert np.allclose(np.sort(t), line - (j == 0), rtol=1e-13, atol=0.0)
+    out = right_inverse(_complex_data(g), alf)
+    want = np.abs(lam).max() / np.abs(lam).min()
+    assert out.condition == pytest.approx(want, rel=1e-12)
