@@ -36,41 +36,33 @@ __all__ = [
 ]
 
 
-def qmul(p, q):
-    """Quaternion product of two component stacks of shape (4, ...).
-
-    Works on anything broadcastable: single quaternions as shape-(4,)
-    arrays, or whole fields as (4, n1, n2, n3).  Bilinear over complex
-    scalars; this is the multiplication table the package uses, and
-    ``QMUL_TERMS`` lists its terms for code that sums them itself.
-    """
-    p0, p1, p2, p3 = p
-    q0, q1, q2, q3 = q
-    # component 0 involves all eight inputs, so it carries the result's
-    # shape and dtype: write every component straight into one array
-    c0 = p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
-    out = np.empty((4, *np.shape(c0)), dtype=np.result_type(c0))
-    out[0] = c0
-    out[1] = p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2
-    out[2] = p0 * q2 + p2 * q0 + p3 * q1 - p1 * q3
-    out[3] = p0 * q3 + p3 * q0 + p1 * q2 - p2 * q1
-    return out
-
-
-# qmul's terms as (sign, i, j) for the term sign * p_i * q_j: row k lists
-# component k's four terms in the order qmul sums them, each row starting
-# with a + term.  The blocked first-order kernel sums the product from
-# this table.  qmul keeps its expression form, which suits single
-# quaternions and small stacks; on whole fields it is the slower form: the
-# same product summed from this table per block of x1-planes through
-# grid._run_blocks, bit for bit equal, took 9 ms against 22 ms at 65^3 and
-# 95 ms against 325 ms at 129^3 (2 vCPU, one BLAS thread).
+# The quaternion product, the package's one statement of it: row k lists
+# component k's terms sign * p_i * q_j as (sign, i, j) in the order they
+# are summed, starting with a + term.  qmul sums the rows with operators,
+# grid's blocked kernels with out= into block temporaries.
 QMUL_TERMS = (
     ((+1, 0, 0), (-1, 1, 1), (-1, 2, 2), (-1, 3, 3)),
     ((+1, 0, 1), (+1, 1, 0), (+1, 2, 3), (-1, 3, 2)),
     ((+1, 0, 2), (+1, 2, 0), (+1, 3, 1), (-1, 1, 3)),
     ((+1, 0, 3), (+1, 3, 0), (+1, 1, 2), (-1, 2, 1)),
 )
+
+
+def qmul(p, q):
+    """Quaternion product of two component stacks of shape (4, ...), for
+    single quaternions and small stacks (whole fields multiply as
+    ``BQField``s): each component summed from its row of ``QMUL_TERMS``.
+    """
+    if len(p) != 4 or len(q) != 4:
+        raise ValueError(f"qmul takes stacks of 4 components, got {len(p)} and {len(q)}")
+    p, q = tuple(p), tuple(q)  # a tuple indexes faster than an array
+    rows = []
+    for (_, i, j), *rest in QMUL_TERMS:
+        acc = p[i] * q[j]
+        for sgn, i, j in rest:
+            acc = acc + p[i] * q[j] if sgn > 0 else acc - p[i] * q[j]
+        rows.append(acc)
+    return np.array(rows)
 
 
 # sign pattern of the involutions: row k gives the signs that q^(k) applies

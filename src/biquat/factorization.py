@@ -14,16 +14,16 @@ reductions to scalar equations.
 
 The factor D + M^alpha is ``grid.nabla_alpha``; D - M^alpha is
 ``build_solution``.  Both are grid's blocked first-order kernel, which
-adds or subtracts f*alpha block by block inside nabla's loop: a factor
-holds its output and no whole-field product.  The factorization's own
-passes run block by block through ``grid._run_blocks`` too, split across
-CPUs with each node's arithmetic unchanged: ``potentials``, whose
-``PotentialSet`` holds the four v_k and alpha's 1-D lines, the w_k and
-alpha**2 it forms from those lines on access, its pairing defect, and in
-``factorization_residual`` the
-Riccati check of a separable alpha (its scalar slot alone), the first
-factor grad phi - phi a_k and the last pass, which forms lhs - rhs and
-the norm of rhs.
+adds or subtracts f*alpha, summed from ``QMUL_TERMS`` as grid's field
+products are, block by block inside nabla's loop: a factor holds its
+output and no whole-field product.  The factorization's own passes run
+block by block through ``grid._run_blocks`` too, split across CPUs with
+each node's arithmetic unchanged: ``potentials``, whose ``PotentialSet``
+holds the four v_k and alpha's 1-D lines, the w_k and alpha**2 it forms
+from those lines on access, its pairing defect, and in
+``factorization_residual`` the Riccati check of a separable alpha (its
+scalar slot alone), the first factor grad phi - phi a_k and the last
+pass, which forms lhs - rhs and the norm of rhs.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from scipy.linalg import lapack, schur
 # not called here: the benchmark tracer patches this name to time scipy's sparse solvers
 from scipy.sparse import linalg as sla  # noqa: F401
 
-from .algebra import E1, INVOLUTION_SIGNS, QMUL_TERMS, ROUNDING_TOL, qmul, right_projector
+from .algebra import E1, INVOLUTION_SIGNS, QMUL_TERMS, ROUNDING_TOL, right_projector
 from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _negated_sum
 from .grid import (BQField, Grid3, _block_of, _central_difference, _check_finite, _first_order,
-                   _linf_of_tops, _nan_rimmed, _negate, _on_mesh, _run_blocks, _schrodinger, _top,
-                   alpha_arrays, linf, nabla_alpha, sample)
+                   _linf_of_tops, _nan_rimmed, _negate, _on_mesh, _product, _run_blocks,
+                   _schrodinger, _top, alpha_arrays, linf, nabla_alpha, sample)
 
 __all__ = [
     "riccati_residual",
@@ -364,7 +364,7 @@ class ClosedFormFamily:
                 if i:
                     d = _FAMILY_SIGNS[j][i - 1] * a[i - 1] * f.data[j]
                     (np.add if sgn > 0 else np.subtract)(acc_c, d, out=acc_c)
-        acc += qmul(f.data, alpha)
+        acc += _product(f.data, alpha, grid)
         total = BQField(grid, acc)
         scale = max(f.linf() * max(1.0, *map(linf, a)), 1e-300)
         return total, scale

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import QMUL_TERMS, Biquaternion, qmul
+from .algebra import QMUL_TERMS, Biquaternion
 
 __all__ = [
     "Grid3",
@@ -257,14 +257,14 @@ class BQField(Field4):
     def __mul__(self, other):
         if isinstance(other, BQField):
             self._same_grid(other)
-            return BQField(self.grid, qmul(self.data, other.data))
+            return BQField(self.grid, _product(self.data, other.data, self.grid))
         if isinstance(other, Biquaternion):
-            return BQField(self.grid, qmul(self.data, other.components.reshape(4, 1, 1, 1)))
+            return BQField(self.grid, _product(self.data, other.components, self.grid))
         return super().__mul__(other)
 
     def __rmul__(self, other):
         if isinstance(other, Biquaternion):
-            return BQField(self.grid, qmul(other.components.reshape(4, 1, 1, 1), self.data))
+            return BQField(self.grid, _product(other.components, self.data, self.grid))
         return super().__rmul__(other)
 
     def conj(self) -> "BQField":
@@ -523,16 +523,42 @@ def _block_of(a: np.ndarray, sl: tuple) -> np.ndarray:
     return a[tuple(s if n > 1 else slice(None) for s, n in zip(sl[3 - a.ndim:], a.shape))]
 
 
+def _sum_terms(terms, p, q, acc, t) -> None:
+    """acc = the component of p * q (four arrays each) whose row of
+    ``QMUL_TERMS`` is terms, summed in order; t is a temporary like acc."""
+    (_, i, j), *rest = terms
+    np.multiply(p[i], q[j], out=acc)
+    for sgn, i, j in rest:
+        np.multiply(p[i], q[j], out=t)
+        (np.add if sgn > 0 else np.subtract)(acc, t, out=acc)
+
+
+def _product(p, q, grid: Grid3) -> np.ndarray:
+    """p * q as a (4, *grid.shape) array, p and q each four arrays or
+    scalars that broadcast against the grid, summed by ``_sum_terms`` per
+    block into the output with one temporary per run: ``algebra.qmul``."""
+    out = np.empty((4, *grid.shape), dtype=complex)
+
+    def block(sl, t):
+        pb = [_block_of(a, sl) for a in p]
+        qb = [_block_of(a, sl) for a in q]
+        for out_c, terms in zip(out, QMUL_TERMS):
+            _sum_terms(terms, pb, qb, out_c[sl], t)
+
+    _run_blocks(block, tuple(slice(0, n) for n in grid.shape), (complex,))
+    return out
+
+
 def _first_order(f: BQField, alpha=None, sign: int = 1) -> BQField:
     """nabla(f), plus (sign +1) or minus (sign -1) the right product
     f * alpha when alpha is given as four arrays from ``alpha_arrays``.
 
     One block of x1-planes at a time, the blocks split across CPUs by
     ``_run_blocks``: D's terms from ``QMUL_TERMS`` (``_D_TERMS``), then
-    for each component the four terms of f * alpha that it lists,
-    summed in qmul's order over the block's slices of f and of alpha into
-    one temporary, which is added or subtracted.  Node for node this is
-    what adding the whole-field ``qmul`` product would give, with no
+    for each component of f * alpha its row of ``QMUL_TERMS``, summed by
+    ``_sum_terms`` over the block's slices of f and of alpha into one
+    temporary, which is added or subtracted.  Node for node this is what
+    adding the whole-field product ``_product`` would give, with no
     product field and no allocation per block.  The NaN rim is left as
     it is.
     """
@@ -553,11 +579,8 @@ def _first_order(f: BQField, alpha=None, sign: int = 1) -> BQField:
             return
         p = [fc[sl] for fc in f.data]
         q = [_block_of(a, sl) for a in alpha]
-        for out_c, ((_, i, j), *rest) in zip(out, QMUL_TERMS):
-            np.multiply(p[i], q[j], out=acc)
-            for sgn, i, j in rest:
-                np.multiply(p[i], q[j], out=t)
-                (np.add if sgn > 0 else np.subtract)(acc, t, out=acc)
+        for out_c, terms in zip(out, QMUL_TERMS):
+            _sum_terms(terms, p, q, acc, t)
             o = out_c[sl]
             combine(o, acc, out=o)
 
@@ -578,7 +601,7 @@ def nabla(f: BQField) -> BQField:
 
 
 def alpha_arrays(alpha, grid: Grid3):
-    """alpha as four arrays that broadcast against grid.shape, for qmul.
+    """alpha as four arrays that broadcast against grid.shape.
 
     A BQField (alpha known by its samples) gives its data, an AlphaSpec
     (anything with components(grid)) a zero scalar part and its three

@@ -173,11 +173,20 @@ def test_qmul_matches_stacked_formula(kind):
 
 
 def test_qmul_terms_table_matches_qmul_on_the_basis():
-    # each row of the table is qmul's component k on every basis pair, and
-    # starts with a + term, which the blocked kernel writes without a sign
+    # each row of the table is component k of the written-out product on
+    # every basis pair, and starts with a + term, which the blocked kernel
+    # writes without a sign
     basis = np.eye(4, dtype=complex)
     for a in range(4):
         for b in range(4):
-            want = [sum(s for s, i, j in row if (i, j) == (a, b)) for row in QMUL_TERMS]
-            assert np.array_equal(qmul(basis[a], basis[b]), want), (a, b)
+            got = [sum(s for s, i, j in row if (i, j) == (a, b)) for row in QMUL_TERMS]
+            assert np.array_equal(got, _qmul_stacked(basis[a], basis[b])), (a, b)
     assert all(row[0][0] == 1 for row in QMUL_TERMS)
+
+
+@pytest.mark.parametrize("shape", [(5,), (3,), (5, 2)])
+def test_qmul_rejects_stacks_of_other_than_4_components(shape):
+    with pytest.raises(ValueError, match="4 components"):
+        qmul(np.ones(shape), np.ones(4))
+    with pytest.raises(ValueError, match="4 components"):
+        qmul(np.ones(4), np.ones(shape))

@@ -18,6 +18,7 @@ from biquat.grid import (BQField, Grid3, alpha_arrays, l2, laplacian,
                          laplacian_wide, linf, nabla, nabla_alpha, norms,
                          partial_deriv, reflect_x3, sample)
 from biquat.harness import TOL, _order_check
+from test_algebra import _qmul_stacked
 
 
 def box(n=9, lo=1.0, hi=2.0):
@@ -422,12 +423,29 @@ def test_first_order_kernels_equal_whole_field_products(shape):
         assert _same(factored_product(f, alpha).data, product), name
 
 
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_field_products_match_stacked_formula(shape):
+    # field * field, field * Biquaternion, Biquaternion * field and a
+    # field times alpha's 1-D lines, bit for bit, NaN nodes included
+    f = _kernel_field(shape, 23)
+    h = _kernel_field(shape, 24)
+    g = f.grid
+    q = Biquaternion(0.5, -1j, 2.0, 0.25j)
+    qc = q.components.reshape(4, 1, 1, 1)
+    lines = alpha_arrays(reciprocal_alpha((0.0, -1.0, 0.0)), g)
+    assert _same((f * h).data, _qmul_stacked(f.data, h.data))
+    assert _same((f * q).data, _qmul_stacked(f.data, qc))
+    assert _same((q * f).data, _qmul_stacked(qc, f.data))
+    assert _same(grid._product(f.data, lines, g), _qmul_stacked(f.data, lines))
+
+
 @pytest.mark.parametrize("check", [
     test_partial_deriv_matches_gradient_reference,
     test_nabla_matches_reference,
     test_laplacians_match_reference,
     test_first_order_kernels_equal_whole_field_products,
-], ids=["partial_deriv", "nabla", "laplacians", "first_order"])
+    test_field_products_match_stacked_formula,
+], ids=["partial_deriv", "nabla", "laplacians", "first_order", "products"])
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
 def test_split_kernels_match_references(shape, check, monkeypatch):
     # the checks above, every call of two or more blocks split in two runs
@@ -528,7 +546,8 @@ def _traced_peak(call) -> int:
 
 def test_first_order_calls_hold_few_fields(monkeypatch):
     # the product f * alpha is added per block, never as a whole field:
-    # a factor holds its output; a factorization residual holds its
+    # a factor holds its output, and so does a field product, which sums
+    # its terms into its output beside one block temporary per run; a factorization residual holds its
     # factor's input and output beside scalar arrays; the potentials hold
     # the four v_k and alpha's lines, and w, alpha**2 and the pairing
     # defect are formed from them with block temporaries beside their
@@ -539,9 +558,14 @@ def test_first_order_calls_hold_few_fields(monkeypatch):
     rng = np.random.default_rng(17)
     f = BQField(g, rng.normal(size=(4, *g.shape)) + 1j * rng.normal(size=(4, *g.shape)))
     phi = np.sin(g.mesh()[0])
+    h = BQField(g, rng.normal(size=(4, *g.shape)) + 1j * rng.normal(size=(4, *g.shape)))
+    q = Biquaternion(0.5, -1j, 2.0, 0.25j)
     alf = reciprocal_alpha()
     pots = potentials(alf, g)
     limits = {
+        "field_times_field": (lambda: f * h, 1.1),
+        "field_times_biquaternion": (lambda: f * q, 1.1),
+        "biquaternion_times_field": (lambda: q * f, 1.1),
         "nabla_alpha": (lambda: nabla_alpha(f, alf), 1.5),
         "build_solution": (lambda: build_solution(f, alf), 1.5),
         "factored_product": (lambda: factored_product(f, alf), 2.5),
