@@ -18,9 +18,9 @@ adds or subtracts f*alpha, summed from ``QMUL_TERMS`` as grid's field
 products are, block by block inside nabla's loop: a factor holds its
 output and no whole-field product.  The factorization's own passes run
 block by block through ``grid._run_blocks`` too, split across CPUs with
-each node's arithmetic unchanged: ``potentials``, whose ``PotentialSet``
-holds the four v_k and alpha's 1-D lines, the w_k and alpha**2 it forms
-from those lines on access, its pairing defect, and in
+each node's arithmetic unchanged: the ``PotentialSet`` of
+``potentials``, which holds alpha's 1-D lines alone and forms each v_k,
+w_k and alpha**2 from them when read, its pairing defect, and in
 ``factorization_residual`` the Riccati check of a separable alpha (its
 scalar slot alone), the first factor grad phi - phi a_k and the last
 pass, which forms lhs - rhs and the norm of rhs.
@@ -28,6 +28,8 @@ pass, which forms lhs - rhs and the norm of rhs.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,73 +190,96 @@ class PotentialSet:
     """The scalar potentials v_k = -D(alpha^(k)) - alpha**2 and
     w_k = +D(alpha^(k)) - alpha**2, k = 0..3, of a separable alpha.
 
-    Only the four v_k are held as grid arrays.  alpha**2 and the w_k are
-    sums of functions of x1, x2 and x3 alone, so the set holds alpha's
-    component lines a_j and derivative lines a_j' instead: ``alpha_sq``
-    and ``w`` form a new array on each access, block by block, node for
-    node as ``potentials`` forms them.  v_k + w_k is -2*alpha**2 at every
-    node: the derivative parts cancel.
+    Each is a sum of functions of x1, x2 and x3 alone, so the set holds
+    alpha's component lines a_j and derivative lines a_j' and no grid
+    array: ``v[k]``, ``w[k]`` and ``alpha_sq`` form a new array on each
+    read.  A caller who needs one of them more than once should keep it.
+    v_k + w_k is -2*alpha**2 at every node: the derivative parts cancel.
     """
 
-    v: tuple
     components: tuple
     deriv_components: tuple
 
-    def _region(self) -> tuple:
-        """The blocks' region: the arrays broadcast to at most three axes."""
-        shape = np.broadcast_shapes(
-            *(a.shape for a in (*self.v, *self.components, *self.deriv_components)))
-        return tuple(slice(0, n) for n in (1,) * (3 - len(shape)) + shape)
+    @property
+    def v(self) -> _Potentials:
+        """The four v_k = X_k - alpha**2, for X_k = -D(alpha^(k))."""
+        return _Potentials(self, 1)
+
+    @property
+    def w(self) -> _Potentials:
+        """The four w_k = (-X_k) - alpha**2."""
+        return _Potentials(self, -1)
 
     @property
     def alpha_sq(self) -> np.ndarray:
         """alpha**2 = -(a1**2 + a2**2 + a3**2), a new array."""
-        region = self._region()
-        out = np.empty(tuple(r.stop for r in region), dtype=complex)
-        _run_blocks(lambda sl: _alpha_sq_block(self.components, sl, out[sl]), region)
+        out = np.empty(self._shape(), dtype=complex)
+        self._run_parts(lambda part: _alpha_sq_block(self.components, part, out[part]))
         return out
 
-    @property
-    def w(self) -> tuple:
-        """The four w_k, new arrays."""
-        region = self._region()
-        w = tuple(np.empty(tuple(r.stop for r in region), dtype=complex) for _ in range(4))
+    def _shape(self) -> tuple:
+        """The grid's shape, which the component lines span."""
+        return np.broadcast_shapes(*(a.shape for a in self.components))
 
-        def block(sl, a):
-            _alpha_sq_block(self.components, sl, a)
-            d = [_block_of(dj, sl) for dj in self.deriv_components]
-            for k, wk in enumerate(w):
-                # w_k = (-X_k) - alpha**2, for X_k = -D(alpha^(k)) on the block
-                o = _signed_line_sum(d, k, out=wk[sl])
-                np.subtract(_negate(o), a, out=o)
+    def _run_parts(self, body, temps: tuple = ()) -> None:
+        """body(part, *temporaries) on each part of two x1-planes of the
+        blocks ``grid._run_blocks`` deals out, its temporaries cut to the
+        part: a few passes over a part stay in cache, and an array of a
+        part's shape is a quarter of a block's."""
+        def block(sl, *ts):
+            planes = range(sl[0].start, sl[0].stop)
+            for i in range(0, len(planes), 2):
+                q = planes[i:i + 2]
+                body((slice(q.start, q.stop), *sl[1:]), *(t[i:i + 2] for t in ts))
 
-        _run_blocks(block, region, (complex,))
-        return w
+        _run_blocks(block, tuple(slice(0, n) for n in self._shape()), temps)
 
     def pairing_defect(self) -> float:
         """max_k || v_k + w_k + 2*alpha**2 ||_inf (zero to rounding), with
-        w_k and alpha**2 formed block by block from the lines."""
-        tops = [[] for _ in self.v]
+        v_k, w_k and alpha**2 formed part by part from the lines."""
+        tops = [[] for _ in range(4)]
 
-        def block(sl, a, twice, total, mag):
-            _alpha_sq_block(self.components, sl, a)
-            np.multiply(2.0, a, out=twice)
-            d = [_block_of(dj, sl) for dj in self.deriv_components]
-            for k, (vk, top) in enumerate(zip(self.v, tops)):
-                # v_k + w_k as v_k - (X_k + alpha**2): w_k = (-X_k) - alpha**2
-                # is -(X_k + alpha**2) to the bit but for the sign of a
-                # zero, so every |.| is the one v_k + w_k gives
+        def body(part, a, vk, total, mag):
+            _alpha_sq_block(self.components, part, a)
+            d = [_block_of(dj, part) for dj in self.deriv_components]
+            for k, top in enumerate(tops):
+                # v_k + w_k as v_k - (X_k + alpha**2), both from one X_k:
+                # w_k = (-X_k) - alpha**2 is -(X_k + alpha**2) to the bit but
+                # for the sign of a zero, which no |.| reads
                 _signed_line_sum(d, k, out=total)
+                np.subtract(total, a, out=vk)
                 np.add(total, a, out=total)
-                np.subtract(_block_of(vk, sl), total, out=total)
-                np.add(total, twice, out=total)
-                top.append(_top(np.abs(total, out=mag)))
+                np.subtract(vk, total, out=vk)
+                np.add(vk, np.multiply(2.0, a, out=total), out=vk)
+                top.append(_top(np.abs(vk, out=mag)))
 
-        _run_blocks(block, self._region(), (complex, complex, complex, float))
-        worst = 0.0
-        for top in tops:
-            worst = max(worst, _linf_of_tops(top))
-        return worst
+        self._run_parts(body, (complex, complex, complex, float))
+        return max(_linf_of_tops(top) for top in tops)
+
+
+class _Potentials(Sequence):
+    """The v (sign 1) or w (sign -1) of a PotentialSet: index k forms
+    sign * X_k - alpha**2, a new array."""
+
+    def __init__(self, pots: PotentialSet, sign: int):
+        self._pots, self._sign = pots, sign
+
+    def __len__(self) -> int:
+        return 4
+
+    def __getitem__(self, k) -> np.ndarray:
+        k = range(4)[operator.index(k)]  # IndexError past either end
+        pots = self._pots
+        out = np.empty(pots._shape(), dtype=complex)
+
+        def body(part):
+            o = out[part]
+            _alpha_sq_block(pots.components, part, o)
+            x = _signed_line_sum([_block_of(dj, part) for dj in pots.deriv_components], k)
+            np.subtract(_negate(x) if self._sign < 0 else x, o, out=o)
+
+        pots._run_parts(body)
+        return out
 
 
 def _alpha_sq_block(comps, sl, out) -> np.ndarray:
@@ -283,19 +308,7 @@ def potentials(alpha: AlphaSpec, grid: Grid3) -> PotentialSet:
     if not isinstance(alpha, SeparableAlpha):
         raise ValueError("potentials require separable alpha: D(alpha^(k)) is not scalar otherwise")
     derivs = alpha.deriv_components(grid)
-    comps = alpha.components(grid)
-    v = tuple(np.empty(grid.shape, dtype=complex) for _ in range(4))
-
-    def block(sl, a):
-        _alpha_sq_block(comps, sl, a)
-        d = [_block_of(dj, sl) for dj in derivs]
-        for k, vk in enumerate(v):
-            # v_k = X_k - alpha**2, for X_k = -D(alpha^(k)) on the block
-            _signed_line_sum(d, k, out=vk[sl])
-            np.subtract(vk[sl], a, out=vk[sl])
-
-    _run_blocks(block, tuple(slice(0, n) for n in grid.shape), (complex,))
-    return PotentialSet(v=v, components=comps, deriv_components=derivs)
+    return PotentialSet(alpha.components(grid), derivs)
 
 
 def build_solution(g: BQField, alpha) -> BQField:
@@ -380,18 +393,15 @@ class ClosedFormFamily:
             raise ValueError("analytic residual requires derivative callables")
         a = self.alpha.components(grid)
         da = self.alpha.deriv_components(grid)
-        d_inv = d_alpha_involution(da, k)
-        asq = self.alpha.alpha_sq(grid)
+        pot = getattr(PotentialSet(a, da), which)[k]  # v_k or w_k
         s = _FAMILY_SIGNS[k]
         if which == "v":
             vals = self.phi_values(grid, k)
             # d_j phi = -s_j a_j phi  ->  d_j^2 phi = (-s_j a_j' + a_j^2) phi
             lap_factor = sum(-s[j] * da[j] + a[j] ** 2 for j in range(3))
-            pot = -d_inv - asq  # v_k, as in potentials()
         else:
             vals = self.f_values(grid, k)
             lap_factor = sum(s[j] * da[j] + a[j] ** 2 for j in range(3))
-            pot = d_inv - asq   # w_k
         res = -lap_factor * vals + pot * vals
         # scale by the magnitude of the terms entering the cancellation, not
         # by their (identically vanishing) sum
@@ -455,6 +465,22 @@ def _diagonalize(a: np.ndarray):
 def _along(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     """Apply the matrix mat along one axis of the 3-D array x."""
     return np.moveaxis(np.tensordot(mat, x, axes=(1, axis)), 0, axis)
+
+
+def _kronecker_sum_apply(ops, x: np.ndarray) -> np.ndarray:
+    """(A_1 ⊕ A_2 ⊕ A_3) x for tridiagonal A_j, from their three diagonals:
+    O(1) work per entry of x, where ``_along`` with a dense A_j takes O(m).
+    The shifted slices read a contiguous copy of x, faster than the
+    transposed array a solve returns."""
+    x = np.ascontiguousarray(x)
+    d1, d2, d3 = (np.diagonal(a) for a in ops)
+    out = (d1[:, None, None] + d2[:, None] + d3) * x
+    for j, a in enumerate(ops):
+        line = (-1,) + (1,) * (2 - j)
+        lo, up = ((slice(None),) * j + (s,) for s in (slice(1, None), slice(None, -1)))
+        out[lo] += np.diagonal(a, -1).reshape(line) * x[up]
+        out[up] += np.diagonal(a, 1).reshape(line) * x[lo]
+    return out
 
 
 def _plane_solve(shift, rhs: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
@@ -560,7 +586,7 @@ def right_inverse(f: BQField, alpha: AlphaSpec) -> RightInverseResult:
                 f"min |lam| {smallest:.3e}, max |lam| {largest:.3e}")
         condition = float(np.maximum(condition, largest / smallest))
         sol = _component_solve(rhs, forms, total)
-        applied = sum(_along(a, sol, j) for j, a in enumerate(ops))
+        applied = _kronecker_sum_apply(ops, sol)
         rhs_scale = max(float(np.abs(rhs).max(initial=0.0)), 1e-300)
         # np.maximum keeps a NaN, which Python's max would drop
         worst = float(np.maximum(worst, np.abs(applied - rhs).max(initial=0.0) / rhs_scale))

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import re
 
@@ -12,8 +13,8 @@ from biquat.alpha import AxialAlpha, GradientAlpha, SeparableAlpha, reciprocal_a
 from biquat.factorization import (ClosedFormFamily, PotentialSet, build_solution,
                                   d_alpha_involution, factored_product, factorization_residual,
                                   potentials, riccati_residual, right_inverse)
-from biquat.grid import (BQField, Grid3, _on_mesh, alpha_arrays, laplacian, linf, nabla_alpha,
-                         partial_deriv, sample)
+from biquat.grid import (BQField, Grid3, _on_mesh, _schrodinger, alpha_arrays, laplacian, linf,
+                         nabla_alpha, partial_deriv, sample)
 from biquat.harness import TOL, _order_check
 
 
@@ -262,10 +263,9 @@ def test_split_calls_keep_their_raise_paths(monkeypatch):
     # the blocked norms raise as the whole-field ones do, with the same value
     _two_cpus(monkeypatch)
     g = box(65)
-    nan = np.full(g.shape, np.nan, dtype=complex)
     lines = tuple(g.sample_axis(j, np.nan) for j in range(3))
     with pytest.raises(ValueError, match="^no valid nodes to take a norm over$"):
-        PotentialSet(v=(nan,) * 4, components=lines, deriv_components=lines).pairing_defect()
+        PotentialSet(lines, lines).pairing_defect()
     alf = reciprocal_alpha()
     rel = riccati_residual(alf, 5.0, g).linf() / max(1.0, linf(alf.alpha_sq(g)), 5.0)
     with pytest.raises(ValueError, match=re.escape(
@@ -294,14 +294,45 @@ def test_potentials_equal_signed_involution_reference(grid_name, alpha_name, mon
     a1, a2, a3 = alf.components(g)
     asq = -(a1 ** 2 + a2 ** 2 + a3 ** 2)
     assert np.array_equal(pots.alpha_sq, asq)
-    w = pots.w
+    v, w = list(pots.v), list(pots.w)
+    assert len(v) == len(w) == 4
     for k in range(4):
         d_inv = _d_alpha_involution_reference(derivs, k)
         assert np.array_equal(d_alpha_involution(derivs, k), d_inv, equal_nan=True)
-        assert np.array_equal(pots.v[k], -d_inv - asq, equal_nan=True)
+        assert np.array_equal(v[k], -d_inv - asq, equal_nan=True)
         assert np.array_equal(w[k], d_inv - asq, equal_nan=True)
+        assert np.array_equal(pots.v[k], v[k], equal_nan=True)
     assert pots.pairing_defect() == max(
-        linf(vk + wk + 2.0 * asq) for vk, wk in zip(pots.v, w))
+        linf(vk + wk + 2.0 * asq) for vk, wk in zip(v, w))
+
+
+@pytest.mark.parametrize("alf", [reciprocal_alpha(), SeparableAlpha((2j, 0, 0))],
+                         ids=["reciprocal", "constant"])
+def test_potential_sequences_form_a_new_array_per_index(alf):
+    g = box()
+    pots = potentials(alf, g)
+    for seq in (pots.v, pots.w):
+        assert len(seq) == 4
+        assert np.array_equal(seq[-1], seq[3])
+        with pytest.raises(IndexError):
+            seq[4]
+        with pytest.raises(IndexError):
+            seq[-5]
+        for k in range(4):
+            first, again = seq[k], seq[k]
+            assert first.shape == g.shape and first.dtype == complex
+            assert not np.shares_memory(first, again)
+            assert np.array_equal(first, again)
+    # the set holds alpha's lines and nothing else
+    assert [f.name for f in dataclasses.fields(pots)] == ["components", "deriv_components"]
+
+
+def test_schrodinger_reads_the_potential_sequence():
+    g = box()
+    pots = potentials(reciprocal_alpha(), g)
+    u = np.random.default_rng(7).normal(size=(4, *g.shape)) + 0j
+    assert np.array_equal(_schrodinger(u, pots.v, g), _schrodinger(u, tuple(pots.v), g),
+                          equal_nan=True)
 
 
 def test_potentials_reciprocal_pairing():
@@ -444,8 +475,8 @@ def test_family_analytic_schrodinger_rejects_bad_which():
 
 
 def test_family_analytic_schrodinger_builds_no_potential_set(monkeypatch):
-    # each call forms its one potential from the sampled derivative lines;
-    # the full eight-array PotentialSet is never rebuilt
+    # each call forms its one potential from the lines it samples once:
+    # potentials() is not called to sample them again
     from biquat import factorization
 
     def refuse(*args, **kwargs):
@@ -625,6 +656,24 @@ def test_right_inverse_matches_direct_sparse_solve(alpha):
     out = right_inverse(f, alpha)
     want = _direct_solve(f, alpha)
     assert np.abs(out.u.data - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("alpha", [reciprocal_alpha(), _complex_axis_alpha(), _sqrt_alpha(1e3)],
+                         ids=["reciprocal", "nu_i_e1", "sqrt"])
+def test_solver_gate_applies_the_axis_operators_as_the_dense_product(alpha):
+    # the gate's product from the three diagonals equals the dense m x m
+    # products along the axes to rounding, on an uneven grid and on a
+    # transposed (non-contiguous) solution as the solve returns it
+    g = Grid3.box(1.0, 2.0, (9, 11, 12))
+    axes = factorization._axis_operators(alpha, g)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((10, 9, 7)) + 1j * rng.standard_normal((10, 9, 7))
+    x = np.transpose(x, (2, 1, 0))
+    for s in INVOLUTION_SIGNS:
+        ops = [axes[j][s_j][0] for j, s_j in enumerate(s)]
+        want = sum(factorization._along(a, x, j) for j, a in enumerate(ops))
+        got = factorization._kronecker_sum_apply(ops, x)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_right_inverse_decomposes_each_axis_operator_once(monkeypatch):
