@@ -5,8 +5,8 @@ D(alpha) + alpha**2 = -v, the scalar factorization
 (-lap + v) = (D + M^alpha)(D - M^alpha) on scalar functions, its
 componentwise diagonalization for separable alpha (potentials v_k, w_k),
 closed-form one-component solution families, a right inverse of
-D + M^alpha built from four Dirichlet solves by a per-axis unitary
-(eigh or Schur) form of the 1-D operators, and the
+D + M^alpha from four solves of one separable Dirichlet solver, which puts
+each 1-D operator once in a unitary (eigh or Schur) form, and the
 quaternionic-potential machinery for axial alpha: the alpha-free pointwise
 maps C, J, Q^± and Pi (``c_map``, ``j_map``, ``q_map``, ``pi_map``), the
 alpha-dependent operators in ``AxialOperators`` and the zero-divisor
@@ -429,26 +429,19 @@ class RightInverseResult:
     condition: float        # worst max|lam| / min|lam| of a component operator
 
 
-def _axis_operators(alpha: SeparableAlpha, grid: Grid3):
-    """Per axis j, the two 1-D interior operators
-    A_j^σ = -d^2/dx_j^2 + σ a_j' + a_j**2 (σ = ±1) with zero Dirichlet
-    ends, each with its unitary form: a dict keyed by σ of (A_j^σ, (T, Q))
-    (see ``_diagonalize``).  Component k takes σ_j = s_kj on axis j, and
+def _axis_operators(pots: PotentialSet, grid: Grid3):
+    """Per axis j, a dict keyed by σ = ±1 of the 1-D interior operators
+    A_j^σ = -d^2/dx_j^2 + σ a_j' + a_j**2, zero Dirichlet ends, from the
+    lines a_j, a_j' pots holds.  Component k takes σ_j = s_kj on axis j:
     A_1^σ1 ⊕ A_2^σ2 ⊕ A_3^σ3 is then -lap + v_k on the interior nodes."""
-    comps = alpha.components(grid)
-    derivs = alpha.deriv_components(grid)
     ops = []
-    for j in range(3):
+    for j, (a, da) in enumerate(zip(pots.components, pots.deriv_components)):
         m, h = grid.shape[j] - 2, grid.spacing[j]
         lap = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / h ** 2
-        pair = {}
-        for sigma in (1, -1):
-            q = sigma * derivs[j].ravel()[1:-1] + comps[j].ravel()[1:-1] ** 2
-            if not np.all(np.isfinite(q)):
-                raise ValueError("potential has invalid interior values")
-            a = lap + np.diag(q)
-            pair[sigma] = (a, _diagonalize(a))
-        ops.append(pair)
+        q = {sigma: sigma * da.ravel()[1:-1] + a.ravel()[1:-1] ** 2 for sigma in (1, -1)}
+        if not all(np.isfinite(qs).all() for qs in q.values()):
+            raise ValueError("potential has invalid interior values")
+        ops.append({sigma: lap + np.diag(qs) for sigma, qs in q.items()})
     return ops
 
 
@@ -516,25 +509,53 @@ def _triangular_solve(y: np.ndarray, t1: np.ndarray, t2: np.ndarray,
     return z.reshape(y.shape)
 
 
-def _component_solve(rhs: np.ndarray, forms, total: np.ndarray) -> np.ndarray:
-    """Solve (A_1 ⊕ A_2 ⊕ A_3) u = rhs given each A_j = Q_j T_j Q_j^H and
-    the sums of their eigenvalues, ``total``: contract with the Q_j^H,
-    solve with T_1 ⊕ T_2 ⊕ T_3, contract with the Q_j."""
-    y = rhs
-    for j, (_, q) in enumerate(forms):
-        y = _along(q.conj().T, y, j)
-    if all(t.ndim == 1 for t, _ in forms):
-        y = y / total
-    else:
-        # triangular axes first, so the back-substitution runs along one of
-        # them and a plane is triangular only where a Sylvester solve is due
-        order = sorted(range(3), key=lambda j: -forms[j][0].ndim)
-        y = np.ascontiguousarray(np.transpose(y, order))
-        y = _triangular_solve(y, *(forms[j][0] for j in order))
-        y = np.transpose(y, np.argsort(order))
-    for j, (_, q) in enumerate(forms):
-        y = _along(q, y, j)
-    return y
+class _DirichletSolver:
+    """Solves (A_1 ⊕ A_2 ⊕ A_3) u = rhs on a grid's interior nodes, u zero
+    on its boundary, for tridiagonal 1-D operators A_j = axes[j][σ], σ = ±1.
+
+    Each of the six is put once, when the solver is built, in a unitary form
+    A_j = Q_j T_j Q_j^H (``_diagonalize``: eigh for real values, T_j then
+    diagonal; complex Schur otherwise, T_j upper triangular).  A solve
+    contracts with the Q_j^H, solves with T_1 ⊕ T_2 ⊕ T_3 and contracts
+    with the Q_j (Bartels & Stewart 1972).  With every T_j diagonal the
+    middle step divides by the eigenvalue sums lam_1 + lam_2 + lam_3, fast
+    diagonalization (Lynch, Rice & Thomas 1964); else it back-substitutes
+    along a triangular axis, each plane a division or one LAPACK trsyl.
+    A singular operator, seen in min |lam_1 + lam_2 + lam_3|, raises.
+    """
+
+    def __init__(self, axes):
+        self._axes = [{s: (a, _diagonalize(a)) for s, a in pair.items()} for pair in axes]
+
+    def solve(self, rhs: np.ndarray, signs):
+        """(u, relative residual, condition) for A_j = axes[j][signs[j]]:
+        the residual is max |A u - rhs| / max |rhs|, NaN kept, with A
+        applied from its diagonals (``_kronecker_sum_apply``); the
+        condition is max |lam| / min |lam| over the eigenvalue sums."""
+        ops, forms = zip(*(self._axes[j][s_j] for j, s_j in enumerate(signs)))
+        lams = [t if t.ndim == 1 else np.diagonal(t) for t, _ in forms]
+        total = lams[0][:, None, None] + lams[1][None, :, None] + lams[2][None, None, :]
+        smallest, largest = np.abs(total).min(), np.abs(total).max()
+        if smallest <= total.size * np.finfo(float).eps * largest:
+            raise ValueError("discrete operator singular or near-singular: "
+                             f"min |lam| {smallest:.3e}, max |lam| {largest:.3e}")
+        y = rhs
+        for j, (_, q) in enumerate(forms):
+            y = _along(q.conj().T, y, j)
+        if all(t.ndim == 1 for t, _ in forms):
+            y = y / total
+        else:
+            # triangular axes first, so the back-substitution runs along one of
+            # them and a plane is triangular only where a Sylvester solve is due
+            order = sorted(range(3), key=lambda j: -forms[j][0].ndim)
+            y = np.ascontiguousarray(np.transpose(y, order))
+            y = _triangular_solve(y, *(forms[j][0] for j in order))
+            y = np.transpose(y, np.argsort(order))
+        for j, (_, q) in enumerate(forms):
+            y = _along(q, y, j)
+        rhs_scale = max(float(np.abs(rhs).max(initial=0.0)), 1e-300)
+        residual = np.abs(_kronecker_sum_apply(ops, y) - rhs).max(initial=0.0) / rhs_scale
+        return y, residual, largest / smallest
 
 
 def right_inverse(f: BQField, alpha: AlphaSpec) -> RightInverseResult:
@@ -548,49 +569,27 @@ def right_inverse(f: BQField, alpha: AlphaSpec) -> RightInverseResult:
     under D - M^alpha is ``right_inverse(f, -alpha).field``.
 
     For separable alpha each v_k is a sum of 1-D functions, so -lap + v_k
-    is the Kronecker sum of three tridiagonal 1-D operators A_j, each one
-    of the two an axis has (``_axis_operators``).  Each of the six is put
-    once in a unitary form A_j = Q_j T_j Q_j^H: by eigh when its values are
-    real, T_j then diagonal, and by complex Schur otherwise, T_j upper
-    triangular.  The solve is three contractions with the Q_j^H, a solve
-    with T_1 ⊕ T_2 ⊕ T_3 and three contractions with the Q_j (Bartels &
-    Stewart 1972).  With every T_j diagonal the middle step is a division
-    by the eigenvalue sums lam_1 + lam_2 + lam_3, fast diagonalization
-    (Lynch, Rice & Thomas 1964); else it back-substitutes along a
-    triangular axis, each plane a division or one LAPACK trsyl.  A
-    ValueError is raised when min |lam_1 + lam_2 + lam_3| shows a singular
-    operator, and when the relative residual of any component solve
-    exceeds _SOLVER_TOL or is NaN, and when a component of f is not finite
-    at an interior node (the boundary values are not used).  ``condition``
-    is the worst max |lam| / min |lam| over the four components.
+    is a Kronecker sum of 1-D operators (``_axis_operators``, from
+    ``potentials``, which raises for any other alpha); one
+    ``_DirichletSolver`` built per call solves the four components (see it
+    for the algorithm and its singular case), and ``condition`` is the
+    worst of theirs.  A ValueError is also raised when a component of f is
+    not finite at an interior node (the boundary values are not used) and
+    when any solve's relative residual exceeds _SOLVER_TOL or is NaN.
     """
-    if not isinstance(alpha, SeparableAlpha):
-        raise ValueError("right inverse requires separable alpha: D(alpha^(k)) is not scalar otherwise")
     grid = f.grid
-    axes = _axis_operators(alpha, grid)
+    solver = _DirichletSolver(_axis_operators(potentials(alpha, grid), grid))
     inner = tuple(slice(1, -1) for _ in range(3))
     u = np.zeros((4, *grid.shape), dtype=complex)
-    worst = 0.0
-    condition = 0.0
+    worst = condition = 0.0
     for k, s in enumerate(INVOLUTION_SIGNS):
         rhs = f.data[k][inner]
         if not np.isfinite(rhs).all():
             raise ValueError(f"f component {k} is not finite at an interior node")
-        ops, forms = zip(*(axes[j][s_j] for j, s_j in enumerate(s)))
-        lams = [t if t.ndim == 1 else np.diagonal(t) for t, _ in forms]
-        total = lams[0][:, None, None] + lams[1][None, :, None] + lams[2][None, None, :]
-        smallest, largest = np.abs(total).min(), np.abs(total).max()
-        if smallest <= total.size * np.finfo(float).eps * largest:
-            raise ValueError(
-                "discrete operator singular or near-singular: "
-                f"min |lam| {smallest:.3e}, max |lam| {largest:.3e}")
-        condition = float(np.maximum(condition, largest / smallest))
-        sol = _component_solve(rhs, forms, total)
-        applied = _kronecker_sum_apply(ops, sol)
-        rhs_scale = max(float(np.abs(rhs).max(initial=0.0)), 1e-300)
+        u[k][inner], residual, cond = solver.solve(rhs, s)
         # np.maximum keeps a NaN, which Python's max would drop
-        worst = float(np.maximum(worst, np.abs(applied - rhs).max(initial=0.0) / rhs_scale))
-        u[k][inner] = sol
+        worst = float(np.maximum(worst, residual))
+        condition = float(np.maximum(condition, cond))
     if not worst <= _SOLVER_TOL:
         raise ValueError(f"linear solver residual {worst:.3e} exceeds {_SOLVER_TOL:.1e}")
     u_field = BQField(grid, u)

@@ -804,8 +804,9 @@ def check_factorization(cfg: SuiteConfig):
 
     # reciprocal family: vanishing zeroth potential, printed v_1..v_3
     pots = fz.potentials(alf, g_coarse)
-    rows.append(_exact_row("reciprocal_zero_potential", linf(pots.v[0]),
-                           h=g_coarse.hmax, value_l2=l2(pots.v[0], g_coarse)))
+    v0 = pots.v[0]
+    rows.append(_exact_row("reciprocal_zero_potential", linf(v0),
+                           h=g_coarse.hmax, value_l2=l2(v0, g_coarse)))
     printed = (
         2.0 * (1.0 / (x2 - b2) ** 2 + 1.0 / (x3 - b3) ** 2),
         2.0 * (1.0 / (x1 - b1) ** 2 + 1.0 / (x3 - b3) ** 2),

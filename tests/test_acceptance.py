@@ -1,6 +1,6 @@
 """Acceptance gate: the algebra and calculus suites within their runtime
-bounds, every row of `verify all` passing, and its pinned CSV hash.  Each
-gate prints one pass/fail line.
+bounds, every row of `verify all` passing, and its CSV hashes pinned at
+seeds 1234 and 101.  Each gate prints one pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v` (one PASSED/FAILED line per
 gate) or `-s` to see the explicit ACCEPTANCE lines as well.
@@ -8,11 +8,15 @@ gate) or `-s` to see the explicit ACCEPTANCE lines as well.
 
 import hashlib
 
+import pytest
+
 from biquat.harness import SuiteConfig, run_suite
 
 # sha256 of the `verify all --seed 1234` CSV at the default grids: a change
 # that leaves the numerics alone keeps it; a change to any row updates it
 REPORT_SHA256 = "639f76a9ea691e22552afaee98338b6e51ea950846e444193ce2ca6ba3bab55d"
+# the same for `verify all --seed 101`, the second seed a refactor is held to
+SEED_101_SHA256 = "ee5b16f4c13914d2792ec2f2375172ad24be524d041038c978b78c778b47734c"
 
 
 def _announce(criterion, report, max_seconds):
@@ -39,7 +43,11 @@ def test_full_suite_green_within_wall_target(full_report):
     _announce("all", full_report, 30.0)
 
 
-def test_report_csv_byte_identical(full_report, tmp_path):
+@pytest.mark.parametrize("seed, digest", [(1234, REPORT_SHA256), (101, SEED_101_SHA256)],
+                         ids=["seed1234", "seed101"])
+def test_report_csv_byte_identical(seed, digest, full_report, tmp_path):
+    # the session's full report is seed 1234's; seed 101 runs here
+    report = full_report if seed == 1234 else run_suite(SuiteConfig(suite="all", seed=seed))
     path = tmp_path / "report.csv"
-    full_report.write_csv(path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256
+    report.write_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

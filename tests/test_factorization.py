@@ -614,6 +614,11 @@ def _direct_solve(f, alpha):
     return u
 
 
+def _solver(alpha, g):
+    """The solver right_inverse builds for alpha on g."""
+    return factorization._DirichletSolver(factorization._axis_operators(potentials(alpha, g), g))
+
+
 def _complex_data(g, seed=0):
     rng = np.random.default_rng(seed)
     shape = (4, *g.shape)
@@ -644,12 +649,16 @@ def _sqrt_alpha(c):
 
 
 # a "-w" case takes -alpha, whose v_k are the w_k of alpha: the solves
-# behind the mirrored preimage under D - M^alpha
+# behind the mirrored preimage under D - M^alpha; the "central_difference"
+# alpha has no derivative callables, so each a_j' is a central difference
+# of the sampled line, NaN at both ends, which the interior never reads
 @pytest.mark.parametrize("alpha", [SeparableAlpha((1j, 0, 0)), SeparableAlpha((-1j, 0, 0)),
                                    reciprocal_alpha(), _negated(reciprocal_alpha()),
-                                   _complex_axis_alpha()],
+                                   _complex_axis_alpha(),
+                                   SeparableAlpha((lambda x: 1 / x, lambda x: np.exp(0.3 * x),
+                                                   0.5j))],
                          ids=["constant_i_e1-v", "constant_i_e1-w", "reciprocal-v", "reciprocal-w",
-                              "nu_i_e1-v"])
+                              "nu_i_e1-v", "central_difference-v"])
 def test_right_inverse_matches_direct_sparse_solve(alpha):
     g = box(9)
     f = _complex_data(g)
@@ -665,31 +674,55 @@ def test_solver_gate_applies_the_axis_operators_as_the_dense_product(alpha):
     # products along the axes to rounding, on an uneven grid and on a
     # transposed (non-contiguous) solution as the solve returns it
     g = Grid3.box(1.0, 2.0, (9, 11, 12))
-    axes = factorization._axis_operators(alpha, g)
+    axes = factorization._axis_operators(potentials(alpha, g), g)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((10, 9, 7)) + 1j * rng.standard_normal((10, 9, 7))
     x = np.transpose(x, (2, 1, 0))
     for s in INVOLUTION_SIGNS:
-        ops = [axes[j][s_j][0] for j, s_j in enumerate(s)]
+        ops = [axes[j][s_j] for j, s_j in enumerate(s)]
         want = sum(factorization._along(a, x, j) for j, a in enumerate(ops))
         got = factorization._kronecker_sum_apply(ops, x)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_right_inverse_decomposes_each_axis_operator_once(monkeypatch):
-    # s_kj = ±1, so the four components share two operators per axis; the
-    # reciprocal alpha's are real, so each is one eigh
-    calls = {"eigh": 0, "eig": 0, "inv": 0, "cond": 0}
+    # s_kj = ±1, so the four components share two operators per axis: one
+    # eigh for each real operator, one schur for each complex one
+    calls = {"eigh": 0, "eig": 0, "inv": 0, "cond": 0, "schur": 0}
     for name in calls:
-        original = getattr(np.linalg, name)
+        owner = factorization if name == "schur" else np.linalg
+        original = getattr(owner, name)
 
         def counted(*args, name=name, original=original, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
-    right_inverse(_complex_data(box(9)), reciprocal_alpha())
-    assert calls == {"eigh": 6, "eig": 0, "inv": 0, "cond": 0}
+        monkeypatch.setattr(owner, name, counted)
+    g = box(9)
+    f = _complex_data(g)
+    for alpha, eigh, schur in [(reciprocal_alpha(), 6, 0), (_complex_axis_alpha(), 4, 2)]:
+        calls.update(dict.fromkeys(calls, 0))
+        right_inverse(f, alpha)
+        assert calls == {"eigh": eigh, "eig": 0, "inv": 0, "cond": 0, "schur": schur}
+        # the solver factors when it is built; its solves factor nothing
+        solver = _solver(alpha, g)
+        calls.update(dict.fromkeys(calls, 0))
+        for k, s in enumerate(INVOLUTION_SIGNS):
+            solver.solve(f.data[k][1:-1, 1:-1, 1:-1], s)
+        assert calls == dict.fromkeys(calls, 0)
+
+
+@pytest.mark.parametrize("alpha", [reciprocal_alpha(), _complex_axis_alpha(), _sqrt_alpha(1e3)],
+                         ids=["reciprocal", "nu_i_e1", "sqrt"])
+def test_one_component_solve_is_right_inverses_component(alpha):
+    # a caller that needs one component solves that one alone, to the bit
+    g = box(9)
+    f = _complex_data(g)
+    inner = (slice(1, -1),) * 3
+    u = right_inverse(f, alpha).u
+    solver = _solver(alpha, g)
+    for k, s in enumerate(INVOLUTION_SIGNS):
+        assert np.array_equal(solver.solve(f.data[k][inner], s)[0], u.data[k][inner])
 
 
 def test_right_inverse_schur_path_for_ill_conditioned_basis(caplog):
@@ -720,8 +753,9 @@ def test_right_inverse_condition_of_the_dirichlet_laplacian():
     line = 4.0 / h ** 2 * np.sin(np.arange(1, m + 1) * np.pi / (2 * (m + 1))) ** 2
     lam = line[:, None, None] + line[None, :, None] + line[None, None, :] - 1.0
     alf = SeparableAlpha((1j, 0, 0))
-    for j, pair in enumerate(factorization._axis_operators(alf, g)):
-        for _, (t, _) in pair.values():
+    for j, pair in enumerate(factorization._axis_operators(potentials(alf, g), g)):
+        for a in pair.values():
+            t, _ = factorization._diagonalize(a)
             assert np.allclose(np.sort(t), line - (j == 0), rtol=1e-13, atol=0.0)
     out = right_inverse(_complex_data(g), alf)
     want = np.abs(lam).max() / np.abs(lam).min()
