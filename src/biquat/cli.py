@@ -7,6 +7,13 @@ the order window and the fixtures are fixed (see biquat.harness).  Exit
 code 0 when every check passes, 1 on any numerical failure (the report is
 still written), 2 on usage errors (a bad grid pair or seed included) or a
 report path that cannot be opened for writing.
+
+``verify all`` runs its suites in forked worker processes, one per CPU
+the process may use, and joins them before it writes the report; one
+named suite, or a process allowed one CPU, runs in this process.  A
+suite's numerical exception is logged here, on stderr, whichever
+process ran it.  This process's own peak RSS then covers only the
+parent: the workers' is in ``RUSAGE_CHILDREN``.
 """
 
 from __future__ import annotations

@@ -535,7 +535,9 @@ class _DirichletSolver:
         ops, forms = zip(*(self._axes[j][s_j] for j, s_j in enumerate(signs)))
         lams = [t if t.ndim == 1 else np.diagonal(t) for t, _ in forms]
         total = lams[0][:, None, None] + lams[1][None, :, None] + lams[2][None, None, :]
-        smallest, largest = np.abs(total).min(), np.abs(total).max()
+        mag = np.abs(total)
+        smallest, largest = mag.min(), mag.max()
+        del mag  # an n^3 array no later step reads
         if smallest <= total.size * np.finfo(float).eps * largest:
             raise ValueError("discrete operator singular or near-singular: "
                              f"min |lam| {smallest:.3e}, max |lam| {largest:.3e}")

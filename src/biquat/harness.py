@@ -15,12 +15,14 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import algebra, dirac, factorization as fz, physics
+from . import algebra, dirac, factorization as fz, grid as _grid, physics
 from .algebra import Biquaternion
 from .alpha import AxialAlpha, GradientAlpha, SeparableAlpha, reciprocal_alpha
 from .grid import (BQField, Grid3, _schrodinger, l2, laplacian, laplacian_wide, linf,
@@ -1105,26 +1107,74 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Start a daemon thread that ends this worker once its parent
+    process is gone.  A worker waits for its next suite on a pipe that
+    its siblings also hold open, so it would outlive a killed parent."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="biquat-parent-watch", daemon=True).start()
+
+
+def _suite_rows(name: str, cfg: SuiteConfig):
+    """(rows, error) of the suite SUITES[name]: its rows and None, or, if
+    it raises a numerical exception, one FAIL row named after the
+    exception type and (type name, message).  Rows carry no suite name
+    yet; any other exception propagates."""
+    try:
+        return SUITES[name](cfg), None
+    except (ArithmeticError, ValueError) as err:
+        nan = float("nan")
+        row = CheckRow(suite="", check=f"raised_{type(err).__name__}", h=None,
+                       linf=nan, l2=nan, expected_order=None,
+                       observed_order=None, passed=False)
+        return [row], (type(err).__name__, str(err))
+
+
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
     """Run the named suite (or all of them) and collect the report.
 
     Row order is stable; with a fixed seed the CSV serialization is
     byte-identical between runs.  A suite that raises a numerical
     exception contributes one FAIL row named after the exception type
-    (the message goes to the log), and the remaining suites still run.
+    (the message goes to this module's log, in the calling process), and
+    the remaining suites still run; any other exception propagates.
+
+    The suites of ``all`` share nothing (each draws from its own
+    ``_rng``), so they are dealt, one at a time in ``SUITES`` order, to
+    ``min(len(SUITES), grid._cpus())`` worker processes forked for this
+    call and joined before it returns.  A worker looks its suite up by
+    name after the fork, so it runs the caller's ``SUITES``, and it exits
+    if the caller is killed.  The rows come back in ``SUITES`` order.  A
+    call runs inline, in the calling process, when it names one suite,
+    when the process may use one CPU, or where the "fork" start method
+    does not exist.  The calling process's own peak RSS
+    (``RUSAGE_SELF``) then covers only the parent; the workers' is in
+    ``RUSAGE_CHILDREN``.
     """
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
     t0 = time.perf_counter()
+    procs = min(len(names), _grid._cpus())
+    if procs > 1:
+        # imported here: a process that never forks never needs them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            procs = 1
+    if procs > 1:
+        with ProcessPoolExecutor(procs, multiprocessing.get_context("fork"),
+                                 _exit_with_parent, (os.getpid(),)) as pool:
+            results = list(pool.map(_suite_rows, names, itertools.repeat(cfg)))
+    else:
+        results = [_suite_rows(name, cfg) for name in names]
     report = VerificationReport()
-    for name in names:
-        try:
-            rows = SUITES[name](cfg)
-        except (ArithmeticError, ValueError) as err:
-            _log.error("suite %s raised %s: %s", name, type(err).__name__, err)
-            nan = float("nan")
-            rows = [CheckRow(suite="", check=f"raised_{type(err).__name__}", h=None,
-                             linf=nan, l2=nan, expected_order=None,
-                             observed_order=None, passed=False)]
+    for name, (rows, err) in zip(names, results):
+        if err is not None:
+            _log.error("suite %s raised %s: %s", name, *err)
         report.rows.extend(replace(r, suite=name) for r in rows)
     report.wall_time = time.perf_counter() - t0
     return report

@@ -1,3 +1,4 @@
+import multiprocessing
 import threading
 
 import pytest
@@ -19,3 +20,12 @@ def no_block_threads_left():
     left = [t.name for t in threading.enumerate() if t.name.startswith("biquat-blocks")]
     if left:
         pytest.fail(f"kernel threads outlived the test: {left}")
+
+
+@pytest.fixture(autouse=True)
+def no_worker_processes_left():
+    """A run_suite call that forks joins its workers before it returns."""
+    yield
+    left = multiprocessing.active_children()
+    if left:
+        pytest.fail(f"worker processes outlived the test: {left}")

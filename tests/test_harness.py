@@ -1,15 +1,19 @@
 import json
+import logging
 import math
 import os
+import signal
 import subprocess
 import sys
+import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import biquat
-from biquat import algebra, dirac, factorization, harness
+from biquat import algebra, dirac, factorization, grid, harness
 from biquat.cli import main as cli_main
 from biquat.dirac import manufactured_split_solution, pseudoscalar_split
 from biquat.grid import BQField, Grid3, RightSplit
@@ -337,18 +341,111 @@ def test_solver_rejection_becomes_the_right_inverse_fail_row(monkeypatch):
         ("right-inverse", "raised_ValueError", False)]
 
 
-def test_suite_exception_becomes_fail_row(tmp_path, monkeypatch):
+def test_suite_exception_becomes_fail_row(tmp_path, monkeypatch, caplog):
     def broken(cfg):
         raise ValueError("synthetic numerical failure")
 
     monkeypatch.setattr(harness, "SUITES", {"algebra": harness.check_algebra,
                                             "calculus": broken,
                                             "forcefree": harness.check_forcefree})
-    rows = run_suite(SuiteConfig(suite="all", grids=(9, 17))).rows
-    raised = [r for r in rows if r.suite == "calculus"]
-    assert [(r.check, r.passed) for r in raised] == [("raised_ValueError", False)]
-    assert {r.suite for r in rows} == {"algebra", "calculus", "forcefree"}
+    # inline, then in forked workers: the message is logged in the caller
+    for cpus in (1, 2):
+        monkeypatch.setattr(grid, "_cpus", lambda: cpus)
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="biquat.harness"):
+            rows = run_suite(SuiteConfig(suite="all", grids=(9, 17))).rows
+        raised = [r for r in rows if r.suite == "calculus"]
+        assert [(r.check, r.passed) for r in raised] == [("raised_ValueError", False)]
+        assert list(dict.fromkeys(r.suite for r in rows)) == ["algebra", "calculus",
+                                                              "forcefree"]
+        assert "suite calculus raised ValueError: synthetic numerical failure" in caplog.text
 
     out = tmp_path / "rep.csv"
     assert cli_main(["all", "--grid", "9,17", "--out", str(out)]) == 1
     assert "calculus,raised_ValueError," in out.read_text()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_suite_type_error_propagates(cpus, monkeypatch):
+    def broken(cfg):
+        raise TypeError("synthetic programming error")
+
+    monkeypatch.setattr(grid, "_cpus", lambda: cpus)
+    monkeypatch.setattr(harness, "SUITES", {"algebra": harness.check_algebra,
+                                            "calculus": broken})
+    with pytest.raises(TypeError, match="synthetic programming error"):
+        run_suite(SuiteConfig(suite="all", grids=(9, 17)))
+
+
+def test_all_suites_same_rows_inline_and_forked(monkeypatch):
+    cfg = SuiteConfig(suite="all", grids=(9, 17))
+    cells = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(grid, "_cpus", lambda: cpus)
+        cells[cpus] = [r.csv_cells() for r in run_suite(cfg).rows]
+    assert len(cells[1]) == 79 and cells[1] == cells[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_all_deals_suites_to_forked_workers(cpus, monkeypatch):
+    def pid_row(cfg):
+        return [harness._exact_row("pid", 0.0, value_l2=float(os.getpid()))]
+
+    monkeypatch.setattr(grid, "_cpus", lambda: cpus)
+    monkeypatch.setattr(harness, "SUITES", {"algebra": pid_row, "calculus": pid_row,
+                                            "dirac": pid_row})
+    rows = run_suite(SuiteConfig(suite="all", grids=(9, 17))).rows
+    assert [r.suite for r in rows] == ["algebra", "calculus", "dirac"]
+    pids = {int(r.l2) for r in rows}
+    if cpus == 1:
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids and 1 <= len(pids) <= cpus
+    # one named suite always runs inline
+    rows = run_suite(SuiteConfig(suite="calculus", grids=(9, 17))).rows
+    assert [int(r.l2) for r in rows] == [os.getpid()]
+
+
+def _gone(pid):
+    """True once pid has exited; a zombie counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_workers_exit_when_the_caller_is_killed(tmp_path):
+    # each worker stalls in its suite after writing its pid; the caller is
+    # then killed, and the workers must not outlive it
+    script = textwrap.dedent(f"""
+        import os, time
+        from biquat import grid, harness
+        grid._cpus = lambda: 2
+        def stall(cfg):
+            open(os.path.join({str(tmp_path)!r}, str(os.getpid())), "w").close()
+            time.sleep(60)
+        harness.SUITES = {{"algebra": stall, "calculus": stall}}
+        harness.run_suite(harness.SuiteConfig(grids=(9, 17)))
+    """)
+    src = os.path.dirname(os.path.dirname(biquat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env)
+    try:
+        deadline = time.monotonic() + 30
+        while len(list(tmp_path.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        pids = [int(f.name) for f in tmp_path.iterdir()]
+    finally:
+        proc.kill()
+        proc.wait()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10
+    while not all(_gone(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if not _gone(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
