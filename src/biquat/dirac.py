@@ -18,6 +18,12 @@ where T is ``spinor_to_bq``; the sign of the similarity factor is fixed by
 the representation and pinned by the test suite.  Potentials always enter
 alpha through their x3-reflected samples, the node reversal of
 ``grid.reflect_x3``, so the grid must be symmetric about x3 = 0.
+
+Every row of ``G0``-``G3`` and of each kind's potential matrix holds one
+entry, +-1 or +-i, asserted at import.  ``apply_dirac`` therefore reads
+each of its terms off one component of Phi, or of its central
+difference, and sums them block by block in one ``grid._run_blocks``
+kernel, with no four-component temporary.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ from typing import Callable
 import numpy as np
 
 from .algebra import Biquaternion, qmul, right_projector, split_projectors
-from .grid import (BQField, Field4, Grid3, RightSplit, _check_finite, _on_mesh,
-                   _reversed_x3, nabla_alpha, partial_deriv, reflect_x3, sample)
+from .grid import (BQField, Field4, Grid3, RightSplit, _block_of, _central_difference,
+                   _check_finite, _nan_rimmed, _on_mesh, _reversed_x3, _run_blocks,
+                   nabla_alpha, reflect_x3, sample)
 from .physics import forcefree_split
 
 __all__ = [
@@ -87,6 +94,34 @@ _KINDS = {
 }
 
 
+def _unit_terms(m: np.ndarray) -> tuple:
+    """(column, coefficient) of the one nonzero entry in each row of m,
+    which must be +-1 or +-i: row r of m Phi is then the coefficient
+    times Phi's component at the column, exactly."""
+    terms = []
+    for row in m:
+        (col,) = np.flatnonzero(row)
+        assert row[col] in (1, -1, 1j, -1j), f"not a unit entry: {row[col]}"
+        terms.append((int(col), complex(row[col])))
+    return tuple(terms)
+
+
+def _signed_terms(m: np.ndarray) -> tuple:
+    """(column, sign, times_i) of each row of m: its one entry is sign,
+    times i when times_i."""
+    return tuple((col, int(coef.real + coef.imag), bool(coef.imag))
+                 for col, coef in _unit_terms(m))
+
+
+# apply_dirac's terms for each row r: G0's, whose entries are real, so
+# the energy term folds the sign into i*omega exactly; G1-G3's, one per
+# axis, whose signs the central differences take; and each kind's
+_G0_TERMS = _signed_terms(G0)
+assert not any(times_i for _, _, times_i in _G0_TERMS)
+_DERIV_TERMS = tuple(zip(*map(_signed_terms, (G1, G2, G3))))
+_KIND_TERMS = {kind: _unit_terms(mat) for kind, (mat, _) in _KINDS.items()}
+
+
 def _apply(m: np.ndarray, data: np.ndarray) -> np.ndarray:
     """The constant 4x4 matrix m applied at every node of a (4, ...) stack."""
     return (m @ data.reshape(4, -1)).reshape(data.shape)
@@ -140,16 +175,57 @@ def bq_to_spinor(f: BQField) -> SpinorField:
 
 
 def apply_dirac(phi: SpinorField, p: DiracParams) -> SpinorField:
-    """i*omega*G0*Phi + sum_k G_k d_k Phi + i*m*Phi + potential term,
-    with central differences (one-node rim invalidated)."""
+    """i*omega*G0*Phi + i*m*Phi + sum_k G_k d_k Phi + phi*K*Phi, with K the
+    kind's matrix and central differences d_k.
+
+    One block of x1-planes at a time, the blocks split across CPUs by
+    ``grid._run_blocks``: each component sums its six terms in that order
+    into the output, with one block temporary per run.  Every row of G0-G3
+    and K holds one entry, +-1 or +-i (``_unit_terms``), so each term is
+    one component of Phi or of its difference, taken exactly.  The
+    one-node rim is NaN.
+    """
     grid = phi.grid
-    out = 1j * p.omega * _apply(G0, phi.data)
-    out = out + 1j * p.m * phi.data
-    for k, gk in enumerate((G1, G2, G3)):
-        out = out + _apply(gk, partial_deriv(phi.data, grid, k))
-    if p.phi is not None:
-        out = out + p.phi_values(grid) * _apply(_KINDS[p.kind][0], phi.data)
+    data = phi.data
+    pot = None if p.phi is None else p.phi_values(grid)
+    kind = _KIND_TERMS[p.kind]
+    energy, mass = 1j * p.omega, 1j * p.m
+    out, rim = _nan_rimmed((4, *grid.shape), (0, 1, 2), 1)
+
+    def block(sl, t):
+        rim(sl)
+        for r, out_r in enumerate(out):
+            o = out_r[sl]
+            col, sign, _ = _G0_TERMS[r]
+            np.multiply(energy * sign, data[col][sl], out=o)
+            np.multiply(mass, data[r][sl], out=t)
+            np.add(o, t, out=o)
+            for axis, (col, sign, times_i) in enumerate(_DERIV_TERMS[r]):
+                _central_difference(data[col], sl, axis, grid.spacing[axis], t, sign)
+                if times_i:
+                    np.multiply(t, 1j, out=t)
+                np.add(o, t, out=o)
+            if pot is not None:
+                col, coef = kind[r]
+                np.multiply(data[col][sl], coef, out=t)
+                np.multiply(_block_of(pot, sl), t, out=t)
+                np.add(o, t, out=o)
+
+    _run_blocks(block, tuple(slice(1, n - 1) for n in grid.shape), (complex,))
     return SpinorField(grid, out)
+
+
+def _alpha_components(p: DiracParams, grid: Grid3) -> tuple:
+    """The four components of ``equivalent_alpha`` as arrays that
+    broadcast against the grid: q's one nonzero component j carries
+    phi~ q_j + c_j on the grid, each other component its constant c_k of
+    -(i*omega e1 + m e2) as a (1, 1, 1) array."""
+    q = _KINDS[p.kind][1].components
+    c = Biquaternion.vector(-1j * p.omega, -p.m, 0.0).components
+    (j,) = np.flatnonzero(q)
+    out = [np.full((1, 1, 1), ck) for ck in c]
+    out[j] = p.phi_reflected(grid) * q[j] + c[j]
+    return tuple(out)
 
 
 def equivalent_alpha(p: DiracParams, grid: Grid3) -> BQField:
@@ -168,10 +244,11 @@ def equivalent_alpha(p: DiracParams, grid: Grid3) -> BQField:
 
     Raises ValueError when the grid is not symmetric about x3 = 0.
     """
-    q = _KINDS[p.kind][1].components.reshape(4, 1, 1, 1)
-    out = p.phi_reflected(grid) * q
-    out += Biquaternion.vector(-1j * p.omega, -p.m, 0.0).components.reshape(4, 1, 1, 1)
-    return BQField(grid, out)
+    return BQField.from_components(grid, *_alpha_components(p, grid))
+
+
+# the forward transform after the similarity factor, one constant matrix
+_FWD_VOLUME = _FWD @ _VOLUME
 
 
 def intertwining_residual(phi: SpinorField, p: DiracParams):
@@ -182,16 +259,17 @@ def intertwining_residual(phi: SpinorField, p: DiracParams):
     Both sides use the same central differences, so the identity is
     algebraic in the discrete derivatives and the residual sits at rounding
     level.  Returns (residual BQField, scale) where scale is the larger
-    L-inf norm of the two sides.
+    L-inf norm of the two sides.  The right side applies _FWD @ _VOLUME
+    to the Dirac output once and reverses x3 as a view, and alpha enters
+    as the four arrays of ``_alpha_components``, so neither is copied to
+    a further field.
     """
     grid = phi.grid
-    alpha = equivalent_alpha(p, grid)
-    f = spinor_to_bq(phi)
-    lhs = nabla_alpha(f, alpha)
-    rhs = spinor_to_bq(SpinorField(grid, _apply(_VOLUME, apply_dirac(phi, p).data)))
-    res = lhs - rhs
+    alpha = _alpha_components(p, grid)
+    rhs = BQField(grid, _reversed_x3(_apply(_FWD_VOLUME, apply_dirac(phi, p).data), grid))
+    lhs = nabla_alpha(spinor_to_bq(phi), alpha)
     scale = max(lhs.linf(), rhs.linf())
-    return res, scale
+    return lhs - rhs, scale
 
 
 # --------------------------------------------------------------------------
@@ -214,11 +292,15 @@ def pseudoscalar_split(f: BQField, nu, beta: Biquaternion) -> RightSplit:
     """
     pair = split_projectors(beta)
     nu_arr = _on_mesh(f.grid, nu)
-    halves = [(b, forcefree_split(f * s_mult, nu_arr + b * pair.lam))
-              for b, s_mult in ((1, pair.plus), (-1, pair.minus))]
+    parts, alphas = {}, {}
+    # one half at a time, so that only its field f S^b is held beside the parts
+    for b, s_mult in ((1, pair.plus), (-1, pair.minus)):
+        half = forcefree_split(f * s_mult, nu_arr + b * pair.lam)
+        for a in half.parts:
+            parts[a, b], alphas[a, b] = half.parts[a], half.alphas[a]
+        del half
     return RightSplit(field=f, alpha=(nu_arr, *beta.components[1:].reshape(3, 1, 1, 1)),
-                      parts={(a, b): h.parts[a] for b, h in halves for a in h.parts},
-                      alphas={(a, b): h.alphas[a] for b, h in halves for a in h.alphas})
+                      parts=parts, alphas=alphas)
 
 
 # weights of the four exponentials of manufactured_split_solution

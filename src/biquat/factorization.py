@@ -48,7 +48,6 @@ __all__ = [
     "factored_product",
     "factorization_residual",
     "PotentialSet",
-    "d_alpha_involution",
     "potentials",
     "build_solution",
     "ClosedFormFamily",
@@ -294,12 +293,6 @@ def _signed_line_sum(derivs, k: int, out=None) -> np.ndarray:
     given."""
     s = INVOLUTION_SIGNS[k]
     return np.add(s[0] * derivs[0] + s[1] * derivs[1], s[2] * derivs[2], out=out)
-
-
-def d_alpha_involution(derivs, k: int) -> np.ndarray:
-    """The scalar field D(alpha^(k)) = -sum_j s_j a_j' of a separable alpha,
-    from its three derivative arrays a_j'(x_j) and the involution signs s."""
-    return -_signed_line_sum(derivs, k)
 
 
 def potentials(alpha: AlphaSpec, grid: Grid3) -> PotentialSet:

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from biquat import dirac
+from biquat import dirac, grid
 from biquat.algebra import E0, Biquaternion, right_projector, split_projectors
 from biquat.dirac import (G0, G1, G2, G3, G5, DiracParams, SpinorField,
                           apply_dirac, bq_to_spinor, equivalent_alpha,
                           free_plane_wave, intertwining_residual,
                           manufactured_split_solution, pseudoscalar_split,
                           spinor_to_bq)
-from biquat.grid import (BQField, Grid3, linf, nabla, nabla_alpha, reflect_x3,
-                         sample)
+from biquat.grid import (BQField, Grid3, linf, nabla, nabla_alpha, partial_deriv,
+                         reflect_x3, sample)
 from biquat.physics import forcefree_split
-from biquat.harness import TOL, _order_check, _smooth_bq, _smooth_spinor
+from biquat.harness import (DIRAC_BETA, TOL, SuiteConfig, _order_check, _smooth_bq,
+                            _smooth_spinor, check_dirac)
+from test_grid import _split_in_two, _traced_peak
 
 
 def sym_grid(n=9):
@@ -172,6 +174,134 @@ def test_apply_matches_einsum_bitwise():
         want = np.einsum("ab,b...->a...", m, data)
         got = dirac._apply(m, data)
         assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
+
+
+# ------------------------------------------------------------------
+# the blocked Dirac kernel against the whole-field formulas
+# ------------------------------------------------------------------
+
+def _apply_dirac_reference(phi, p):
+    # term by term on whole fields, each constant matrix applied by _apply
+    g = phi.grid
+    out = 1j * p.omega * dirac._apply(G0, phi.data)
+    out = out + 1j * p.m * phi.data
+    for k, gk in enumerate((G1, G2, G3)):
+        out = out + dirac._apply(gk, partial_deriv(phi.data, g, k))
+    if p.phi is not None:
+        out = out + p.phi_values(g) * dirac._apply(dirac._KINDS[p.kind][0], phi.data)
+    return out
+
+
+def _intertwining_reference(phi, p):
+    g = phi.grid
+    lhs = nabla_alpha(spinor_to_bq(phi), equivalent_alpha(p, g))
+    volume = dirac._apply(dirac._VOLUME, _apply_dirac_reference(phi, p))
+    rhs = spinor_to_bq(SpinorField(g, volume))
+    return lhs - rhs, max(lhs.linf(), rhs.linf())
+
+
+def _params():
+    pot = lambda a, b, c: np.cos(a) + 0.5 * c + 0.3 * c * b
+    return [DiracParams(omega=0.7, m=1.3, kind=kind, phi=phi)
+            for kind in ("scalar", "electric", "pseudoscalar") for phi in (pot, None)]
+
+
+def _interior(a):
+    return a[:, 1:-1, 1:-1, 1:-1]
+
+
+def test_every_matrix_row_holds_one_unit_entry():
+    for m in (G0, G1, G2, G3, *(k for k, _ in dirac._KINDS.values())):
+        assert all(np.count_nonzero(row) == 1 for row in m)
+        assert set(m[m != 0].tolist()) <= {1, -1, 1j, -1j}
+    bad = np.eye(4, dtype=complex)
+    bad[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        dirac._unit_terms(bad)
+    with pytest.raises(AssertionError, match="not a unit entry"):
+        dirac._unit_terms(2 * np.eye(4))
+
+
+# odd, even and uneven node counts, each symmetric about x3 = 0; 23 x1
+# nodes make three blocks, the last a short one
+_KERNEL_SHAPES = [(9, 9, 9), (10, 10, 10), (23, 8, 11)]
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["inline", "two_runs"])
+@pytest.mark.parametrize("shape", _KERNEL_SHAPES, ids=str)
+def test_apply_dirac_equals_whole_field_reference(shape, split, monkeypatch):
+    if split:
+        _split_in_two(monkeypatch)
+    g = Grid3.box((1.0, 1.0, -0.5), (2.0, 2.5, 0.5), shape)
+    phi = _smooth_spinor(g, default_rng(sum(shape)))
+    rim = np.ones(g.shape, dtype=bool)
+    rim[1:-1, 1:-1, 1:-1] = False
+    for p in _params():
+        got = apply_dirac(phi, p).data
+        want = _apply_dirac_reference(phi, p)
+        assert np.array_equal(_interior(got).view(np.int64), _interior(want).view(np.int64))
+        assert np.all(np.isnan(got[:, rim]))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["inline", "two_runs"])
+@pytest.mark.parametrize("shape", _KERNEL_SHAPES, ids=str)
+def test_intertwining_residual_equals_whole_field_reference(shape, split, monkeypatch):
+    if split:
+        _split_in_two(monkeypatch)
+    g = Grid3.box((1.0, 1.0, -0.5), (2.0, 2.5, 0.5), shape)
+    phi = _smooth_spinor(g, default_rng(sum(shape) + 1))
+    for p in _params():
+        res, scale = intertwining_residual(phi, p)
+        want, want_scale = _intertwining_reference(phi, p)
+        assert scale == want_scale
+        assert np.array_equal(res.data, want.data, equal_nan=True)
+        assert res.l2() == want.l2()
+
+
+def test_pseudoscalar_split_files_each_half_in_key_order():
+    g = sym_grid()
+    f = _smooth_bq(g, default_rng(14))
+    nu = sample(g, lambda a, b, c: 0.3 * a - 0.2j * c)
+    split = pseudoscalar_split(f, nu, DIRAC_BETA)
+    pair = split_projectors(DIRAC_BETA)
+    want = {}
+    for b, s_mult in ((1, pair.plus), (-1, pair.minus)):
+        half = forcefree_split(f * s_mult, nu + b * pair.lam)
+        want.update({(a, b): (half.parts[a], half.alphas[a]) for a in half.parts})
+    assert list(split.parts) == list(split.alphas) == list(want)
+    for key, (part, alpha) in want.items():
+        assert np.array_equal(split.parts[key].data, part.data)
+        assert all(np.array_equal(x, y) for x, y in zip(split.alphas[key], alpha))
+
+
+def test_dirac_calls_hold_few_fields(monkeypatch):
+    # apply_dirac holds its output, the sampled potential and a block
+    # temporary per run; intertwining_residual holds both sides, the
+    # residual, the forward transform's reflected copy and alpha's one
+    # potential component; pseudoscalar_split holds its four parts and
+    # one half's f S^b.  Calls split in two runs, each with its own
+    # temporaries.
+    monkeypatch.setattr(grid, "_cpus", lambda: 2)
+    g = Grid3.box((1.0, 1.0, -0.5), (2.0, 2.0, 0.5), 65)
+    rng = np.random.default_rng(19)
+    data = rng.normal(size=(4, *g.shape)) + 1j * rng.normal(size=(4, *g.shape))
+    phi, f = SpinorField(g, data), BQField(g, data.copy())
+    pot = lambda a, b, c: np.sin(a) * b + c
+    limits = {"pseudoscalar_split": (lambda: pseudoscalar_split(f, 0.4 - 0.2j, DIRAC_BETA), 5.1)}
+    for kind in ("scalar", "electric", "pseudoscalar"):
+        p = DiracParams(omega=0.7, m=1.3, kind=kind, phi=pot)
+        limits[f"apply_dirac_{kind}"] = (lambda p=p: apply_dirac(phi, p), 1.4)
+        limits[f"intertwining_residual_{kind}"] = (lambda p=p: intertwining_residual(phi, p), 3.5)
+    for name, (call, fields) in limits.items():
+        peak = _traced_peak(call) / data.nbytes
+        assert peak <= fields, f"{name} held {peak:.2f} fields"
+
+
+def test_dirac_suite_frees_the_splits_before_the_plane_wave():
+    # at grids (17, 33) the suite peaks at 8.84 fine fields; holding the
+    # two grids' pseudoscalar splits through the plane-wave row reads 9.57
+    peak = _traced_peak(lambda: check_dirac(SuiteConfig(suite="dirac", grids=(17, 33))))
+    assert peak / (64 * 33 ** 3) <= 9.0
 
 
 def test_solution_equivalence_through_transform():
