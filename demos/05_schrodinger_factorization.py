@@ -18,9 +18,8 @@ print("== the Riccati balance D(alpha) + alpha^2 = -v ==")
 print(f"reciprocal family balances v = 0: {riccati_residual(alpha, 0.0, grid).linf():.1e}")
 galf = GradientAlpha(lambda a, b, c: np.exp(a) * np.cos(b),
                      grad_phi=(lambda a, b, c: np.exp(a) * np.cos(b),
-                               lambda a, b, c: -np.exp(a) * np.sin(b),
-                               lambda a, b, c: np.zeros_like(a)),
-                     lap_phi=lambda a, b, c: np.zeros_like(a))
+                               lambda a, b, c: -np.exp(a) * np.sin(b), 0.0),
+                     lap_phi=0.0)
 v = galf.schrodinger_potential(grid)
 print(f"any gradient alpha balances v = lap(phi)/phi: "
       f"{riccati_residual(galf, v, grid).linf():.1e}")
@@ -62,10 +61,7 @@ print(f"(D + M^alpha) T f = f to {res.linf() / rhs.linf():.2e} "
       f"(solver residual {out.solver_residual:.1e})")
 
 print("\n== axial alpha: quaternionic potentials ==")
-alf = AxialAlpha(lambda a, b, c: b + 0j,
-                 grad_a1=(lambda *x: np.zeros_like(x[0]),
-                          lambda *x: np.ones_like(x[0]),
-                          lambda *x: np.zeros_like(x[0])))
+alf = AxialAlpha(lambda a, b, c: b + 0j, grad_a1=(0.0, 1.0, 0.0))  # D a1 = e2
 ops = AxialOperators(alf, grid)  # A, B and their combinations for this alpha
 u = BQField.from_components(grid, lambda a, b, c: np.sin(a + b), 1.0,
                             lambda a, b, c: np.cos(c), 0.0)

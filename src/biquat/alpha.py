@@ -11,6 +11,11 @@ closed form, it is one of three specs, each built by its class alone:
 * axial: alpha = a1(x1,x2,x3) e1 + a2 e2 + a3 e3 with constant a2, a3.
 * gradient: alpha = grad(phi)/phi for a given scalar phi.
 
+Specs sample as ``grid._on_mesh`` does, evaluating only along the axes a
+value reads: a constant stays (1, 1, 1), a callable of x2 alone a
+(1, n2, 1) line; a separable factor is the line of its own axis.  Only a
+central difference's stencil gets an array of grid.shape (``grid.sample``).
+
 Specs carry optional exact derivative/antiderivative callables.  Each
 spec is the one place that decides where its derivatives come from:
 ``d_alpha`` (and ``SeparableAlpha.deriv_components``) is exact when
@@ -20,12 +25,11 @@ invalid one-node rim, otherwise.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .algebra import E1
-from .grid import BQField, Grid3, _check_finite, _negate, nabla, partial_deriv, sample
+from .algebra import E1, qmul
+from .grid import (BQField, Grid3, _check_finite, _negate, _on_mesh, nabla, partial_deriv,
+                   sample)
 
 __all__ = [
     "AlphaSpec",
@@ -40,6 +44,18 @@ def _negated_sum(x1, x2, x3, out=None) -> np.ndarray:
     components of a vector alpha, and the scalar D(alpha) from the three
     derivative lines a_k' of a separable one."""
     return _negate(np.add(x1 + x2, x3, out=out))
+
+
+def _three(entries, what: str) -> tuple | None:
+    """entries as a tuple (None kept); ValueError unless there are three."""
+    if entries is not None and len(entries := tuple(entries)) != 3:
+        raise ValueError(f"{what} takes three entries, got {len(entries)}")
+    return entries
+
+
+def _times_e1(grad) -> np.ndarray:
+    """D(alpha) = (D a1) e1 of an axial alpha as four arrays, from d_k a1."""
+    return qmul((0j, *grad), E1.components)
 
 
 class AlphaSpec:
@@ -97,9 +113,7 @@ class SeparableAlpha(AlphaSpec):
         self.antiderivs = tuple(antiderivs)
 
     def components(self, grid: Grid3):
-        out = tuple(grid.sample_axis(k, fn) for k, fn in enumerate(self.funcs))
-        _check_finite(out)
-        return out
+        return _check_finite(tuple(grid.sample_axis(k, fn) for k, fn in enumerate(self.funcs)))
 
     def has_exact_derivatives(self) -> bool:
         return all(d is not None for d in self.derivs)
@@ -110,9 +124,8 @@ class SeparableAlpha(AlphaSpec):
         if not self.has_exact_derivatives():
             comps = self.components(grid)
             return tuple(partial_deriv(comps[k], grid, k) for k in range(3))
-        out = tuple(grid.sample_axis(k, fn) for k, fn in enumerate(self.derivs))
-        _check_finite(out, "alpha derivative")
-        return out
+        return _check_finite(tuple(grid.sample_axis(k, fn) for k, fn in enumerate(self.derivs)),
+                             "alpha derivative")
 
     def d_alpha(self, grid: Grid3) -> BQField:
         # D(alpha) of a separable alpha is the scalar -sum_k a_k'(x_k)
@@ -124,59 +137,52 @@ class SeparableAlpha(AlphaSpec):
     def antideriv_components(self, grid: Grid3):
         if not self.has_antiderivatives():
             raise ValueError("missing antiderivative for separable alpha")
-        out = tuple(grid.sample_axis(k, fn) for k, fn in enumerate(self.antiderivs))
-        _check_finite(out, "alpha antiderivative")
-        return out
+        return _check_finite(tuple(grid.sample_axis(k, f) for k, f in enumerate(self.antiderivs)),
+                             "alpha antiderivative")
 
 
 class AxialAlpha(AlphaSpec):
     """alpha = a1(x1,x2,x3) e1 + a2 e2 + a3 e3 with constant a2, a3 (0 by
-    default); grad_a1 optionally supplies the three exact d_k a1."""
+    default); grad_a1 optionally supplies the three exact d_k a1.  a1 and
+    each d_k a1 are callables of the open mesh (x1, x2, x3) or constants."""
 
-    def __init__(self, a1: Callable, a2: complex = 0.0, a3: complex = 0.0, grad_a1=None):
+    def __init__(self, a1, a2: complex = 0.0, a3: complex = 0.0, grad_a1=None):
         self.a1 = a1
         self.a2 = complex(a2)
         self.a3 = complex(a3)
-        self.grad_a1 = tuple(grad_a1) if grad_a1 is not None else None
+        self.grad_a1 = _three(grad_a1, "grad_a1")
 
     def components(self, grid: Grid3):
-        out = (sample(grid, self.a1),
-               np.full((1, 1, 1), self.a2, dtype=complex),
-               np.full((1, 1, 1), self.a3, dtype=complex))
-        _check_finite(out)
-        return out
+        return _check_finite(tuple(_on_mesh(grid, a) for a in (self.a1, self.a2, self.a3)))
 
     def has_exact_derivatives(self) -> bool:
         return self.grad_a1 is not None
 
     def grad_a1_components(self, grid: Grid3):
         """The three arrays d_k a1, exact if supplied, else central differences."""
-        if self.grad_a1 is not None:
-            out = tuple(sample(grid, g) for g in self.grad_a1)
-            _check_finite(out, "alpha derivative")
-            return out
-        a1 = sample(grid, self.a1)
-        _check_finite([a1])
-        return tuple(partial_deriv(a1, grid, k) for k in range(3))
+        if self.grad_a1 is None:
+            (a1,) = _check_finite([sample(grid, self.a1)])
+            return tuple(partial_deriv(a1, grid, k) for k in range(3))
+        return _check_finite(tuple(_on_mesh(grid, g) for g in self.grad_a1), "alpha derivative")
 
     def d_alpha(self, grid: Grid3) -> BQField:
         # D(a1 e1) = (D a1) e1; a numeric gradient carries an invalid rim
-        return BQField.from_vector(grid, *self.grad_a1_components(grid)) * E1
+        return BQField.from_components(grid, *_times_e1(self.grad_a1_components(grid)))
 
 
 class GradientAlpha(AlphaSpec):
-    """alpha = grad(phi)/phi for a scalar callable phi, with optional exact
-    grad_phi and lap_phi callables.  When phi also has a Laplacian callable,
-    the spec satisfies the Riccati balance D(alpha) + alpha**2 = -v with
-    v = lap(phi)/phi (see schrodinger_potential)."""
+    """alpha = grad(phi)/phi for a scalar phi, with optional exact grad_phi
+    and lap_phi; each a callable of the open mesh or a constant.  With
+    lap_phi the spec satisfies the Riccati balance D(alpha) + alpha**2 = -v
+    with v = lap(phi)/phi (see schrodinger_potential)."""
 
-    def __init__(self, phi: Callable, grad_phi=None, lap_phi=None):
+    def __init__(self, phi, grad_phi=None, lap_phi=None):
         self.phi = phi
-        self.grad_phi = tuple(grad_phi) if grad_phi is not None else None
+        self.grad_phi = _three(grad_phi, "grad_phi")
         self.lap_phi = lap_phi
 
     def _phi_values(self, grid: Grid3) -> np.ndarray:
-        p = sample(grid, self.phi)
+        p = _on_mesh(grid, self.phi)
         if np.any(np.abs(p) == 0.0) or not np.all(np.isfinite(p)):
             raise ValueError("zero of phi on grid: gradient alpha undefined")
         return p
@@ -184,10 +190,10 @@ class GradientAlpha(AlphaSpec):
     def components(self, grid: Grid3):
         p = self._phi_values(grid)
         if self.grad_phi is not None:
-            g = tuple(sample(grid, f) for f in self.grad_phi)
-            _check_finite(g, "grad phi")
+            g = _check_finite(tuple(_on_mesh(grid, f) for f in self.grad_phi), "grad phi")
         else:
-            g = tuple(partial_deriv(p, grid, k) for k in range(3))
+            full = sample(grid, p)
+            g = tuple(partial_deriv(full, grid, k) for k in range(3))
         return tuple(gk / p for gk in g)
 
     def has_exact_derivatives(self) -> bool:
@@ -199,8 +205,8 @@ class GradientAlpha(AlphaSpec):
         if not self.has_exact_derivatives():
             return super().d_alpha(grid)
         p = self._phi_values(grid)
-        g = tuple(sample(grid, f) for f in self.grad_phi)
-        lp = sample(grid, self.lap_phi)
+        g = tuple(_on_mesh(grid, f) for f in self.grad_phi)
+        lp = _on_mesh(grid, self.lap_phi)
         d = -lp / p + (g[0] ** 2 + g[1] ** 2 + g[2] ** 2) / p ** 2
         _check_finite([d], "alpha derivative")
         return BQField.from_scalar(grid, d)
@@ -210,8 +216,7 @@ class GradientAlpha(AlphaSpec):
         Raises ValueError when it is not finite at a node."""
         if self.lap_phi is None:
             raise ValueError("gradient alpha has no Laplacian callable")
-        v = sample(grid, self.lap_phi) / self._phi_values(grid)
-        _check_finite([v], "v")
+        (v,) = _check_finite([_on_mesh(grid, self.lap_phi) / self._phi_values(grid)], "v")
         return v
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from .algebra import Biquaternion, qmul, right_projector, split_projectors
 from .grid import (BQField, Field4, Grid3, RightSplit, _block_of, _central_difference,
                    _check_finite, _nan_rimmed, _on_mesh, _reversed_x3, _run_blocks,
-                   nabla_alpha, reflect_x3, sample)
+                   nabla_alpha, reflect_x3)
 from .physics import forcefree_split
 
 __all__ = [
@@ -138,7 +138,8 @@ class DiracParams:
     kind selects how the real potential phi enters: 'scalar' adds
     i*phi*I, 'electric' adds i*phi*G0, 'pseudoscalar' adds phi*G5*G0.
     phi may be a callable of (x1, x2, x3), an array, a constant, or None
-    (treated as zero); its samples must be finite at every node.
+    (treated as zero); its samples, as ``grid._on_mesh`` takes them (a
+    constant or None stays (1, 1, 1)), must be finite at every node.
     """
 
     omega: float
@@ -151,9 +152,7 @@ class DiracParams:
             raise ValueError(f"unknown potential kind {self.kind!r}")
 
     def phi_values(self, grid: Grid3) -> np.ndarray:
-        if self.phi is None:
-            return np.zeros(grid.shape, dtype=complex)
-        vals = sample(grid, self.phi)
+        vals = _on_mesh(grid, 0.0 if self.phi is None else self.phi)
         _check_finite([vals], "phi")
         return vals
 
@@ -218,12 +217,12 @@ def apply_dirac(phi: SpinorField, p: DiracParams) -> SpinorField:
 def _alpha_components(p: DiracParams, grid: Grid3) -> tuple:
     """The four components of ``equivalent_alpha`` as arrays that
     broadcast against the grid: q's one nonzero component j carries
-    phi~ q_j + c_j on the grid, each other component its constant c_k of
-    -(i*omega e1 + m e2) as a (1, 1, 1) array."""
+    phi~ q_j + c_j, of the shape phi is sampled in, each other component
+    its constant c_k of -(i*omega e1 + m e2) as a (1, 1, 1) array."""
     q = _KINDS[p.kind][1].components
     c = Biquaternion.vector(-1j * p.omega, -p.m, 0.0).components
     (j,) = np.flatnonzero(q)
-    out = [np.full((1, 1, 1), ck) for ck in c]
+    out = [_on_mesh(grid, ck) for ck in c]
     out[j] = p.phi_reflected(grid) * q[j] + c[j]
     return tuple(out)
 

@@ -38,7 +38,7 @@ from scipy.linalg import lapack, schur
 from scipy.sparse import linalg as sla  # noqa: F401
 
 from .algebra import E1, INVOLUTION_SIGNS, QMUL_TERMS, ROUNDING_TOL, right_projector
-from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _negated_sum
+from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _negated_sum, _times_e1
 from .grid import (BQField, Grid3, _block_of, _central_difference, _check_finite, _first_order,
                    _linf_of_tops, _nan_rimmed, _negate, _on_mesh, _product, _run_blocks,
                    _schrodinger, _top, alpha_arrays, linf, nabla_alpha, sample)
@@ -71,8 +71,7 @@ def riccati_residual(alpha: AlphaSpec, v, grid: Grid3) -> BQField:
     D(alpha) is exact when alpha.has_exact_derivatives(), central
     differences otherwise.  Raises ValueError when sampled v is not finite.
     """
-    v_arr = _on_mesh(grid, v)
-    _check_finite([v_arr], "v")
+    (v_arr,) = _check_finite([_on_mesh(grid, v)], "v")
     return _riccati(alpha, v_arr, grid)[0]
 
 
@@ -130,8 +129,7 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
     is not finite, and when alpha does not solve the Riccati precondition
     for v within _RICCATI_TOL (relative).  Returns (residual BQField, scale).
     """
-    v_arr = _on_mesh(grid, v)
-    _check_finite([v_arr], "v")
+    (v_arr,) = _check_finite([_on_mesh(grid, v)], "v")
     if isinstance(alpha, SeparableAlpha):
         res_norm, asq_norm = _separable_riccati_norms(alpha, v_arr, grid)
     else:
@@ -144,8 +142,7 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
             f"Riccati precondition violated: relative residual {rel:.3e} > {_RICCATI_TOL:.1e}")
     # phi is a scalar, so each factor is taken on the one component phi
     # occupies: -lap phi + v phi
-    phi_arr = sample(grid, phi)
-    _check_finite([phi_arr], "phi")
+    (phi_arr,) = _check_finite([sample(grid, phi)], "phi")
     lhs = _schrodinger(phi_arr[np.newaxis], (v_arr,), grid)[0]
     del v_arr
     # (D - M^alpha) phi = grad phi - phi alpha, all vector: alpha has no
@@ -634,7 +631,9 @@ class AxialOperators:
     wide for ``a(u, wide=True)``), B u = -(D alpha) u (left multiplication),
     the second-order factor product D_alpha D_{-alpha} = A + BC and the
     diagonal pair A ± BJ, with C, J and Q^± the module-level maps
-    ``c_map``, ``j_map`` and ``q_map``.
+    ``c_map``, ``j_map`` and ``q_map``.  ``alpha_sq``, ``d_alpha1`` (D a1)
+    and ``b_mult`` (-(D alpha)) are arrays that broadcast against the grid,
+    as the spec samples them; B and the J term are ``grid._product``s.
     """
 
     def __init__(self, alpha: AxialAlpha, grid: Grid3):
@@ -644,15 +643,19 @@ class AxialOperators:
         self.grid = grid
         self.alpha_sq = alpha.alpha_sq(grid)
         # grad a1, sampled once for both multipliers
-        self.d_alpha1 = BQField.from_vector(grid, *alpha.grad_a1_components(grid))
-        self.b_mult = -(self.d_alpha1 * E1)  # -(D alpha) = -(D a1) e1
+        grad = alpha.grad_a1_components(grid)
+        self.d_alpha1 = (_on_mesh(grid, 0.0), *grad)
+        self.b_mult = -_times_e1(grad)  # -(D alpha) = -(D a1) e1
 
     def a(self, u: BQField, wide: bool = False) -> BQField:
         v = -self.alpha_sq
         return BQField(self.grid, _schrodinger(u.data, (v,) * 4, self.grid, 2 if wide else 1))
 
+    def _times(self, mult, u: BQField) -> BQField:
+        return BQField(self.grid, _product(mult, u.data, self.grid))
+
     def b(self, u: BQField) -> BQField:
-        return self.b_mult * u
+        return self._times(self.b_mult, u)
 
     def abc(self, u: BQField, wide: bool = False) -> BQField:
         """(A + BC) u."""
@@ -660,7 +663,7 @@ class AxialOperators:
 
     def schro(self, u: BQField, sign: int) -> BQField:
         """(A ± B J) u = -lap u - (alpha**2 ∓ i D a1) u, the diagonal pair."""
-        return self.a(u) + float(sign) * 1j * (self.d_alpha1 * u)
+        return self.a(u) + float(sign) * 1j * self._times(self.d_alpha1, u)
 
     def split_identity_residual(self, u: BQField) -> float:
         """Relative defect of (A + BC)u = (A + BJ)Q^+u + (A - BJ)Q^-u,
@@ -705,8 +708,9 @@ class ReductionReport:
 
     ``multiplier`` is the ansatz factor as a field; ``potential`` the
     scalar potential of the reduced equation written as
-    (lap + potential) f = 0 (None for case 'i'); ``unknown`` records which
-    function the closing scalar equation is for.
+    (lap + potential) f = 0 (None for case 'i'), like ``beta0`` an array
+    that broadcasts against the grid; ``unknown`` records which function
+    the closing scalar equation is for.
     """
 
     case: str

@@ -99,13 +99,10 @@ class Grid3:
         complex line of its shape, so it broadcasts against full grid
         arrays without being copied to the grid."""
         x = self.mesh()[k]
-        if callable(fn):
-            # poles are reported by the callers' finiteness checks, not by
-            # numpy noise
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.asarray(fn(x), dtype=complex)
-        else:
-            vals = complex(fn)
+        # poles are reported by the callers' finiteness checks, not by
+        # numpy noise
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.asarray(fn(x) if callable(fn) else fn, dtype=complex)
         return np.broadcast_to(vals, x.shape)
 
     @property
@@ -127,7 +124,8 @@ class Grid3:
 def _on_mesh(grid: Grid3, fn) -> np.ndarray:
     """fn as ``sample`` takes it, as a complex 3-D array that broadcasts
     against grid.shape without being copied to it: a constant stays
-    (1, 1, 1) and a callable of x1 alone an x1 line."""
+    (1, 1, 1) and a callable of x1 alone an x1 line.  The one sampler of
+    alpha data; ``sample`` expands it for the stencils that need it."""
     out = np.asarray(fn(*grid.mesh()) if callable(fn) else fn, dtype=complex)
     if out.ndim > 3 or any(n not in (1, m) for n, m in zip(out.shape[::-1], grid.shape[::-1])):
         raise ValueError(f"values of shape {out.shape} do not broadcast to the grid {grid.shape}")
@@ -142,13 +140,14 @@ def sample(grid: Grid3, fn) -> np.ndarray:
 
 
 def _check_finite(arrays, what="alpha"):
-    """Raise ValueError unless each sampled coefficient array is finite at
-    every node.  Only operator outputs carry the invalid rim; norms skip a
-    NaN node, so a NaN coefficient would let its residual read at
-    rounding level."""
+    """arrays, once each sampled coefficient array in it is finite at every
+    node; ValueError otherwise.  Only operator outputs carry the invalid
+    rim; norms skip a NaN node, so a NaN coefficient would let its
+    residual read at rounding level."""
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise ValueError(f"{what} pole on grid: non-finite values at sampled nodes")
+    return arrays
 
 
 class Field4:

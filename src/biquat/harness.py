@@ -67,23 +67,14 @@ B = (0.0, 0.0, 0.0)
 DIRAC_BETA = Biquaternion.vector(-1j * OMEGA, -M, 0.0)
 
 
-def _zeros(*x):
-    return np.zeros_like(x[0])
-
-
-def _ones(*x):
-    return np.ones_like(x[0])
-
-
 # axial alphas with exact gradients: a1 = x2 (D a1 = e2, reduction case
 # iii); a1 = x2 + i x3, whose gradient is a null vector (case ii); and
 # a1 = tan(x2 + 0.2) with a2 = 1, for which i D a1 - alpha**2 is a zero
 # divisor (case i)
-ALPHA_X2 = AxialAlpha(lambda a, b, c: b + 0j, 0.0, 0.0, grad_a1=(_zeros, _ones, _zeros))
-ALPHA_NULL = AxialAlpha(lambda a, b, c: b + 1j * c, 0.0, 0.0,
-                        grad_a1=(_zeros, _ones, lambda *x: 1j * np.ones_like(x[0])))
+ALPHA_X2 = AxialAlpha(lambda a, b, c: b + 0j, 0.0, 0.0, grad_a1=(0.0, 1.0, 0.0))
+ALPHA_NULL = AxialAlpha(lambda a, b, c: b + 1j * c, 0.0, 0.0, grad_a1=(0.0, 1.0, 1j))
 ALPHA_TAN = AxialAlpha(lambda a, b, c: np.tan(b + 0.2) + 0j, 1.0, 0.0,
-                       grad_a1=(_zeros, lambda a, b, c: 1.0 / np.cos(b + 0.2) ** 2, _zeros))
+                       grad_a1=(0.0, lambda a, b, c: 1.0 / np.cos(b + 0.2) ** 2, 0.0))
 
 
 def null_direction_solution(grid: Grid3) -> BQField:
@@ -655,6 +646,9 @@ def check_dirac(cfg: SuiteConfig):
     res, scale = split.identity_residual()
     rows.append(_exact_field_row("ps_operator_identity", res, scale=scale))
 
+    # the coarse-grid fixtures are done: free them before the two-grid rows
+    del phi, fwd, fld, back, unit, want, f, split, res, pot, params
+
     # manufactured constant-nu solution: per-part equation residuals O(h^2)
     splits = {g: dirac.pseudoscalar_split(dirac.manufactured_split_solution(g, nu_c, beta),
                                           nu_c, beta) for g in grids}
@@ -834,11 +828,7 @@ def check_factorization(cfg: SuiteConfig):
     res = fz.riccati_residual(alf, 0.0, g_coarse)
     scale = max(1.0, linf(alf.alpha_sq(g_coarse)))
     rows.append(_exact_field_row("riccati_reciprocal", res, scale=scale))
-    galf = GradientAlpha(lambda a, b, c: a,
-                         grad_phi=(lambda a, b, c: np.ones_like(a),
-                                   lambda a, b, c: np.zeros_like(a),
-                                   lambda a, b, c: np.zeros_like(a)),
-                         lap_phi=lambda a, b, c: np.zeros_like(a))
+    galf = GradientAlpha(lambda a, b, c: a, grad_phi=(1.0, 0.0, 0.0), lap_phi=0.0)
     res = fz.riccati_residual(galf, 0.0, g_coarse)
     rows.append(_exact_field_row("riccati_gradient_x1", res))
 
@@ -849,7 +839,7 @@ def check_factorization(cfg: SuiteConfig):
         grad_phi=(lambda a, b, c: (b - b2) * (c - b3),
                   lambda a, b, c: (a - b1) * (c - b3),
                   lambda a, b, c: (a - b1) * (b - b2)),
-        lap_phi=lambda a, b, c: np.zeros_like(a))
+        lap_phi=0.0)
     diff = galf2.vector_field(g_coarse) - alf.vector_field(g_coarse)
     rows.append(_exact_field_row("gradient_alpha_matches_reciprocal", diff,
                                  scale=alf.vector_field(g_coarse).linf()))
@@ -1020,8 +1010,7 @@ def check_axial(cfg: SuiteConfig):
     rows.append(_exact_row("pi_involution", worst, h=g_coarse.hmax))
 
     # product identity: exact for constant a1 on quadratics (wide Laplacian)
-    alf_c = AxialAlpha(lambda a, b, c: (0.4 - 0.3j) * np.ones_like(a), 0.2, -0.1j,
-                       grad_a1=(_zeros, _zeros, _zeros))
+    alf_c = AxialAlpha(0.4 - 0.3j, 0.2, -0.1j, grad_a1=(0.0, 0.0, 0.0))
     ops_c = fz.AxialOperators(alf_c, g_coarse)
     quad = BQField.from_components(g_coarse,
                                    lambda a, b, c: a * b, lambda a, b, c: b * c,
@@ -1041,7 +1030,8 @@ def check_axial(cfg: SuiteConfig):
     # the diagonal '+' potential -alpha**2 + i D a1 for a1 = x2, against
     # its printed value
     x1, x2, x3 = g_coarse.mesh()
-    pot_field = BQField.from_scalar(g_coarse, -ops.alpha_sq) + 1j * ops.d_alpha1
+    pot_field = (BQField.from_scalar(g_coarse, -ops.alpha_sq)
+                 + BQField.from_components(g_coarse, *(1j * d for d in ops.d_alpha1)))
     want = BQField.from_components(g_coarse, x2 ** 2, 0.0, 1j, 0.0)
     rows.append(_exact_field_row("diagonal_plus_potential_value",
                                  pot_field - want, scale=want.linf()))

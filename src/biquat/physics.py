@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import ROUNDING_TOL, right_projector
 from .alpha import SeparableAlpha
-from .grid import (BQField, Grid3, RightSplit, _check_finite, _on_mesh, linf,
+from .grid import (BQField, Grid3, RightSplit, _block_of, _check_finite, _on_mesh, linf,
                    nabla_alpha, partial_deriv, sample)
 
 __all__ = [
@@ -107,14 +107,14 @@ def static_maxwell_residual(scaled: BQField, m: MediumFields, which: str = "E",
     inner = (slice(1, -1),) * 3
     # the sources are added in place: res is a fresh field
     if which == "E" and rho is not None:
-        rho_arr = sample(grid, rho)
-        _check_finite([rho_arr[inner]], "rho")
+        rho_arr = _on_mesh(grid, rho)
+        _check_finite([_block_of(rho_arr, inner)], "rho")
         res.data[0] += rho_arr / np.sqrt(m.eps_values(grid))
     if which == "H" and current is not None:
         root = np.sqrt(m.mu_values(grid))
         for k in range(3):
-            j_k = sample(grid, current[k])
-            _check_finite([j_k[inner]], "current")
+            j_k = _on_mesh(grid, current[k])
+            _check_finite([_block_of(j_k, inner)], "current")
             res.data[k + 1] -= root * j_k
     return res
 
@@ -143,8 +143,7 @@ def forcefree_split(f: BQField, nu) -> RightSplit:
     shape it broadcasts from, so a constant nu costs no grid array; raises
     ValueError when it is not finite at every node.
     """
-    nu_arr = _on_mesh(f.grid, nu)
-    _check_finite([nu_arr], "nu")
+    (nu_arr,) = _check_finite([_on_mesh(f.grid, nu)], "nu")
     zero = np.zeros((1, 1, 1), dtype=complex)
     return RightSplit(field=f, alpha=(nu_arr, zero, zero, zero),
                       parts={a: f * right_projector(1, a) for a in (1, -1)},

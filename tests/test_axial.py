@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -7,7 +9,8 @@ from biquat.alpha import AxialAlpha, SeparableAlpha
 from biquat.factorization import (AxialOperators, c_map, j_map, pi_map, q_map,
                                   zero_divisor_reduction)
 from biquat.grid import BQField, Grid3, laplacian, laplacian_wide, linf
-from biquat.harness import ALPHA_NULL, ALPHA_TAN, ALPHA_X2, TOL, _smooth_bq, _zeros
+from biquat.harness import ALPHA_NULL, ALPHA_TAN, ALPHA_X2, TOL, _smooth_bq
+from test_grid import _split_in_two
 
 
 def box(n=9):
@@ -73,8 +76,18 @@ def test_pi_involution_and_unit_value():
     assert want.isclose(Biquaternion(0, 1j, 0, 0))
 
 
+def _bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """a and b have one shape and the same bits, NaN payloads and the
+    signs of zeros included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def test_bundle_samples_the_gradient_once(monkeypatch):
-    # grad a1 feeds both d_alpha1 and the B multiplier: one sampling
+    # grad a1 is sampled once for both multipliers, which stay in its
+    # broadcast shape; B u, the J term's (D a1) u and D(alpha) equal, bit
+    # for bit, the BQField products with D a1 = from_vector(grad) and
+    # D(alpha) = (D a1) e1, NaN rim of a numeric gradient included; inline,
+    # then with the calls split in two runs
     calls = []
     original = AxialAlpha.grad_a1_components
 
@@ -83,14 +96,29 @@ def test_bundle_samples_the_gradient_once(monkeypatch):
         return original(self, grid)
 
     monkeypatch.setattr(AxialAlpha, "grad_a1_components", counted)
-    g = box()
-    for alf in (ALPHA_X2, AxialAlpha(lambda a, b, c: np.sin(a * b) + 0j, 0.3, 0.0)):
+    g = Grid3.box(0.0, 1.0, (18, 9, 12))
+    u = _smooth_bq(g, default_rng(4))
+    alphas = (ALPHA_X2, ALPHA_TAN, AxialAlpha(lambda a, b, c: np.sin(a * b) + 0j, 0.3, 0.0))
+    for split, alf in itertools.product((False, True), alphas):
+        if split:
+            _split_in_two(monkeypatch)
         calls.clear()
         ops = AxialOperators(alf, g)
         assert len(calls) == 1
-        # the two multipliers agree with D(alpha) = (D a1) e1
-        assert (ops.b_mult + alf.d_alpha(g)).linf() <= TOL
-        assert (ops.d_alpha1 * E1 - alf.d_alpha(g)).linf() <= TOL
+        d_a1 = BQField.from_vector(g, *original(alf, g))
+        d_alpha = d_a1 * E1
+        assert _bits(alf.d_alpha(g).data, d_alpha.data)
+        assert _bits(BQField.from_components(g, *ops.b_mult).data, (-d_alpha).data)
+        assert _bits(BQField.from_components(g, *ops.d_alpha1).data, d_a1.data)
+        assert _bits(ops.b(u).data, ((-d_alpha) * u).data)
+        for sign in (1, -1):
+            want = ops.a(u) + float(sign) * 1j * (d_a1 * u)
+            assert _bits(ops.schro(u, sign).data, want.data)
+    # a constant gradient holds no grid-sized array
+    ops = AxialOperators(ALPHA_X2, g)
+    assert ops.b_mult.shape == (4, 1, 1, 1)
+    assert all(d.shape == (1, 1, 1) for d in ops.d_alpha1)
+    assert ops.alpha_sq.shape == (1, 9, 1)
 
 
 def test_zero_divisor_reduction_classification():
@@ -120,8 +148,7 @@ def test_zero_divisor_reduction_classification():
 
 def test_reduction_degenerate_has_no_multiplier():
     g = box()
-    const = AxialAlpha(lambda a, b, c: 0.7 * np.ones_like(a), 0.0, 0.0,
-                       grad_a1=(_zeros, _zeros, _zeros))
+    const = AxialAlpha(0.7, 0.0, 0.0, grad_a1=(0.0, 0.0, 0.0))
     rep = zero_divisor_reduction(const, g)
     assert rep.case == "degenerate"
     assert rep.multiplier is None and rep.potential is None

@@ -10,6 +10,7 @@ from scipy.sparse import linalg as sla
 from biquat import factorization, grid
 from biquat.algebra import INVOLUTION_SIGNS, qmul
 from biquat.alpha import AxialAlpha, GradientAlpha, SeparableAlpha, reciprocal_alpha
+from biquat.dirac import DiracParams
 from biquat.factorization import (ClosedFormFamily, PotentialSet, build_solution,
                                   factored_product, factorization_residual, potentials,
                                   riccati_residual, right_inverse)
@@ -450,6 +451,62 @@ _RECIPROCAL = reciprocal_alpha()
 def test_separable_alpha_takes_three_of_each(args):
     with pytest.raises(ValueError, match="three factors"):
         SeparableAlpha(*args)
+
+
+@pytest.mark.parametrize("entries", [(0.0, 1.0), (0.0, 1.0, 0.0, 0.0)], ids=["two", "four"])
+def test_axial_alpha_takes_three_gradient_entries(entries):
+    # two entries used to fail only later, in d_alpha, AxialOperators and
+    # zero_divisor_reduction
+    with pytest.raises(ValueError, match="grad_a1 takes three entries"):
+        AxialAlpha(lambda a, b, c: b + 0j, grad_a1=entries)
+
+
+@pytest.mark.parametrize("entries", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0)], ids=["two", "four"])
+def test_gradient_alpha_takes_three_gradient_entries(entries):
+    # two entries used to give two components without an error
+    with pytest.raises(ValueError, match="grad_phi takes three entries"):
+        GradientAlpha(lambda a, b, c: a, grad_phi=entries)
+
+
+_SHAPES_GRID = Grid3.box(1.0, 2.0, (5, 6, 7))
+_C, _X1, _X2, _X3, _FULL = (1, 1, 1), (5, 1, 1), (1, 6, 1), (1, 1, 7), (5, 6, 7)
+_AXIAL_CONST = AxialAlpha(0.5 - 0.1j, 0.2, 0.1j, grad_a1=(0.0, 0.0, 0.0))
+_AXIAL_X2 = AxialAlpha(lambda a, b, c: b + 0j, 0.3, grad_a1=(0.0, 1.0, 0.0))
+_AXIAL_X1X3 = AxialAlpha(lambda a, b, c: a * c + 0j,
+                         grad_a1=(lambda a, b, c: c + 0j, 0.0, lambda a, b, c: a + 0j))
+_GRADIENT_CONST = GradientAlpha(2.0, grad_phi=(0.0, 0.0, 0.0), lap_phi=0.0)
+_GRADIENT_X1 = GradientAlpha(lambda a, b, c: a + 0j, grad_phi=(1.0, 0.0, 0.0), lap_phi=0.0)
+
+
+@pytest.mark.parametrize("sampler, shapes", [
+    (_AXIAL_CONST.components, [_C] * 3),
+    (_AXIAL_CONST.grad_a1_components, [_C] * 3),
+    (lambda g: [_AXIAL_CONST.alpha_sq(g)], [_C]),
+    (_AXIAL_X2.components, [_X2, _C, _C]),
+    (_AXIAL_X2.grad_a1_components, [_C] * 3),
+    (lambda g: [_AXIAL_X2.alpha_sq(g)], [_X2]),
+    (_AXIAL_X1X3.components, [(5, 1, 7), _C, _C]),
+    (_AXIAL_X1X3.grad_a1_components, [_X3, _C, _X1]),
+    (_GRADIENT_CONST.components, [_C] * 3),
+    (lambda g: [_GRADIENT_CONST.schrodinger_potential(g)], [_C]),
+    (_GRADIENT_X1.components, [_X1] * 3),
+    (lambda g: [_GRADIENT_X1.schrodinger_potential(g)], [_X1]),
+    (lambda g: [DiracParams(0.7, 1.3).phi_values(g)], [_C]),
+    (lambda g: [DiracParams(0.7, 1.3, phi=1.0).phi_values(g)], [_C]),
+    (lambda g: [DiracParams(0.7, 1.3, phi=lambda a, b, c: b).phi_values(g)], [_X2]),
+    # the 1-D operators of the right inverse read each separable factor
+    # node by node, so a constant factor is the line of its own axis
+    (SeparableAlpha((lambda x: x, 0.3, lambda x: x * x)).components, [_X1, _X2, _X3]),
+    # a central difference reads neighbouring nodes: grid.shape
+    (AxialAlpha(lambda a, b, c: b + 0j).grad_a1_components, [_FULL] * 3),
+    (GradientAlpha(lambda a, b, c: a + 0j).components, [_FULL] * 3),
+], ids=["axial_const", "axial_const_grad", "axial_const_alpha_sq", "axial_x2",
+        "axial_x2_grad", "axial_x2_alpha_sq", "axial_x1x3", "axial_x1x3_grad",
+        "gradient_const", "gradient_const_v", "gradient_x1", "gradient_x1_v",
+        "dirac_phi_none", "dirac_phi_const", "dirac_phi_x2", "separable",
+        "axial_numeric_grad", "gradient_numeric"])
+def test_spec_samplers_keep_the_open_mesh_shape(sampler, shapes):
+    assert [np.shape(a) for a in sampler(_SHAPES_GRID)] == shapes
 
 
 def test_family_requires_antiderivatives():

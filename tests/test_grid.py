@@ -12,12 +12,13 @@ import pytest
 from biquat import grid
 from biquat.algebra import Biquaternion, qmul
 from biquat.alpha import AlphaSpec, SeparableAlpha, reciprocal_alpha
-from biquat.factorization import (ClosedFormFamily, build_solution, factored_product,
-                                  factorization_residual, potentials, riccati_residual)
+from biquat.factorization import (AxialOperators, ClosedFormFamily, build_solution,
+                                  factored_product, factorization_residual, potentials,
+                                  riccati_residual)
 from biquat.grid import (BQField, Grid3, alpha_arrays, l2, laplacian,
                          laplacian_wide, linf, nabla, nabla_alpha, norms,
                          partial_deriv, reflect_x3, sample)
-from biquat.harness import TOL, _order_check
+from biquat.harness import ALPHA_X2, TOL, _order_check
 from test_algebra import _qmul_stacked
 
 
@@ -562,6 +563,7 @@ def test_first_order_calls_hold_few_fields(monkeypatch):
     q = Biquaternion(0.5, -1j, 2.0, 0.25j)
     alf = reciprocal_alpha()
     pots = potentials(alf, g)
+    axial = AxialOperators(ALPHA_X2, g)
     limits = {
         "field_times_field": (lambda: f * h, 1.1),
         "field_times_biquaternion": (lambda: f * q, 1.1),
@@ -578,6 +580,13 @@ def test_first_order_calls_hold_few_fields(monkeypatch):
         "pairing_defect": (pots.pairing_defect, 0.3),
         "laplacian": (lambda: laplacian(f), 1.5),
         "laplacian_wide": (lambda: laplacian_wide(f), 1.5),
+        # the axial operators hold alpha**2, D a1 and -(D a1) e1 in the
+        # shapes the spec samples them in: a1 = x2 a line, its gradient
+        # constant
+        "axial_operators": (lambda: AxialOperators(ALPHA_X2, g), 0.01),
+        "axial_b": (lambda: axial.b(f), 1.1),
+        "axial_schro": (lambda: axial.schro(f, 1), 3.05),
+        "axial_factq_residual": (lambda: axial.factq_residual(f), 4.1),
     }
     for name, (call, fields) in limits.items():
         peak = _traced_peak(call) / f.data.nbytes
