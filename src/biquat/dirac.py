@@ -22,7 +22,7 @@ alpha through their x3-reflected samples, the node reversal of
 Every row of ``G0``-``G3`` and of each kind's potential matrix holds one
 entry, +-1 or +-i, asserted at import.  ``apply_dirac`` therefore reads
 each of its terms off one component of Phi, or of its central
-difference, and sums them block by block in one ``grid._run_blocks``
+difference, and sums them block by block in one ``grid._blocked_output``
 kernel, with no four-component temporary.
 """
 
@@ -34,9 +34,9 @@ from typing import Callable
 import numpy as np
 
 from .algebra import Biquaternion, qmul, right_projector, split_projectors
-from .grid import (BQField, Field4, Grid3, RightSplit, _block_of, _central_difference,
-                   _check_finite, _nan_rimmed, _on_mesh, _reversed_x3, _run_blocks,
-                   nabla_alpha, reflect_x3)
+from .grid import (BQField, Field4, Grid3, RightSplit, _block_of, _blocked_output,
+                   _central_difference, _check_finite, _on_mesh, _reversed_x3, nabla_alpha,
+                   reflect_x3)
 from .physics import forcefree_split
 
 __all__ = [
@@ -178,7 +178,7 @@ def apply_dirac(phi: SpinorField, p: DiracParams) -> SpinorField:
     kind's matrix and central differences d_k.
 
     One block of x1-planes at a time, the blocks split across CPUs by
-    ``grid._run_blocks``: each component sums its six terms in that order
+    ``grid._blocked_output``: each component sums its six terms in that order
     into the output, with one block temporary per run.  Every row of G0-G3
     and K holds one entry, +-1 or +-i (``_unit_terms``), so each term is
     one component of Phi or of its difference, taken exactly.  The
@@ -189,10 +189,8 @@ def apply_dirac(phi: SpinorField, p: DiracParams) -> SpinorField:
     pot = None if p.phi is None else p.phi_values(grid)
     kind = _KIND_TERMS[p.kind]
     energy, mass = 1j * p.omega, 1j * p.m
-    out, rim = _nan_rimmed((4, *grid.shape), (0, 1, 2), 1)
 
-    def block(sl, t):
-        rim(sl)
+    def block(out, sl, t):
         for r, out_r in enumerate(out):
             o = out_r[sl]
             col, sign, _ = _G0_TERMS[r]
@@ -210,8 +208,7 @@ def apply_dirac(phi: SpinorField, p: DiracParams) -> SpinorField:
                 np.multiply(_block_of(pot, sl), t, out=t)
                 np.add(o, t, out=o)
 
-    _run_blocks(block, tuple(slice(1, n - 1) for n in grid.shape), (complex,))
-    return SpinorField(grid, out)
+    return SpinorField(grid, _blocked_output((4, *grid.shape), (0, 1, 2), 1, block, (complex,)))
 
 
 def _alpha_components(p: DiracParams, grid: Grid3) -> tuple:

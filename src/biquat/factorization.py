@@ -39,8 +39,8 @@ from scipy.sparse import linalg as sla  # noqa: F401
 
 from .algebra import E1, INVOLUTION_SIGNS, QMUL_TERMS, ROUNDING_TOL, right_projector
 from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _negated_sum, _times_e1
-from .grid import (BQField, Grid3, _block_of, _central_difference, _check_finite, _first_order,
-                   _linf_of_tops, _nan_rimmed, _negate, _on_mesh, _product, _run_blocks,
+from .grid import (BQField, Grid3, _block_of, _blocked_output, _central_difference, _check_finite,
+                   _first_order, _linf_of_tops, _negate, _on_mesh, _product, _run_blocks,
                    _schrodinger, _top, alpha_arrays, linf, nabla_alpha, sample)
 
 __all__ = [
@@ -149,10 +149,8 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
     # scalar part.  Written block by block inside the NaN rim build_solution
     # leaves, which the nodes of nabla_alpha next to it read.
     a = alpha_arrays(alpha, grid)
-    first, rim = _nan_rimmed((4, *grid.shape), (0, 1, 2), 1)
 
-    def block(sl, t):
-        rim(sl)
+    def block(first, sl, t):
         first[0][sl] = 0.0
         for axis in range(3):
             fk = first[axis + 1][sl]
@@ -160,7 +158,7 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
             _central_difference(phi_arr, sl, axis, grid.spacing[axis], t)
             np.subtract(t, fk, out=fk)
 
-    _run_blocks(block, tuple(slice(1, n - 1) for n in grid.shape), (complex,))
+    first = _blocked_output((4, *grid.shape), (0, 1, 2), 1, block, (complex,))
     del phi_arr
     res = nabla_alpha(BQField(grid, first), a)
     del first
@@ -662,7 +660,10 @@ class AxialOperators:
         return self.a(u, wide) + self.b(c_map(u))
 
     def schro(self, u: BQField, sign: int) -> BQField:
-        """(A ± B J) u = -lap u - (alpha**2 ∓ i D a1) u, the diagonal pair."""
+        """(A ± B J) u = -lap u - (alpha**2 ∓ i D a1) u, the diagonal pair;
+        sign is +1 or -1."""
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
         return self.a(u) + float(sign) * 1j * self._times(self.d_alpha1, u)
 
     def split_identity_residual(self, u: BQField) -> float:

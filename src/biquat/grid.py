@@ -41,6 +41,12 @@ __all__ = [
 ]
 
 
+def _check_axis(k) -> None:
+    """Raise ValueError unless k is the integer 0, 1 or 2 (not a bool)."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (0, 1, 2):
+        raise ValueError(f"axis must be the integer 0, 1 or 2, got {k!r}")
+
+
 @dataclass(frozen=True)
 class Grid3:
     """Uniform tensor-product grid with n_k nodes per axis.
@@ -82,6 +88,7 @@ class Grid3:
         return cls(shape=tuple(int(m) for m in n), origin=tuple(lo), spacing=spacing)
 
     def axis(self, k: int) -> np.ndarray:
+        _check_axis(k)
         return self.origin[k] + self.spacing[k] * np.arange(self.shape[k])
 
     @property
@@ -97,7 +104,8 @@ class Grid3:
     def sample_axis(self, k: int, fn) -> np.ndarray:
         """Evaluate fn(x_k) (or a constant) on x_k of the open mesh as a
         complex line of its shape, so it broadcasts against full grid
-        arrays without being copied to the grid."""
+        arrays without being copied to the grid; k is 0, 1 or 2."""
+        _check_axis(k)
         x = self.mesh()[k]
         # poles are reported by the callers' finiteness checks, not by
         # numpy noise
@@ -413,31 +421,25 @@ def _run_blocks(block, region: tuple, temps: tuple = ()) -> None:
                 fut.result()
 
 
-def _nan_rimmed(shape, axes, width: int, dtype=complex):
-    """An uninitialized array of shape (..., n1, n2, n3) whose first and
-    last `width` slabs along each spatial axis in axes (0, 1, 2) are NaN,
-    and rim(sl), which writes the slabs along x2 and x3.
+def _blocked_output(shape, axes, width: int, block, temps: tuple = (), dtype=complex):
+    """An array of shape (..., n1, n2, n3) filled by block(out, sl, *temps)
+    over the blocks ``_run_blocks`` deals out, and returned.
 
-    The x1 slabs are written here; rim(sl) writes the others across the
-    x1-planes of the block sl.  A blocked kernel calls rim from each
-    block, its blocks covering the planes between the x1 slabs, so the
-    first touches of a fresh output's pages, which the x3 slabs make in
-    every row, are split across its runs.
+    The first and last `width` slabs along each spatial axis in axes
+    (0, 1, 2) are NaN, written here at allocation; the blocks cover the
+    nodes between them, the full extent of the other axes.
     """
     out = np.empty(shape, dtype=dtype)
-    if 0 in axes:
-        out[..., :width, :, :] = np.nan
-        out[..., shape[-3] - width:, :, :] = np.nan
-    edges = [(ax, edge) for ax in axes if ax
-             for edge in (slice(0, width), slice(shape[ax - 3] - width, None))]
-
-    def rim(sl):
-        for ax, edge in edges:
-            idx = [sl[0], slice(None), slice(None)]
+    region = [slice(0, n) for n in shape[-3:]]
+    for ax in axes:
+        n = shape[ax - 3]
+        for edge in (slice(0, width), slice(n - width, n)):
+            idx = [slice(None)] * 3
             idx[ax] = edge
             out[(Ellipsis, *idx)] = np.nan
-
-    return out, rim
+        region[ax] = slice(width, n - width)
+    _run_blocks(lambda sl, *t: block(out, sl, *t), tuple(region), temps)
+    return out
 
 
 def _divide(a: np.ndarray, divisor: float) -> None:
@@ -485,25 +487,18 @@ def partial_deriv(arr: np.ndarray, grid: Grid3, axis: int) -> np.ndarray:
     (4, *grid.shape) or a line that is 1 along the other axes; the two
     boundary slabs along the axis are invalidated.  axis is 0, 1 or 2.
     """
-    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or axis not in (0, 1, 2):
-        raise ValueError(f"axis must be the integer 0, 1 or 2, got {axis!r}")
+    _check_axis(axis)
     a = np.asarray(arr)
     if not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(float)
-    out, rim = _nan_rimmed(a.shape, (axis,), 1, a.dtype)
     # leading axes (components) first, then the three spatial ones
-    spatial = a.shape[-3:]
-    src, dst = a.reshape(-1, *spatial), out.reshape(-1, *spatial)
-    region = [slice(0, n) for n in spatial]
-    region[axis] = slice(1, spatial[axis] - 1)
+    src = a.reshape(-1, *a.shape[-3:])
 
-    def block(sl):
-        rim(sl)
+    def block(out, sl):
         for c in range(src.shape[0]):
-            _central_difference(src[c], sl, axis, grid.spacing[axis], dst[c][sl])
+            _central_difference(src[c], sl, axis, grid.spacing[axis], out[c][sl])
 
-    _run_blocks(block, tuple(region))
-    return out
+    return _blocked_output(src.shape, (axis,), 1, block, dtype=a.dtype).reshape(a.shape)
 
 
 # D f is the left product of the symbol (0, d1, d2, d3) with f, so
@@ -536,16 +531,13 @@ def _product(p, q, grid: Grid3) -> np.ndarray:
     """p * q as a (4, *grid.shape) array, p and q each four arrays or
     scalars that broadcast against the grid, summed by ``_sum_terms`` per
     block into the output with one temporary per run: ``algebra.qmul``."""
-    out = np.empty((4, *grid.shape), dtype=complex)
-
-    def block(sl, t):
+    def block(out, sl, t):
         pb = [_block_of(a, sl) for a in p]
         qb = [_block_of(a, sl) for a in q]
         for out_c, terms in zip(out, QMUL_TERMS):
             _sum_terms(terms, pb, qb, out_c[sl], t)
 
-    _run_blocks(block, tuple(slice(0, n) for n in grid.shape), (complex,))
-    return out
+    return _blocked_output((4, *grid.shape), (), 0, block, (complex,))
 
 
 def _first_order(f: BQField, alpha=None, sign: int = 1) -> BQField:
@@ -562,11 +554,9 @@ def _first_order(f: BQField, alpha=None, sign: int = 1) -> BQField:
     it is.
     """
     g = f.grid
-    out, rim = _nan_rimmed((4, *g.shape), (0, 1, 2), 1)
     combine = np.add if sign > 0 else np.subtract
 
-    def block(sl, t, acc=None):
-        rim(sl)
+    def block(out, sl, t, acc=None):
         for out_c, terms in zip(out, _D_TERMS):
             o = out_c[sl]
             for n, (sgn, axis, comp) in enumerate(terms):
@@ -583,9 +573,8 @@ def _first_order(f: BQField, alpha=None, sign: int = 1) -> BQField:
             o = out_c[sl]
             combine(o, acc, out=o)
 
-    _run_blocks(block, tuple(slice(1, n - 1) for n in g.shape),
-                (complex,) if alpha is None else (complex, complex))
-    return BQField(g, out)
+    return BQField(g, _blocked_output((4, *g.shape), (0, 1, 2), 1, block,
+                                      (complex,) if alpha is None else (complex, complex)))
 
 
 def nabla(f: BQField) -> BQField:
@@ -674,10 +663,7 @@ def _second_difference(data: np.ndarray, grid: Grid3, step: int) -> np.ndarray:
     """Per component of the stack data (c, *grid.shape), the sum over the
     axes of (a[i+step] - 2 a[i] + a[i-step]) / (step*h)**2; a rim of step
     nodes invalidated."""
-    out, rim = _nan_rimmed(data.shape, (0, 1, 2), step)
-
-    def block(sl, t2, t):
-        rim(sl)
+    def block(out, sl, t2, t):
         for a, out_c in zip(data, out):
             o = out_c[sl]
             np.multiply(2, a[sl], out=t2)
@@ -689,8 +675,7 @@ def _second_difference(data: np.ndarray, grid: Grid3, step: int) -> np.ndarray:
                 if axis:
                     np.add(o, d, out=o)
 
-    _run_blocks(block, tuple(slice(step, n - step) for n in grid.shape), (complex, complex))
-    return out
+    return _blocked_output(data.shape, (0, 1, 2), step, block, (complex, complex))
 
 
 def _schrodinger(data: np.ndarray, v, grid: Grid3, step: int = 1) -> np.ndarray:

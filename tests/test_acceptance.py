@@ -1,6 +1,7 @@
 """Acceptance gate: the algebra and calculus suites within their runtime
-bounds, every row of `verify all` passing, and its CSV hashes pinned at
-seeds 1234 and 101.  Each gate prints one pass/fail line.
+bounds, every row of `verify all` passing, its CSV hashes pinned at
+seeds 1234 and 101, and the hash of `verify maxwell --grid 33,65`.  Each
+gate prints one pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v` (one PASSED/FAILED line per
 gate) or `-s` to see the explicit ACCEPTANCE lines as well.
@@ -10,6 +11,7 @@ import hashlib
 
 import pytest
 
+from biquat import grid
 from biquat.harness import SuiteConfig, run_suite
 
 # sha256 of the `verify all --seed 1234` CSV at the default grids: a change
@@ -17,6 +19,9 @@ from biquat.harness import SuiteConfig, run_suite
 REPORT_SHA256 = "639f76a9ea691e22552afaee98338b6e51ea950846e444193ce2ca6ba3bab55d"
 # the same for `verify all --seed 101`, the second seed a refactor is held to
 SEED_101_SHA256 = "ee5b16f4c13914d2792ec2f2375172ad24be524d041038c978b78c778b47734c"
+# the same for `verify maxwell --grid 33,65` at seed 1234: every kernel call
+# at (17, 33) runs inline, while the 65^3 ones split across CPUs
+MAXWELL_FINE_SHA256 = "16370f9e2f4f73525b06817a1cf4fb718250b7cf61ca62d45fff6def629dab0a"
 
 
 def _announce(criterion, report, max_seconds):
@@ -51,3 +56,12 @@ def test_report_csv_byte_identical(seed, digest, full_report, tmp_path):
     path = tmp_path / "report.csv"
     report.write_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_fine_maxwell_report_csv_byte_identical(monkeypatch, tmp_path):
+    # two CPUs, so the 65^3 calls split on any host
+    monkeypatch.setattr(grid, "_cpus", lambda: 2)
+    report = run_suite(SuiteConfig(suite="maxwell", grids=(33, 65)))
+    path = tmp_path / "report.csv"
+    report.write_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MAXWELL_FINE_SHA256

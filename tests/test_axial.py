@@ -31,6 +31,16 @@ def test_operator_algebra_exact():
     assert (q_map(ops.b(u), 1) - ops.b(q_map(u, 1))).linf() <= TOL * ops.b(u).linf()
 
 
+@pytest.mark.parametrize("sign", [0, 2, -2, 0.5, 1j])
+def test_schro_takes_only_signs_plus_minus_one(sign):
+    # any other sign scales the i D a1 term into an operator of neither pair
+    g = box(7)
+    ops = AxialOperators(ALPHA_X2, g)
+    u = BQField(g, np.ones((4, *g.shape), dtype=complex))
+    with pytest.raises(ValueError, match="sign"):
+        ops.schro(u, sign)
+
+
 def test_c_map_is_e1_sandwich():
     g = box(5)
     u = _smooth_bq(g, default_rng(2))

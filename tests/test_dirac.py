@@ -15,7 +15,7 @@ from biquat.grid import (BQField, Grid3, linf, nabla, nabla_alpha, partial_deriv
                          reflect_x3, sample)
 from biquat.physics import forcefree_split
 from biquat.harness import (DIRAC_BETA, TOL, SuiteConfig, _order_check, _smooth_bq,
-                            _smooth_spinor, check_dirac)
+                            _smooth_spinor, check_dirac, check_maxwell)
 from test_grid import _split_in_two, _traced_peak
 
 
@@ -304,6 +304,14 @@ def test_dirac_suite_frees_the_splits_before_the_plane_wave():
     # adds about 0.7 more
     peak = _traced_peak(lambda: check_dirac(SuiteConfig(suite="dirac", grids=(17, 33))))
     assert peak / (64 * 33 ** 3) <= 7.5
+
+
+def test_maxwell_suite_keeps_one_diagonal_combination():
+    # at grids (17, 33) the suite peaks at 5.14 fine fields; forming both
+    # combinations of diagonalize_em with b alive reads 7.38, and keeping
+    # the coarse-grid fixtures through the two-grid rows reads 6.38
+    peak = _traced_peak(lambda: check_maxwell(SuiteConfig(suite="maxwell", grids=(17, 33))))
+    assert peak / (64 * 33 ** 3) <= 5.3
 
 
 def test_solution_equivalence_through_transform():

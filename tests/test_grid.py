@@ -211,6 +211,17 @@ def test_sample_axis_lines_keep_their_shapes():
         assert g.sample_axis(k, 2.0 - 1j).shape == shape
 
 
+@pytest.mark.parametrize("k", [-1, 3, True, 1.0, "x"])
+def test_grid_axes_take_only_0_1_2(k):
+    # -1 would silently mean axis 2 and True axis 1
+    g = _open_mesh_grid()
+    with pytest.raises(ValueError, match="axis"):
+        g.axis(k)
+    with pytest.raises(ValueError, match="axis"):
+        g.sample_axis(k, np.sin)
+    assert np.array_equal(g.axis(np.int64(2)), g.axis(2))
+
+
 def test_sample_constant_broadcast():
     g = box(5)
     arr = sample(g, 2.5 - 1j)
