@@ -35,8 +35,7 @@ import numpy as np
 
 from .algebra import Biquaternion, qmul, right_projector, split_projectors
 from .grid import (BQField, Field4, Grid3, RightSplit, _block_of, _blocked_output,
-                   _central_difference, _check_finite, _on_mesh, _reversed_x3, nabla_alpha,
-                   reflect_x3)
+                   _central_difference, _check_finite, _on_mesh, _reversed_x3, nabla_alpha)
 from .physics import forcefree_split
 
 __all__ = [
@@ -164,13 +163,16 @@ class DiracParams:
 
 def spinor_to_bq(phi: SpinorField) -> BQField:
     """Forward transform: F = (1/2) * M * Phi~ with the constant matrix M
-    and the x3-reflected spinor samples."""
-    return BQField(phi.grid, _apply(_FWD, reflect_x3(phi).data))
+    and the x3-reflected spinor samples.  M acts node by node, so it is
+    applied first and its output reversed in x3 as a view, with no
+    reflected copy of Phi."""
+    return BQField(phi.grid, _reversed_x3(_apply(_FWD, phi.data), phi.grid))
 
 
 def bq_to_spinor(f: BQField) -> SpinorField:
-    """Inverse transform: Phi = M_inv * F~; inverse of ``spinor_to_bq``."""
-    return SpinorField(f.grid, _apply(_INV, reflect_x3(f).data))
+    """Inverse transform: Phi = M_inv * F~; inverse of ``spinor_to_bq``,
+    reversed in x3 as a view after M_inv in the same way."""
+    return SpinorField(f.grid, _reversed_x3(_apply(_INV, f.data), f.grid))
 
 
 def apply_dirac(phi: SpinorField, p: DiracParams) -> SpinorField:

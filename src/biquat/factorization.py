@@ -21,9 +21,10 @@ block by block through ``grid._run_blocks`` too, split across CPUs with
 each node's arithmetic unchanged: the ``PotentialSet`` of
 ``potentials``, which holds alpha's 1-D lines alone and forms each v_k,
 w_k and alpha**2 from them when read, its pairing defect, and in
-``factorization_residual`` the Riccati check of a separable alpha (its
-scalar slot alone), the first factor grad phi - phi a_k and the last
-pass, which forms lhs - rhs and the norm of rhs.
+``factorization_residual`` the first factor grad phi - phi a_k and the
+last pass, which forms lhs - rhs and the norm of rhs.  For a separable
+alpha, D(alpha) + alpha**2 + v is v - v_0, so ``factorization_residual``
+checks the Riccati precondition on the potentials' v_0.
 """
 
 from __future__ import annotations
@@ -83,31 +84,6 @@ def _riccati(alpha: AlphaSpec, v_arr: np.ndarray, grid: Grid3):
     return res, asq
 
 
-def _separable_riccati_norms(alpha: SeparableAlpha, v_arr: np.ndarray, grid: Grid3):
-    """The L-inf norms of riccati_residual and of alpha**2 for a separable
-    alpha, block by block.  D(alpha) = -(a1' + a2' + a3') is a scalar, so
-    only the scalar slot D(alpha) + (alpha**2 + v) is formed; the vector
-    slots are zero at every node.  Both terms are ``_negated_sum`` on the
-    block, as ``SeparableAlpha.d_alpha`` and ``AlphaSpec.alpha_sq`` form
-    them on the whole grid, so both norms are those of the whole fields."""
-    comps = alpha.components(grid)
-    derivs = alpha.deriv_components(grid)
-    res_tops, asq_tops = [], []
-
-    def block(sl, r, q, mag):
-        _alpha_sq_block(comps, sl, q)
-        asq_tops.append(_top(np.abs(q, out=mag)))
-        _negated_sum(*(_block_of(c, sl) for c in derivs), out=r)
-        # D(alpha) + (alpha**2 + v), as _riccati adds them
-        np.add(q, _block_of(v_arr, sl), out=q)
-        np.add(r, q, out=r)
-        res_tops.append(_top(np.abs(r, out=mag)))
-
-    _run_blocks(block, tuple(slice(0, n) for n in grid.shape), (complex, complex, float))
-    # the vector slots add a top of 0, finite
-    return _linf_of_tops([*res_tops, (0.0, True)]), _linf_of_tops(asq_tops)
-
-
 def factored_product(u: BQField, alpha) -> BQField:
     """(D + M^alpha)(D - M^alpha) u with the discrete first-order operator;
     alpha is anything ``alpha_arrays`` takes; it is sampled once."""
@@ -131,7 +107,13 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
     """
     (v_arr,) = _check_finite([_on_mesh(grid, v)], "v")
     if isinstance(alpha, SeparableAlpha):
-        res_norm, asq_norm = _separable_riccati_norms(alpha, v_arr, grid)
+        # D(alpha) + alpha**2 + v is v - v_0, zero in the vector slots; v_0 - v
+        # is formed in the fresh v_0, with the same magnitudes
+        pots = potentials(alpha, grid)
+        v0 = pots.v[0]
+        res_norm = linf(np.subtract(v0, v_arr, out=v0))
+        del v0
+        asq_norm = linf(pots.alpha_sq)
     else:
         rres, asq = _riccati(alpha, v_arr, grid)
         res_norm, asq_norm = rres.linf(), linf(asq)

@@ -1,7 +1,7 @@
 """Acceptance gate: the algebra and calculus suites within their runtime
 bounds, every row of `verify all` passing, its CSV hashes pinned at
-seeds 1234 and 101, and the hash of `verify maxwell --grid 33,65`.  Each
-gate prints one pass/fail line.
+seeds 1234 and 101, and the hashes of `verify maxwell --grid 33,65` and
+`verify dirac --grid 33,65`.  Each gate prints one pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v` (one PASSED/FAILED line per
 gate) or `-s` to see the explicit ACCEPTANCE lines as well.
@@ -22,6 +22,9 @@ SEED_101_SHA256 = "ee5b16f4c13914d2792ec2f2375172ad24be524d041038c978b78c778b477
 # the same for `verify maxwell --grid 33,65` at seed 1234: every kernel call
 # at (17, 33) runs inline, while the 65^3 ones split across CPUs
 MAXWELL_FINE_SHA256 = "16370f9e2f4f73525b06817a1cf4fb718250b7cf61ca62d45fff6def629dab0a"
+# the same for `verify dirac --grid 33,65`, whose 65^3 transforms, split
+# parts and kernels split across CPUs
+DIRAC_FINE_SHA256 = "bad57e1d9678ddee3fd9830c34f9fec64df9b6dd7974e809470e46455a5ce00b"
 
 
 def _announce(criterion, report, max_seconds):
@@ -58,10 +61,18 @@ def test_report_csv_byte_identical(seed, digest, full_report, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_fine_maxwell_report_csv_byte_identical(monkeypatch, tmp_path):
+def _fine_report_sha256(suite, monkeypatch, tmp_path):
     # two CPUs, so the 65^3 calls split on any host
     monkeypatch.setattr(grid, "_cpus", lambda: 2)
-    report = run_suite(SuiteConfig(suite="maxwell", grids=(33, 65)))
+    report = run_suite(SuiteConfig(suite=suite, grids=(33, 65)))
     path = tmp_path / "report.csv"
     report.write_csv(path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == MAXWELL_FINE_SHA256
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_fine_maxwell_report_csv_byte_identical(monkeypatch, tmp_path):
+    assert _fine_report_sha256("maxwell", monkeypatch, tmp_path) == MAXWELL_FINE_SHA256
+
+
+def test_fine_dirac_report_csv_byte_identical(monkeypatch, tmp_path):
+    assert _fine_report_sha256("dirac", monkeypatch, tmp_path) == DIRAC_FINE_SHA256

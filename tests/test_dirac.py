@@ -275,19 +275,21 @@ def test_pseudoscalar_split_files_each_half_in_key_order():
 
 
 def test_dirac_calls_hold_few_fields(monkeypatch):
+    # the transforms hold their output alone, reversed in x3 as a view;
     # apply_dirac holds its output, the sampled potential and a block
     # temporary per run; intertwining_residual holds both sides, the
-    # residual, the forward transform's reflected copy and alpha's one
-    # potential component; pseudoscalar_split holds its four parts and
-    # one half's f S^b.  Calls split in two runs, each with its own
-    # temporaries.
+    # residual and alpha's one potential component; pseudoscalar_split
+    # holds its four parts and one half's f S^b.  Calls split in two runs,
+    # each with its own temporaries.
     monkeypatch.setattr(grid, "_cpus", lambda: 2)
     g = Grid3.box((1.0, 1.0, -0.5), (2.0, 2.0, 0.5), 65)
     rng = np.random.default_rng(19)
     data = rng.normal(size=(4, *g.shape)) + 1j * rng.normal(size=(4, *g.shape))
     phi, f = SpinorField(g, data), BQField(g, data.copy())
     pot = lambda a, b, c: np.sin(a) * b + c
-    limits = {"pseudoscalar_split": (lambda: pseudoscalar_split(f, 0.4 - 0.2j, DIRAC_BETA), 5.1)}
+    limits = {"pseudoscalar_split": (lambda: pseudoscalar_split(f, 0.4 - 0.2j, DIRAC_BETA), 5.1),
+              "spinor_to_bq": (lambda: spinor_to_bq(phi), 1.1),
+              "bq_to_spinor": (lambda: bq_to_spinor(f), 1.1)}
     for kind in ("scalar", "electric", "pseudoscalar"):
         p = DiracParams(omega=0.7, m=1.3, kind=kind, phi=pot)
         limits[f"apply_dirac_{kind}"] = (lambda p=p: apply_dirac(phi, p), 1.4)
@@ -298,12 +300,12 @@ def test_dirac_calls_hold_few_fields(monkeypatch):
 
 
 def test_dirac_suite_frees_the_splits_before_the_plane_wave():
-    # at grids (17, 33) the suite peaks at 7.29 fine fields; holding the
-    # coarse-grid fixtures through the two-grid rows reads 8.83, and
-    # holding the two grids' pseudoscalar splits through the plane-wave row
-    # adds about 0.7 more
+    # at grids (17, 33) the suite peaks at 6.61 fine fields, with one
+    # grid's pseudoscalar split alive at a time; holding both grids' splits
+    # through the part rows read 7.29, and holding the coarse-grid fixtures
+    # through the two-grid rows reads 8.15
     peak = _traced_peak(lambda: check_dirac(SuiteConfig(suite="dirac", grids=(17, 33))))
-    assert peak / (64 * 33 ** 3) <= 7.5
+    assert peak / (64 * 33 ** 3) <= 6.8
 
 
 def test_maxwell_suite_keeps_one_diagonal_combination():

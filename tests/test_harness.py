@@ -233,6 +233,24 @@ def test_zero_divisor_misclassification_fails_row_not_linf(monkeypatch):
     assert row.linf == row.l2 <= 1e-12
 
 
+def test_scalar_part_draw_without_scalar_part_fails_its_row(monkeypatch, tmp_path):
+    # a draw whose scalar part is zero leaves the row untested: it must read
+    # FAIL in a written report, under python -O too, not escape the suite
+    smooth = harness._smooth_bq
+
+    def no_scalar(grid, rng):
+        f = smooth(grid, rng)
+        f.data[0] = 0.0
+        return f
+
+    monkeypatch.setattr(harness, "_smooth_bq", no_scalar)
+    out = tmp_path / "rep.csv"
+    assert cli_main(["forcefree", "--grid", "9,17", "--out", str(out)]) == 1
+    failing = [line.split(",")[1] for line in out.read_text().splitlines()
+               if line.endswith(",FAIL")]
+    assert failing == ["scalar_part_accepted"]
+
+
 def test_accepted_zero_divisor_fails_its_row(monkeypatch):
     # a splitting that accepts the zero divisor -(i e1 + e2), and only it
     split = algebra.split_projectors
