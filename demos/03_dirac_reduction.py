@@ -47,7 +47,7 @@ full = (nabla(fman) + nu * fman + fman * beta).linf() / fman.linf()
 print(f"  manufactured solution residual {full:.2e}")
 split = pseudoscalar_split(fman, nu, beta)   # a RightSplit keyed (a, b)
 print(f"  recombination defect {(split.recombined() - fman).linf() / fman.linf():.1e}")
-for key in split.parts:
+for key in split.factors:
     r = split.part_residual(key).linf() / fman.linf()
     print(f"  part {key}: diagonal-equation residual {r:.2e}")
 # the operator identity behind the split holds for any field, here a random one

@@ -45,7 +45,6 @@ res = static_maxwell_residual(e_static, med, which="E")
 print(f"sourceless static residual of the manufactured field: "
       f"{res.linf() / e_static.linf():.3e}")
 
-rng = np.random.default_rng(1)
 e_any = BQField.from_vector(grid, *(np.cos(k * grid.mesh()[0]) for k in (1, 2, 3)))
 bare = static_maxwell_residual(e_any, MediumFields(eps=2.0, mu=1.0), which="E")
 rho = -np.sqrt(2.0) * bare.scalar

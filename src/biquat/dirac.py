@@ -278,11 +278,12 @@ def pseudoscalar_split(f: BQField, nu, beta: Biquaternion) -> RightSplit:
     """The four-way split of (D + nu + M^beta) f, whose alpha is nu + beta.
 
     S^b from ``split_projectors`` commutes with M^beta, which is b*lam on
-    its range, so ``forcefree_split(f S^b, nu + b*lam)`` gives the parts
-    (f S^b) P_1^a, filed under (a, b).  When f solves (D + nu + M^beta)
-    f = 0, each part solves (D + a M^{(nu + b*lam) i e1}) part = 0; the
-    projector families do not commute when beta has components orthogonal
-    to e1, and this composition order is the one under which they hold.
+    its range, so the part under (a, b) is (f S^b) P_1^a, with the alpha
+    ``forcefree_split(f, nu + b*lam)`` files under a.  When f solves
+    (D + nu + M^beta) f = 0, each part solves (D + a M^{(nu + b*lam) i e1})
+    part = 0; the projector families do not commute when beta has
+    components orthogonal to e1, and this composition order is the one
+    under which they hold.
 
     beta must lie outside the zero-divisor set (for the Dirac case this is
     m**2 != omega**2).  nu may be a constant, array or callable, finite
@@ -290,15 +291,13 @@ def pseudoscalar_split(f: BQField, nu, beta: Biquaternion) -> RightSplit:
     """
     pair = split_projectors(beta)
     nu_arr = _on_mesh(f.grid, nu)
-    parts, alphas = {}, {}
-    # one half at a time, so that only its field f S^b is held beside the parts
+    factors, alphas = {}, {}
     for b, s_mult in ((1, pair.plus), (-1, pair.minus)):
-        half = forcefree_split(f * s_mult, nu_arr + b * pair.lam)
-        for a in half.parts:
-            parts[a, b], alphas[a, b] = half.parts[a], half.alphas[a]
-        del half
+        half = forcefree_split(f, nu_arr + b * pair.lam)
+        for a, p_mults in half.factors.items():
+            factors[a, b], alphas[a, b] = (s_mult, *p_mults), half.alphas[a]
     return RightSplit(field=f, alpha=(nu_arr, *beta.components[1:].reshape(3, 1, 1, 1)),
-                      parts=parts, alphas=alphas)
+                      factors=factors, alphas=alphas)
 
 
 # weights of the four exponentials of manufactured_split_solution

@@ -41,8 +41,8 @@ from scipy.sparse import linalg as sla  # noqa: F401
 from .algebra import E1, INVOLUTION_SIGNS, QMUL_TERMS, ROUNDING_TOL, right_projector
 from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _negated_sum, _times_e1
 from .grid import (BQField, Grid3, _block_of, _blocked_output, _central_difference, _check_finite,
-                   _first_order, _linf_of_tops, _negate, _on_mesh, _product, _run_blocks,
-                   _schrodinger, _top, alpha_arrays, linf, nabla_alpha, sample)
+                   _check_index, _first_order, _linf_of_tops, _negate, _on_mesh, _product,
+                   _run_blocks, _schrodinger, _top, alpha_arrays, linf, nabla_alpha, sample)
 
 __all__ = [
     "riccati_residual",
@@ -73,15 +73,9 @@ def riccati_residual(alpha: AlphaSpec, v, grid: Grid3) -> BQField:
     differences otherwise.  Raises ValueError when sampled v is not finite.
     """
     (v_arr,) = _check_finite([_on_mesh(grid, v)], "v")
-    return _riccati(alpha, v_arr, grid)[0]
-
-
-def _riccati(alpha: AlphaSpec, v_arr: np.ndarray, grid: Grid3):
-    """(riccati_residual, alpha**2) for v already sampled on the grid."""
-    asq = alpha.alpha_sq(grid)
     res = alpha.d_alpha(grid)
-    res.data[0] += asq + v_arr
-    return res, asq
+    res.data[0] += alpha.alpha_sq(grid) + v_arr
+    return res
 
 
 def factored_product(u: BQField, alpha) -> BQField:
@@ -115,9 +109,8 @@ def factorization_residual(alpha: AlphaSpec, phi, v, grid: Grid3):
         del v0
         asq_norm = linf(pots.alpha_sq)
     else:
-        rres, asq = _riccati(alpha, v_arr, grid)
-        res_norm, asq_norm = rres.linf(), linf(asq)
-        del rres, asq  # a field-sized array and alpha**2, not needed past the check
+        res_norm = riccati_residual(alpha, v_arr, grid).linf()
+        asq_norm = linf(alpha.alpha_sq(grid))
     rel = res_norm / max(1.0, asq_norm, linf(v_arr))
     if not rel <= _RICCATI_TOL:
         raise ValueError(
@@ -322,6 +315,7 @@ class ClosedFormFamily:
             raise ValueError("missing antiderivative for separable alpha")
 
     def f_values(self, grid: Grid3, k: int) -> np.ndarray:
+        _check_index(k, 4, "component")
         l1, l2, l3 = self.alpha.antideriv_components(grid)
         s = _FAMILY_SIGNS[k]
         return np.exp(s[0] * l1 + s[1] * l2 + s[2] * l3)
@@ -361,17 +355,14 @@ class ClosedFormFamily:
             raise ValueError("which must be 'v' or 'w'")
         if not self.alpha.has_exact_derivatives():
             raise ValueError("analytic residual requires derivative callables")
+        _check_index(k, 4, "component")
         a = self.alpha.components(grid)
         da = self.alpha.deriv_components(grid)
         pot = getattr(PotentialSet(a, da), which)[k]  # v_k or w_k
         s = _FAMILY_SIGNS[k]
-        if which == "v":
-            vals = self.phi_values(grid, k)
-            # d_j phi = -s_j a_j phi  ->  d_j^2 phi = (-s_j a_j' + a_j^2) phi
-            lap_factor = sum(-s[j] * da[j] + a[j] ** 2 for j in range(3))
-        else:
-            vals = self.f_values(grid, k)
-            lap_factor = sum(s[j] * da[j] + a[j] ** 2 for j in range(3))
+        # d_j f_k = s_j a_j f_k -> d_j^2 f_k = (s_j a_j' + a_j^2) f_k; phi_k = 1/f_k flips s_j
+        sign, vals = (1, self.f_values(grid, k)) if which == "w" else (-1, self.phi_values(grid, k))
+        lap_factor = sum(sign * s[j] * da[j] + a[j] ** 2 for j in range(3))
         res = -lap_factor * vals + pot * vals
         # scale by the magnitude of the terms entering the cancellation, not
         # by their (identically vanishing) sum

@@ -41,10 +41,12 @@ __all__ = [
 ]
 
 
-def _check_axis(k) -> None:
-    """Raise ValueError unless k is the integer 0, 1 or 2 (not a bool)."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (0, 1, 2):
-        raise ValueError(f"axis must be the integer 0, 1 or 2, got {k!r}")
+def _check_index(k, n=3, what="axis") -> None:
+    """Raise ValueError unless k is one of the integers 0 .. n-1 (not a
+    bool): an axis, or with n=4 a component."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < n:
+        *head, last = map(str, range(n))
+        raise ValueError(f"{what} must be the integer {', '.join(head)} or {last}, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class Grid3:
         return cls(shape=tuple(int(m) for m in n), origin=tuple(lo), spacing=spacing)
 
     def axis(self, k: int) -> np.ndarray:
-        _check_axis(k)
+        _check_index(k)
         return self.origin[k] + self.spacing[k] * np.arange(self.shape[k])
 
     @property
@@ -105,7 +107,7 @@ class Grid3:
         """Evaluate fn(x_k) (or a constant) on x_k of the open mesh as a
         complex line of its shape, so it broadcasts against full grid
         arrays without being copied to the grid; k is 0, 1 or 2."""
-        _check_axis(k)
+        _check_index(k)
         x = self.mesh()[k]
         # poles are reported by the callers' finiteness checks, not by
         # numpy noise
@@ -487,7 +489,7 @@ def partial_deriv(arr: np.ndarray, grid: Grid3, axis: int) -> np.ndarray:
     (4, *grid.shape) or a line that is 1 along the other axes; the two
     boundary slabs along the axis are invalidated.  axis is 0, 1 or 2.
     """
-    _check_axis(axis)
+    _check_index(axis)
     a = np.asarray(arr)
     if not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(float)
@@ -594,8 +596,8 @@ def alpha_arrays(alpha, grid: Grid3):
     A BQField (alpha known by its samples) gives its data, an AlphaSpec
     (anything with components(grid)) a zero scalar part and its three
     components (the 1-D lines of a separable alpha), and four such arrays
-    are returned as they are; other arrays, or a field on another grid,
-    raise ValueError.
+    are returned as they are; anything else, or a field on another grid,
+    raises ValueError.
     """
     if isinstance(alpha, BQField):
         if alpha.grid != grid:
@@ -606,6 +608,9 @@ def alpha_arrays(alpha, grid: Grid3):
                 n in (1, m) for n, m in zip(a.shape[::-1], grid.shape[::-1])) for a in alpha):
             raise ValueError(f"alpha must be four arrays broadcasting to the grid {grid.shape}")
         return alpha
+    if not callable(getattr(alpha, "components", None)):
+        raise ValueError("alpha must be a BQField, an AlphaSpec or a tuple of four arrays, "
+                         f"got {type(alpha).__name__}")
     return (np.zeros((1, 1, 1), dtype=complex), *alpha.components(grid))
 
 
@@ -625,23 +630,28 @@ class RightSplit:
 
         (D + M^alpha) f  =  sum_X (D + M^{c_X}) (f X).
 
-    parts maps each key to f X and alphas to its c_X; alpha and each c_X
-    are four arrays, as ``alpha_arrays`` takes them, so constant zero
-    components stay (1, 1, 1).  Built by ``physics.forcefree_split`` and
-    ``dirac.pseudoscalar_split``.
+    factors maps each key to the constant Biquaternion multipliers whose
+    product in order is X, and alphas to its c_X; alpha and each c_X are
+    four arrays, as ``alpha_arrays`` takes them, so constant zero
+    components stay (1, 1, 1).  No part is stored: ``part(key)`` forms f X.
+    Built by ``physics.forcefree_split`` and ``dirac.pseudoscalar_split``.
     """
 
     field: BQField
     alpha: tuple
-    parts: dict
+    factors: dict
     alphas: dict
+
+    def part(self, key) -> BQField:
+        """f X for the key, f times X's factors in order."""
+        return reduce(operator.mul, self.factors[key], self.field)
 
     def recombined(self) -> BQField:
         """The parts summed in key order: f up to rounding."""
-        return reduce(operator.add, self.parts.values())
+        return reduce(operator.add, map(self.part, self.factors))
 
     def part_residual(self, key) -> BQField:
-        return nabla_alpha(self.parts[key], self.alphas[key])
+        return nabla_alpha(self.part(key), self.alphas[key])
 
     def identity_residual(self):
         """(D + M^alpha) f minus the summed part residuals, at rounding
@@ -655,7 +665,7 @@ class RightSplit:
         Scale such an f by |f| / h instead.
         """
         lhs = nabla_alpha(self.field, self.alpha)
-        rhs = reduce(operator.add, map(self.part_residual, self.parts))
+        rhs = reduce(operator.add, map(self.part_residual, self.factors))
         return lhs - rhs, lhs.linf()
 
 

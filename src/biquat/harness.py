@@ -665,7 +665,7 @@ def check_dirac(cfg: SuiteConfig):
         split = dirac.pseudoscalar_split(dirac.manufactured_split_solution(g, nu_c, beta),
                                          nu_c, beta)
         scale = max(split.field.linf(), 1.0)
-        for key in split.parts:
+        for key in split.factors:
             yield split.part_residual(key), scale
     rows.append(_order_check("ps_part_equations_order", grids, part_residuals))
 

@@ -146,7 +146,7 @@ def forcefree_split(f: BQField, nu) -> RightSplit:
     (nu_arr,) = _check_finite([_on_mesh(f.grid, nu)], "nu")
     zero = np.zeros((1, 1, 1), dtype=complex)
     return RightSplit(field=f, alpha=(nu_arr, zero, zero, zero),
-                      parts={a: f * right_projector(1, a) for a in (1, -1)},
+                      factors={a: (right_projector(1, a),) for a in (1, -1)},
                       alphas={a: (zero, 1j * (a * nu_arr), zero, zero) for a in (1, -1)})
 
 

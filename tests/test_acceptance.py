@@ -1,7 +1,8 @@
 """Acceptance gate: the algebra and calculus suites within their runtime
 bounds, every row of `verify all` passing, its CSV hashes pinned at
-seeds 1234 and 101, and the hashes of `verify maxwell --grid 33,65` and
-`verify dirac --grid 33,65`.  Each gate prints one pass/fail line.
+seeds 1234 and 101, and the hashes of `verify maxwell`, `verify dirac`,
+`verify forcefree` and `verify factorization` at `--grid 33,65`.  Each
+gate prints one pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v` (one PASSED/FAILED line per
 gate) or `-s` to see the explicit ACCEPTANCE lines as well.
@@ -25,6 +26,10 @@ MAXWELL_FINE_SHA256 = "16370f9e2f4f73525b06817a1cf4fb718250b7cf61ca62d45fff6def6
 # the same for `verify dirac --grid 33,65`, whose 65^3 transforms, split
 # parts and kernels split across CPUs
 DIRAC_FINE_SHA256 = "bad57e1d9678ddee3fd9830c34f9fec64df9b6dd7974e809470e46455a5ce00b"
+# the same for `verify forcefree --grid 33,65` and `verify factorization
+# --grid 33,65`
+FORCEFREE_FINE_SHA256 = "5a3c9db1d279ec2f28dbe9a71e272b7c85a7c1763c05f7353d224d14902deec9"
+FACTORIZATION_FINE_SHA256 = "78c54bcb475875e10f511df06842819cb85424f11b14c3f89a436358ceb8c883"
 
 
 def _announce(criterion, report, max_seconds):
@@ -76,3 +81,12 @@ def test_fine_maxwell_report_csv_byte_identical(monkeypatch, tmp_path):
 
 def test_fine_dirac_report_csv_byte_identical(monkeypatch, tmp_path):
     assert _fine_report_sha256("dirac", monkeypatch, tmp_path) == DIRAC_FINE_SHA256
+
+
+def test_fine_forcefree_report_csv_byte_identical(monkeypatch, tmp_path):
+    assert _fine_report_sha256("forcefree", monkeypatch, tmp_path) == FORCEFREE_FINE_SHA256
+
+
+def test_fine_factorization_report_csv_byte_identical(monkeypatch, tmp_path):
+    assert (_fine_report_sha256("factorization", monkeypatch, tmp_path)
+            == FACTORIZATION_FINE_SHA256)

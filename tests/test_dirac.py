@@ -267,10 +267,10 @@ def test_pseudoscalar_split_files_each_half_in_key_order():
     want = {}
     for b, s_mult in ((1, pair.plus), (-1, pair.minus)):
         half = forcefree_split(f * s_mult, nu + b * pair.lam)
-        want.update({(a, b): (half.parts[a], half.alphas[a]) for a in half.parts})
-    assert list(split.parts) == list(split.alphas) == list(want)
+        want.update({(a, b): (half.part(a), half.alphas[a]) for a in half.factors})
+    assert list(split.factors) == list(split.alphas) == list(want)
     for key, (part, alpha) in want.items():
-        assert np.array_equal(split.parts[key].data, part.data)
+        assert np.array_equal(split.part(key).data.view(np.int64), part.data.view(np.int64))
         assert all(np.array_equal(x, y) for x, y in zip(split.alphas[key], alpha))
 
 
@@ -278,16 +278,17 @@ def test_dirac_calls_hold_few_fields(monkeypatch):
     # the transforms hold their output alone, reversed in x3 as a view;
     # apply_dirac holds its output, the sampled potential and a block
     # temporary per run; intertwining_residual holds both sides, the
-    # residual and alpha's one potential component; pseudoscalar_split
-    # holds its four parts and one half's f S^b.  Calls split in two runs,
-    # each with its own temporaries.
+    # residual and alpha's one potential component; the splits hold their
+    # factors and alphas and form no part.  Calls split in two runs, each
+    # with its own temporaries.
     monkeypatch.setattr(grid, "_cpus", lambda: 2)
     g = Grid3.box((1.0, 1.0, -0.5), (2.0, 2.0, 0.5), 65)
     rng = np.random.default_rng(19)
     data = rng.normal(size=(4, *g.shape)) + 1j * rng.normal(size=(4, *g.shape))
     phi, f = SpinorField(g, data), BQField(g, data.copy())
     pot = lambda a, b, c: np.sin(a) * b + c
-    limits = {"pseudoscalar_split": (lambda: pseudoscalar_split(f, 0.4 - 0.2j, DIRAC_BETA), 5.1),
+    limits = {"pseudoscalar_split": (lambda: pseudoscalar_split(f, 0.4 - 0.2j, DIRAC_BETA), 0.01),
+              "forcefree_split": (lambda: forcefree_split(f, 0.4 - 0.2j), 0.01),
               "spinor_to_bq": (lambda: spinor_to_bq(phi), 1.1),
               "bq_to_spinor": (lambda: bq_to_spinor(f), 1.1)}
     for kind in ("scalar", "electric", "pseudoscalar"):
@@ -300,12 +301,11 @@ def test_dirac_calls_hold_few_fields(monkeypatch):
 
 
 def test_dirac_suite_frees_the_splits_before_the_plane_wave():
-    # at grids (17, 33) the suite peaks at 6.61 fine fields, with one
-    # grid's pseudoscalar split alive at a time; holding both grids' splits
-    # through the part rows read 7.29, and holding the coarse-grid fixtures
-    # through the two-grid rows reads 8.15
+    # at grids (17, 33) the suite peaks at 3.32 fine fields, with one
+    # grid's pseudoscalar split alive at a time, forming each part when it
+    # is read; splits that stored their four parts read 6.61
     peak = _traced_peak(lambda: check_dirac(SuiteConfig(suite="dirac", grids=(17, 33))))
-    assert peak / (64 * 33 ** 3) <= 6.8
+    assert peak / (64 * 33 ** 3) <= 3.4
 
 
 def test_maxwell_suite_keeps_one_diagonal_combination():
@@ -342,7 +342,7 @@ def test_pseudoscalar_split_of_unit_scalar():
     pair = split_projectors(beta)
     p_plus = Biquaternion(0.5, 0.5j, 0, 0)
     want = pair.plus * p_plus
-    assert (split.parts[(1, 1)] - BQField.constant(g, want)).linf() <= TOL
+    assert (split.part((1, 1)) - BQField.constant(g, want)).linf() <= TOL
 
 
 def test_pseudoscalar_operator_identity_exact():

@@ -533,6 +533,15 @@ def test_family_analytic_schrodinger_rejects_bad_which():
         ClosedFormFamily(reciprocal_alpha()).schrodinger_residual_analytic(box(), 0, "x")
 
 
+@pytest.mark.parametrize("k", [-1, 4, True, 1.0], ids=repr)
+def test_family_rejects_component_index_outside_0_to_3(k):
+    # as Python indices -1 would read f_3 and True f_1
+    fam = ClosedFormFamily(reciprocal_alpha())
+    for call in (fam.f_values, fam.phi_values, fam.schrodinger_residual_analytic):
+        with pytest.raises(ValueError, match="component must be the integer 0, 1, 2 or 3"):
+            call(box(), k)
+
+
 def test_family_analytic_schrodinger_builds_no_potential_set(monkeypatch):
     # each call forms its one potential from the lines it samples once:
     # potentials() is not called to sample them again

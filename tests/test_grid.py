@@ -379,6 +379,14 @@ def test_alpha_arrays_rejects_arrays_that_do_not_fit_the_grid(alpha):
         nabla_alpha(f, alpha)
 
 
+@pytest.mark.parametrize("alpha", [[np.ones((1, 1, 1), dtype=complex)] * 4, 0.5, None],
+                         ids=["list", "number", "none"])
+def test_alpha_arrays_rejects_what_is_no_alpha(alpha):
+    f = BQField.constant(box(), Biquaternion.vector(1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match=f"AlphaSpec .* got {type(alpha).__name__}"):
+        nabla_alpha(f, alpha)
+
+
 def test_separable_products_never_materialize_alpha(monkeypatch):
     f = _kernel_field((18, 17, 6), 14)
     g = f.grid

@@ -207,7 +207,7 @@ def test_ps_part_equations_order_reports_worst_part(monkeypatch):
     man = manufactured_split_solution(g, nu, beta)
     split = pseudoscalar_split(man, nu, beta)
     fine = {key: split.part_residual(key).linf() / max(man.linf(), 1.0)
-            for key in split.parts}
+            for key in split.factors}
     worst = max(fine.values())
     assert worst > fine[(1, 1)]
     row = _row(cfg, "ps_part_equations_order")

@@ -176,12 +176,12 @@ def test_forcefree_split_identity_random():
     x1 = g.mesh()[0]
     nu = np.sin(x1) + 0.2j * x1
     split = forcefree_split(f, nu)
-    fp, fm = split.parts[1], split.parts[-1]
+    fp, fm = split.part(1), split.part(-1)
     assert (fp + fm - f).linf() <= TOL * f.linf()
 
 
 def test_forcefree_split_keeps_a_constant_nu_unexpanded():
-    # the split holds its parts and no grid-size array for a constant nu
+    # the split holds no grid-size array for a constant nu
     g = box()
     f = _smooth_bq(g, default_rng(5))
     split = forcefree_split(f, 1.5)
