@@ -25,6 +25,11 @@ w_k and alpha**2 from them when read, its pairing defect, and in
 last pass, which forms lhs - rhs and the norm of rhs.  For a separable
 alpha, D(alpha) + alpha**2 + v is v - v_0, so ``factorization_residual``
 checks the Riccati precondition on the potentials' v_0.
+
+scipy is imported only where it is called: the right inverse's real 1-D
+operators take numpy's eigh, and ``scipy.linalg``'s Schur form and trsyl
+load on the first complex operator, so importing the package and a
+verify run over real operators leave scipy unloaded.
 """
 
 from __future__ import annotations
@@ -34,9 +39,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, schur
-# not called here: the benchmark tracer patches this name to time scipy's sparse solvers
-from scipy.sparse import linalg as sla  # noqa: F401
 
 from .algebra import E1, INVOLUTION_SIGNS, QMUL_TERMS, ROUNDING_TOL, right_projector
 from .alpha import AlphaSpec, AxialAlpha, SeparableAlpha, _negated_sum, _times_e1
@@ -62,6 +64,17 @@ __all__ = [
     "ReductionReport",
     "zero_divisor_reduction",
 ]
+
+
+def __getattr__(name):
+    """``sla`` is scipy.sparse.linalg, imported on first access: nothing
+    here calls it, but the benchmark tracer patches this name to time
+    scipy's sparse solvers."""
+    if name == "sla":
+        from scipy.sparse import linalg
+        return linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def riccati_residual(alpha: AlphaSpec, v, grid: Grid3) -> BQField:
     """The biquaternion field D(alpha) + alpha**2 + v.
@@ -324,7 +337,11 @@ class ClosedFormFamily:
         return 1.0 / self.f_values(grid, k)
 
     def combination(self, grid: Grid3, coeffs) -> BQField:
+        """sum_k c_k f_k e_k.  Raises ValueError unless coeffs holds exactly
+        four numbers, one per component."""
         cs = np.asarray(coeffs, dtype=complex)
+        if cs.shape != (4,):
+            raise ValueError(f"coeffs must hold four numbers, got shape {cs.shape}")
         return BQField(grid, np.stack([cs[k] * self.f_values(grid, k) for k in range(4)]))
 
     def equation_residual_analytic(self, grid: Grid3, coeffs):
@@ -413,6 +430,7 @@ def _diagonalize(a: np.ndarray):
     takes the complex Schur form, T upper triangular."""
     if not a.imag.any():
         return np.linalg.eigh(a.real)
+    from scipy.linalg import schur
     return schur(a, output="complex")
 
 
@@ -444,6 +462,7 @@ def _plane_solve(shift, rhs: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> np.n
     conj(T_3)^H since complex trsyl has no plain transpose."""
     if t2.ndim == 1:
         return rhs / (shift + t2[:, None] + t3[None, :])
+    from scipy.linalg import lapack
     b = np.diag(t3) if t3.ndim == 1 else t3
     z, scale, info = lapack.ztrsyl(t2 + shift * np.eye(len(t2)), b.conj(), rhs, tranb="C")
     if info != 0 or scale != 1.0:

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
 from scipy.sparse import linalg as sla
 
@@ -542,6 +543,16 @@ def test_family_rejects_component_index_outside_0_to_3(k):
             call(box(), k)
 
 
+@pytest.mark.parametrize("coeffs", [[1, 2, 3], [1, 2, 3, 4, 5], 2.0],
+                         ids=["three", "five", "scalar"])
+def test_family_combination_takes_exactly_four_coefficients(coeffs):
+    # five used to drop the fifth silently, three or a scalar raised IndexError
+    fam = ClosedFormFamily(reciprocal_alpha())
+    for call in (fam.combination, fam.equation_residual_analytic):
+        with pytest.raises(ValueError, match="coeffs must hold four numbers"):
+            call(box(), coeffs)
+
+
 def test_family_analytic_schrodinger_builds_no_potential_set(monkeypatch):
     # each call forms its one potential from the lines it samples once:
     # potentials() is not called to sample them again
@@ -755,10 +766,11 @@ def test_solver_gate_applies_the_axis_operators_as_the_dense_product(alpha):
 
 def test_right_inverse_decomposes_each_axis_operator_once(monkeypatch):
     # s_kj = ±1, so the four components share two operators per axis: one
-    # eigh for each real operator, one schur for each complex one
+    # eigh for each real operator, one schur for each complex one; the
+    # solver imports schur when it first needs it, so count scipy's own
     calls = {"eigh": 0, "eig": 0, "inv": 0, "cond": 0, "schur": 0}
     for name in calls:
-        owner = factorization if name == "schur" else np.linalg
+        owner = scipy.linalg if name == "schur" else np.linalg
         original = getattr(owner, name)
 
         def counted(*args, name=name, original=original, **kwargs):
